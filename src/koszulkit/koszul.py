@@ -13,8 +13,8 @@ on cohomology are all computed here.  The degreewise dimension identity
     dim H^p = (cols D^p - rank D^p) - rank D^(p-1)
 
 is taken with D^(-1) and D^n read as zero maps.  On finite-dimensional
-spaces the index is always 0 (Euler characteristic); this is asserted on
-every report.
+spaces the index is always 0 (Euler characteristic); every report checks
+this and raises NotStabilized otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import DegreeError, ModeMismatch, NonCommuting, NotStabilized, Shap
 from .linalg import (
     Mat,
     block_diag_copies,
-    column_space_basis,
     commutator,
+    independent_columns,
     kernel_basis,
     mat_block,
     mat_hstack,
@@ -78,8 +78,12 @@ class CohomologyReport:
 
     def __post_init__(self):
         alt = sum((-1) ** p * dim for p, dim in enumerate(self.dims))
-        assert alt == self.index
-        assert self.index == 0, "finite-dimensional tuples always have index 0"
+        if alt != self.index:
+            raise NotStabilized(f"index {self.index} is not the alternating sum of {self.dims}")
+        if self.index != 0:
+            raise NotStabilized(
+                f"index {self.index} is nonzero; finite-dimensional tuples have index 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,15 @@ def koszul_complex(T: CommutingTuple) -> KoszulComplex:
     diffs = tuple(koszul_differential(T, p) for p in range(T.n))
     if T.mode == EXACT:
         for p in range(T.n - 1):
-            assert (diffs[p + 1] @ diffs[p]).is_zero(), "chain identity violated"
+            if not (diffs[p + 1] @ diffs[p]).is_zero():
+                raise NonCommuting(f"chain identity D^{p + 1} D^{p} = 0 violated")
     return KoszulComplex(T, diffs)
 
 
-def _boundary_maps(T: CommutingTuple, diffs):
-    """D^p for p in -1..n with the zero conventions at both ends."""
+def _boundary_maps(T: CommutingTuple):
+    """D^p for p in -1..n with the zero conventions at both ends, from
+    one build of the complex."""
+    diffs = koszul_complex(T).differentials
 
     def D(p: int) -> Mat:
         if p < 0:
@@ -187,8 +194,10 @@ def _boundary_maps(T: CommutingTuple, diffs):
 
 def cohomology(T: CommutingTuple, tol_rank: float | None = None) -> CohomologyReport:
     """Cohomology dimensions, index, and the invertible/Fredholm flags."""
-    diffs = koszul_complex(T).differentials
-    D = _boundary_maps(T, diffs)
+    return _cohomology(T, _boundary_maps(T), tol_rank)
+
+
+def _cohomology(T: CommutingTuple, D, tol_rank) -> CohomologyReport:
     dims = []
     prev_rank = 0
     for p in range(T.n + 1):
@@ -230,21 +239,6 @@ def _check_commutes_with_tuple(S: Mat, T: CommutingTuple, tol_comm=None):
             )
 
 
-def _quotient_representatives(ker: Mat, im: Mat, tol_rank=None):
-    """Columns of ``ker`` extending col(im) to a basis of ker, greedily."""
-    reps = []
-    cur = im
-    cur_rank = rank(im, tol_rank)
-    for j in range(ker.cols):
-        cand = mat_hstack([cur, ker.column(j)])
-        r = rank(cand, tol_rank)
-        if r > cur_rank:
-            reps.append(ker.column(j))
-            cur = cand
-            cur_rank = r
-    return reps
-
-
 def induced_map(S: Mat, T: CommutingTuple, p: int, tol_rank: float | None = None) -> Mat:
     """Matrix of the action of S on H^p(T) in a deterministic basis.
 
@@ -254,16 +248,21 @@ def induced_map(S: Mat, T: CommutingTuple, p: int, tol_rank: float | None = None
     if not 0 <= p <= T.n:
         raise DegreeError(f"degree {p} outside 0..{T.n}")
     _check_commutes_with_tuple(S, T)
-    diffs = koszul_complex(T).differentials
-    D = _boundary_maps(T, diffs)
-    ker = kernel_basis(D(p), tol_rank)
-    im = column_space_basis(D(p - 1), tol_rank)
-    reps = _quotient_representatives(ker, im, tol_rank)
-    h = len(reps)
+    return _induced_map(S, T, _boundary_maps(T), p, tol_rank)
+
+
+def _induced_map(S: Mat, T: CommutingTuple, D, p: int, tol_rank) -> Mat:
+    # one left-to-right column choice on [D^(p-1) | ker D^p]: pivots before
+    # the split span the image, pivots after it represent H^p
+    prev = D(p - 1)
+    both = mat_hstack([prev, kernel_basis(D(p), tol_rank)])
+    chosen = independent_columns(both, tol_rank)
+    nim = sum(1 for j in chosen if j < prev.cols)
+    h = len(chosen) - nim
     if h == 0:
         return Mat.zeros(0, 0, T.mode)
-    R = mat_hstack(reps)
-    basis = mat_hstack([im, R]) if im.cols else R
+    basis = mat_hstack([both.column(j) for j in chosen])
+    R = mat_hstack([both.column(j) for j in chosen[nim:]])
     Sblk = block_diag_copies(S, comb(T.n, p))
     X = solve(basis, Sblk @ R, tol_rank)
     if X is None:
@@ -271,7 +270,7 @@ def induced_map(S: Mat, T: CommutingTuple, p: int, tol_rank: float | None = None
             "induced action did not preserve the cohomology representatives; "
             "operator fails to commute within tolerance"
         )
-    rows = [[X.at(im.cols + i, j) for j in range(h)] for i in range(h)]
+    rows = [[X.at(nim + i, j) for j in range(h)] for i in range(h)]
     return Mat.from_rows(rows, T.mode)
 
 
@@ -285,12 +284,10 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
     """
     _check_commutes_with_tuple(S, T)
     Tp = validate_tuple(list(T.matrices) + [S])
-    direct = cohomology(Tp, tol_rank)
-    base = cohomology(T, tol_rank)
-    ranks = []
-    for p in range(T.n + 1):
-        Sp = induced_map(S, T, p, tol_rank)
-        ranks.append(rank(Sp, tol_rank))
+    direct = _cohomology(Tp, _boundary_maps(Tp), tol_rank)
+    D = _boundary_maps(T)
+    base = _cohomology(T, D, tol_rank)
+    ranks = [rank(_induced_map(S, T, D, p, tol_rank), tol_rank) for p in range(T.n + 1)]
     dims_seq = []
     for p in range(T.n + 2):
         coker_prev = (base.dims[p - 1] - ranks[p - 1]) if 1 <= p <= T.n + 1 else 0

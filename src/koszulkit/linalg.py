@@ -1,15 +1,19 @@
 """Deterministic dense linear algebra in two arithmetic modes.
 
-Exact mode works over Gaussian rationals with fraction-free (Bareiss)
-elimination and full pivoting, so kernels, ranks and solutions carry no
-rounding error at all.  Float mode works over complex doubles and makes
-every rank decision through an explicit relative tolerance via the SVD.
+Exact mode works over Gaussian rationals.  Every rank, kernel, solution
+and independent-column choice comes from one elimination: each row is
+cleared of denominators to Gaussian integers, then fraction-free Bareiss
+elimination runs with exact division by the previous pivot, so nothing
+is ever rounded.  Float mode works over complex doubles and makes every
+rank decision through an explicit relative tolerance via the SVD.
 
-Pivots are chosen by (largest magnitude, then lowest index), which makes
-every returned basis reproducible across runs.
+Pivots are the first nonzero entry, scanning columns left to right, so
+every returned basis is reproducible across runs.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 import numpy as np
 
@@ -153,18 +157,16 @@ class Mat:
             return Mat(self.rows, other.cols, self._fl @ other._fl, FLOAT)
         n, k, m = self.rows, self.cols, other.cols
         a, b = self._ex, other._ex
+        # row i of the product is sum_t a[i, t] * (row t of b), over nonzeros
+        brows = [[(j, v) for j, v in enumerate(b[t * m : (t + 1) * m]) if v] for t in range(k)]
         out = []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                s = GR_ZERO
-                for t in range(k):
-                    av = arow[t]
-                    if not av.is_zero():
-                        bv = b[t * m + j]
-                        if not bv.is_zero():
-                            s = s + av * bv
-                out.append(s)
+            acc = [GR_ZERO] * m
+            for t, av in enumerate(a[i * k : (i + 1) * k]):
+                if av:
+                    for j, bv in brows[t]:
+                        acc[j] = acc[j] + av * bv
+            out.extend(acc)
         return Mat(n, m, out, EXACT)
 
     def adjoint(self) -> "Mat":
@@ -277,125 +279,114 @@ def commutator(A: Mat, B: Mat) -> Mat:
     return A @ B - B @ A
 
 
-# -- exact elimination (fraction-free, full pivoting) ------------------
+# -- exact elimination (Bareiss over the Gaussian integers) ------------
 
 
-def _exact_forward(a, b=None, ncols=None):
-    """Bareiss forward elimination with full pivoting, in place.
+def _gauss_int_rows(M: Mat):
+    """Rows of exact M as lists of (re, im) int pairs.
 
-    ``a`` is a list of row lists of GaussianRational.  Row swaps and row
-    operations are mirrored onto ``b`` when given; column swaps apply to
-    ``a`` only and are recorded in the returned permutation.
-
-    Returns (rank, colp) with colp[j] = original index of current col j.
+    Each row is multiplied by the lcm of its denominators; scaling a row
+    changes neither the rank, the kernel nor the pivot positions.
     """
-    m = len(a)
-    n = ncols if ncols is not None else (len(a[0]) if m else 0)
-    colp = list(range(n))
-    prev = GR_ONE
-    k = 0
-    while k < m and k < n:
-        best = None
-        bi = bj = -1
-        for i in range(k, m):
-            row = a[i]
-            for j in range(k, n):
-                v = row[j]
-                if not v.is_zero():
-                    a2 = v.abs2()
-                    if best is None or a2 > best:
-                        best = a2
-                        bi, bj = i, j
-        if best is None:
+    c = M.cols
+    out = []
+    for i in range(M.rows):
+        row = M._ex[i * c : (i + 1) * c]
+        L = lcm(*(v.re.denominator for v in row), *(v.im.denominator for v in row))
+        out.append(
+            [
+                (v.re.numerator * (L // v.re.denominator), v.im.numerator * (L // v.im.denominator))
+                for v in row
+            ]
+        )
+    return out
+
+
+def _echelon(rows, npiv):
+    """Fraction-free Bareiss elimination on Gaussian-integer rows, in place.
+
+    The pivot of each step is the first nonzero entry, scanning columns
+    ``0..npiv-1`` left to right; later columns are carried along but never
+    pivot.  Each update divides exactly in Z[i] by the previous pivot
+    (Bareiss 1968), so every entry stays a Gaussian integer minor.  Row r
+    ends up holding the r-th pivot.  Returns the pivot columns.
+    """
+    m = len(rows)
+    width = len(rows[0]) if m else 0
+    piv = []
+    pr, pi = 1, 0
+    for c in range(npiv):
+        r = len(piv)
+        if r == m:
             break
-        if bi != k:
-            a[k], a[bi] = a[bi], a[k]
-            if b is not None:
-                b[k], b[bi] = b[bi], b[k]
-        if bj != k:
-            for row in a:
-                row[k], row[bj] = row[bj], row[k]
-            colp[k], colp[bj] = colp[bj], colp[k]
-        pk = a[k][k]
-        krow = a[k]
-        bk = b[k] if b is not None else None
-        for i in range(k + 1, m):
-            aik = a[i][k]
-            arow = a[i]
-            if aik.is_zero():
-                for j in range(k + 1, n):
-                    arow[j] = (pk * arow[j]) / prev
-                if b is not None:
-                    brow = b[i]
-                    for j in range(len(brow)):
-                        brow[j] = (pk * brow[j]) / prev
-            else:
-                for j in range(k + 1, n):
-                    arow[j] = (pk * arow[j] - aik * krow[j]) / prev
-                if b is not None:
-                    brow = b[i]
-                    for j in range(len(brow)):
-                        brow[j] = (pk * brow[j] - aik * bk[j]) / prev
-            arow[k] = GR_ZERO
-        prev = pk
-        k += 1
-    return k, colp
+        for i in range(r, m):
+            if rows[i][c] != (0, 0):
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        kr, ki = top[c]
+        den = pr * pr + pi * pi
+        for i in range(r + 1, m):
+            row = rows[i]
+            ar, ai = row[c]
+            for j in range(c + 1, width):
+                xr, xi = row[j]
+                tr, ti = top[j]
+                # k * x - a * t, then exact division by the previous pivot
+                nr = kr * xr - ki * xi - ar * tr + ai * ti
+                ni = kr * xi + ki * xr - ar * ti - ai * tr
+                if pi:
+                    nr, ni = (nr * pr + ni * pi) // den, (ni * pr - nr * pi) // den
+                elif pr != 1:
+                    nr, ni = nr // pr, ni // pr
+                row[j] = (nr, ni)
+            row[c] = (0, 0)
+        piv.append(c)
+        pr, pi = kr, ki
+    return piv
 
 
-def _exact_rank(M: Mat) -> int:
-    a = M.row_lists()
-    r, _ = _exact_forward(a)
-    return r
+def _back_substitute(rows, piv, j, n):
+    """x with free entries 0 solving the pivot rows against their column j."""
+    x = [GR_ZERO] * n
+    for i in range(len(piv) - 1, -1, -1):
+        row = rows[i]
+        s = GaussianRational(*row[j])
+        for c in piv[i + 1 :]:
+            if row[c] != (0, 0) and x[c]:
+                s = s - GaussianRational(*row[c]) * x[c]
+        x[piv[i]] = s / GaussianRational(*row[piv[i]])
+    return x
+
+
+def _from_columns(cols, n) -> Mat:
+    return Mat(n, len(cols), [col[i] for i in range(n) for col in cols], EXACT)
 
 
 def _exact_kernel(M: Mat) -> Mat:
-    a = M.row_lists()
+    rows = _gauss_int_rows(M)
     n = M.cols
-    r, colp = _exact_forward(a, ncols=n)
+    piv = _echelon(rows, n)
     vecs = []
-    for f in range(r, n):
-        x = [GR_ZERO] * n
+    for f in sorted(set(range(n)) - set(piv)):
+        # e_f minus the solution of the pivot rows against column f
+        x = [-v for v in _back_substitute(rows, piv, f, n)]
         x[f] = GR_ONE
-        for i in range(r - 1, -1, -1):
-            s = a[i][f]
-            for j in range(i + 1, r):
-                xj = x[j]
-                if not xj.is_zero():
-                    s = s + a[i][j] * xj
-            x[i] = -s / a[i][i]
-        v = [GR_ZERO] * n
-        for j in range(n):
-            v[colp[j]] = x[j]
-        vecs.append(v)
-    ent = [vecs[c][i] for i in range(n) for c in range(len(vecs))]
-    return Mat(n, len(vecs), ent, EXACT)
+        vecs.append(x)
+    return _from_columns(vecs, n)
 
 
 def _exact_solve(A: Mat, B: Mat):
-    """Solve A X = B exactly; None if inconsistent.  Free variables are 0."""
-    a = A.row_lists()
-    b = B.row_lists()
-    r, colp = _exact_forward(a, b, ncols=A.cols)
-    for i in range(r, A.rows):
-        if any(not v.is_zero() for v in b[i]):
-            return None
-    n, q = A.cols, B.cols
-    cols = []
-    for c in range(q):
-        x = [GR_ZERO] * n
-        for i in range(r - 1, -1, -1):
-            s = b[i][c]
-            for j in range(i + 1, r):
-                xj = x[j]
-                if not xj.is_zero():
-                    s = s - a[i][j] * xj
-            x[i] = s / a[i][i]
-        v = [GR_ZERO] * n
-        for j in range(n):
-            v[colp[j]] = x[j]
-        cols.append(v)
-    ent = [cols[c][i] for i in range(n) for c in range(q)]
-    return Mat(n, q, ent, EXACT)
+    """Solve A X = B exactly by eliminating [A | B]; None if inconsistent.
+    Free variables are 0."""
+    rows = _gauss_int_rows(mat_hstack([A, B]))
+    n = A.cols
+    piv = _echelon(rows, n)
+    if any(v != (0, 0) for row in rows[len(piv) :] for v in row[n:]):
+        return None
+    return _from_columns([_back_substitute(rows, piv, n + k, n) for k in range(B.cols)], n)
 
 
 # -- float (SVD) counterparts ------------------------------------------
@@ -432,7 +423,7 @@ def _float_kernel(arr, tol_rank) -> np.ndarray:
 def rank(M: Mat, tol_rank: float | None = None) -> int:
     """Rank of M; in float mode, singular values above tol * largest."""
     if M.mode == EXACT:
-        return _exact_rank(M)
+        return len(_echelon(_gauss_int_rows(M), M.cols))
     return _float_rank(M._fl, TOL_RANK if tol_rank is None else tol_rank)
 
 
@@ -464,29 +455,23 @@ def solve(A: Mat, B: Mat, tol: float | None = None):
     return Mat.from_numpy(x)
 
 
-def column_space_basis(M: Mat, tol_rank: float | None = None) -> Mat:
-    """Deterministic independent subset of M's columns spanning its range."""
-    if M.cols == 0:
-        return M
+def independent_columns(M: Mat, tol_rank: float | None = None) -> list[int]:
+    """Indices of the columns of M that are not in the span of the columns
+    before them, left to right; they form a basis of the range of M."""
     if M.mode == EXACT:
-        a = M.row_lists()
-        r, colp = _exact_forward(a, ncols=M.cols)
-        chosen = sorted(colp[:r])
-        return mat_hstack([M.column(j) for j in chosen]) if chosen else Mat.zeros(M.rows, 0, EXACT)
+        return _echelon(_gauss_int_rows(M), M.cols)
     t = TOL_RANK if tol_rank is None else tol_rank
     r = _float_rank(M._fl, t)
-    if r == 0:
-        return Mat.zeros(M.rows, 0, FLOAT)
     chosen = []
     cur = np.zeros((M.rows, 0), dtype=complex)
     for j in range(M.cols):
+        if len(chosen) == r:
+            break
         cand = np.hstack([cur, M._fl[:, j : j + 1]])
         if _float_rank(cand, t) > cur.shape[1]:
             chosen.append(j)
             cur = cand
-        if len(chosen) == r:
-            break
-    return Mat.from_numpy(cur)
+    return chosen
 
 
 def spectral_radius(M: Mat) -> float:
@@ -502,15 +487,6 @@ def spectral_radius(M: Mat) -> float:
         return 0.0
     ev = np.linalg.eigvals(M.to_numpy())
     return float(np.abs(ev).max())
-
-
-def char_poly(M: Mat) -> np.ndarray:
-    """Characteristic polynomial coefficients (leading 1), complex."""
-    if M.rows != M.cols:
-        raise ShapeError("char_poly needs a square matrix")
-    if M.rows == 0:
-        return np.array([1.0 + 0j])
-    return np.atleast_1d(np.poly(M.to_numpy())).astype(complex)
 
 
 def intertwine_verify(A: Mat, X: Mat, Y: Mat, tol: float) -> bool:

@@ -63,6 +63,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if not (self.im or o.im):
+            return GaussianRational(self.re * o.re)
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
@@ -86,7 +88,7 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational; used for pivot comparisons."""
+        """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
 
     def magnitude(self) -> float:

@@ -143,7 +143,8 @@ def joint_spectrum(T: CommutingTuple, tol: float = DEFLATION_TOL) -> JointSpectr
         merged[point] = merged.get(point, 0) + mult
     ordered = sorted(merged.items(), key=lambda kv: tuple(_sort_key(z) for z in kv[0]))
     points = tuple(SpectrumPoint(p, m) for p, m in ordered)
-    assert sum(p.multiplicity for p in points) == T.d
+    if sum(p.multiplicity for p in points) != T.d:
+        raise DeflationFailure(f"joint multiplicities do not sum to the dimension {T.d}")
     return JointSpectrum(points, T.d, T.mode)
 
 

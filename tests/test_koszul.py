@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.errors import DegreeError, NonCommuting, ShapeError
+from koszulkit.errors import DegreeError, NonCommuting, NotStabilized, ShapeError
 from koszulkit.koszul import (
+    CohomologyReport,
+    CommutingTuple,
     augment_les,
     cohomology,
     form_basis,
@@ -15,8 +17,8 @@ from koszulkit.koszul import (
     validate_tuple,
 )
 from koszulkit.linalg import Mat
-from koszulkit.randgen import get_rng, random_commuting_tuple, random_poly_in
-from koszulkit.scalars import GaussianRational
+from koszulkit.randgen import get_rng, random_commuting_tuple, random_exact_matrix, random_poly_in
+from koszulkit.scalars import EXACT, GaussianRational
 
 from oracles import oracle_rank
 
@@ -120,6 +122,20 @@ def test_chain_identity_on_random_tuples(d, n, seed):
     diffs = koszul_complex(T).differentials
     for p in range(n - 1):
         assert (diffs[p + 1] @ diffs[p]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "violate, error",
+    [
+        # a tuple built without validate_tuple: the chain identity fails
+        (lambda: koszul_complex(CommutingTuple(2, 2, (N2, N2.adjoint()), EXACT)), NonCommuting),
+        (lambda: CohomologyReport(dims=(1,), index=1, invertible=False, fredholm=True), NotStabilized),
+    ],
+    ids=["chain-identity", "nonzero-index"],
+)
+def test_invariant_violations_raise_explicit_errors(violate, error):
+    with pytest.raises(error):
+        violate()
 
 
 # -- cohomology -------------------------------------------------------------
@@ -247,3 +263,27 @@ def test_invertible_augmentation_makes_induced_maps_isomorphisms():
             hits += 1
             assert rep.all_iso
     assert hits >= 5  # the corpus really exercises the invertible case
+
+
+def _c04_like_pair(rng):
+    """(T, S) drawn like the acceptance LES corpus."""
+    d = rng.randint(1, 5)
+    n = rng.randint(1, 3)
+    if rng.random() < 0.7:
+        A = random_exact_matrix(rng, d)
+        return validate_tuple([random_poly_in(rng, A) for _ in range(n)]), random_poly_in(rng, A)
+    T = random_commuting_tuple(rng, d, n, scheme="diag")
+    return T, random_poly_in(rng, T.matrices[0])
+
+
+def test_float_les_matches_exact_on_c04_like_corpus():
+    rng = get_rng(4)
+    for _ in range(60):
+        T, S = _c04_like_pair(rng)
+        exact = augment_les(T, S)
+        Tf = validate_tuple([Mat.from_numpy(M.to_numpy()) for M in T.matrices])
+        fl = augment_les(Tf, Mat.from_numpy(S.to_numpy()))
+        assert fl.agree
+        assert fl.dims_direct == exact.dims_direct
+        assert fl.base_dims == exact.base_dims
+        assert fl.iso_by_degree == exact.iso_by_degree

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from koszulkit.errors import ShapeError
 from koszulkit.linalg import (
     Mat,
+    independent_columns,
     intertwine_verify,
     kernel_basis,
+    mat_hstack,
     mat_power,
     rank,
     solve,
@@ -19,11 +23,13 @@ from oracles import oracle_rank
 
 
 @st.composite
-def exact_mats(draw, max_dim=5, lo=-4, hi=4):
-    r = draw(st.integers(1, max_dim))
+def exact_mats(draw, max_dim=5, lo=-4, hi=4, rows=None):
+    """Gaussian-rational matrices: both parts with denominators 1..6."""
+    r = rows if rows is not None else draw(st.integers(1, max_dim))
     c = draw(st.integers(1, max_dim))
-    ent = draw(st.lists(st.integers(lo, hi), min_size=r * c, max_size=r * c))
-    return Mat(r, c, [GaussianRational(v) for v in ent], EXACT)
+    part = st.builds(Fraction, st.integers(lo, hi), st.integers(1, 6))
+    ent = draw(st.lists(st.builds(GaussianRational, part, part), min_size=r * c, max_size=r * c))
+    return Mat(r, c, ent, EXACT)
 
 
 # -- kernels and ranks --------------------------------------------------
@@ -118,6 +124,26 @@ def test_solve_consistent_and_inconsistent():
     X = solve(A, Mat.from_rows([[3], [6]]))
     assert X is not None and (A @ X - Mat.from_rows([[3], [6]])).is_zero()
     assert solve(A, Mat.from_rows([[1], [0]])) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_mats(), st.data())
+def test_exact_solve_matches_rank_criterion(A, data):
+    if data.draw(st.booleans()):
+        B = A @ data.draw(exact_mats(max_dim=3, rows=A.cols))  # consistent
+    else:
+        B = data.draw(exact_mats(max_dim=3, rows=A.rows))
+    X = solve(A, B)
+    consistent = oracle_rank(mat_hstack([A, B])) == oracle_rank(A)
+    assert (X is not None) == consistent
+    if X is not None:
+        assert A @ X == B
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_independent_columns_are_the_first_ones(mode):
+    M = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 3]], mode)
+    assert independent_columns(M) == [1, 3]
 
 
 def test_solve_float():
