@@ -15,18 +15,19 @@ import itertools
 import sys
 
 from koszulkit.ell2 import make_catalog_operator
-from koszulkit.tower import obstruction_certificate
+from koszulkit.tower import kernel_tower, obstruction_certificate
 
 
 def survey(max_level: int = 10):
     T = make_catalog_operator("adjoint_shift")
+    tower = kernel_tower(T, max_level)
     print(f"{'q(z)':>16} | {'r':>10} | verdict")
     print("-" * 42)
     for c0, c1, c2 in itertools.product((0, 1, 2), (-1, 0, 1), (0, 1)):
         if c0 == c1 == c2 == 0:
             continue
         K = T.poly([c0, c1, c2])
-        cert = obstruction_certificate(T, K, max_level)
+        cert = obstruction_certificate(tower, K)
         q = " + ".join(
             f"{c}z^{k}" if k else str(c)
             for k, c in enumerate((c0, c1, c2))

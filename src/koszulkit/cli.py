@@ -33,12 +33,7 @@ from .errors import (
 from .ell2 import TruncationWindow, fredholm_index_banded
 from .koszul import augment_les, cohomology
 from .spectrum import apply_poly_map, joint_spectrum
-from .tower import (
-    commutant_blocks,
-    growth_table,
-    kernel_tower,
-    obstruction_certificate,
-)
+from .tower import growth_table, kernel_tower, obstruction_certificate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,9 +49,7 @@ class RunConfig:
     command: str
     input: str | None = None
     demo: str | None = None
-    mode: str | None = None
     tol_rank: float | None = None
-    tol_comm: float | None = None
     window: int | None = None
     guard: int | None = None
     max_level: int = 12
@@ -182,10 +175,8 @@ def _cmd_tower(cfg: RunConfig) -> dict:
     }
 
 
-def _obstruct_case(T, K, cfg: RunConfig) -> dict:
-    cert = obstruction_certificate(T, K, cfg.max_level, _window(cfg))
-    tw = kernel_tower(T, cfg.max_level, _window(cfg))
-    blocks = commutant_blocks(T, K, tw)
+def _obstruct_case(tw, K) -> dict:
+    cert = obstruction_certificate(tw, K)
     return {
         "dims": list(cert.layer_dims),
         "n0": cert.n0,
@@ -196,7 +187,7 @@ def _obstruct_case(T, K, cfg: RunConfig) -> dict:
             {
                 "n": lv.n,
                 "dim": lv.dim,
-                "X": jsonio.mat_from_numpy_json(blocks.level(lv.n).x_block),
+                "X": jsonio.mat_from_numpy_json(cert.blocks.level(lv.n).x_block),
             }
             | ({"A": jsonio.mat_from_numpy_json(lv.a_block)} if lv.a_block is not None else {})
             for lv in tw.levels
@@ -212,15 +203,12 @@ def _cmd_obstruct(cfg: RunConfig) -> dict:
         )
     T = jsonio.operator_from_json(obj["operator"])
     K = jsonio.operator_from_json(obj["perturbation"])
-    return {"command": "obstruct"} | _obstruct_case(T, K, cfg)
+    tw = kernel_tower(T, cfg.max_level, _window(cfg))
+    return {"command": "obstruct"} | _obstruct_case(tw, K)
 
 
-def _cmd_growth(cfg: RunConfig) -> dict:
-    op = jsonio.operator_from_json(_load_json(cfg.input))
-    powers = cfg.powers or tuple(range(1, 11))
-    table = growth_table(op, powers, cfg.rank_bound, _window(cfg))
+def _growth_rows(table) -> dict:
     return {
-        "command": "growth",
         "rank_bound": table.rank_bound,
         "base_index": table.base_index,
         "rows": [
@@ -234,6 +222,13 @@ def _cmd_growth(cfg: RunConfig) -> dict:
             for r in table.rows
         ],
     }
+
+
+def _cmd_growth(cfg: RunConfig) -> dict:
+    op = jsonio.operator_from_json(_load_json(cfg.input))
+    powers = cfg.powers or tuple(range(1, 11))
+    table = growth_table(op, powers, cfg.rank_bound, _window(cfg))
+    return {"command": "growth"} | _growth_rows(table)
 
 
 def _load_scenario(name: str, override: str | None):
@@ -257,26 +252,15 @@ def _cmd_demo(cfg: RunConfig) -> dict:
             "command": "demo",
             "demo": cfg.demo,
             "description": scenario.get("description", ""),
-            "rank_bound": table.rank_bound,
-            "base_index": table.base_index,
-            "rows": [
-                {
-                    "m": r.m,
-                    "dim_ker": r.dim_ker,
-                    "dim_coker": r.dim_coker,
-                    "index": r.index,
-                    "exceeds": r.exceeds,
-                }
-                for r in table.rows
-            ],
-        }
+        } | _growth_rows(table)
     if kind == "obstruction":
         T = jsonio.operator_from_json(scenario["operator"])
-        cfg.max_level = int(scenario.get("max_level", cfg.max_level))
+        max_level = int(scenario.get("max_level", cfg.max_level))
+        tw = kernel_tower(T, max_level, _window(cfg))
         cases = []
         for case in scenario.get("perturbations", []):
             K = jsonio.operator_from_json(case["operator"])
-            cases.append({"name": case.get("name", "?")} | _obstruct_case(T, K, cfg))
+            cases.append({"name": case.get("name", "?")} | _obstruct_case(tw, K))
         pair = scenario.get("pair_note", "")
         return {
             "command": "demo",
@@ -304,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True, help="input JSON file")
         else:
             sp.add_argument("--input", help="optional scenario override file")
-        sp.add_argument("--mode", choices=["exact", "float"], help="arithmetic mode override")
         sp.add_argument("--tol-rank", type=float, dest="tol_rank")
-        sp.add_argument("--tol-comm", type=float, dest="tol_comm")
         sp.add_argument("--window", type=int, help="section size N")
         sp.add_argument("--guard", type=int, help="guard band G")
         sp.add_argument("--max-level", type=int, dest="max_level", default=12)
@@ -352,9 +334,7 @@ def main(argv=None) -> int:
         command=args.command,
         input=args.input,
         demo=getattr(args, "name", None),
-        mode=args.mode,
         tol_rank=args.tol_rank,
-        tol_comm=args.tol_comm,
         window=args.window,
         guard=args.guard,
         max_level=args.max_level,

@@ -93,9 +93,6 @@ def _normalize_diagonal(offset, prefix, period) -> Diagonal:
     return Diagonal(offset, tuple(pre), tuple(per))
 
 
-ZERO_DIAG_TEMPLATE = ((), (GR_ZERO,))
-
-
 @dataclass(frozen=True)
 class BandedOperator:
     """Banded eventually periodic operator plus optional finite patch."""
@@ -157,10 +154,6 @@ class BandedOperator:
         """All diagonals eventually zero: only finitely many entries."""
         return all(d.is_eventually_zero() for d in self.diagonals)
 
-    def is_compact_candidate(self) -> bool:
-        """Entries die out along every diagonal (decided by the tail rule)."""
-        return self.is_finite_rank()
-
     def section(self, rows: int, cols: int) -> np.ndarray:
         """Complex truncation to the first ``rows`` x ``cols`` coordinates."""
         A = np.zeros((rows, cols), dtype=complex)
@@ -192,10 +185,7 @@ class BandedOperator:
         """Upper bound on the operator norm (Schur row/column sum test)."""
         if self.is_zero():
             return 0.0
-        pre = max((len(d.prefix) for d in self.diagonals), default=0)
-        per = 1
-        for d in self.diagonals:
-            per = _lcm(per, len(d.period))
+        pre, per = self._tail_params()
         w = self.bandwidth
         reach = pre + per + w + self.patch_size + 1
         sec = np.abs(self.section(reach + w, reach + w))
@@ -538,17 +528,42 @@ def kernel_of_power(
     the section auto-doubles up to MAX_SECTION before raising
     NotStabilized.
     """
-    bw = T.bandwidth
+    return kernels_of_powers(T, (m,), win)[0]
+
+
+def kernels_of_powers(
+    T: BandedOperator, powers, win: TruncationWindow | None = None
+) -> list:
+    """Certified kernels of T^m for every m in ``powers``, in that order.
+
+    The powers are built incrementally, T^m = T^(m-1) * T, walking once
+    through the sorted distinct m; each kernel is certified exactly as
+    by ``kernel_of_power``.
+    """
+    powers = list(powers)
+    kernels = {}
+    Tm, k = identity_op(), 0
+    for m in sorted(set(powers)):
+        while k < m:
+            Tm, k = Tm * T, k + 1
+        kernels[m] = _stabilized_kernel(Tm, m * T.bandwidth, win)
+    return [kernels[m] for m in powers]
+
+
+def _stabilized_kernel(
+    Tm: BandedOperator, reach: int, win: TruncationWindow | None
+) -> StabilizedSubspace:
+    """Certified kernel of Tm = T^m; ``reach`` = m * bandwidth(T) is the
+    least admissible guard band."""
     if win is None:
-        G = max(DEFAULT_G, m * bw)
+        G = max(DEFAULT_G, reach)
         N = max(DEFAULT_N, 2 * G)
         win = TruncationWindow(N, G)
-    elif win.G < m * bw:
+    elif win.G < reach:
         raise FormatError(
-            f"window guard {win.G} below m*bandwidth = {m * bw}; "
+            f"window guard {win.G} below m*bandwidth = {reach}; "
             "enlarge the guard band"
         )
-    Tm = T.power(m)
     cache = {}
 
     def at(n):
@@ -618,7 +633,4 @@ def restricted_norm(K: BandedOperator, basis: np.ndarray) -> float:
     """
     if basis.shape[1] == 0:
         return 0.0
-    n = basis.shape[0]
-    rows = max(n + K.bandwidth, K.patch_size, 1)
-    images = K.section(rows, n) @ basis
-    return float(np.linalg.svd(images, compute_uv=False)[0])
+    return float(np.linalg.svd(K.apply(basis), compute_uv=False)[0])

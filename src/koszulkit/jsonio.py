@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ell2 import BandedOperator, Diagonal, TruncationWindow
+from .ell2 import BandedOperator, Diagonal
 from .errors import FormatError
 from .koszul import CommutingTuple, validate_tuple
 from .linalg import Mat
@@ -187,10 +187,6 @@ def polymap_to_json(f: PolyMap) -> list:
         ]
         for comp in f.components
     ]
-
-
-def window_from_json(obj) -> TruncationWindow:
-    return TruncationWindow(int(obj.get("N", 64)), int(obj.get("G", 16)))
 
 
 # -- deterministic report emission ----------------------------------------

@@ -40,8 +40,10 @@ from .ell2 import (
     BandedOperator,
     IndexCertificate,
     TruncationWindow,
+    _fix_phases,
     fredholm_index_banded,
     kernel_of_power,
+    kernels_of_powers,
     restricted_norm,
 )
 from .koszul import cohomology, validate_tuple
@@ -115,6 +117,7 @@ class ObstructionCertificate:
     n0: int
     verdict: str  # "obstructed" | "inconclusive"
     layer_dims: tuple
+    blocks: CommutantBlocks  # K in the tower bases
 
 
 @dataclass(frozen=True)
@@ -147,23 +150,6 @@ def _pad(B: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _apply_op(T: BandedOperator, B: np.ndarray) -> np.ndarray:
-    n = B.shape[0]
-    rows = max(n + T.bandwidth, T.patch_size, n)
-    return T.section(rows, n) @ B
-
-
-def _fix_phases(B: np.ndarray) -> np.ndarray:
-    B = B.copy()
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        k = int(np.argmax(np.abs(col)))
-        v = col[k]
-        if abs(v) > 0:
-            B[:, j] = col * (abs(v) / v)
-    return B
-
-
 def _smallest_singular(A: np.ndarray) -> float:
     if A.size == 0:
         return 0.0
@@ -187,7 +173,7 @@ def kernel_tower(
             f"kernel tower needs index > 0, got {idx.index}; "
             "apply it to the adjoint instead"
         )
-    kernels = [kernel_of_power(T, n, win) for n in range(1, max_depth + 1)]
+    kernels = [idx.ker, *kernels_of_powers(T, range(2, max_depth + 1), win)]
     L = max(k.basis.shape[0] for k in kernels)
     acc = np.zeros((L, 0), dtype=complex)
     acc_by_level = [acc]  # acc_by_level[n] = basis of ker T^n
@@ -225,13 +211,13 @@ def kernel_tower(
             )
         a_block = b_block = c_block = None
         if n >= 2:
-            img_h = _apply_op(T, H)
+            img_h = T.apply(H)
             Lh = img_h.shape[0]
             a_block = _pad(prev_h, Lh).conj().T @ img_h
             q_nm1 = acc_by_level[n - 1]
             q_nm2 = acc_by_level[n - 2]
             b_block = _pad(q_nm2, Lh).conj().T @ img_h
-            img_q = _apply_op(T, q_nm1)
+            img_q = T.apply(q_nm1)
             Lq = img_q.shape[0]
             c_block = _pad(q_nm2, Lq).conj().T @ img_q
             # Eq-style zero block: T maps ker T^(n-1) into ker T^(n-2),
@@ -327,12 +313,12 @@ def commutant_blocks(
         n = lv.n
         H = lv.h_basis
         q_prev = acc  # ker T^(n-1)
-        img_h = _apply_op(S, H)
+        img_h = S.apply(H)
         Lg = img_h.shape[0]
         x = _pad(H, Lg).conj().T @ img_h
         y = _pad(q_prev, Lg).conj().T @ img_h
         if q_prev.shape[1]:
-            img_q = _apply_op(S, q_prev)
+            img_q = S.apply(q_prev)
             Lq = img_q.shape[0]
             z = _pad(q_prev, Lq).conj().T @ img_q
             ur = _pad(H, Lq).conj().T @ img_q
@@ -342,7 +328,7 @@ def commutant_blocks(
             ur_norm = 0.0
         acc = np.hstack([acc, H])
         # invariance: S . ker T^n stays inside ker T^n
-        img_k = _apply_op(S, acc)
+        img_k = S.apply(acc)
         Lk = img_k.shape[0]
         acc_p = _pad(acc, Lk)
         off = img_k - acc_p @ (acc_p.conj().T @ img_k)
@@ -397,41 +383,37 @@ def commutant_blocks(
 
 
 def obstruction_certificate(
-    T: BandedOperator,
-    K: BandedOperator,
-    max_depth: int = 12,
-    win: TruncationWindow | None = None,
+    tower: KernelTower, K: BandedOperator
 ) -> ObstructionCertificate:
     """Compactness obstruction for perturbing (T, 0) into an invertible pair.
 
-    Builds the kernel tower of T (index must be positive), compresses K
-    onto it, and reports r = spectral radius of the stabilized corner
-    block together with the norms of K on every layer.  Verdict
-    "obstructed" means: were (T, K) an invertible commuting pair, K would
-    be bounded below by r on infinitely many orthogonal nonzero layers
-    and hence could not be compact.  Verdict "inconclusive" (r ~ 0) means
-    this route says nothing about the given K.
+    Takes the kernel tower of T (built by ``kernel_tower``, so the index
+    is positive), compresses K onto it once, and reports r = spectral
+    radius of the stabilized corner block together with the norms of K
+    on every layer; the compression itself is returned as ``blocks``.
+    Verdict "obstructed" means: were (T, K) an invertible commuting pair,
+    K would be bounded below by r on infinitely many orthogonal nonzero
+    layers and hence could not be compact.  Verdict "inconclusive"
+    (r ~ 0) means this route says nothing about the given K.
     """
-    tower = kernel_tower(T, max_depth, win)
-    blocks = commutant_blocks(T, K, tower)
+    blocks = commutant_blocks(tower.operator, K, tower)
     x0 = blocks.level(tower.n0).x_block
     r = spectral_radius(Mat.from_numpy(x0)) if x0.size else 0.0
-    norms = {}
-    for lv in tower.levels:
-        norms[lv.n] = restricted_norm(K, lv.h_basis)
+    norms = {lv.n: restricted_norm(K, lv.h_basis) for lv in tower.levels}
     dims = tower.layer_dims()
     obstructed = (
         r > TOL_RADIUS
-        and all(dims[n - 1] >= 1 for n in range(1, max_depth + 1))
-        and all(norms[n] >= r - TOL_RADIUS for n in range(tower.n0, max_depth + 1))
+        and all(d >= 1 for d in dims)
+        and all(norms[n] >= r - TOL_RADIUS for n in range(tower.n0, tower.depth + 1))
     )
     return ObstructionCertificate(
         r=r,
         norms=norms,
-        levels_checked=max_depth,
+        levels_checked=tower.depth,
         n0=tower.n0,
         verdict="obstructed" if obstructed else "inconclusive",
         layer_dims=dims,
+        blocks=blocks,
     )
 
 
@@ -451,11 +433,12 @@ def growth_table(
     base = fredholm_index_banded(T, win)
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
-    adj = T.adjoint()
+    powers = list(powers)
+    kers = kernels_of_powers(T, powers, win)
+    cokers = kernels_of_powers(T.adjoint(), powers, win)
     rows = []
-    for m in powers:
-        k = kernel_of_power(T, m, win).dim
-        c = kernel_of_power(adj, m, win).dim
+    for m, ker, coker in zip(powers, kers, cokers):
+        k, c = ker.dim, coker.dim
         rows.append(
             GrowthRow(
                 m=m,
@@ -504,7 +487,7 @@ def _is_zero_coeff(c) -> bool:
 def _compression(op: BandedOperator, basis: np.ndarray) -> np.ndarray:
     if basis.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    img = _apply_op(op, basis)
+    img = op.apply(basis)
     return _pad(basis, img.shape[0]).conj().T @ img
 
 

@@ -210,12 +210,12 @@ def test_c10_compactness_obstruction_demo(backward_shift):
             assert abs(lv.x_block[0, 0] - 2.0) <= 1e-8
             if lv.intertwine_residual is not None:
                 assert lv.intertwine_residual <= 1e-9
-        cert = obstruction_certificate(backward_shift, K, 12)
+        cert = obstruction_certificate(tower, K)
         assert abs(cert.r - 2.0) <= 1e-8
         for n in range(1, 13):
             assert cert.norms[n] >= 2.0 - 1e-8
         assert cert.verdict == "obstructed"
-        cert2 = obstruction_certificate(backward_shift, backward_shift, 12)
+        cert2 = obstruction_certificate(tower, backward_shift)
         assert cert2.r <= 1e-8
         assert cert2.verdict == "inconclusive"
 

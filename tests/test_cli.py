@@ -128,6 +128,13 @@ def test_exit_codes(tmp_path):
     assert main(["tower", "--input", fwd, "--max-level", "6"]) == 4
 
 
+def test_removed_tolerance_flag_is_rejected(tmp_path):
+    inp = write(tmp_path, "t.json", TUPLE_N0)
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--input", inp, "--tol-comm", "1e-3"])
+    assert exc.value.code == 2
+
+
 def test_reports_are_byte_stable(tmp_path):
     inp = write(tmp_path, "t.json", TUPLE_N0)
     _, first = run_cli(["cohomology", "--input", inp], tmp_path, "r1.json")

@@ -12,6 +12,7 @@ from koszulkit.ell2 import (
     fredholm_index_banded,
     identity_op,
     kernel_of_power,
+    kernels_of_powers,
     make_catalog_operator,
     restricted_norm,
     zero_op,
@@ -67,7 +68,7 @@ def test_decaying_diagonal_is_compact_candidate():
     from koszulkit.ell2 import decay_diagonal
 
     D = decay_diagonal(lambda k: Fraction(1, k + 1), 12)
-    assert D.is_compact_candidate()
+    assert D.is_finite_rank()
     assert D.entry(3, 3) == GaussianRational(Fraction(1, 4))
     assert D.entry(20, 20).is_zero()
     assert not D.fredholm
@@ -182,6 +183,15 @@ def test_certified_subspace_reverifies_at_double_window(backward_shift):
         backward_shift, 4, TruncationWindow(2 * sub.window.N, sub.window.G)
     )
     assert again.dim == sub.dim and again.certified
+
+
+def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift):
+    powers = [3, 1, 3, 2]
+    subs = kernels_of_powers(backward_shift, powers)
+    for m, sub in zip(powers, subs):
+        one = kernel_of_power(backward_shift, m)
+        assert sub.dim == one.dim == m
+        assert np.array_equal(sub.basis, one.basis)
 
 
 def test_small_guard_rejected(backward_shift):

@@ -91,7 +91,7 @@ def test_two_dimensional_layers_obstruction(backward_shift):
     # and compresses to [[2, 0], [1, 2]] blocks on the 2-dim layers
     T2 = backward_shift.power(2)
     K = identity_op().scale(2) + backward_shift
-    cert = obstruction_certificate(T2, K, 10)
+    cert = obstruction_certificate(kernel_tower(T2, 10), K)
     assert cert.layer_dims == (2,) * 10
     assert cert.verdict == "obstructed"
     assert cert.r == pytest.approx(2.0, abs=1e-8)
@@ -205,7 +205,7 @@ def test_restriction_on_random_invertible_pairs(rng):
 
 def test_obstruction_for_shifted_identity(backward_shift):
     K = identity_op().scale(2) + backward_shift
-    cert = obstruction_certificate(backward_shift, K, 12)
+    cert = obstruction_certificate(kernel_tower(backward_shift, 12), K)
     assert cert.verdict == "obstructed"
     assert cert.r == pytest.approx(2.0, abs=1e-8)
     assert cert.n0 <= 3
@@ -213,22 +213,31 @@ def test_obstruction_for_shifted_identity(backward_shift):
         assert cert.norms[n] >= 2.0 - 1e-8
 
 
+def test_obstruction_certificate_carries_the_commutant_blocks(backward_shift):
+    K = identity_op().scale(2) + backward_shift
+    tw = kernel_tower(backward_shift, 8)
+    cert = obstruction_certificate(tw, K)
+    direct = commutant_blocks(backward_shift, K, tw)
+    for n in range(1, tw.depth + 1):
+        assert np.array_equal(cert.blocks.level(n).x_block, direct.level(n).x_block)
+
+
 def test_obstruction_inconclusive_for_shift_itself(backward_shift):
-    cert = obstruction_certificate(backward_shift, backward_shift, 10)
+    cert = obstruction_certificate(kernel_tower(backward_shift, 10), backward_shift)
     assert cert.verdict == "inconclusive"
     assert cert.r <= 1e-8
 
 
 def test_obstruction_inconclusive_for_zero(backward_shift):
-    cert = obstruction_certificate(backward_shift, zero_op(), 8)
+    cert = obstruction_certificate(kernel_tower(backward_shift, 8), zero_op())
     assert cert.verdict == "inconclusive"
     assert cert.r == 0.0
 
 
 def test_obstruction_monotone_in_depth(backward_shift):
     K = identity_op().scale(2) + backward_shift
-    shallow = obstruction_certificate(backward_shift, K, 6)
-    deep = obstruction_certificate(backward_shift, K, 12)
+    shallow = obstruction_certificate(kernel_tower(backward_shift, 6), K)
+    deep = obstruction_certificate(kernel_tower(backward_shift, 12), K)
     assert shallow.verdict == "obstructed"
     assert deep.verdict == "obstructed"
 
@@ -243,6 +252,13 @@ def test_growth_table_backward_shift(backward_shift):
         assert row.dim_coker == 0
         assert row.index == row.m * table.base_index
         assert row.exceeds == (row.m >= 5)
+
+
+def test_growth_table_keeps_unsorted_and_repeated_powers(backward_shift):
+    table = growth_table(backward_shift, [5, 2, 2], 4)
+    assert [row.m for row in table.rows] == [5, 2, 2]
+    for row in table.rows:
+        assert row.dim_ker == row.m
 
 
 def test_growth_table_toeplitz_square():
