@@ -3,10 +3,11 @@
 Commands: cohomology, spectrum, les, index, tower, obstruct, growth,
 demo.  Input files use the JSON formats from jsonio; reports go to
 stdout or --out, as JSON (default) or CSV.  Exit codes: 0 success,
-2 validation errors (non-commuting input, shape/format problems),
-3 stabilization failures (windows too small, deflation failures),
-4 violated mathematical preconditions (wrong index sign, zero index,
-non-invertible pair).
+2 validation errors (non-commuting input, shape/format problems, flags
+the command does not read), 3 stabilization failures (windows too
+small, symbol too close to singular, deflation failures),
+4 violated mathematical preconditions (operator not Fredholm, wrong
+index sign, zero index, non-invertible pair).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 from . import jsonio
@@ -44,21 +44,6 @@ _VALIDATION = (NonCommuting, ShapeError, ModeMismatch, FormatError, DegreeError)
 _STABILITY = (NotStabilized, DeflationFailure, InvarianceViolation)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    demo: str | None = None
-    tol_rank: float | None = None
-    window: int | None = None
-    guard: int | None = None
-    max_level: int = 12
-    powers: tuple = ()
-    rank_bound: int = 4
-    format: str = "json"
-    out: str | None = None
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -67,11 +52,11 @@ def _load_json(path: str):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _window(cfg: RunConfig):
-    if cfg.window is None and cfg.guard is None:
+def _window(args: argparse.Namespace):
+    if args.window is None and args.guard is None:
         return None
-    N = cfg.window if cfg.window is not None else 64
-    G = cfg.guard if cfg.guard is not None else 16
+    N = args.window if args.window is not None else 64
+    G = args.guard if args.guard is not None else 16
     return TruncationWindow(N, G)
 
 
@@ -90,9 +75,9 @@ def _complex_pair(z: complex):
 # -- command implementations ----------------------------------------------
 
 
-def _cmd_cohomology(cfg: RunConfig) -> dict:
-    T = jsonio.tuple_from_json(_load_json(cfg.input))
-    rep = cohomology(T, cfg.tol_rank)
+def _cmd_cohomology(args: argparse.Namespace) -> dict:
+    T = jsonio.tuple_from_json(_load_json(args.input))
+    rep = cohomology(T, args.tol_rank)
     return {
         "command": "cohomology",
         "dims": list(rep.dims),
@@ -103,10 +88,10 @@ def _cmd_cohomology(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_spectrum(cfg: RunConfig, map_path: str | None) -> dict:
-    T = jsonio.tuple_from_json(_load_json(cfg.input))
-    if map_path is not None:
-        f = jsonio.polymap_from_json(_load_json(map_path), T.mode)
+def _cmd_spectrum(args: argparse.Namespace) -> dict:
+    T = jsonio.tuple_from_json(_load_json(args.input))
+    if args.map is not None:
+        f = jsonio.polymap_from_json(_load_json(args.map), T.mode)
         T = apply_poly_map(f, T)
     sigma = joint_spectrum(T)
     return {
@@ -123,8 +108,8 @@ def _cmd_spectrum(cfg: RunConfig, map_path: str | None) -> dict:
     }
 
 
-def _cmd_les(cfg: RunConfig) -> dict:
-    obj = _load_json(cfg.input)
+def _cmd_les(args: argparse.Namespace) -> dict:
+    obj = _load_json(args.input)
     T = jsonio.tuple_from_json(obj)
     if T.n < 2:
         raise FormatError("les needs at least two matrices (last one augments)")
@@ -132,7 +117,7 @@ def _cmd_les(cfg: RunConfig) -> dict:
 
     base = validate_tuple(T.matrices[:-1])
     S = T.matrices[-1]
-    rep = augment_les(base, S, cfg.tol_rank)
+    rep = augment_les(base, S, args.tol_rank)
     return {
         "command": "les",
         "dims_direct": list(rep.dims_direct),
@@ -145,9 +130,9 @@ def _cmd_les(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_index(cfg: RunConfig) -> dict:
-    op = jsonio.operator_from_json(_load_json(cfg.input))
-    cert = fredholm_index_banded(op, _window(cfg))
+def _cmd_index(args: argparse.Namespace) -> dict:
+    op = jsonio.operator_from_json(_load_json(args.input))
+    cert = fredholm_index_banded(op, _window(args))
     return {
         "command": "index",
         "index": cert.index,
@@ -158,9 +143,9 @@ def _cmd_index(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_tower(cfg: RunConfig) -> dict:
-    op = jsonio.operator_from_json(_load_json(cfg.input))
-    tw = kernel_tower(op, cfg.max_level, _window(cfg))
+def _cmd_tower(args: argparse.Namespace) -> dict:
+    op = jsonio.operator_from_json(_load_json(args.input))
+    tw = kernel_tower(op, args.max_level, _window(args))
     return {
         "command": "tower",
         "dims": list(tw.layer_dims()),
@@ -195,15 +180,15 @@ def _obstruct_case(tw, K) -> dict:
     }
 
 
-def _cmd_obstruct(cfg: RunConfig) -> dict:
-    obj = _load_json(cfg.input)
+def _cmd_obstruct(args: argparse.Namespace) -> dict:
+    obj = _load_json(args.input)
     if "operator" not in obj or "perturbation" not in obj:
         raise FormatError(
             "obstruct input needs {'operator': ..., 'perturbation': ...}"
         )
     T = jsonio.operator_from_json(obj["operator"])
     K = jsonio.operator_from_json(obj["perturbation"])
-    tw = kernel_tower(T, cfg.max_level, _window(cfg))
+    tw = kernel_tower(T, args.max_level, _window(args))
     return {"command": "obstruct"} | _obstruct_case(tw, K)
 
 
@@ -224,10 +209,10 @@ def _growth_rows(table) -> dict:
     }
 
 
-def _cmd_growth(cfg: RunConfig) -> dict:
-    op = jsonio.operator_from_json(_load_json(cfg.input))
-    powers = cfg.powers or tuple(range(1, 11))
-    table = growth_table(op, powers, cfg.rank_bound, _window(cfg))
+def _cmd_growth(args: argparse.Namespace) -> dict:
+    op = jsonio.operator_from_json(_load_json(args.input))
+    powers = args.powers or tuple(range(1, 11))
+    table = growth_table(op, powers, args.rank_bound, _window(args))
     return {"command": "growth"} | _growth_rows(table)
 
 
@@ -240,23 +225,23 @@ def _load_scenario(name: str, override: str | None):
     return json.loads(res.read_text(encoding="utf-8"))
 
 
-def _cmd_demo(cfg: RunConfig) -> dict:
-    scenario = _load_scenario(cfg.demo, cfg.input)
+def _cmd_demo(args: argparse.Namespace) -> dict:
+    scenario = _load_scenario(args.name, args.input)
     kind = scenario.get("demo")
     if kind == "growth":
         T = jsonio.operator_from_json(scenario["operator"])
         powers = tuple(scenario.get("powers", list(range(1, 11))))
-        bound = int(scenario.get("rank_bound", cfg.rank_bound))
-        table = growth_table(T, powers, bound, _window(cfg))
+        bound = int(scenario.get("rank_bound", args.rank_bound))
+        table = growth_table(T, powers, bound, _window(args))
         return {
             "command": "demo",
-            "demo": cfg.demo,
+            "demo": args.name,
             "description": scenario.get("description", ""),
         } | _growth_rows(table)
     if kind == "obstruction":
         T = jsonio.operator_from_json(scenario["operator"])
-        max_level = int(scenario.get("max_level", cfg.max_level))
-        tw = kernel_tower(T, max_level, _window(cfg))
+        max_level = int(scenario.get("max_level", args.max_level))
+        tw = kernel_tower(T, max_level, _window(args))
         cases = []
         for case in scenario.get("perturbations", []):
             K = jsonio.operator_from_json(case["operator"])
@@ -264,7 +249,7 @@ def _cmd_demo(cfg: RunConfig) -> dict:
         pair = scenario.get("pair_note", "")
         return {
             "command": "demo",
-            "demo": cfg.demo,
+            "demo": args.name,
             "description": scenario.get("description", ""),
             "pair_note": pair,
             "cases": cases,
@@ -275,6 +260,30 @@ def _cmd_demo(cfg: RunConfig) -> dict:
 # -- driver ---------------------------------------------------------------
 
 
+#: flags read by some but not all commands; every command also takes
+#: --input, --format and --out
+_FLAGS = {
+    "--tol-rank": {"type": float},
+    "--map": {"help": "polynomial map JSON to apply first"},
+    "--window": {"type": int, "help": "section size N"},
+    "--guard": {"type": int, "help": "guard band G"},
+    "--max-level": {"type": int, "default": 12},
+    "--powers": {"type": _parse_powers, "default": (), "help": "a:b range or comma list"},
+    "--rank-bound": {"type": int, "default": 4},
+}
+
+_COMMANDS = (
+    ("cohomology", _cmd_cohomology, ("--tol-rank",)),
+    ("spectrum", _cmd_spectrum, ("--map",)),
+    ("les", _cmd_les, ("--tol-rank",)),
+    ("index", _cmd_index, ("--window", "--guard")),
+    ("tower", _cmd_tower, ("--window", "--guard", "--max-level")),
+    ("obstruct", _cmd_obstruct, ("--window", "--guard", "--max-level")),
+    ("growth", _cmd_growth, ("--window", "--guard", "--powers", "--rank-bound")),
+    ("demo", _cmd_demo, ("--window", "--guard", "--max-level", "--rank-bound")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="koszulkit",
@@ -282,69 +291,25 @@ def build_parser() -> argparse.ArgumentParser:
         "computations and perturbation obstruction certificates.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("--input", required=True, help="input JSON file")
-        else:
+    for name, run, flags in _COMMANDS:
+        sp = sub.add_parser(name)
+        sp.set_defaults(run=run)
+        if name == "demo":
+            sp.add_argument("name", help="demo scenario name (theorem-1.1, theorem-2.1)")
             sp.add_argument("--input", help="optional scenario override file")
-        sp.add_argument("--tol-rank", type=float, dest="tol_rank")
-        sp.add_argument("--window", type=int, help="section size N")
-        sp.add_argument("--guard", type=int, help="guard band G")
-        sp.add_argument("--max-level", type=int, dest="max_level", default=12)
-        sp.add_argument("--powers", type=str, help="a:b range or comma list")
-        sp.add_argument("--rank-bound", type=int, dest="rank_bound", default=4)
+        else:
+            sp.add_argument("--input", required=True, help="input JSON file")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", help="write the report here instead of stdout")
-
-    for name in ("cohomology", "les", "index", "tower", "obstruct", "growth"):
-        common(sub.add_parser(name))
-    sp = sub.add_parser("spectrum")
-    common(sp)
-    sp.add_argument("--map", dest="map", help="polynomial map JSON to apply first")
-    sp = sub.add_parser("demo")
-    sp.add_argument("name", help="demo scenario name (theorem-1.1, theorem-2.1)")
-    common(sp, needs_input=False)
     return p
-
-
-def run(cfg: RunConfig, map_path: str | None = None) -> dict:
-    if cfg.command == "cohomology":
-        return _cmd_cohomology(cfg)
-    if cfg.command == "spectrum":
-        return _cmd_spectrum(cfg, map_path)
-    if cfg.command == "les":
-        return _cmd_les(cfg)
-    if cfg.command == "index":
-        return _cmd_index(cfg)
-    if cfg.command == "tower":
-        return _cmd_tower(cfg)
-    if cfg.command == "obstruct":
-        return _cmd_obstruct(cfg)
-    if cfg.command == "growth":
-        return _cmd_growth(cfg)
-    if cfg.command == "demo":
-        return _cmd_demo(cfg)
-    raise FormatError(f"unknown command {cfg.command!r}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input=args.input,
-        demo=getattr(args, "name", None),
-        tol_rank=args.tol_rank,
-        window=args.window,
-        guard=args.guard,
-        max_level=args.max_level,
-        powers=_parse_powers(args.powers) if args.powers else (),
-        rank_bound=args.rank_bound,
-        format=args.format,
-        out=args.out,
-    )
     try:
-        report = run(cfg, map_path=getattr(args, "map", None))
+        report = args.run(args)
     except _VALIDATION as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -357,8 +322,8 @@ def main(argv=None) -> int:
     except KoszulKitError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    data = jsonio.emit_report(report, cfg.format, cfg.out)
-    if cfg.out is None:
+    data = jsonio.emit_report(report, args.format, args.out)
+    if args.out is None:
         sys.stdout.write(data.decode("utf-8"))
     return EXIT_OK
 

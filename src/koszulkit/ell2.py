@@ -6,7 +6,7 @@ block ("patch") supported on the top-left corner.  This class of
 operators is closed under sums, products, adjoints and polynomials, and
 every entry is stored exactly (Gaussian rationals), so operator algebra
 carries no rounding error; only section computations (kernels, norms)
-use floating point.
+and the sampled symbol use floating point.
 
 Kernel computations use rectangular truncations: a vector supported on
 the first N coordinates that the (N + m*w) x N section of T^m kills is a
@@ -16,6 +16,10 @@ before the guard band, and the dimension to agree at window sizes N and
 2N.  That certificate is a desk-scale stabilization check, not a proof:
 operators whose kernel vectors have unbounded support (none of the
 catalog instances) can stabilize to an undercount.
+
+Fredholmness comes from the symbol of the periodic tail
+(``symbol_winding``), which also gives the index independently of the
+sections.
 """
 
 from __future__ import annotations
@@ -39,8 +43,13 @@ TOL_SECTION_RANK = 1e-10
 TOL_GUARD = 1e-12
 TOL_RESIDUAL = 1e-10
 
-#: closeness to the unit circle at which a symbol root blocks Fredholmness
+#: relative size of det(symbol) on the unit circle at or below which the
+#: operator counts as not Fredholm
 TOL_CIRCLE = 1e-8
+
+#: first and largest number of unit-circle samples of det(symbol)
+SYMBOL_SAMPLES = 64
+MAX_SYMBOL_SAMPLES = 2**14
 
 
 def _lcm(a: int, b: int) -> int:
@@ -99,10 +108,9 @@ class BandedOperator:
 
     diagonals: tuple  # Diagonal, sorted by offset, zero diagonals dropped
     patch: Mat | None = None
-    fredholm: bool | None = None
 
     @classmethod
-    def build(cls, diagonals, patch=None, fredholm=None) -> "BandedOperator":
+    def build(cls, diagonals, patch=None) -> "BandedOperator":
         by_offset = {}
         for d in diagonals:
             if d.offset in by_offset:
@@ -117,7 +125,7 @@ class BandedOperator:
                 raise FormatError("patch must be square")
             if patch.is_zero():
                 patch = None
-        return cls(tuple(sorted(by_offset.values(), key=lambda d: d.offset)), patch, fredholm)
+        return cls(tuple(sorted(by_offset.values(), key=lambda d: d.offset)), patch)
 
     # -- structure ----------------------------------------------------
 
@@ -222,13 +230,7 @@ class BandedOperator:
                 vb = db.value(t) if db else GR_ZERO
                 vals.append(va + vb)
             diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
-        patch = _patch_add(self.patch, other.patch)
-        fred = None
-        if other.is_finite_rank() and self.fredholm is not None:
-            fred = self.fredholm
-        elif self.is_finite_rank() and other.fredholm is not None:
-            fred = other.fredholm
-        return BandedOperator.build(diags, patch, fred)
+        return BandedOperator.build(diags, _patch_add(self.patch, other.patch))
 
     def __sub__(self, other: "BandedOperator") -> "BandedOperator":
         return self + other.scale(-1)
@@ -242,7 +244,7 @@ class BandedOperator:
             for d in self.diagonals
         ]
         patch = self.patch.scale(s) if self.patch is not None else None
-        return BandedOperator.build(diags, patch, self.fredholm)
+        return BandedOperator.build(diags, patch)
 
     def adjoint(self) -> "BandedOperator":
         diags = [
@@ -254,7 +256,7 @@ class BandedOperator:
             for d in self.diagonals
         ]
         patch = self.patch.adjoint() if self.patch is not None else None
-        return BandedOperator.build(diags, patch, self.fredholm)
+        return BandedOperator.build(diags, patch)
 
     def __mul__(self, other: "BandedOperator") -> "BandedOperator":
         """Operator composition (matrix product)."""
@@ -309,8 +311,7 @@ class BandedOperator:
                     row.append(s - band.band_entry(i, j))
                 rows.append(row)
             patch = Mat.from_rows(rows, EXACT) if rows else None
-        fred = True if (self.fredholm and other.fredholm) else None
-        return BandedOperator.build(band.diagonals, patch, fred)
+        return BandedOperator.build(band.diagonals, patch)
 
     def power(self, m: int) -> "BandedOperator":
         out = identity_op()
@@ -331,7 +332,7 @@ class BandedOperator:
         return out
 
     def __eq__(self, other):
-        """Structural equality of the stored operator (flags not compared)."""
+        """Structural equality of the stored diagonals and patch."""
         if not isinstance(other, BandedOperator):
             return NotImplemented
         if self.diagonals != other.diagonals:
@@ -367,31 +368,10 @@ def zero_op() -> BandedOperator:
 
 
 def identity_op() -> BandedOperator:
-    return BandedOperator.build(
-        [Diagonal(0, (), (GR_ONE,))], fredholm=True
-    )
+    return BandedOperator.build([Diagonal(0, (), (GR_ONE,))])
 
 
 # -- catalog -----------------------------------------------------------
-
-
-def _symbol_is_fredholm(symbol: dict) -> bool:
-    """No root of the symbol on the unit circle (within TOL_CIRCLE)."""
-    if not symbol:
-        return False
-    lo = min(symbol)
-    coeffs = []
-    hi = max(symbol)
-    for k in range(hi, lo - 1, -1):  # numpy wants highest degree first
-        c = symbol.get(k, GR_ZERO)
-        coeffs.append(c.to_complex())
-    arr = np.array(coeffs, dtype=complex)
-    arr = np.trim_zeros(arr, "f")
-    if arr.size <= 1:
-        # monomial c*z^lo: invertible symbol iff c != 0
-        return bool(arr.size and arr[0] != 0)
-    roots = np.roots(arr)
-    return bool(np.all(np.abs(np.abs(roots) - 1.0) > TOL_CIRCLE))
 
 
 def make_catalog_operator(kind: str, **params) -> BandedOperator:
@@ -406,18 +386,15 @@ def make_catalog_operator(kind: str, **params) -> BandedOperator:
     tail, i.e. a finite-rank compact candidate).
     """
     if kind == "shift":
-        return BandedOperator.build([Diagonal(-1, (), (GR_ONE,))], fredholm=True)
+        return BandedOperator.build([Diagonal(-1, (), (GR_ONE,))])
     if kind == "adjoint_shift":
-        return BandedOperator.build([Diagonal(1, (), (GR_ONE,))], fredholm=True)
+        return BandedOperator.build([Diagonal(1, (), (GR_ONE,))])
     if kind == "weighted_shift":
         prefix = [_as_gr(v) for v in params.get("prefix", [])]
         period = [_as_gr(v) for v in params.get("period", [])]
         if not period:
             raise FormatError("weighted_shift needs a nonempty period")
-        fred = all(not v.is_zero() for v in period)
-        return BandedOperator.build(
-            [Diagonal(-1, tuple(prefix), tuple(period))], fredholm=fred
-        )
+        return BandedOperator.build([Diagonal(-1, tuple(prefix), tuple(period))])
     if kind == "toeplitz":
         raw = params.get("symbol")
         if not raw:
@@ -426,14 +403,11 @@ def make_catalog_operator(kind: str, **params) -> BandedOperator:
         diags = [
             Diagonal(-k, (), (c,)) for k, c in sorted(symbol.items()) if not c.is_zero()
         ]
-        return BandedOperator.build(diags, fredholm=_symbol_is_fredholm(symbol))
+        return BandedOperator.build(diags)
     if kind == "diagonal":
         values = [_as_gr(v) for v in params.get("values", [])]
         period = [_as_gr(v) for v in params.get("period", [GR_ZERO])]
-        fred = all(not v.is_zero() for v in period)
-        return BandedOperator.build(
-            [Diagonal(0, tuple(values), tuple(period))], fredholm=fred
-        )
+        return BandedOperator.build([Diagonal(0, tuple(values), tuple(period))])
     raise FormatError(f"unknown catalog kind {kind!r}")
 
 
@@ -587,6 +561,57 @@ def _stabilized_kernel(
     )
 
 
+def symbol_winding(T: BandedOperator) -> int:
+    """Winding number of det(symbol of T) around 0 on the unit circle.
+
+    Past its prefixes T is block Toeplitz with P x P blocks, P the lcm of
+    the diagonal periods; block (I, J) is the coefficient A_(I-J) of the
+    symbol Phi(z) = sum_k A_k z^k, so S* has symbol 1/z.  T is Fredholm
+    iff det Phi has no zero on |z| = 1, and then index T = -winding
+    (Gohberg-Krein); prefixes and the patch are finite rank and change
+    neither.
+
+    det Phi is a trigonometric polynomial of degree n <= K*P, K the
+    block bandwidth.  Sampled at M roots of unity with
+    min|det| > 4 pi n / M * max|det|, Bernstein's inequality keeps it
+    inside the disc |w - det(sample)| < |det(sample)| up to the next
+    sample, so it has no zero there and the summed principal phase steps
+    are exactly 2 pi * winding.  PreconditionError when
+    min|det| <= TOL_CIRCLE * max|det| (not Fredholm); NotStabilized when
+    MAX_SYMBOL_SAMPLES samples decide neither.
+    """
+    pre, P = T._tail_params()
+    K = -(-T.bandwidth // P)
+    ks = np.arange(-K, K + 1)
+    s0 = pre + K * P  # block row s0 + k*P stays past every prefix for k >= -K
+    blocks = np.array(
+        [
+            [[T.band_entry(s0 + k * P + a, s0 + b).to_complex() for b in range(P)] for a in range(P)]
+            for k in ks
+        ]
+    )
+    M = SYMBOL_SAMPLES
+    while M <= MAX_SYMBOL_SAMPLES:
+        coeffs = np.zeros((M, P, P), dtype=complex)
+        np.add.at(coeffs, ks % M, blocks)
+        # M * ifft evaluates sum_k A_k z^k at z = exp(2 pi i j / M)
+        det = np.linalg.det(M * np.fft.ifft(coeffs, axis=0))
+        size = np.abs(det)
+        lo, hi = float(size.min()), float(size.max())
+        if lo <= TOL_CIRCLE * hi:
+            raise PreconditionError(
+                f"det of the symbol vanishes on the unit circle (min {lo:.3e}, "
+                f"max {hi:.3e}): the operator is not Fredholm"
+            )
+        if lo > 4 * np.pi * K * P / M * hi:
+            return int(round(np.angle(np.roll(det, -1) / det).sum() / (2 * np.pi)))
+        M *= 2
+    raise NotStabilized(
+        f"det of the symbol comes within {lo / hi:.3e} of zero on the unit "
+        f"circle; {MAX_SYMBOL_SAMPLES} samples cannot decide Fredholmness"
+    )
+
+
 @dataclass(frozen=True)
 class IndexCertificate:
     index: int
@@ -605,14 +630,11 @@ def fredholm_index_banded(
 ) -> IndexCertificate:
     """dim ker T - dim ker T*, both sides certified by stabilized windows.
 
-    The caller asserts Fredholmness via the operator's flag (catalog
-    operators carry it); the cokernel is the kernel of the adjoint.
+    Fredholmness comes from the symbol (``symbol_winding``), which raises
+    PreconditionError for a non-Fredholm operator; the cokernel is the
+    kernel of the adjoint.
     """
-    if not T.fredholm:
-        raise PreconditionError(
-            "operator is not marked Fredholm; index is only computed for "
-            "asserted-Fredholm operators"
-        )
+    symbol_winding(T)
     ker = kernel_of_power(T, 1, win)
     coker = kernel_of_power(T.adjoint(), 1, win)
     return IndexCertificate(

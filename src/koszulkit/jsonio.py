@@ -134,7 +134,7 @@ def operator_from_json(obj) -> BandedOperator:
     patch = None
     if obj.get("patch") is not None:
         patch = mat_from_json(obj["patch"], EXACT)
-    return BandedOperator.build(diags, patch=patch, fredholm=obj.get("fredholm"))
+    return BandedOperator.build(diags, patch=patch)
 
 
 def operator_to_json(op: BandedOperator) -> dict:
@@ -150,7 +150,6 @@ def operator_to_json(op: BandedOperator) -> dict:
         ],
     }
     out["patch"] = mat_to_json(op.patch) if op.patch is not None else None
-    out["fredholm"] = op.fredholm
     return out
 
 

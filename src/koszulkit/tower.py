@@ -162,7 +162,7 @@ def kernel_tower(
 ) -> KernelTower:
     """Layers H_n = ker T^n (-) ker T^(n-1) with compressions and n0.
 
-    T must be marked Fredholm with strictly positive certified index
+    T must be Fredholm (by its symbol) with strictly positive certified index
     (pass the adjoint to flip a negative index).  Layer bases come from
     modified Gram-Schmidt of each kernel against the accumulated lower
     kernels, re-orthogonalized once.
@@ -434,11 +434,12 @@ def growth_table(
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
     powers = list(powers)
-    kers = kernels_of_powers(T, powers, win)
-    cokers = kernels_of_powers(T.adjoint(), powers, win)
+    higher = [m for m in powers if m != 1]
+    kers = {1: base.ker} | dict(zip(higher, kernels_of_powers(T, higher, win)))
+    cokers = {1: base.coker} | dict(zip(higher, kernels_of_powers(T.adjoint(), higher, win)))
     rows = []
-    for m, ker, coker in zip(powers, kers, cokers):
-        k, c = ker.dim, coker.dim
+    for m in powers:
+        k, c = kers[m].dim, cokers[m].dim
         rows.append(
             GrowthRow(
                 m=m,

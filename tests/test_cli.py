@@ -135,6 +135,53 @@ def test_removed_tolerance_flag_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def shift_minus(a):
+    """S* - a I as an operator file without a "fredholm" key."""
+    return {
+        "diagonals": [
+            {"offset": 0, "period": [[a, "0"]]},
+            {"offset": 1, "period": [["1", "0"]]},
+        ]
+    }
+
+
+def test_index_refuses_non_fredholm_operator_marked_fredholm(tmp_path):
+    op = write(tmp_path, "s.json", shift_minus("-1") | {"fredholm": True})
+    assert main(["index", "--input", op]) == 4
+
+
+def test_index_of_invertible_operator_needs_no_flag(tmp_path):
+    op = write(tmp_path, "s.json", shift_minus("2"))
+    code, data = run_cli(["index", "--input", op], tmp_path)
+    assert code == 0
+    rep = json.loads(data)
+    assert rep["index"] == 0 and rep["certified"] is True
+
+
+@pytest.mark.parametrize("flag", [False, None])
+def test_stale_fredholm_key_is_ignored(tmp_path, flag):
+    bare = {k: v for k, v in ASH.items() if k != "fredholm"}
+    stale = bare | {"fredholm": flag}
+    assert operator_from_json(stale) == operator_from_json(bare)
+    code, data = run_cli(["index", "--input", write(tmp_path, "a.json", stale)], tmp_path)
+    assert code == 0 and json.loads(data)["index"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--input", "t.json", "--window", "5"],
+        ["spectrum", "--input", "t.json", "--tol-rank", "1e-3"],
+        ["demo", "theorem-1.1", "--powers", "1:3"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    inp = write(tmp_path, "t.json", TUPLE_N0)
+    with pytest.raises(SystemExit) as exc:
+        main([inp if a == "t.json" else a for a in argv])
+    assert exc.value.code == 2
+
+
 def test_reports_are_byte_stable(tmp_path):
     inp = write(tmp_path, "t.json", TUPLE_N0)
     _, first = run_cli(["cohomology", "--input", inp], tmp_path, "r1.json")
