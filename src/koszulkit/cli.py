@@ -30,8 +30,9 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .ell2 import TruncationWindow, fredholm_index_banded
-from .koszul import augment_les, cohomology
+from .ell2 import DEFAULT_G, DEFAULT_N, TruncationWindow, fredholm_index_banded
+from .koszul import augment_les, cohomology, validate_tuple
+from .scalars import EXACT
 from .spectrum import apply_poly_map, joint_spectrum
 from .tower import growth_table, kernel_tower, obstruction_certificate
 
@@ -55,8 +56,8 @@ def _load_json(path: str):
 def _window(args: argparse.Namespace):
     if args.window is None and args.guard is None:
         return None
-    N = args.window if args.window is not None else 64
-    G = args.guard if args.guard is not None else 16
+    N = args.window if args.window is not None else DEFAULT_N
+    G = args.guard if args.guard is not None else DEFAULT_G
     return TruncationWindow(N, G)
 
 
@@ -75,15 +76,23 @@ def _complex_pair(z: complex):
 # -- command implementations ----------------------------------------------
 
 
+def _tol_rank(args: argparse.Namespace, mode: str):
+    """--tol-rank, refused for exact tuples: exact rank has no tolerance."""
+    if args.tol_rank is not None and mode == EXACT:
+        raise FormatError("--tol-rank is read only for float tuples")
+    return args.tol_rank
+
+
 def _cmd_cohomology(args: argparse.Namespace) -> dict:
     T = jsonio.tuple_from_json(_load_json(args.input))
-    rep = cohomology(T, args.tol_rank)
+    rep = cohomology(T, _tol_rank(args, T.mode))
     return {
         "command": "cohomology",
         "dims": list(rep.dims),
         "index": rep.index,
         "invertible": rep.invertible,
-        "fredholm": rep.fredholm,
+        # every finite-dimensional tuple is Fredholm; the schema keeps the key
+        "fredholm": True,
         "mode": T.mode,
     }
 
@@ -109,15 +118,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict:
 
 
 def _cmd_les(args: argparse.Namespace) -> dict:
-    obj = _load_json(args.input)
-    T = jsonio.tuple_from_json(obj)
-    if T.n < 2:
+    mats = jsonio.matrices_from_json(_load_json(args.input))
+    if len(mats) < 2:
         raise FormatError("les needs at least two matrices (last one augments)")
-    from .koszul import validate_tuple
-
-    base = validate_tuple(T.matrices[:-1])
-    S = T.matrices[-1]
-    rep = augment_les(base, S, args.tol_rank)
+    tol_rank = _tol_rank(args, mats[0].mode)
+    rep = augment_les(validate_tuple(mats[:-1]), mats[-1], tol_rank)
     return {
         "command": "les",
         "dims_direct": list(rep.dims_direct),
@@ -138,7 +143,8 @@ def _cmd_index(args: argparse.Namespace) -> dict:
         "index": cert.index,
         "dim_ker": cert.dim_ker,
         "dim_coker": cert.dim_coker,
-        "certified": cert.certified,
+        # fredholm_index_banded raises unless both kernels stabilized
+        "certified": True,
         "window": {"N": cert.ker.window.N, "G": cert.ker.window.G},
     }
 

@@ -431,11 +431,11 @@ class TruncationWindow:
 
 @dataclass(frozen=True)
 class StabilizedSubspace:
-    """Orthonormal basis (columns) of a kernel, certified by two windows."""
+    """Orthonormal basis (columns) of a kernel, certified by two windows:
+    ``_stabilized_kernel`` builds one only when they agree."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
-    certified: bool
     window: TruncationWindow
 
 
@@ -551,9 +551,7 @@ def _stabilized_kernel(
         d1, basis = at(N)
         d2, _ = at(2 * N)
         if d1 == d2:
-            return StabilizedSubspace(
-                basis=basis, dim=d1, certified=True, window=TruncationWindow(N, win.G)
-            )
+            return StabilizedSubspace(basis=basis, dim=d1, window=TruncationWindow(N, win.G))
         N *= 2
     raise NotStabilized(
         f"kernel dimension kept changing up to section size {cap} "
@@ -619,10 +617,6 @@ class IndexCertificate:
     dim_coker: int
     ker: StabilizedSubspace
     coker: StabilizedSubspace
-
-    @property
-    def certified(self) -> bool:
-        return self.ker.certified and self.coker.certified
 
 
 def fredholm_index_banded(

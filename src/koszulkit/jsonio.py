@@ -10,7 +10,6 @@ to 12 significant digits, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,18 +24,6 @@ from .scalars import EXACT, FLOAT, GaussianRational
 # -- scalars ------------------------------------------------------------
 
 
-def _parse_part_exact(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise FormatError(f"bad scalar part {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
-    raise FormatError(f"bad scalar part {v!r}")
-
-
 def parse_scalar(value, mode: str):
     """[re, im] pair, or a bare number/string for a real value."""
     if isinstance(value, (list, tuple)):
@@ -46,20 +33,21 @@ def parse_scalar(value, mode: str):
     else:
         re, im = value, 0
     if mode == EXACT:
-        return GaussianRational(_parse_part_exact(re), _parse_part_exact(im))
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise FormatError(f"bad exact scalar {value!r}")
+        try:
+            return GaussianRational(re, im)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad exact scalar {value!r}") from exc
     try:
         return complex(float(re), float(im))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad float scalar {value!r}") from exc
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def scalar_to_json(value):
     if isinstance(value, GaussianRational):
-        return [_frac_str(value.re), _frac_str(value.im)]
+        return [str(value.re), str(value.im)]
     c = complex(value)
     return [c.real, c.imag]
 
@@ -97,14 +85,19 @@ def mat_from_numpy_json(A: np.ndarray) -> dict:
 # -- tuples -------------------------------------------------------------
 
 
-def tuple_from_json(obj) -> CommutingTuple:
+def matrices_from_json(obj) -> list:
+    """The matrices of a tuple file, parsed but not validated."""
     mode = obj.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
         raise FormatError(f"unknown mode {mode!r}")
     mats = [mat_from_json(m, mode) for m in obj.get("matrices", [])]
     if not mats:
         raise FormatError("tuple file has no matrices")
-    return validate_tuple(mats)
+    return mats
+
+
+def tuple_from_json(obj) -> CommutingTuple:
+    return validate_tuple(matrices_from_json(obj))
 
 
 def tuple_to_json(T: CommutingTuple) -> dict:

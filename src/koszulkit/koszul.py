@@ -74,7 +74,6 @@ class CohomologyReport:
     dims: tuple
     index: int
     invertible: bool
-    fredholm: bool
 
     def __post_init__(self):
         alt = sum((-1) ** p * dim for p, dim in enumerate(self.dims))
@@ -106,11 +105,11 @@ def form_basis(n: int, p: int) -> FormBasis:
     return FormBasis(n, p, tuple(combinations(range(1, n + 1), p)))
 
 
-def validate_tuple(matrices, tol_comm: float | None = None) -> CommutingTuple:
+def validate_tuple(matrices) -> CommutingTuple:
     """Check shapes and pairwise commutation; returns the validated tuple.
 
-    Exact mode requires exact commutation; float mode allows commutator
-    Frobenius norm up to tol * max ||T_i||.
+    Each matrix is checked against the ones before it, so every pair is
+    checked once.
     """
     mats = tuple(matrices)
     if not mats:
@@ -118,25 +117,52 @@ def validate_tuple(matrices, tol_comm: float | None = None) -> CommutingTuple:
     mode = mats[0].mode
     d = mats[0].rows
     for k, M in enumerate(mats):
-        if M.mode != mode:
-            raise ModeMismatch(f"operator {k} has mode {M.mode}, expected {mode}")
-        if M.rows != M.cols or M.rows != d:
-            raise ShapeError(f"operator {k} is {M.rows}x{M.cols}, expected {d}x{d}")
-    scale = max((M.fro_norm() for M in mats), default=0.0)
-    tol = (TOL_COMM if tol_comm is None else tol_comm) * max(scale, 1.0)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            C = commutator(mats[i], mats[j])
-            nrm = C.fro_norm()
-            bad = not C.is_zero() if mode == EXACT else nrm > tol
-            if bad:
-                raise NonCommuting(
-                    f"operators {i} and {j} do not commute "
-                    f"(commutator norm {nrm:.3e})",
-                    pair=(i, j),
-                    norm=nrm,
-                )
+        _check_square(M, k, mode, d)
+    tol = _commutator_tol(mats)
+    for k in range(1, len(mats)):
+        _check_commutes(mats[k], k, mats[:k], tol)
     return CommutingTuple(len(mats), d, mats, mode)
+
+
+def augment_tuple(T: CommutingTuple, S: Mat) -> CommutingTuple:
+    """The (n+1)-tuple (T, S).  Only the pairs with S are checked; T's
+    pairs were checked when T was validated."""
+    _check_square(S, T.n, T.mode, T.d)
+    mats = T.matrices + (S,)
+    _check_commutes(S, T.n, T.matrices, _commutator_tol(mats))
+    return CommutingTuple(T.n + 1, T.d, mats, T.mode)
+
+
+def _check_square(M: Mat, k: int, mode: str, d: int):
+    if M.mode != mode:
+        raise ModeMismatch(f"operator {k} has mode {M.mode}, expected {mode}")
+    if M.rows != M.cols or M.rows != d:
+        raise ShapeError(f"operator {k} is {M.rows}x{M.cols}, expected {d}x{d}")
+
+
+def _commutator_tol(mats) -> float:
+    """Float mode allows commutator Frobenius norm up to TOL_COMM times
+    the largest ||T_i|| (at least 1); exact mode needs no tolerance."""
+    if mats[0].mode == EXACT:
+        return 0.0
+    scale = max((M.fro_norm() for M in mats), default=0.0)
+    return TOL_COMM * max(scale, 1.0)
+
+
+def _check_commutes(M: Mat, k: int, checked, tol: float):
+    """Raise NonCommuting unless operator k, M, commutes with every matrix
+    in ``checked`` (operators 0..k-1).  Exact mode decides by is_zero();
+    the norm of an exact commutator is computed only for the error."""
+    for i, A in enumerate(checked):
+        C = commutator(A, M)
+        bad = not C.is_zero() if M.mode == EXACT else C.fro_norm() > tol
+        if bad:
+            nrm = C.fro_norm()
+            raise NonCommuting(
+                f"operators {i} and {k} do not commute (commutator norm {nrm:.3e})",
+                pair=(i, k),
+                norm=nrm,
+            )
 
 
 def _wedge_insert(omega: tuple, i: int):
@@ -193,7 +219,7 @@ def _boundary_maps(T: CommutingTuple):
 
 
 def cohomology(T: CommutingTuple, tol_rank: float | None = None) -> CohomologyReport:
-    """Cohomology dimensions, index, and the invertible/Fredholm flags."""
+    """Cohomology dimensions, index, and whether the tuple is invertible."""
     return _cohomology(T, _boundary_maps(T), tol_rank)
 
 
@@ -216,27 +242,7 @@ def _cohomology(T: CommutingTuple, D, tol_rank) -> CohomologyReport:
         dims=tuple(dims),
         index=idx,
         invertible=all(dim == 0 for dim in dims),
-        fredholm=True,
     )
-
-
-def _check_commutes_with_tuple(S: Mat, T: CommutingTuple, tol_comm=None):
-    if S.mode != T.mode:
-        raise ModeMismatch("augmenting operator mode differs from tuple mode")
-    if (S.rows, S.cols) != (T.d, T.d):
-        raise ShapeError(f"augmenting operator is {S.rows}x{S.cols}, expected {T.d}x{T.d}")
-    scale = max(max((M.fro_norm() for M in T.matrices), default=0.0), S.fro_norm())
-    tol = (TOL_COMM if tol_comm is None else tol_comm) * max(scale, 1.0)
-    for i, M in enumerate(T.matrices):
-        C = commutator(S, M)
-        bad = not C.is_zero() if T.mode == EXACT else C.fro_norm() > tol
-        if bad:
-            raise NonCommuting(
-                f"operator does not commute with tuple entry {i} "
-                f"(commutator norm {C.fro_norm():.3e})",
-                pair=("S", i),
-                norm=C.fro_norm(),
-            )
 
 
 def induced_map(S: Mat, T: CommutingTuple, p: int, tol_rank: float | None = None) -> Mat:
@@ -247,7 +253,7 @@ def induced_map(S: Mat, T: CommutingTuple, p: int, tol_rank: float | None = None
     """
     if not 0 <= p <= T.n:
         raise DegreeError(f"degree {p} outside 0..{T.n}")
-    _check_commutes_with_tuple(S, T)
+    augment_tuple(T, S)
     return _induced_map(S, T, _boundary_maps(T), p, tol_rank)
 
 
@@ -282,8 +288,7 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
     Both must agree; the report also says in which degrees the induced
     action is an isomorphism.
     """
-    _check_commutes_with_tuple(S, T)
-    Tp = validate_tuple(list(T.matrices) + [S])
+    Tp = augment_tuple(T, S)
     direct = _cohomology(Tp, _boundary_maps(Tp), tol_rank)
     D = _boundary_maps(T)
     base = _cohomology(T, D, tol_rank)

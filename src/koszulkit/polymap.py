@@ -65,12 +65,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def constant_term(self):
-        for e, c in self.terms:
-            if all(k == 0 for k in e):
-                return c
-        return as_scalar(0, self.mode)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._compat(other)
         return Polynomial.from_terms(

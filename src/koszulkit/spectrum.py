@@ -99,7 +99,7 @@ def _compress(mats, E: Mat, tol=None):
     return out
 
 
-def _joint_points(mats, dim: int, mode: str, tol: float):
+def _joint_points(mats, dim: int, mode: str):
     if not mats:
         return [((), dim)]
     A = mats[0]
@@ -107,7 +107,7 @@ def _joint_points(mats, dim: int, mode: str, tol: float):
     if mode == EXACT:
         cands = _exact_eig_candidates(A)
     else:
-        cands = _float_eig_clusters(A, tol * scale)
+        cands = _float_eig_clusters(A, DEFLATION_TOL * scale)
     pts = []
     total = 0
     for lam in cands:
@@ -120,7 +120,7 @@ def _joint_points(mats, dim: int, mode: str, tol: float):
         if e == 0:
             continue
         rest = _compress(mats[1:], E, DEFLATION_TOL if mode == FLOAT else None)
-        for tail, mult in _joint_points(rest, e, mode, tol):
+        for tail, mult in _joint_points(rest, e, mode):
             pts.append(((lam,) + tail, mult))
         total += e
     if total != dim:
@@ -135,9 +135,9 @@ def _joint_points(mats, dim: int, mode: str, tol: float):
     return pts
 
 
-def joint_spectrum(T: CommutingTuple, tol: float = DEFLATION_TOL) -> JointSpectrum:
+def joint_spectrum(T: CommutingTuple) -> JointSpectrum:
     """Joint eigenvalues of T with multiplicities summing to d."""
-    pts = _joint_points(list(T.matrices), T.d, T.mode, tol)
+    pts = _joint_points(list(T.matrices), T.d, T.mode)
     merged = {}
     for point, mult in pts:
         merged[point] = merged.get(point, 0) + mult

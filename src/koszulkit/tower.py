@@ -279,13 +279,13 @@ def kernel_tower(
     )
 
 
-def _check_operator_commutes(T: BandedOperator, S: BandedOperator, tol: float):
+def _check_operator_commutes(T: BandedOperator, S: BandedOperator):
     C = T * S - S * T
     if C.is_zero():
         return
     bound = C.norm_bound()
     scale = max(1.0, T.norm_bound() * S.norm_bound())
-    if bound > tol * scale:
+    if bound > TOL_INVARIANCE * scale:
         raise NonCommuting(
             f"operators do not commute (commutator norm bound {bound:.3e})",
             norm=bound,
@@ -296,7 +296,6 @@ def commutant_blocks(
     T: BandedOperator,
     S: BandedOperator,
     tower: KernelTower,
-    tol_comm: float = TOL_INVARIANCE,
 ) -> CommutantBlocks:
     """Blocks of S in the tower bases, with all certificates.
 
@@ -305,7 +304,7 @@ def commutant_blocks(
     intertwining identity holds at every level; beyond n0 the corner
     blocks must share their characteristic polynomial with the one at n0.
     """
-    _check_operator_commutes(T, S, tol_comm)
+    _check_operator_commutes(T, S)
     acc = np.zeros((tower.levels[0].h_basis.shape[0], 0), dtype=complex)
     levels = []
     prev_x = None
@@ -334,13 +333,13 @@ def commutant_blocks(
         off = img_k - acc_p @ (acc_p.conj().T @ img_k)
         scale = max(1.0, float(np.linalg.norm(img_k)))
         inv_resid = float(np.linalg.norm(off)) / scale
-        if inv_resid > tol_comm:
+        if inv_resid > TOL_INVARIANCE:
             raise InvarianceViolation(
                 f"ker T^{n} is not invariant under the operator "
                 f"(residual {inv_resid:.3e}); window too small or "
                 "genuinely non-commuting"
             )
-        if ur_norm > tol_comm:
+        if ur_norm > TOL_INVARIANCE:
             raise InvarianceViolation(
                 f"block upper-right corner at level {n} is {ur_norm:.3e}, "
                 "triangular structure violated"
@@ -492,16 +491,16 @@ def _compression(op: BandedOperator, basis: np.ndarray) -> np.ndarray:
     return _pad(basis, img.shape[0]).conj().T @ img
 
 
-def _float_matrix_rank(A: np.ndarray, tol: float = TOL_LAYER) -> int:
+def _float_matrix_rank(A: np.ndarray) -> int:
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return int(np.sum(s > TOL_LAYER * max(1.0, s[0])))
 
 
-def kernel_restriction_check(Tm: Mat, Sm: Mat, n: int, tol_rank=None) -> bool:
+def kernel_restriction_check(Tm: Mat, Sm: Mat, n: int) -> bool:
     """For an invertible commuting matrix pair, S restricted to ker T^n
     must be an isomorphism of ker T^n; returns that verdict.
 
@@ -510,14 +509,14 @@ def kernel_restriction_check(Tm: Mat, Sm: Mat, n: int, tol_rank=None) -> bool:
     its cohomology).  With the preconditions in force, False is a bug.
     """
     pair = validate_tuple([Tm, Sm])
-    if not cohomology(pair, tol_rank).invertible:
+    if not cohomology(pair).invertible:
         raise PreconditionError("matrix pair is not invertible")
-    K = kernel_basis(mat_power(Tm, n), tol_rank)
+    K = kernel_basis(mat_power(Tm, n))
     if K.cols == 0:
         return True
-    M = solve(K, Sm @ K, tol_rank)
+    M = solve(K, Sm @ K)
     if M is None:
         raise InvarianceViolation(
             "restriction did not preserve the kernel; pair fails to commute"
         )
-    return rank(M, tol_rank) == K.cols
+    return rank(M) == K.cols

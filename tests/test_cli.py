@@ -267,3 +267,63 @@ def test_operator_bandwidth_validation():
         operator_from_json(
             {"bandwidth": 0, "diagonals": [{"offset": 2, "period": [["1", "0"]]}]}
         )
+
+
+def test_les_checks_each_pair_once(tmp_path, monkeypatch):
+    import koszulkit.koszul as kz
+    from koszulkit.randgen import get_rng, random_commuting_tuple
+
+    inp = write(tmp_path, "t.json", tuple_to_json(random_commuting_tuple(get_rng(3), 3, 4)))
+    calls = []
+    real = kz.commutator
+    monkeypatch.setattr(kz, "commutator", lambda A, B: calls.append(1) or real(A, B))
+    code, _ = run_cli(["les", "--input", inp], tmp_path)
+    assert code == 0
+    assert len(calls) == 6
+
+
+def test_les_rejects_noncommuting_augmentation(tmp_path, capsys):
+    bad = write(tmp_path, "bad.json", NONCOMMUTING)
+    assert main(["les", "--input", bad]) == 2
+    assert "error[NonCommuting]: operators 0 and 1" in capsys.readouterr().err
+
+
+FLOAT_N0 = {
+    "mode": "float",
+    "matrices": [
+        {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+        {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 0], [0, 0], [0, 0]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["cohomology", "les"])
+def test_tol_rank_is_read_only_for_float_tuples(tmp_path, capsys, command):
+    exact = write(tmp_path, "t.json", TUPLE_N0)
+    assert main([command, "--input", exact, "--tol-rank", "1e-9"]) == 2
+    assert "error[FormatError]" in capsys.readouterr().err
+    floats = write(tmp_path, "f.json", FLOAT_N0)
+    code, data = run_cli([command, "--input", floats, "--tol-rank", "1e-9"], tmp_path)
+    assert code == 0
+    assert json.loads(data)["index"] == 0
+
+
+def _with_first_entry(entry):
+    obj = json.loads(json.dumps(TUPLE_N0))
+    obj["matrices"][0]["entries"][0] = entry
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("cohomology", _with_first_entry(["1/x", "0"])),
+        ("cohomology", _with_first_entry([float("nan"), "0"])),
+        ("cohomology", _with_first_entry(["0", True])),
+        ("index", {"diagonals": [{"offset": 1, "period": [["3/0", "0"]]}]}),
+    ],
+    ids=["non-rational", "nan", "bool", "zero-denominator"],
+)
+def test_malformed_exact_scalars_are_format_errors(tmp_path, capsys, command, obj):
+    assert main([command, "--input", write(tmp_path, "in.json", obj)]) == 2
+    assert "error[FormatError]" in capsys.readouterr().err

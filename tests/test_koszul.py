@@ -9,6 +9,7 @@ from koszulkit.koszul import (
     CohomologyReport,
     CommutingTuple,
     augment_les,
+    augment_tuple,
     cohomology,
     form_basis,
     induced_map,
@@ -129,7 +130,7 @@ def test_chain_identity_on_random_tuples(d, n, seed):
     [
         # a tuple built without validate_tuple: the chain identity fails
         (lambda: koszul_complex(CommutingTuple(2, 2, (N2, N2.adjoint()), EXACT)), NonCommuting),
-        (lambda: CohomologyReport(dims=(1,), index=1, invertible=False, fredholm=True), NotStabilized),
+        (lambda: CohomologyReport(dims=(1,), index=1, invertible=False), NotStabilized),
     ],
     ids=["chain-identity", "nonzero-index"],
 )
@@ -213,6 +214,23 @@ def test_induced_rejects_noncommuting():
     T = validate_tuple([N2])
     with pytest.raises(NonCommuting):
         induced_map(Mat.from_rows([[0, 0], [1, 0]]), T, 0)
+
+
+def test_augment_tuple_checks_only_the_new_pairs(monkeypatch):
+    import koszulkit.koszul as kz
+
+    calls = []
+    real = kz.commutator
+    monkeypatch.setattr(kz, "commutator", lambda A, B: calls.append(1) or real(A, B))
+    T = random_commuting_tuple(get_rng(7), 3, 3)
+    calls.clear()
+    S = T.matrices[0] @ T.matrices[1]
+    rep = augment_les(T, S)
+    assert len(calls) == 3
+    assert rep.agree
+    with pytest.raises(NonCommuting) as exc:
+        augment_tuple(validate_tuple([N2]), Mat.from_rows([[0, 0], [1, 0]]))
+    assert exc.value.pair == (0, 1)
 
 
 def test_les_jordan_augmented_by_zero():
