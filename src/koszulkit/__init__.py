@@ -62,7 +62,6 @@ from .ell2 import (
     identity_op,
     kernel_of_power,
     make_catalog_operator,
-    restricted_norm,
     zero_op,
 )
 from .tower import (
@@ -119,7 +118,6 @@ __all__ = [
     "zero_op",
     "kernel_of_power",
     "fredholm_index_banded",
-    "restricted_norm",
     "KernelTower",
     "CommutantBlocks",
     "ObstructionCertificate",

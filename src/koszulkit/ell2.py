@@ -639,14 +639,3 @@ def fredholm_index_banded(
         coker=coker,
     )
 
-
-def restricted_norm(K: BandedOperator, basis: np.ndarray) -> float:
-    """Operator norm of K restricted to the span of orthonormal columns.
-
-    The columns are finitely supported; the images are computed on a
-    section tall enough to hold all of their mass, so this is the honest
-    norm of K as a map into l2.
-    """
-    if basis.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.svd(K.apply(basis), compute_uv=False)[0])

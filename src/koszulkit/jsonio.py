@@ -21,6 +21,13 @@ from .polymap import Polynomial, PolyMap
 from .scalars import EXACT, FLOAT, GaussianRational
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` (dict or list), else FormatError."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
 # -- scalars ------------------------------------------------------------
 
 
@@ -59,8 +66,8 @@ def mat_from_json(obj, mode: str = EXACT) -> Mat:
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        entries = _expect(obj["entries"], list, "matrix entries")
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("matrix literal needs rows, cols, entries") from exc
     if len(entries) != rows * cols:
         raise FormatError(
@@ -87,10 +94,11 @@ def mat_from_numpy_json(A: np.ndarray) -> dict:
 
 def matrices_from_json(obj) -> list:
     """The matrices of a tuple file, parsed but not validated."""
+    obj = _expect(obj, dict, "tuple file")
     mode = obj.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
         raise FormatError(f"unknown mode {mode!r}")
-    mats = [mat_from_json(m, mode) for m in obj.get("matrices", [])]
+    mats = [mat_from_json(m, mode) for m in _expect(obj.get("matrices", []), list, "matrices")]
     if not mats:
         raise FormatError("tuple file has no matrices")
     return mats
@@ -108,19 +116,31 @@ def tuple_to_json(T: CommutingTuple) -> dict:
 
 
 def operator_from_json(obj) -> BandedOperator:
+    obj = _expect(obj, dict, "operator")
     diags = []
-    for d in obj.get("diagonals", []):
+    for d in _expect(obj.get("diagonals", []), list, "diagonals"):
+        d = _expect(d, dict, "diagonal")
         try:
             offset = int(d["offset"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("diagonal needs an integer offset") from exc
-        prefix = tuple(parse_scalar(v, EXACT) for v in d.get("prefix", []))
-        period = tuple(parse_scalar(v, EXACT) for v in d.get("period", [0]))
-        diags.append(Diagonal(offset, prefix, period))
+        prefix = _expect(d.get("prefix", []), list, "prefix")
+        period = _expect(d.get("period", [0]), list, "period")
+        diags.append(
+            Diagonal(
+                offset,
+                tuple(parse_scalar(v, EXACT) for v in prefix),
+                tuple(parse_scalar(v, EXACT) for v in period),
+            )
+        )
     declared = obj.get("bandwidth")
     if declared is not None:
+        try:
+            declared = int(declared)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bandwidth must be an integer, got {declared!r}") from exc
         actual = max((abs(d.offset) for d in diags), default=0)
-        if actual > int(declared):
+        if actual > declared:
             raise FormatError(
                 f"declared bandwidth {declared} below largest offset {actual}"
             )
@@ -156,11 +176,11 @@ def polymap_from_json(obj, mode: str = EXACT) -> PolyMap:
     nvars = None
     for poly in obj:
         terms = []
-        for term in poly:
+        for term in _expect(poly, list, "polynomial"):
             try:
                 coeff = parse_scalar(term["coeff"], mode)
                 mono = tuple(int(k) for k in term["monomial"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError("polynomial term needs coeff and monomial") from exc
             terms.append((mono, coeff))
         if nvars is None:

@@ -16,6 +16,11 @@ infinitely many orthogonal layers, which no compact operator survives.
 The certificate computed here reports exactly that chain: r, the
 per-layer norms, and the verdict.
 
+T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
+one apply gives W = op Q and B = Q* W, every block (A_n, B_n, C_n for T;
+X_n, Y_n, Z_n for K) is a slice of B, and ||K restricted to H_n|| is the
+largest singular value of the H_n columns of W.
+
 A certificate is a witness of the obstruction mechanism for the given K;
 an "inconclusive" verdict (r ~ 0) only means this route does not apply
 to that K, never that a perturbation exists.
@@ -24,6 +29,7 @@ to that K, never that a perturbation exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,9 +48,7 @@ from .ell2 import (
     TruncationWindow,
     _fix_phases,
     fredholm_index_banded,
-    kernel_of_power,
     kernels_of_powers,
-    restricted_norm,
 )
 from .koszul import cohomology, validate_tuple
 from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
@@ -95,6 +99,7 @@ class CommutantLevel:
     upper_right_norm: float  # compression H_n <- ker T^(n-1), must be ~0
     invariance_residual: float
     intertwine_residual: float | None  # None at n = 1
+    norm: float  # ||S restricted to H_n||
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,17 @@ def _smallest_singular(A: np.ndarray) -> float:
     return float(s[-1])
 
 
+def _compress(op: BandedOperator, Q: np.ndarray):
+    """W = op Q and B = Q* W for orthonormal columns Q, with one apply.
+
+    W holds the images in full, so ||op restricted to a span of columns||
+    is the largest singular value of the matching columns of W; every
+    block of op between spans of columns is a slice of B.
+    """
+    W = op.apply(Q)
+    return W, _pad(Q, W.shape[0]).conj().T @ W
+
+
 def kernel_tower(
     T: BandedOperator, max_depth: int, win: TruncationWindow | None = None
 ) -> KernelTower:
@@ -176,10 +192,8 @@ def kernel_tower(
     kernels = [idx.ker, *kernels_of_powers(T, range(2, max_depth + 1), win)]
     L = max(k.basis.shape[0] for k in kernels)
     acc = np.zeros((L, 0), dtype=complex)
-    acc_by_level = [acc]  # acc_by_level[n] = basis of ker T^n
-    levels = []
+    layers = []
     prev_kdim = 0
-    prev_h = None
     for n, kn in enumerate(kernels, start=1):
         Kb = _pad(kn.basis, L)
         V = Kb - acc @ (acc.conj().T @ Kb)
@@ -189,59 +203,42 @@ def kernel_tower(
             raise NotStabilized(
                 f"kernel dimensions decreased between powers {n - 1} and {n}"
             )
-        if h_expected == 0:
-            H = np.zeros((L, 0), dtype=complex)
-        else:
-            u, s, _ = np.linalg.svd(V)
-            if s.size < h_expected or s[h_expected - 1] <= TOL_LAYER:
-                raise NotStabilized(
-                    f"layer {n} basis is ill-conditioned "
-                    f"(singular values {s[:h_expected]})"
-                )
-            if s.size > h_expected and s[h_expected] > TOL_LAYER:
-                raise NotStabilized(
-                    f"layer {n} has ambiguous dimension (extra singular value "
-                    f"{s[h_expected]:.3e})"
-                )
-            H = _fix_phases(u[:, :h_expected])
-        if n >= 2 and h_expected == 0:
+        if h_expected == 0:  # n >= 2, since the index makes ker T nonzero
             raise NotStabilized(
                 f"layer {n} vanished although the index is positive; "
                 "window too small"
             )
-        a_block = b_block = c_block = None
-        if n >= 2:
-            img_h = T.apply(H)
-            Lh = img_h.shape[0]
-            a_block = _pad(prev_h, Lh).conj().T @ img_h
-            q_nm1 = acc_by_level[n - 1]
-            q_nm2 = acc_by_level[n - 2]
-            b_block = _pad(q_nm2, Lh).conj().T @ img_h
-            img_q = T.apply(q_nm1)
-            Lq = img_q.shape[0]
-            c_block = _pad(q_nm2, Lq).conj().T @ img_q
-            # Eq-style zero block: T maps ker T^(n-1) into ker T^(n-2),
-            # orthogonal to H_(n-1)
-            ur = _pad(prev_h, Lq).conj().T @ img_q
-            if ur.size and float(np.abs(ur).max()) > TOL_INTERTWINE:
-                raise NotStabilized(
-                    f"triangular structure violated at level {n} "
-                    f"(residual {float(np.abs(ur).max()):.3e})"
-                )
-        levels.append(
-            TowerLevel(
-                n=n,
-                dim=h_expected,
-                h_basis=H,
-                a_block=a_block,
-                b_block=b_block,
-                c_block=c_block,
+        u, s, _ = np.linalg.svd(V)
+        if s.size < h_expected or s[h_expected - 1] <= TOL_LAYER:
+            raise NotStabilized(
+                f"layer {n} basis is ill-conditioned "
+                f"(singular values {s[:h_expected]})"
             )
-        )
+        if s.size > h_expected and s[h_expected] > TOL_LAYER:
+            raise NotStabilized(
+                f"layer {n} has ambiguous dimension (extra singular value "
+                f"{s[h_expected]:.3e})"
+            )
+        H = _fix_phases(u[:, :h_expected])
+        layers.append(H)
         acc = np.hstack([acc, H])
-        acc_by_level.append(acc)
         prev_kdim = kn.dim
-        prev_h = H
+    # T in the tower basis: on ker T^n = H_n + ker T^(n-1) it acts as
+    # [[A_n, 0], [B_n, C_n]] into H_(n-1) + ker T^(n-2)
+    _, TB = _compress(T, acc)
+    off = list(accumulate((H.shape[1] for H in layers), initial=0))
+    levels = []
+    for n, H in enumerate(layers, start=1):
+        blocks = (None, None, None)
+        if n >= 2:
+            prev, cur = slice(off[n - 2], off[n - 1]), slice(off[n - 1], off[n])
+            resid = float(np.abs(TB[prev, : off[n - 1]]).max())
+            if resid > TOL_INTERTWINE:
+                raise NotStabilized(
+                    f"triangular structure violated at level {n} (residual {resid:.3e})"
+                )
+            blocks = (TB[prev, cur], TB[: off[n - 2], cur], TB[: off[n - 2], : off[n - 1]])
+        levels.append(TowerLevel(n, H.shape[1], H, *blocks))
     dims = [lv.dim for lv in levels]
     for n in range(2, max_depth):
         if dims[n] > dims[n - 1]:
@@ -292,47 +289,34 @@ def _check_operator_commutes(T: BandedOperator, S: BandedOperator):
         )
 
 
-def commutant_blocks(
-    T: BandedOperator,
-    S: BandedOperator,
-    tower: KernelTower,
-) -> CommutantBlocks:
-    """Blocks of S in the tower bases, with all certificates.
+def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
+    """Blocks of S in the bases of the tower of T = ``tower.operator``.
 
-    Verifies that S leaves each ker T^n invariant (projection residual),
-    that the compression is block lower triangular, and that the
-    intertwining identity holds at every level; beyond n0 the corner
-    blocks must share their characteristic polynomial with the one at n0.
+    Checks that S commutes with T, that S leaves each ker T^n invariant
+    (projection residual), that the compression is block lower
+    triangular, and that the intertwining identity holds at every level;
+    beyond n0 the corner blocks must share their characteristic
+    polynomial with the one at n0.  Each level also carries the norm of
+    S restricted to H_n.
     """
-    _check_operator_commutes(T, S)
-    acc = np.zeros((tower.levels[0].h_basis.shape[0], 0), dtype=complex)
+    _check_operator_commutes(tower.operator, S)
+    Q = np.hstack([lv.h_basis for lv in tower.levels])
+    W, B = _compress(S, Q)
+    Qp = _pad(Q, W.shape[0])
+    off = list(accumulate(tower.layer_dims(), initial=0))
     levels = []
     prev_x = None
     for lv in tower.levels:
         n = lv.n
-        H = lv.h_basis
-        q_prev = acc  # ker T^(n-1)
-        img_h = S.apply(H)
-        Lg = img_h.shape[0]
-        x = _pad(H, Lg).conj().T @ img_h
-        y = _pad(q_prev, Lg).conj().T @ img_h
-        if q_prev.shape[1]:
-            img_q = S.apply(q_prev)
-            Lq = img_q.shape[0]
-            z = _pad(q_prev, Lq).conj().T @ img_q
-            ur = _pad(H, Lq).conj().T @ img_q
-            ur_norm = float(np.abs(ur).max()) if ur.size else 0.0
-        else:
-            z = np.zeros((0, 0), dtype=complex)
-            ur_norm = 0.0
-        acc = np.hstack([acc, H])
+        lo, hi = off[n - 1], off[n]  # H_n is columns lo:hi, ker T^(n-1) is :lo
+        x = B[lo:hi, lo:hi]
+        ur = B[lo:hi, :lo]
+        ur_norm = float(np.abs(ur).max()) if ur.size else 0.0
         # invariance: S . ker T^n stays inside ker T^n
-        img_k = S.apply(acc)
-        Lk = img_k.shape[0]
-        acc_p = _pad(acc, Lk)
-        off = img_k - acc_p @ (acc_p.conj().T @ img_k)
+        img_k = W[:, :hi]
+        off_k = img_k - Qp[:, :hi] @ B[:hi, :hi]
         scale = max(1.0, float(np.linalg.norm(img_k)))
-        inv_resid = float(np.linalg.norm(off)) / scale
+        inv_resid = float(np.linalg.norm(off_k)) / scale
         if inv_resid > TOL_INVARIANCE:
             raise InvarianceViolation(
                 f"ker T^{n} is not invariant under the operator "
@@ -346,17 +330,17 @@ def commutant_blocks(
             )
         inter = None
         if n >= 2:
-            A_n = tower.level(n).a_block
-            inter = float(np.abs(prev_x @ A_n - A_n @ x).max()) if A_n.size else 0.0
+            inter = float(np.abs(prev_x @ lv.a_block - lv.a_block @ x).max())
         levels.append(
             CommutantLevel(
                 n=n,
                 x_block=x,
-                y_block=y,
-                z_block=z,
+                y_block=B[:lo, lo:hi],
+                z_block=B[:lo, :lo],
                 upper_right_norm=ur_norm,
                 invariance_residual=inv_resid,
                 intertwine_residual=inter,
+                norm=float(np.linalg.svd(W[:, lo:hi], compute_uv=False)[0]),
             )
         )
         prev_x = x
@@ -395,10 +379,10 @@ def obstruction_certificate(
     layers and hence could not be compact.  Verdict "inconclusive"
     (r ~ 0) means this route says nothing about the given K.
     """
-    blocks = commutant_blocks(tower.operator, K, tower)
+    blocks = commutant_blocks(tower, K)
     x0 = blocks.level(tower.n0).x_block
     r = spectral_radius(Mat.from_numpy(x0)) if x0.size else 0.0
-    norms = {lv.n: restricted_norm(K, lv.h_basis) for lv in tower.levels}
+    norms = {lv.n: lv.norm for lv in blocks.levels}
     dims = tower.layer_dims()
     obstructed = (
         r > TOL_RADIUS
@@ -459,19 +443,18 @@ def augmented_pair_cohomology(
     Computed by splicing the augmentation sequence at one operator:
     with the induced actions of p(T) on ker T and on coker T,
     h0 = dim ker on ker T, h2 = dim coker on coker T, and h1 picks up
-    both complementary terms.  The reported index is always 0.
+    both complementary terms.  The reported index is always 0.  T must be
+    Fredholm (by its symbol, as in ``fredholm_index_banded``), else
+    PreconditionError.
     """
     coeffs = list(coeffs)
     if coeffs and not _is_zero_coeff(coeffs[0]):
         raise FormatError("polynomial must vanish at 0 (no constant term)")
-    ker = kernel_of_power(T, 1, win)
-    coker = kernel_of_power(T.adjoint(), 1, win)
+    idx = fredholm_index_banded(T, win)
     pT = T.poly(coeffs)
-    m0 = _compression(pT, ker.basis)
-    m1 = _compression(pT, coker.basis)
-    r0 = _float_matrix_rank(m0)
-    r1 = _float_matrix_rank(m1)
-    k, c = ker.dim, coker.dim
+    r0 = _float_matrix_rank(_compress(pT, idx.ker.basis)[1])
+    r1 = _float_matrix_rank(_compress(pT, idx.coker.basis)[1])
+    k, c = idx.dim_ker, idx.dim_coker
     h0 = k - r0
     h1 = (k - r0) + (c - r1)
     h2 = c - r1
@@ -482,13 +465,6 @@ def _is_zero_coeff(c) -> bool:
     from .scalars import as_scalar
 
     return as_scalar(c, EXACT).is_zero()
-
-
-def _compression(op: BandedOperator, basis: np.ndarray) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    img = op.apply(basis)
-    return _pad(basis, img.shape[0]).conj().T @ img
 
 
 def _float_matrix_rank(A: np.ndarray) -> int:

@@ -1,12 +1,8 @@
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
 from koszulkit.ell2 import make_catalog_operator
-from koszulkit.randgen import get_rng
+
+from randgen import get_rng
 
 
 @pytest.fixture

@@ -13,10 +13,10 @@ import os
 import random
 from fractions import Fraction
 
-from .koszul import CommutingTuple, validate_tuple
-from .linalg import Mat, mat_power, solve
-from .polymap import Polynomial, PolyMap
-from .scalars import EXACT, GaussianRational
+from koszulkit.koszul import CommutingTuple, validate_tuple
+from koszulkit.linalg import Mat, mat_power, solve
+from koszulkit.polymap import Polynomial, PolyMap
+from koszulkit.scalars import EXACT, GaussianRational
 
 DEFAULT_SEED = 20260810
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -231,18 +233,21 @@ def test_demo_byte_stability(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "koszulkit.cli", "demo", "theorem-1.1", "--format", "csv"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=os.environ | {"PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,dim_ker,dim_coker,index,exceeds"
 
 
 def test_tuple_round_trip(rng):
-    from koszulkit.randgen import random_commuting_tuple
+    from randgen import random_commuting_tuple
 
     T = random_commuting_tuple(rng, 3, 2)
     again = tuple_from_json(tuple_to_json(T))
@@ -271,7 +276,7 @@ def test_operator_bandwidth_validation():
 
 def test_les_checks_each_pair_once(tmp_path, monkeypatch):
     import koszulkit.koszul as kz
-    from koszulkit.randgen import get_rng, random_commuting_tuple
+    from randgen import get_rng, random_commuting_tuple
 
     inp = write(tmp_path, "t.json", tuple_to_json(random_commuting_tuple(get_rng(3), 3, 4)))
     calls = []
@@ -326,4 +331,47 @@ def _with_first_entry(entry):
 )
 def test_malformed_exact_scalars_are_format_errors(tmp_path, capsys, command, obj):
     assert main([command, "--input", write(tmp_path, "in.json", obj)]) == 2
+    assert "error[FormatError]" in capsys.readouterr().err
+
+
+def _with_first_matrix(**fields):
+    obj = json.loads(json.dumps(TUPLE_N0))
+    obj["matrices"][0].update(fields)
+    return obj
+
+
+_BAD_TUPLES = {
+    "rows-not-int": _with_first_matrix(rows="x"),
+    "entries-not-list": _with_first_matrix(entries=5),
+    "tuple-top-level-list": [TUPLE_N0],
+}
+_BAD_OPERATORS = {
+    "operator-top-level-list": [ASH],
+    "diagonals-not-list": {"diagonals": 5},
+    "prefix-not-list": {"diagonals": [{"offset": 1, "prefix": 5, "period": [["1", "0"]]}]},
+    "bandwidth-not-int": ASH | {"bandwidth": "x"},
+}
+_BAD_MAPS = {
+    "map-polynomial-not-list": [5],
+    "map-monomial-not-int": [[{"coeff": ["1", "0"], "monomial": ["x"]}]],
+}
+
+
+_MALFORMED = {
+    **{
+        f"{cmd}-{name}": (cmd, obj, None)
+        for name, obj in _BAD_TUPLES.items()
+        for cmd in ("cohomology", "les", "spectrum")
+    },
+    **{f"index-{name}": ("index", obj, None) for name, obj in _BAD_OPERATORS.items()},
+    **{f"spectrum-{name}": ("spectrum", TUPLE_N0, obj) for name, obj in _BAD_MAPS.items()},
+}
+
+
+@pytest.mark.parametrize("command, inp, pmap", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp, pmap):
+    argv = [command, "--input", write(tmp_path, "in.json", inp)]
+    if pmap is not None:
+        argv += ["--map", write(tmp_path, "map.json", pmap)]
+    assert main(argv) == 2
     assert "error[FormatError]" in capsys.readouterr().err

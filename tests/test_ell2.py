@@ -14,7 +14,6 @@ from koszulkit.ell2 import (
     kernel_of_power,
     kernels_of_powers,
     make_catalog_operator,
-    restricted_norm,
     symbol_winding,
     zero_op,
 )
@@ -279,22 +278,16 @@ def test_index_invariant_under_small_compact_diagonal(backward_shift):
     assert fredholm_index_banded(pert).index == 1
 
 
-# -- restricted norms ----------------------------------------------------------
+# -- images ---------------------------------------------------------------------
 
 
-def test_restricted_norm_identity_and_zero():
-    basis = np.zeros((4, 2), dtype=complex)
-    basis[0, 0] = 1.0
-    basis[2, 1] = 1.0
-    assert restricted_norm(identity_op(), basis) == pytest.approx(1.0)
-    assert restricted_norm(zero_op(), basis) == 0.0
-
-
-def test_restricted_norm_shifted_column(forward_shift):
+def test_apply_keeps_the_whole_image_of_a_shifted_column(forward_shift):
     K = identity_op().scale(2) + forward_shift
     e5 = np.zeros((6, 1), dtype=complex)
     e5[5, 0] = 1.0
-    assert restricted_norm(K, e5) == pytest.approx(np.sqrt(5.0), abs=1e-9)
+    img = K.apply(e5)
+    assert img.shape == (7, 1)
+    assert np.linalg.norm(img) == pytest.approx(np.sqrt(5.0), abs=1e-9)
 
 
 # -- serialization round trip ---------------------------------------------------

@@ -18,10 +18,10 @@ from koszulkit.koszul import (
     validate_tuple,
 )
 from koszulkit.linalg import Mat
-from koszulkit.randgen import get_rng, random_commuting_tuple, random_exact_matrix, random_poly_in
 from koszulkit.scalars import EXACT, GaussianRational
 
 from oracles import oracle_rank
+from randgen import get_rng, random_commuting_tuple, random_exact_matrix, random_poly_in
 
 N2 = Mat.from_rows([[0, 1], [0, 0]])
 

@@ -5,7 +5,6 @@ from koszulkit.errors import DeflationFailure, PreconditionError
 from koszulkit.koszul import validate_tuple
 from koszulkit.linalg import Mat, mat_power
 from koszulkit.polymap import Polynomial, PolyMap
-from koszulkit.randgen import random_commuting_tuple, random_poly_map
 from koszulkit.scalars import EXACT, GaussianRational
 from koszulkit.spectrum import (
     apply_poly_map,
@@ -14,6 +13,8 @@ from koszulkit.spectrum import (
     poly_map_invertibility_check,
     spectral_mapping_check,
 )
+
+from randgen import random_commuting_tuple, random_poly_map
 
 
 def diag(*vals):

@@ -14,7 +14,6 @@ from koszulkit.errors import (
     PreconditionError,
 )
 from koszulkit.linalg import Mat
-from koszulkit.randgen import get_rng, random_invertible_pair
 from koszulkit.tower import (
     augmented_pair_cohomology,
     commutant_blocks,
@@ -23,6 +22,8 @@ from koszulkit.tower import (
     kernel_tower,
     obstruction_certificate,
 )
+
+from randgen import get_rng, random_invertible_pair
 
 
 # -- kernel towers ------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_two_dimensional_layers_obstruction(backward_shift):
     assert cert.verdict == "obstructed"
     assert cert.r == pytest.approx(2.0, abs=1e-8)
     tw = kernel_tower(T2, 10)
-    blocks = commutant_blocks(T2, K, tw)
+    blocks = commutant_blocks(tw, K)
     x = blocks.level(4).x_block
     assert np.allclose(np.sort(np.abs([x[0, 0], x[1, 1]])), [2.0, 2.0], atol=1e-8)
     assert blocks.similarity_certified
@@ -128,7 +129,7 @@ def test_tower_block_decomposition_reconstructs_the_operator(backward_shift):
 
 def test_identity_commutant(backward_shift):
     tw = kernel_tower(backward_shift, 8)
-    blocks = commutant_blocks(backward_shift, identity_op(), tw)
+    blocks = commutant_blocks(tw, identity_op())
     for lv in blocks.levels:
         assert np.allclose(lv.x_block, np.eye(lv.x_block.shape[0]), atol=1e-10)
     assert blocks.similarity_certified
@@ -137,7 +138,7 @@ def test_identity_commutant(backward_shift):
 def test_shifted_identity_commutant(backward_shift):
     tw = kernel_tower(backward_shift, 12)
     S = identity_op().scale(2) + backward_shift
-    blocks = commutant_blocks(backward_shift, S, tw)
+    blocks = commutant_blocks(tw, S)
     for lv in blocks.levels:
         assert lv.x_block.shape == (1, 1)
         assert abs(lv.x_block[0, 0] - 2.0) <= 1e-9
@@ -148,7 +149,7 @@ def test_shifted_identity_commutant(backward_shift):
 
 def test_backward_shift_self_commutant(backward_shift):
     tw = kernel_tower(backward_shift, 8)
-    blocks = commutant_blocks(backward_shift, backward_shift, tw)
+    blocks = commutant_blocks(tw, backward_shift)
     for lv in blocks.levels:
         assert abs(lv.x_block[0, 0]) <= 1e-10
 
@@ -156,7 +157,7 @@ def test_backward_shift_self_commutant(backward_shift):
 def test_commutant_rejects_noncommuting(backward_shift, forward_shift):
     tw = kernel_tower(backward_shift, 6)
     with pytest.raises(NonCommuting):
-        commutant_blocks(backward_shift, forward_shift, tw)
+        commutant_blocks(tw, forward_shift)
 
 
 def test_similarity_chain_for_polynomials(backward_shift):
@@ -165,7 +166,7 @@ def test_similarity_chain_for_polynomials(backward_shift):
     for _ in range(6):
         coeffs = [rng.randint(-3, 3) for _ in range(4)]
         S = backward_shift.poly(coeffs)
-        blocks = commutant_blocks(backward_shift, S, tw)
+        blocks = commutant_blocks(tw, S)
         ref = blocks.charpoly_reference
         for n, diff in blocks.charpoly_max_diff.items():
             assert diff <= 1e-8
@@ -217,7 +218,7 @@ def test_obstruction_certificate_carries_the_commutant_blocks(backward_shift):
     K = identity_op().scale(2) + backward_shift
     tw = kernel_tower(backward_shift, 8)
     cert = obstruction_certificate(tw, K)
-    direct = commutant_blocks(backward_shift, K, tw)
+    direct = commutant_blocks(tw, K)
     for n in range(1, tw.depth + 1):
         assert np.array_equal(cert.blocks.level(n).x_block, direct.level(n).x_block)
 
@@ -232,6 +233,31 @@ def test_obstruction_inconclusive_for_zero(backward_shift):
     cert = obstruction_certificate(kernel_tower(backward_shift, 8), zero_op())
     assert cert.verdict == "inconclusive"
     assert cert.r == 0.0
+
+
+def test_layer_norms_of_identity_and_zero(backward_shift):
+    tw = kernel_tower(backward_shift.power(2), 6)
+    ones = obstruction_certificate(tw, identity_op()).norms
+    zeros = obstruction_certificate(tw, zero_op()).norms
+    for n in range(1, 7):
+        assert ones[n] == pytest.approx(1.0)
+        assert zeros[n] == 0.0
+
+
+def test_tower_and_certificate_apply_each_operator_once(backward_shift, monkeypatch, tmp_path):
+    from koszulkit.cli import main
+    from koszulkit.ell2 import BandedOperator
+
+    calls = []
+    real = BandedOperator.apply
+    monkeypatch.setattr(BandedOperator, "apply", lambda op, v: calls.append(1) or real(op, v))
+    tw = kernel_tower(backward_shift, 12)
+    assert len(calls) == 1
+    obstruction_certificate(tw, identity_op().scale(2) + backward_shift)
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["demo", "theorem-2.1", "--out", str(tmp_path / "d.json")]) == 0
+    assert len(calls) == 4  # one tower, three perturbations
 
 
 def test_obstruction_monotone_in_depth(backward_shift):
@@ -297,6 +323,12 @@ def test_pair_cohomology_zero_polynomial(backward_shift):
         rep = augmented_pair_cohomology(T, [0])
         assert rep.dims == (k, k, 0)
         assert rep.index == 0
+
+
+def test_pair_cohomology_needs_a_fredholm_operator(backward_shift):
+    # S* - I has symbol 1/z - 1, which vanishes at z = 1
+    with pytest.raises(PreconditionError):
+        augmented_pair_cohomology(backward_shift - identity_op(), [0, 1])
 
 
 def test_pair_cohomology_needs_vanishing_constant(backward_shift):
