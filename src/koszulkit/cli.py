@@ -232,35 +232,20 @@ def _load_scenario(name: str, override: str | None):
 
 
 def _cmd_demo(args: argparse.Namespace) -> dict:
-    scenario = _load_scenario(args.name, args.input)
-    kind = scenario.get("demo")
-    if kind == "growth":
-        T = jsonio.operator_from_json(scenario["operator"])
-        powers = tuple(scenario.get("powers", list(range(1, 11))))
-        bound = int(scenario.get("rank_bound", args.rank_bound))
-        table = growth_table(T, powers, bound, _window(args))
-        return {
-            "command": "demo",
-            "demo": args.name,
-            "description": scenario.get("description", ""),
-        } | _growth_rows(table)
-    if kind == "obstruction":
-        T = jsonio.operator_from_json(scenario["operator"])
-        max_level = int(scenario.get("max_level", args.max_level))
-        tw = kernel_tower(T, max_level, _window(args))
-        cases = []
-        for case in scenario.get("perturbations", []):
-            K = jsonio.operator_from_json(case["operator"])
-            cases.append({"name": case.get("name", "?")} | _obstruct_case(tw, K))
-        pair = scenario.get("pair_note", "")
-        return {
-            "command": "demo",
-            "demo": args.name,
-            "description": scenario.get("description", ""),
-            "pair_note": pair,
-            "cases": cases,
-        }
-    raise FormatError(f"scenario file has unknown demo kind {kind!r}")
+    scenario = jsonio.scenario_from_json(_load_scenario(args.name, args.input))
+    T = scenario["operator"]
+    head = {
+        "command": "demo",
+        "demo": args.name,
+        "description": scenario.get("description", ""),
+    }
+    if scenario["demo"] == "growth":
+        powers = scenario.get("powers", tuple(range(1, 11)))
+        bound = scenario.get("rank_bound", args.rank_bound)
+        return head | _growth_rows(growth_table(T, powers, bound, _window(args)))
+    tw = kernel_tower(T, scenario.get("max_level", args.max_level), _window(args))
+    cases = [{"name": name} | _obstruct_case(tw, K) for name, K in scenario["perturbations"]]
+    return head | {"pair_note": scenario.get("pair_note", ""), "cases": cases}
 
 
 # -- driver ---------------------------------------------------------------

@@ -505,22 +505,25 @@ def kernel_of_power(
     return kernels_of_powers(T, (m,), win)[0]
 
 
-def kernels_of_powers(
-    T: BandedOperator, powers, win: TruncationWindow | None = None
-) -> list:
-    """Certified kernels of T^m for every m in ``powers``, in that order.
-
-    The powers are built incrementally, T^m = T^(m-1) * T, walking once
-    through the sorted distinct m; each kernel is certified exactly as
-    by ``kernel_of_power``.
-    """
-    powers = list(powers)
-    kernels = {}
+def iter_kernels_of_powers(T: BandedOperator, powers, win: TruncationWindow | None = None):
+    """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``,
+    each certified as by ``kernel_of_power``.  The walk is lazy and builds
+    T^m = T^(m-1) * T only when asked, so a caller that stops early never
+    builds or certifies the higher powers."""
     Tm, k = identity_op(), 0
     for m in sorted(set(powers)):
         while k < m:
             Tm, k = Tm * T, k + 1
-        kernels[m] = _stabilized_kernel(Tm, m * T.bandwidth, win)
+        yield m, _stabilized_kernel(Tm, m * T.bandwidth, win)
+
+
+def kernels_of_powers(
+    T: BandedOperator, powers, win: TruncationWindow | None = None
+) -> list:
+    """Certified kernels of T^m for every m in ``powers``, in that order,
+    from one walk of ``iter_kernels_of_powers``."""
+    powers = list(powers)
+    kernels = dict(iter_kernels_of_powers(T, powers, win))
     return [kernels[m] for m in powers]
 
 

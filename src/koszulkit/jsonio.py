@@ -1,4 +1,4 @@
-"""File formats: matrices, tuples, operators, polynomial maps, reports.
+"""File formats: matrices, tuples, operators, demo scenarios, maps, reports.
 
 Matrix literals are ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``
 row-major, where re/im are strings like "3/4" in exact mode and plain
@@ -26,6 +26,13 @@ def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise FormatError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
     return value
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} must be an integer, got {value!r}") from exc
 
 
 # -- scalars ------------------------------------------------------------
@@ -120,10 +127,7 @@ def operator_from_json(obj) -> BandedOperator:
     diags = []
     for d in _expect(obj.get("diagonals", []), list, "diagonals"):
         d = _expect(d, dict, "diagonal")
-        try:
-            offset = int(d["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError("diagonal needs an integer offset") from exc
+        offset = _as_int(d.get("offset"), "diagonal offset")
         prefix = _expect(d.get("prefix", []), list, "prefix")
         period = _expect(d.get("period", [0]), list, "period")
         diags.append(
@@ -133,12 +137,8 @@ def operator_from_json(obj) -> BandedOperator:
                 tuple(parse_scalar(v, EXACT) for v in period),
             )
         )
-    declared = obj.get("bandwidth")
-    if declared is not None:
-        try:
-            declared = int(declared)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bandwidth must be an integer, got {declared!r}") from exc
+    if obj.get("bandwidth") is not None:
+        declared = _as_int(obj["bandwidth"], "bandwidth")
         actual = max((abs(d.offset) for d in diags), default=0)
         if actual > declared:
             raise FormatError(
@@ -163,6 +163,27 @@ def operator_to_json(op: BandedOperator) -> dict:
         ],
     }
     out["patch"] = mat_to_json(op.patch) if op.patch is not None else None
+    return out
+
+
+# -- demo scenarios --------------------------------------------------------
+
+
+def scenario_from_json(obj) -> dict:
+    """A demo scenario with its kind checked, its operators parsed, its
+    optional integer fields (absent ones stay absent) checked, and
+    ``perturbations`` as a list of (name, operator) pairs."""
+    obj = _expect(obj, dict, "scenario file")
+    if obj.get("demo") not in ("growth", "obstruction"):
+        raise FormatError(f"scenario file has unknown demo kind {obj.get('demo')!r}")
+    out = dict(obj, operator=operator_from_json(obj.get("operator")))
+    out.update({k: _as_int(obj[k], k) for k in ("rank_bound", "max_level") if k in obj})
+    if "powers" in obj:
+        out["powers"] = tuple(_as_int(m, "power") for m in _expect(obj["powers"], list, "powers"))
+    out["perturbations"] = [
+        (_expect(c, dict, "perturbation").get("name", "?"), operator_from_json(c.get("operator")))
+        for c in _expect(obj.get("perturbations", []), list, "perturbations")
+    ]
     return out
 
 

@@ -149,6 +149,18 @@ class Mat:
             return Mat(self.rows, self.cols, tuple(s * a for a in self._ex), EXACT)
         return Mat(self.rows, self.cols, s * self._fl, FLOAT)
 
+    def minus_scalar(self, c) -> "Mat":
+        """self - c I for square self, subtracting c on the diagonal only."""
+        if self.rows != self.cols:
+            raise ShapeError("scalar shift of a non-square matrix")
+        s = as_scalar(c, self.mode)
+        if self.mode == FLOAT:
+            return Mat(self.rows, self.cols, self._fl - s * np.eye(self.rows), FLOAT)
+        ent = list(self._ex)
+        for i in range(0, len(ent), self.cols + 1):
+            ent[i] = ent[i] - s
+        return Mat(self.rows, self.cols, ent, EXACT)
+
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_mode(other)
         if self.cols != other.rows:

@@ -7,6 +7,11 @@ by (real part, imaginary part)), compress the remaining operators onto
 each invariant subspace, and recurse.  Total multiplicity always equals
 the space dimension.
 
+Each generalized eigenspace ker (A - lam I)^d is the kernel chain
+ker B c ker B^2 c ... of B = A - lam I stopped at its ascent, the first
+power whose kernel does not grow, so a spurious candidate costs one
+elimination and a semisimple eigenvalue one product.
+
 Exact mode requires the eigenvalues to be Gaussian rationals: candidate
 values are extracted in floating point, snapped to small rationals, and
 then every candidate is verified exactly (its generalized eigenspace is
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import DeflationFailure, PreconditionError
 from .koszul import CommutingTuple, cohomology, validate_tuple
-from .linalg import Mat, kernel_basis, mat_power, solve
+from .linalg import Mat, kernel_basis, solve
 from .polymap import PolyMap
 from .scalars import EXACT, FLOAT, GaussianRational, scalar_to_complex
 
@@ -99,6 +104,22 @@ def _compress(mats, E: Mat, tol=None):
     return out
 
 
+def _generalized_eigenspace(A: Mat, lam, tol=None) -> Mat:
+    """Basis of ker B^d, B = A - lam I and d = dim A, from the kernel
+    chain of B stopped at its ascent; in exact mode the same matrix as
+    ``kernel_basis(mat_power(B, d))``, as that basis depends only on the
+    kernel."""
+    B = A.minus_scalar(lam)
+    E, P = kernel_basis(B, tol), B
+    while 0 < E.cols < A.rows:
+        P = P @ B
+        F = kernel_basis(P, tol)
+        if F.cols == E.cols:
+            break
+        E = F
+    return E
+
+
 def _joint_points(mats, dim: int, mode: str):
     if not mats:
         return [((), dim)]
@@ -108,18 +129,15 @@ def _joint_points(mats, dim: int, mode: str):
         cands = _exact_eig_candidates(A)
     else:
         cands = _float_eig_clusters(A, DEFLATION_TOL * scale)
+    tol = DEFLATION_TOL if mode == FLOAT else None
     pts = []
     total = 0
     for lam in cands:
-        if mode == EXACT:
-            shift = A - Mat.identity(dim, EXACT).scale(lam)
-        else:
-            shift = A - Mat.identity(dim, FLOAT).scale(complex(lam))
-        E = kernel_basis(mat_power(shift, dim), DEFLATION_TOL if mode == FLOAT else None)
+        E = _generalized_eigenspace(A, lam, tol)
         e = E.cols
         if e == 0:
             continue
-        rest = _compress(mats[1:], E, DEFLATION_TOL if mode == FLOAT else None)
+        rest = _compress(mats[1:], E, tol)
         for tail, mult in _joint_points(rest, e, mode):
             pts.append(((lam,) + tail, mult))
         total += e
@@ -180,9 +198,7 @@ def spectral_mapping_check(f: PolyMap, T: CommutingTuple, tol: float) -> bool:
 
 def point_in_spectrum(T: CommutingTuple, z) -> bool:
     """Whether z lies in the joint spectrum, decided via cohomology of z - T."""
-    shifted = [
-        Mat.identity(T.d, T.mode).scale(zi) - M for zi, M in zip(z, T.matrices)
-    ]
+    shifted = [-M.minus_scalar(zi) for zi, M in zip(z, T.matrices)]
     return not cohomology(validate_tuple(shifted)).invertible
 
 

@@ -48,6 +48,7 @@ from .ell2 import (
     TruncationWindow,
     _fix_phases,
     fredholm_index_banded,
+    iter_kernels_of_powers,
     kernels_of_powers,
 )
 from .koszul import cohomology, validate_tuple
@@ -179,9 +180,11 @@ def kernel_tower(
     """Layers H_n = ker T^n (-) ker T^(n-1) with compressions and n0.
 
     T must be Fredholm (by its symbol) with strictly positive certified index
-    (pass the adjoint to flip a negative index).  Layer bases come from
-    modified Gram-Schmidt of each kernel against the accumulated lower
-    kernels, re-orthogonalized once.
+    (pass the adjoint to flip a negative index).  The kernels of the powers
+    are walked lazily and the walk stops (NotStabilized) at the first one
+    no larger than the one before, so no higher power is built.  Layer
+    bases come from modified Gram-Schmidt of each kernel against the
+    accumulated lower kernels, re-orthogonalized once.
     """
     idx = fredholm_index_banded(T, win)
     if idx.index <= 0:
@@ -189,7 +192,15 @@ def kernel_tower(
             f"kernel tower needs index > 0, got {idx.index}; "
             "apply it to the adjoint instead"
         )
-    kernels = [idx.ker, *kernels_of_powers(T, range(2, max_depth + 1), win)]
+    kernels = [idx.ker]
+    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), win):
+        if kn.dim <= kernels[-1].dim:
+            raise NotStabilized(
+                f"kernel dimensions decreased between powers {n - 1} and {n}"
+                if kn.dim < kernels[-1].dim
+                else f"layer {n} vanished although the index is positive; window too small"
+            )
+        kernels.append(kn)
     L = max(k.basis.shape[0] for k in kernels)
     acc = np.zeros((L, 0), dtype=complex)
     layers = []
@@ -199,15 +210,6 @@ def kernel_tower(
         V = Kb - acc @ (acc.conj().T @ Kb)
         V = V - acc @ (acc.conj().T @ V)
         h_expected = kn.dim - prev_kdim
-        if h_expected < 0:
-            raise NotStabilized(
-                f"kernel dimensions decreased between powers {n - 1} and {n}"
-            )
-        if h_expected == 0:  # n >= 2, since the index makes ker T nonzero
-            raise NotStabilized(
-                f"layer {n} vanished although the index is positive; "
-                "window too small"
-            )
         u, s, _ = np.linalg.svd(V)
         if s.size < h_expected or s[h_expected - 1] <= TOL_LAYER:
             raise NotStabilized(

@@ -355,6 +355,23 @@ _BAD_MAPS = {
     "map-polynomial-not-list": [5],
     "map-monomial-not-int": [[{"coeff": ["1", "0"], "monomial": ["x"]}]],
 }
+GROWTH = {"demo": "growth", "operator": ASH, "powers": [1, 2, 3], "rank_bound": 4}
+OBSTRUCTION = {
+    "demo": "obstruction",
+    "operator": ASH,
+    "max_level": 6,
+    "perturbations": [{"name": "T", "operator": ASH}],
+}
+_BAD_SCENARIOS = {
+    "scenario-top-level-list": [OBSTRUCTION],
+    "perturbations-not-list": OBSTRUCTION | {"perturbations": 5},
+    "perturbation-not-object": OBSTRUCTION | {"perturbations": [5]},
+    "max-level-not-int": OBSTRUCTION | {"max_level": "x"},
+    "rank-bound-not-int": GROWTH | {"rank_bound": "x"},
+    "power-not-int": GROWTH | {"powers": [1, "x"]},
+    "scenario-without-operator": {"demo": "growth"},
+    "scenario-unknown-kind": GROWTH | {"demo": "spiral"},
+}
 
 
 _MALFORMED = {
@@ -365,12 +382,20 @@ _MALFORMED = {
     },
     **{f"index-{name}": ("index", obj, None) for name, obj in _BAD_OPERATORS.items()},
     **{f"spectrum-{name}": ("spectrum", TUPLE_N0, obj) for name, obj in _BAD_MAPS.items()},
+    **{f"demo-{name}": ("demo theorem-2.1", obj, None) for name, obj in _BAD_SCENARIOS.items()},
 }
+
+
+@pytest.mark.parametrize("scenario", [GROWTH, OBSTRUCTION], ids=["growth", "obstruction"])
+def test_well_formed_demo_scenarios_run(tmp_path, scenario):
+    code, data = run_cli(["demo", "custom", "--input", write(tmp_path, "s.json", scenario)], tmp_path)
+    assert code == 0
+    assert json.loads(data)["demo"] == "custom"
 
 
 @pytest.mark.parametrize("command, inp, pmap", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp, pmap):
-    argv = [command, "--input", write(tmp_path, "in.json", inp)]
+    argv = [*command.split(), "--input", write(tmp_path, "in.json", inp)]
     if pmap is not None:
         argv += ["--map", write(tmp_path, "map.json", pmap)]
     assert main(argv) == 2

@@ -3,10 +3,12 @@ import pytest
 
 from koszulkit.errors import DeflationFailure, PreconditionError
 from koszulkit.koszul import validate_tuple
-from koszulkit.linalg import Mat, mat_power
+from koszulkit.linalg import Mat, kernel_basis, mat_power, solve
 from koszulkit.polymap import Polynomial, PolyMap
 from koszulkit.scalars import EXACT, GaussianRational
+import koszulkit.spectrum as spectrum_module
 from koszulkit.spectrum import (
+    _generalized_eigenspace,
     apply_poly_map,
     joint_spectrum,
     point_in_spectrum,
@@ -14,7 +16,7 @@ from koszulkit.spectrum import (
     spectral_mapping_check,
 )
 
-from randgen import random_commuting_tuple, random_poly_map
+from randgen import get_rng, random_commuting_tuple, random_poly_map, random_unimodular
 
 
 def diag(*vals):
@@ -100,6 +102,96 @@ def test_deflation_failure_on_irrational_eigenvalues():
     T = validate_tuple([Mat.from_rows([[0, 2], [1, 0]])])
     with pytest.raises(DeflationFailure):
         joint_spectrum(T)
+
+
+# -- generalized eigenspaces from the kernel chain ------------------------------
+
+
+LAM = GaussianRational(1, 3)
+MU = GaussianRational(-2)
+
+
+def _conjugated(rows, seed=11):
+    d = len(rows)
+    P = random_unimodular(get_rng(seed), d)
+    return P @ Mat.from_rows(rows) @ solve(P, Mat.identity(d))
+
+
+def _jordan_plus(d, k, rest):
+    """LAM I with k - 1 ones above the diagonal of its leading k x k block,
+    and ``rest`` on the rest of the diagonal: A - LAM I has nilpotency
+    index k on the generalized eigenspace of LAM."""
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = LAM if i < k else rest
+        if i + 1 < k:
+            rows[i][i + 1] = 1
+    return rows
+
+
+def _diag_rows(*vals):
+    return [[v if i == j else 0 for j, _ in enumerate(vals)] for i, v in enumerate(vals)]
+
+
+def _chain_cases():
+    for d in range(1, 7):
+        for k in range(1, d + 1):
+            yield _jordan_plus(d, k, LAM)
+            yield _jordan_plus(d, k, MU)
+        yield _diag_rows(*([LAM, MU, 2] * 2)[:d])
+
+
+@pytest.mark.parametrize("rows", list(_chain_cases()))
+def test_kernel_chain_equals_kernel_of_the_full_power(rows):
+    A = _conjugated(rows)
+    d = A.rows
+    for lam in (LAM, MU, GaussianRational(2), GaussianRational(7, 2)):
+        B = A - Mat.identity(d).scale(lam)
+        assert _generalized_eigenspace(A, lam) == kernel_basis(mat_power(B, d))
+
+
+def _count_square_products(monkeypatch):
+    calls = []
+    real = Mat.__matmul__
+
+    def counted(self, other):
+        if self.rows == self.cols == other.rows == other.cols:
+            calls.append(self.rows)
+        return real(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    return calls
+
+
+def test_spurious_candidate_costs_no_product(monkeypatch):
+    A = _conjugated(_jordan_plus(5, 3, MU))
+    calls = _count_square_products(monkeypatch)
+    E = _generalized_eigenspace(A, GaussianRational(7, 2))
+    assert E.cols == 0 and E.rows == 5
+    assert calls == []
+
+
+def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
+    # the first operator is never scalar, so every square product is a
+    # chain product: the compressions multiply by a basis with fewer columns
+    half, third = GaussianRational(-1, 2), GaussianRational(1, 3)
+    T = validate_tuple(
+        [_conjugated(_diag_rows(1, 1, 2, 2, half, half)), _conjugated(_diag_rows(0, 1, 0, third, 0, 2))]
+    )
+    candidates = []
+    real = spectrum_module._exact_eig_candidates
+
+    def recorded(A):
+        out = real(A)
+        candidates.extend(out)
+        return out
+
+    monkeypatch.setattr(spectrum_module, "_exact_eig_candidates", recorded)
+    calls = _count_square_products(monkeypatch)
+    s = joint_spectrum(T)
+    assert len(s.points) == 6 and all(p.multiplicity == 1 for p in s.points)
+    assert len(candidates) == 9
+    assert len(calls) <= len(candidates)
 
 
 # -- polynomial calculus -----------------------------------------------------

@@ -76,6 +76,28 @@ def test_shallow_tower_not_stabilized(backward_shift):
         kernel_tower(backward_shift, 3)
 
 
+@pytest.mark.parametrize("k", [2, 5])
+def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatch, k):
+    # a healthy operator whose kernel dimension is made to stop growing at
+    # power k: the walk must fail there and never ask for power k + 1
+    import koszulkit.ell2 as ell2
+
+    real, requested, seen = ell2._stabilized_kernel, [], {}
+
+    def capped(Tm, reach, win):
+        requested.append(reach)  # reach = m * bandwidth, and S* has bandwidth 1
+        if reach >= k:
+            return seen[k - 1]
+        out = real(Tm, reach, win)
+        seen.setdefault(reach, out)  # ker T comes before ker T* at reach 1
+        return out
+
+    monkeypatch.setattr(ell2, "_stabilized_kernel", capped)
+    with pytest.raises(NotStabilized, match=f"layer {k} vanished"):
+        kernel_tower(backward_shift, 12)
+    assert max(requested) == k
+
+
 def test_tower_with_shrinking_layers():
     # adjoint of a weighted shift with one dead weight: ker has dim 2 at
     # level 1, then the layers settle to dim 1, so the plateau detector
