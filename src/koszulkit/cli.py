@@ -13,6 +13,7 @@ index sign, zero index, non-invertible pair).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -65,8 +66,12 @@ def _parse_powers(text: str) -> tuple:
     text = text.strip()
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p)
+        powers = tuple(range(int(lo), int(hi) + 1))
+    else:
+        powers = tuple(int(p) for p in text.split(",") if p)
+    if not powers or min(powers) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: need one or more powers m >= 0")
+    return powers
 
 
 def _complex_pair(z: complex):
@@ -217,8 +222,7 @@ def _growth_rows(table) -> dict:
 
 def _cmd_growth(args: argparse.Namespace) -> dict:
     op = jsonio.operator_from_json(_load_json(args.input))
-    powers = args.powers or tuple(range(1, 11))
-    table = growth_table(op, powers, args.rank_bound, _window(args))
+    table = growth_table(op, args.powers, args.rank_bound, _window(args))
     return {"command": "growth"} | _growth_rows(table)
 
 
@@ -259,7 +263,7 @@ _FLAGS = {
     "--window": {"type": int, "help": "section size N"},
     "--guard": {"type": int, "help": "guard band G"},
     "--max-level": {"type": int, "default": 12},
-    "--powers": {"type": _parse_powers, "default": (), "help": "a:b range or comma list"},
+    "--powers": {"type": _parse_powers, "default": tuple(range(1, 11)), "help": "a:b range or comma list"},
     "--rank-bound": {"type": int, "default": 4},
 }
 
@@ -275,7 +279,11 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every
+    ``main`` call: each ``parse_args`` returns a fresh Namespace, and a
+    usage error exits without changing the parser."""
     p = argparse.ArgumentParser(
         prog="koszulkit",
         description="Koszul cohomology, joint spectra, certified shift-algebra "
@@ -298,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; in-process callers share ``build_parser()``'s
+    parser, so only the first call in a process builds it."""
     args = build_parser().parse_args(argv)
     try:
         report = args.run(args)

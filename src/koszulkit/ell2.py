@@ -166,15 +166,12 @@ class BandedOperator:
         """Complex truncation to the first ``rows`` x ``cols`` coordinates."""
         A = np.zeros((rows, cols), dtype=complex)
         for d in self.diagonals:
-            o = d.offset
-            if o >= 0:
-                count = min(rows, cols - o)
-                for t in range(max(count, 0)):
-                    A[t, t + o] = d.value(t).to_complex()
-            else:
-                count = min(cols, rows + o)
-                for t in range(max(count, 0)):
-                    A[t - o, t] = d.value(t).to_complex()
+            o, pre = d.offset, len(d.prefix)
+            t = np.arange(max(min(rows, cols - o) if o >= 0 else min(cols, rows + o), 0))
+            # entry t is prefix[t], then period[(t - pre) % len(period)]
+            idx = np.where(t < pre, t, pre + (t - pre) % len(d.period))
+            vals = np.array([v.to_complex() for v in d.prefix + d.period], dtype=complex)
+            A[t + max(-o, 0), t + max(o, 0)] = vals[idx]
         if self.patch is not None:
             pr = min(self.patch.rows, rows)
             pc = min(self.patch.cols, cols)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormatError, ShapeError
-from .linalg import Mat, mat_power
+from .linalg import Mat
 from .scalars import EXACT, GaussianRational, as_scalar
 
 
@@ -116,17 +116,20 @@ class Polynomial:
         d = mats[0].rows
         mode = mats[0].mode
         cache = power_cache if power_cache is not None else {}
+
+        def power(v, k):
+            # mats[v]^k from the cached mats[v]^(k - 1): one product per new power
+            if (v, k) not in cache:
+                cache[v, k] = mats[v] if k == 1 else power(v, k - 1) @ mats[v]
+            return cache[v, k]
+
         out = Mat.zeros(d, d, mode)
         for expo, coeff in self.terms:
-            term = Mat.identity(d, mode)
-            for v, k in zip(range(self.nvars), expo):
-                if k == 0:
-                    continue
-                key = (v, k)
-                if key not in cache:
-                    cache[key] = mat_power(mats[v], k)
-                term = term @ cache[key]
-            out = out + term.scale(coeff)
+            term = None
+            for v, k in enumerate(expo):
+                if k:
+                    term = power(v, k) if term is None else term @ power(v, k)
+            out = out + (Mat.identity(d, mode) if term is None else term).scale(coeff)
         return out
 
     def substitute(self, args) -> "Polynomial":

@@ -415,10 +415,12 @@ def growth_table(
     spaces stops being an isomorphism as soon as a dimension exceeds the
     bound; the `exceeds` column marks where that happens.
     """
+    powers = list(powers)
+    if not powers or min(powers) < 0:
+        raise FormatError(f"growth table needs powers m >= 0, got {powers}")
     base = fredholm_index_banded(T, win)
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
-    powers = list(powers)
     higher = [m for m in powers if m != 1]
     kers = {1: base.ker} | dict(zip(higher, kernels_of_powers(T, higher, win)))
     cokers = {1: base.coker} | dict(zip(higher, kernels_of_powers(T.adjoint(), higher, win)))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -195,6 +196,61 @@ def test_reports_are_byte_stable(tmp_path):
     assert g1 == g2
 
 
+@pytest.mark.parametrize("powers", ["3:1", "-1", "2,-1", ",", ""])
+def test_growth_refuses_empty_or_negative_powers(tmp_path, capsys, powers):
+    ash = write(tmp_path, "a.json", ASH)
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--input", ash, "--powers", powers])
+    assert exc.value.code == 2
+    assert "argument --powers" in capsys.readouterr().err
+
+
+def test_growth_keeps_power_zero_and_repeated_powers(tmp_path):
+    ash = write(tmp_path, "a.json", ASH)
+    code, data = run_cli(["growth", "--input", ash, "--powers", "0,2,2"], tmp_path)
+    assert code == 0
+    rows = json.loads(data)["rows"]
+    assert [(r["m"], r["dim_ker"], r["dim_coker"]) for r in rows] == [(0, 0, 0), (2, 2, 0), (2, 2, 0)]
+
+
+def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):
+    inp = write(tmp_path, "t.json", TUPLE_N0)
+    assert run_cli(["cohomology", "--input", inp], tmp_path, "warm.json")[0] == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(["cohomology", "--input", inp], tmp_path, "again.json")[0] == 0
+    assert built == []
+
+
+def test_one_process_carries_no_state_between_calls(tmp_path, capsys):
+    ash = write(tmp_path, "a.json", ASH)
+    # a non-default --max-level does not stick
+    assert main(["tower", "--input", ash, "--max-level", "3"]) == 3
+    capsys.readouterr()
+    assert main(["tower", "--input", ash]) == 0
+    assert len(json.loads(capsys.readouterr().out)["levels"]) == 12
+    # nor does --format csv
+    assert main(["growth", "--input", ash, "--powers", "1:3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("m,dim_ker")
+    assert main(["growth", "--input", ash, "--powers", "1:3"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "growth"
+    # a usage error leaves the next call as a fresh process would run it
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--input", ash, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["index", "--input", ash]) == 0
+    fresh = fresh_process(["index", "--input", ash])
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
+
+
 def test_growth_csv_header(tmp_path):
     ash = write(tmp_path, "a.json", ASH)
     _, data = run_cli(
@@ -232,16 +288,21 @@ def test_demo_byte_stability(tmp_path):
     assert a == b
 
 
-def test_console_entry_point(tmp_path):
+def fresh_process(args):
+    """Run the CLI in a new interpreter, as a shell user would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "koszulkit.cli", "demo", "theorem-1.1", "--format", "csv"],
+    return subprocess.run(
+        [sys.executable, "-m", "koszulkit.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,
         env=os.environ | {"PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(tmp_path):
+    proc = fresh_process(["demo", "theorem-1.1", "--format", "csv"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "m,dim_ker,dim_coker,index,exceeds"
 
@@ -369,6 +430,8 @@ _BAD_SCENARIOS = {
     "max-level-not-int": OBSTRUCTION | {"max_level": "x"},
     "rank-bound-not-int": GROWTH | {"rank_bound": "x"},
     "power-not-int": GROWTH | {"powers": [1, "x"]},
+    "powers-empty": GROWTH | {"powers": []},
+    "power-negative": GROWTH | {"powers": [1, -1]},
     "scenario-without-operator": {"demo": "growth"},
     "scenario-unknown-kind": GROWTH | {"demo": "spiral"},
 }

@@ -197,6 +197,19 @@ def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
 # -- polynomial calculus -----------------------------------------------------
 
 
+def test_eval_matrices_makes_one_product_per_new_power(monkeypatch):
+    A = Mat.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    square, cube = A @ A, A @ A @ A
+    cache = {}
+    calls = _count_square_products(monkeypatch)
+    # x^2 + 5: A^2 is the only product, the constant term is 5 I
+    assert p1([((2,), 1), ((0,), 5)]).eval_matrices([A], cache) == square + Mat.identity(3).scale(5)
+    assert len(calls) == 1
+    # x^3 with the same cache: A^3 from the cached A^2
+    assert p1([((3,), 1)]).eval_matrices([A], cache) == cube
+    assert len(calls) == 2
+
+
 def test_apply_identity_map_returns_same_matrices():
     T = validate_tuple([diag(1, 2), diag(3, 4)])
     out = apply_poly_map(PolyMap.identity(2), T)
