@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .ell2 import DEFAULT_G, DEFAULT_N, TruncationWindow, fredholm_index_banded
+from .ell2 import DEFAULT_G, TruncationWindow, fredholm_index_banded
 from .koszul import augment_les, cohomology, validate_tuple
 from .scalars import EXACT
 from .spectrum import apply_poly_map, joint_spectrum
@@ -55,11 +55,9 @@ def _load_json(path: str):
 
 
 def _window(args: argparse.Namespace):
-    if args.window is None and args.guard is None:
-        return None
-    N = args.window if args.window is not None else DEFAULT_N
-    G = args.guard if args.guard is not None else DEFAULT_G
-    return TruncationWindow(N, G)
+    if args.window is None:
+        return None if args.guard is None else TruncationWindow.for_guard(args.guard)
+    return TruncationWindow(args.window, args.guard if args.guard is not None else DEFAULT_G)
 
 
 def _parse_powers(text: str) -> tuple:

@@ -1,12 +1,13 @@
 """Banded, eventually periodic operators on l2(N) with certified sections.
 
 An operator is stored as finitely many diagonals, each given by a finite
-prefix plus a repeating tail, together with an optional dense finite
-block ("patch") supported on the top-left corner.  This class of
-operators is closed under sums, products, adjoints and polynomials, and
-every entry is stored exactly (Gaussian rationals), so operator algebra
-carries no rounding error; only section computations (kernels, norms)
-and the sampled symbol use floating point.
+prefix plus a repeating tail.  Past the prefixes it is block Toeplitz,
+and the prefixes hold any finite-rank part: a dense top-left block
+("patch") given to ``BandedOperator.build`` is folded into them.  This
+class of operators is closed under sums, products, adjoints and
+polynomials, and every entry is stored exactly (Gaussian rationals), so
+operator algebra carries no rounding error; only section computations
+(kernels, norms) and the sampled symbol use floating point.
 
 Kernel computations use rectangular truncations: a vector supported on
 the first N coordinates that the (N + m*w) x N section of T^m kills is a
@@ -25,12 +26,11 @@ sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from .errors import FormatError, NotStabilized, PreconditionError
-from .linalg import Mat
 from .scalars import EXACT, GR_ONE, GR_ZERO, GaussianRational, as_scalar
 
 #: default window and hard cap for auto-doubling
@@ -50,10 +50,6 @@ TOL_CIRCLE = 1e-8
 #: first and largest number of unit-circle samples of det(symbol)
 SYMBOL_SAMPLES = 64
 MAX_SYMBOL_SAMPLES = 2**14
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _as_gr(v) -> GaussianRational:
@@ -104,28 +100,40 @@ def _normalize_diagonal(offset, prefix, period) -> Diagonal:
 
 @dataclass(frozen=True)
 class BandedOperator:
-    """Banded eventually periodic operator plus optional finite patch."""
+    """Banded eventually periodic operator, held only by its diagonals.
+
+    Every diagonal is normalized (shortest prefix, minimal period) and
+    zero diagonals are dropped, so one operator has one encoding: the
+    generated ``==`` and ``hash`` compare operators, and ``is_zero`` is
+    exact.
+    """
 
     diagonals: tuple  # Diagonal, sorted by offset, zero diagonals dropped
-    patch: Mat | None = None
 
     @classmethod
     def build(cls, diagonals, patch=None) -> "BandedOperator":
+        """Operator with the given diagonals plus an optional exact square
+        ``patch`` on the top-left corner.  Patch entry (i, j) is added into
+        the prefix of diagonal j - i at t = min(i, j)."""
         by_offset = {}
         for d in diagonals:
             if d.offset in by_offset:
                 raise FormatError(f"duplicate diagonal offset {d.offset}")
-            nd = _normalize_diagonal(d.offset, d.prefix, d.period)
-            if not nd.is_zero():
-                by_offset[d.offset] = nd
+            by_offset[d.offset] = _normalize_diagonal(d.offset, d.prefix, d.period)
         if patch is not None:
             if patch.mode != EXACT:
                 raise FormatError("patch entries must be exact")
             if patch.rows != patch.cols:
                 raise FormatError("patch must be square")
-            if patch.is_zero():
-                patch = None
-        return cls(tuple(sorted(by_offset.values(), key=lambda d: d.offset)), patch)
+            for o in range(1 - patch.rows, patch.rows):
+                d = by_offset.get(o, Diagonal(o, (), (GR_ZERO,)))
+                L = max(len(d.prefix), patch.rows - abs(o))
+                vals = [d.value(t) for t in range(L + len(d.period))]
+                for t in range(patch.rows - abs(o)):
+                    vals[t] = vals[t] + patch.at(t + max(-o, 0), t + max(o, 0))
+                by_offset[o] = _normalize_diagonal(o, vals[:L], vals[L:])
+        diags = (d for d in by_offset.values() if not d.is_zero())
+        return cls(tuple(sorted(diags, key=lambda d: d.offset)))
 
     # -- structure ----------------------------------------------------
 
@@ -133,30 +141,20 @@ class BandedOperator:
     def bandwidth(self) -> int:
         return max((abs(d.offset) for d in self.diagonals), default=0)
 
-    @property
-    def patch_size(self) -> int:
-        return self.patch.rows if self.patch is not None else 0
-
     def _diag(self, offset: int):
         for d in self.diagonals:
             if d.offset == offset:
                 return d
         return None
 
-    def band_entry(self, i: int, j: int) -> GaussianRational:
+    def entry(self, i: int, j: int) -> GaussianRational:
         d = self._diag(j - i)
         if d is None:
             return GR_ZERO
         return d.value(min(i, j))
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        v = self.band_entry(i, j)
-        if self.patch is not None and i < self.patch.rows and j < self.patch.cols:
-            v = v + self.patch.at(i, j)
-        return v
-
     def is_zero(self) -> bool:
-        return not self.diagonals and self.patch is None
+        return not self.diagonals
 
     def is_finite_rank(self) -> bool:
         """All diagonals eventually zero: only finitely many entries."""
@@ -172,19 +170,12 @@ class BandedOperator:
             idx = np.where(t < pre, t, pre + (t - pre) % len(d.period))
             vals = np.array([v.to_complex() for v in d.prefix + d.period], dtype=complex)
             A[t + max(-o, 0), t + max(o, 0)] = vals[idx]
-        if self.patch is not None:
-            pr = min(self.patch.rows, rows)
-            pc = min(self.patch.cols, cols)
-            for i in range(pr):
-                for j in range(pc):
-                    A[i, j] += self.patch.at(i, j).to_complex()
         return A
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Image of a finitely supported vector, support extended as needed."""
         n = vec.shape[0]
-        rows = max(n + self.bandwidth, self.patch_size, 1)
-        return self.section(rows, n) @ vec
+        return self.section(max(n + self.bandwidth, 1), n) @ vec
 
     def norm_bound(self) -> float:
         """Upper bound on the operator norm (Schur row/column sum test)."""
@@ -192,7 +183,7 @@ class BandedOperator:
             return 0.0
         pre, per = self._tail_params()
         w = self.bandwidth
-        reach = pre + per + w + self.patch_size + 1
+        reach = pre + per + w + 1
         sec = np.abs(self.section(reach + w, reach + w))
         row = float(sec.sum(axis=1).max()) if sec.size else 0.0
         col = float(sec.sum(axis=0).max()) if sec.size else 0.0
@@ -204,7 +195,7 @@ class BandedOperator:
         pre = max((len(d.prefix) for d in self.diagonals), default=0)
         per = 1
         for d in self.diagonals:
-            per = _lcm(per, len(d.period))
+            per = lcm(per, len(d.period))
         return pre, per
 
     def __add__(self, other: "BandedOperator") -> "BandedOperator":
@@ -220,14 +211,14 @@ class BandedOperator:
             pa = len(da.period) if da else 1
             pb = len(db.period) if db else 1
             L = max(la, lb)
-            P = _lcm(pa, pb)
+            P = lcm(pa, pb)
             vals = []
             for t in range(L + P):
                 va = da.value(t) if da else GR_ZERO
                 vb = db.value(t) if db else GR_ZERO
                 vals.append(va + vb)
             diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
-        return BandedOperator.build(diags, _patch_add(self.patch, other.patch))
+        return BandedOperator.build(diags)
 
     def __sub__(self, other: "BandedOperator") -> "BandedOperator":
         return self + other.scale(-1)
@@ -240,8 +231,7 @@ class BandedOperator:
             Diagonal(d.offset, tuple(s * v for v in d.prefix), tuple(s * v for v in d.period))
             for d in self.diagonals
         ]
-        patch = self.patch.scale(s) if self.patch is not None else None
-        return BandedOperator.build(diags, patch)
+        return BandedOperator.build(diags)
 
     def adjoint(self) -> "BandedOperator":
         diags = [
@@ -252,8 +242,7 @@ class BandedOperator:
             )
             for d in self.diagonals
         ]
-        patch = self.patch.adjoint() if self.patch is not None else None
-        return BandedOperator.build(diags, patch)
+        return BandedOperator.build(diags)
 
     def __mul__(self, other: "BandedOperator") -> "BandedOperator":
         """Operator composition (matrix product)."""
@@ -264,7 +253,7 @@ class BandedOperator:
         la, pa = self._tail_params()
         lb, pb = other._tail_params()
         L = max(la, lb) + wc
-        P = _lcm(pa, pb)
+        P = lcm(pa, pb)
         diags = []
         for o in range(-wc, wc + 1):
             vals = []
@@ -277,38 +266,16 @@ class BandedOperator:
                 hi = min(i + wa, j + wb)
                 s = GR_ZERO
                 for k in range(lo, hi + 1):
-                    av = self.band_entry(i, k)
+                    av = self.entry(i, k)
                     if av.is_zero():
                         continue
-                    bv = other.band_entry(k, j)
+                    bv = other.entry(k, j)
                     if bv.is_zero():
                         continue
                     s = s + av * bv
                 vals.append(s)
             diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
-        band = BandedOperator.build(diags)
-        patch = None
-        if self.patch is not None or other.patch is not None:
-            Pa, Pb = self.patch_size, other.patch_size
-            Pc = max(Pa, Pb, Pa + wb, Pb + wa)
-            kmax = max(Pc + wa, Pa, Pb) + 1
-            rows = []
-            for i in range(Pc):
-                row = []
-                for j in range(Pc):
-                    s = GR_ZERO
-                    for k in range(kmax):
-                        av = self.entry(i, k)
-                        if av.is_zero():
-                            continue
-                        bv = other.entry(k, j)
-                        if bv.is_zero():
-                            continue
-                        s = s + av * bv
-                    row.append(s - band.band_entry(i, j))
-                rows.append(row)
-            patch = Mat.from_rows(rows, EXACT) if rows else None
-        return BandedOperator.build(band.diagonals, patch)
+        return BandedOperator.build(diags)
 
     def power(self, m: int) -> "BandedOperator":
         out = identity_op()
@@ -327,37 +294,6 @@ class BandedOperator:
             if not gc.is_zero():
                 out = out + pw.scale(gc)
         return out
-
-    def __eq__(self, other):
-        """Structural equality of the stored diagonals and patch."""
-        if not isinstance(other, BandedOperator):
-            return NotImplemented
-        if self.diagonals != other.diagonals:
-            return False
-        pa, pb = self.patch, other.patch
-        if (pa is None) != (pb is None):
-            return False
-        return pa == pb
-
-    def __hash__(self):
-        return hash(self.diagonals)
-
-
-def _patch_add(a: Mat | None, b: Mat | None):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    n = max(a.rows, b.rows)
-    rows = [
-        [
-            (a.at(i, j) if i < a.rows and j < a.cols else GR_ZERO)
-            + (b.at(i, j) if i < b.rows and j < b.cols else GR_ZERO)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Mat.from_rows(rows, EXACT)
 
 
 def zero_op() -> BandedOperator:
@@ -425,6 +361,11 @@ class TruncationWindow:
         if not (self.N > self.G >= 0):
             raise FormatError(f"window needs N > G >= 0, got N={self.N} G={self.G}")
 
+    @classmethod
+    def for_guard(cls, G: int) -> "TruncationWindow":
+        """The automatic window around guard band G: N = max(DEFAULT_N, 2G)."""
+        return cls(max(DEFAULT_N, 2 * G), G)
+
 
 @dataclass(frozen=True)
 class StabilizedSubspace:
@@ -459,8 +400,7 @@ def _orthonormalize(B: np.ndarray) -> np.ndarray:
 
 def _section_kernel(Tm: BandedOperator, N: int, G: int):
     """(dim, basis restricted to [0, N-G)) for the window (N, G)."""
-    rows = max(N + Tm.bandwidth, Tm.patch_size, 1)
-    A = Tm.section(rows, N)
+    A = Tm.section(max(N + Tm.bandwidth, 1), N)
     if not A.any():
         ns = np.eye(N, dtype=complex)
         smax = 0.0
@@ -530,9 +470,7 @@ def _stabilized_kernel(
     """Certified kernel of Tm = T^m; ``reach`` = m * bandwidth(T) is the
     least admissible guard band."""
     if win is None:
-        G = max(DEFAULT_G, reach)
-        N = max(DEFAULT_N, 2 * G)
-        win = TruncationWindow(N, G)
+        win = TruncationWindow.for_guard(max(DEFAULT_G, reach))
     elif win.G < reach:
         raise FormatError(
             f"window guard {win.G} below m*bandwidth = {reach}; "
@@ -566,8 +504,7 @@ def symbol_winding(T: BandedOperator) -> int:
     the diagonal periods; block (I, J) is the coefficient A_(I-J) of the
     symbol Phi(z) = sum_k A_k z^k, so S* has symbol 1/z.  T is Fredholm
     iff det Phi has no zero on |z| = 1, and then index T = -winding
-    (Gohberg-Krein); prefixes and the patch are finite rank and change
-    neither.
+    (Gohberg-Krein); the prefixes are finite rank and change neither.
 
     det Phi is a trigonometric polynomial of degree n <= K*P, K the
     block bandwidth.  Sampled at M roots of unity with
@@ -584,7 +521,7 @@ def symbol_winding(T: BandedOperator) -> int:
     s0 = pre + K * P  # block row s0 + k*P stays past every prefix for k >= -K
     blocks = np.array(
         [
-            [[T.band_entry(s0 + k * P + a, s0 + b).to_complex() for b in range(P)] for a in range(P)]
+            [[T.entry(s0 + k * P + a, s0 + b).to_complex() for b in range(P)] for a in range(P)]
             for k in ks
         ]
     )

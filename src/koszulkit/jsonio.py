@@ -151,7 +151,7 @@ def operator_from_json(obj) -> BandedOperator:
 
 
 def operator_to_json(op: BandedOperator) -> dict:
-    out = {
+    return {
         "bandwidth": op.bandwidth,
         "diagonals": [
             {
@@ -162,8 +162,6 @@ def operator_to_json(op: BandedOperator) -> dict:
             for d in op.diagonals
         ],
     }
-    out["patch"] = mat_to_json(op.patch) if op.patch is not None else None
-    return out
 
 
 # -- demo scenarios --------------------------------------------------------

@@ -59,9 +59,6 @@ class FormBasis:
     p: int
     members: tuple
 
-    def index(self, member) -> int:
-        return self.members.index(member)
-
 
 @dataclass(frozen=True)
 class KoszulComplex:

@@ -62,9 +62,6 @@ class Polynomial:
         expo = tuple(1 if j == i else 0 for j in range(nvars))
         return cls.from_terms(nvars, [(expo, 1)], mode)
 
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._compat(other)
         return Polynomial.from_terms(

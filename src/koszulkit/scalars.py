@@ -136,9 +136,3 @@ def as_scalar(value, mode: str):
             return value.to_complex()
         return complex(value)
     raise ValueError(f"unknown arithmetic mode {mode!r}")
-
-
-def scalar_to_complex(value) -> complex:
-    if isinstance(value, GaussianRational):
-        return value.to_complex()
-    return complex(value)

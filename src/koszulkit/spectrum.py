@@ -31,7 +31,7 @@ from .errors import DeflationFailure, PreconditionError
 from .koszul import CommutingTuple, cohomology, validate_tuple
 from .linalg import Mat, kernel_basis, solve
 from .polymap import PolyMap
-from .scalars import EXACT, FLOAT, GaussianRational, scalar_to_complex
+from .scalars import EXACT, FLOAT, GaussianRational, as_scalar
 
 #: float-mode eigenspace extraction threshold
 DEFLATION_TOL = 1e-8
@@ -46,7 +46,7 @@ class SpectrumPoint:
     multiplicity: int
 
     def as_complex(self) -> tuple:
-        return tuple(scalar_to_complex(z) for z in self.point)
+        return tuple(as_scalar(z, FLOAT) for z in self.point)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class JointSpectrum:
 
 
 def _sort_key(z) -> tuple:
-    c = scalar_to_complex(z)
+    c = as_scalar(z, FLOAT)
     return (c.real, c.imag)
 
 
@@ -189,7 +189,7 @@ def spectral_mapping_check(f: PolyMap, T: CommutingTuple, tol: float) -> bool:
     """
     sigma = joint_spectrum(T)
     mapped = {
-        tuple(scalar_to_complex(v) for v in f.eval_point(p.point))
+        tuple(as_scalar(v, FLOAT) for v in f.eval_point(p.point))
         for p in sigma.points
     }
     sigma_f = joint_spectrum(apply_poly_map(f, T))

@@ -53,7 +53,7 @@ from .ell2 import (
 )
 from .koszul import cohomology, validate_tuple
 from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
-from .scalars import EXACT
+from .scalars import EXACT, as_scalar
 
 TOL_LAYER = 1e-8
 TOL_INVARIANCE = 1e-10
@@ -280,11 +280,8 @@ def kernel_tower(
 
 def _check_operator_commutes(T: BandedOperator, S: BandedOperator):
     C = T * S - S * T
-    if C.is_zero():
-        return
-    bound = C.norm_bound()
-    scale = max(1.0, T.norm_bound() * S.norm_bound())
-    if bound > TOL_INVARIANCE * scale:
+    if not C.is_zero():
+        bound = C.norm_bound()
         raise NonCommuting(
             f"operators do not commute (commutator norm bound {bound:.3e})",
             norm=bound,
@@ -452,7 +449,7 @@ def augmented_pair_cohomology(
     PreconditionError.
     """
     coeffs = list(coeffs)
-    if coeffs and not _is_zero_coeff(coeffs[0]):
+    if coeffs and not as_scalar(coeffs[0], EXACT).is_zero():
         raise FormatError("polynomial must vanish at 0 (no constant term)")
     idx = fredholm_index_banded(T, win)
     pT = T.poly(coeffs)
@@ -463,12 +460,6 @@ def augmented_pair_cohomology(
     h1 = (k - r0) + (c - r1)
     h2 = c - r1
     return PairCohomology(dims=(h0, h1, h2), index=h0 - h1 + h2)
-
-
-def _is_zero_coeff(c) -> bool:
-    from .scalars import as_scalar
-
-    return as_scalar(c, EXACT).is_zero()
 
 
 def _float_matrix_rank(A: np.ndarray) -> int:

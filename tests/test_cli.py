@@ -131,6 +131,27 @@ def test_exit_codes(tmp_path):
     assert main(["tower", "--input", fwd, "--max-level", "6"]) == 4
 
 
+def test_obstruct_rejects_a_tiny_nonzero_commutator(tmp_path, capsys):
+    # [S*, I + 1e-12 S] = 1e-12 e0 e0*: small, but not zero
+    K = {
+        "diagonals": [
+            {"offset": 0, "period": [["1", "0"]]},
+            {"offset": -1, "period": [["1/1000000000000", "0"]]},
+        ]
+    }
+    inp = write(tmp_path, "obs.json", {"operator": ASH, "perturbation": K})
+    assert main(["obstruct", "--input", inp, "--max-level", "8"]) == 2
+    assert "error[NonCommuting]" in capsys.readouterr().err
+
+
+def test_guard_alone_sets_the_automatic_window(tmp_path):
+    inp = write(tmp_path, "a.json", ASH)
+    code, data = run_cli(["index", "--input", inp, "--guard", "100"], tmp_path)
+    assert code == 0
+    rep = json.loads(data)
+    assert rep["index"] == 1 and rep["window"] == {"N": 200, "G": 100}
+
+
 def test_removed_tolerance_flag_is_rejected(tmp_path):
     inp = write(tmp_path, "t.json", TUPLE_N0)
     with pytest.raises(SystemExit) as exc:

@@ -116,8 +116,7 @@ def test_adjoint_is_conjugate_transpose_on_sections(backward_shift):
 def test_product_sections_match_matrix_product(a, b):
     n = 8
     wa, wb = a.bandwidth, b.bandwidth
-    pa, pb = a.patch_size, b.patch_size
-    k = max(n + wa, pa, pb, n + wb) + wa + wb + 1
+    k = max(n + wa, n + wb) + wa + wb + 1
     left = a.section(n, k) @ b.section(k, n)
     prod = (a * b).section(n, n)
     assert np.allclose(prod, left, atol=1e-12)
@@ -268,6 +267,18 @@ def test_index_invariant_under_finite_rank_patch(backward_shift):
     patch = Mat.from_rows([[2, 1], [0, -1]])
     pert = backward_shift + BandedOperator.build([], patch=patch)
     assert fredholm_index_banded(pert).index == 1
+
+
+def test_patch_and_diagonal_forms_are_one_operator(backward_shift):
+    # S* + e0 e2*, once as a 3x3 patch and once as a prefix on diagonal +2
+    patch = Mat.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    patched = BandedOperator.build(backward_shift.diagonals, patch=patch)
+    diagonal = backward_shift + BandedOperator.build(
+        [Diagonal(2, (GR_ONE,), (GaussianRational(0),))]
+    )
+    assert patched == diagonal and hash(patched) == hash(diagonal)
+    assert patched.bandwidth == diagonal.bandwidth == 2
+    assert (patched - diagonal).is_zero()
 
 
 def test_index_invariant_under_small_compact_diagonal(backward_shift):
