@@ -4,7 +4,9 @@ Matrix literals are ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``
 row-major, where re/im are strings like "3/4" in exact mode and plain
 numbers in float mode.  Tuple files carry their mode; operator files are
 always exact.  Reports are emitted with sorted keys and floats rounded
-to 12 significant digits, so identical inputs give byte-identical files.
+to 12 significant digits, and those below REPORT_FLOAT_FLOOR in size
+written as 0.0, so identical inputs give byte-identical files whatever
+LAPACK path produced their rounding noise.
 """
 
 from __future__ import annotations
@@ -223,9 +225,13 @@ def polymap_to_json(f: PolyMap) -> list:
 # -- deterministic report emission ----------------------------------------
 
 
+#: report floats smaller than this in size are rounding noise; written as 0.0
+REPORT_FLOAT_FLOOR = 1e-14
+
+
 def _round_floats(x):
     if isinstance(x, float):
-        return float(f"{x:.12g}")
+        return 0.0 if abs(x) < REPORT_FLOAT_FLOOR else float(f"{x:.12g}")
     if isinstance(x, complex):
         return [_round_floats(x.real), _round_floats(x.imag)]
     if isinstance(x, dict):

@@ -303,6 +303,16 @@ def test_demo_commands_run_and_validate(tmp_path, schema):
     jsonschema.validate(rep2, schema)
 
 
+def test_demo_reports_clamp_rounding_noise_to_zero(tmp_path):
+    # the K = T case of theorem-2.1 is exactly zero; its computed X and r
+    # carry LAPACK rounding noise that must not reach the report
+    code, data = run_cli(["demo", "theorem-2.1"], tmp_path, "d.json")
+    case = {c["name"]: c for c in json.loads(data)["cases"]}["T"]
+    assert code == 0 and case["r"] == 0.0
+    assert all(e == [0.0, 0.0] for lv in case["levels"] for e in lv["X"]["entries"])
+    assert b"-0.0" not in data
+
+
 def test_demo_byte_stability(tmp_path):
     _, a = run_cli(["demo", "theorem-1.1"], tmp_path, "a.json")
     _, b = run_cli(["demo", "theorem-1.1"], tmp_path, "b.json")
