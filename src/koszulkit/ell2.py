@@ -7,7 +7,10 @@ and the prefixes hold any finite-rank part: a dense top-left block
 class of operators is closed under sums, products, adjoints and
 polynomials, and every entry is stored exactly (Gaussian rationals), so
 operator algebra carries no rounding error; only section computations
-(kernels, norms) and the sampled symbol use floating point.
+(kernels, norms) and the sampled symbol use floating point.  A product
+is formed one pair of stored diagonals at a time.  Sections are real
+(float64) for an operator whose stored values are all real, so their
+SVDs and QRs take numpy's real LAPACK drivers; complex otherwise.
 
 Kernel computations use rectangular truncations: a vector supported on
 the first N coordinates that the (N + m*w) x N section of T^m kills is a
@@ -161,15 +164,18 @@ class BandedOperator:
         return all(d.is_eventually_zero() for d in self.diagonals)
 
     def section(self, rows: int, cols: int) -> np.ndarray:
-        """Complex truncation to the first ``rows`` x ``cols`` coordinates."""
-        A = np.zeros((rows, cols), dtype=complex)
+        """Truncation to the first ``rows`` x ``cols`` coordinates, in the
+        operator's own field: float64 when every stored value is real (so
+        numpy takes the real SVD and QR), complex128 otherwise."""
+        real = all(not v.im for d in self.diagonals for v in d.prefix + d.period)
+        A = np.zeros((rows, cols), dtype=float if real else complex)
         for d in self.diagonals:
             o, pre = d.offset, len(d.prefix)
             t = np.arange(max(min(rows, cols - o) if o >= 0 else min(cols, rows + o), 0))
             # entry t is prefix[t], then period[(t - pre) % len(period)]
             idx = np.where(t < pre, t, pre + (t - pre) % len(d.period))
-            vals = np.array([v.to_complex() for v in d.prefix + d.period], dtype=complex)
-            A[t + max(-o, 0), t + max(o, 0)] = vals[idx]
+            vals = np.array([v.to_complex() for v in d.prefix + d.period])
+            A[t + max(-o, 0), t + max(o, 0)] = (vals.real if real else vals)[idx]
         return A
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -245,42 +251,34 @@ class BandedOperator:
         return BandedOperator.build(diags)
 
     def __mul__(self, other: "BandedOperator") -> "BandedOperator":
-        """Operator composition (matrix product)."""
+        """Operator composition (matrix product), one pair of stored
+        diagonals at a time: diagonal oa of self times diagonal ob of other
+        adds self(i, i + oa) * other(i + oa, i + oa + ob) into diagonal
+        oa + ob.  Past L positions every diagonal repeats with period P."""
         if self.is_zero() or other.is_zero():
             return zero_op()
-        wa, wb = self.bandwidth, other.bandwidth
-        wc = wa + wb
         la, pa = self._tail_params()
         lb, pb = other._tail_params()
-        L = max(la, lb) + wc
+        L = max(la, lb) + self.bandwidth + other.bandwidth
         P = lcm(pa, pb)
-        diags = []
-        for o in range(-wc, wc + 1):
-            vals = []
-            for t in range(L + P):
-                if o >= 0:
-                    i, j = t, t + o
-                else:
-                    i, j = t - o, t
-                lo = max(0, i - wa, j - wb)
-                hi = min(i + wa, j + wb)
-                s = GR_ZERO
-                for k in range(lo, hi + 1):
-                    av = self.entry(i, k)
-                    if av.is_zero():
-                        continue
-                    bv = other.entry(k, j)
-                    if bv.is_zero():
-                        continue
-                    s = s + av * bv
-                vals.append(s)
-            diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
+        sums = {}
+        for da in self.diagonals:
+            for db in other.diagonals:
+                o, i0 = da.offset + db.offset, max(-da.offset - db.offset, 0)
+                vals = sums.setdefault(o, [GR_ZERO] * (L + P))
+                # entry t of diagonal o is (i, i + o), i = t + i0, through k = i + oa >= 0
+                for t in range(max(-i0 - da.offset, 0), L + P):
+                    i, k = t + i0, t + i0 + da.offset
+                    av, bv = da.value(min(i, k)), db.value(min(k, i + o))
+                    if av and bv:
+                        vals[t] = vals[t] + av * bv
+        diags = (Diagonal(o, tuple(v[:L]), tuple(v[L:])) for o, v in sums.items())
         return BandedOperator.build(diags)
 
     def power(self, m: int) -> "BandedOperator":
         out = identity_op()
-        for _ in range(m):
-            out = out * self
+        for k in range(m):
+            out = out * self if k else self
         return out
 
     def poly(self, coeffs) -> "BandedOperator":
@@ -290,7 +288,7 @@ class BandedOperator:
         for k, c in enumerate(coeffs):
             gc = _as_gr(c)
             if k > 0:
-                pw = pw * self
+                pw = pw * self if k > 1 else self
             if not gc.is_zero():
                 out = out + pw.scale(gc)
         return out
@@ -402,7 +400,7 @@ def _section_kernel(Tm: BandedOperator, N: int, G: int):
     """(dim, basis restricted to [0, N-G)) for the window (N, G)."""
     A = Tm.section(max(N + Tm.bandwidth, 1), N)
     if not A.any():
-        ns = np.eye(N, dtype=complex)
+        ns = np.eye(N, dtype=A.dtype)
         smax = 0.0
     else:
         _, s, vh = np.linalg.svd(A)
@@ -410,22 +408,22 @@ def _section_kernel(Tm: BandedOperator, N: int, G: int):
         r = int(np.sum(s > TOL_SECTION_RANK * smax))
         ns = vh[r:].conj().T
     if ns.shape[1] == 0:
-        return 0, np.zeros((N - G, 0), dtype=complex)
+        return 0, np.zeros((N - G, 0), dtype=A.dtype)
     guard = ns[N - G :, :]
     if guard.size == 0:
-        combos = np.eye(ns.shape[1], dtype=complex)
+        combos = np.eye(ns.shape[1], dtype=A.dtype)
     else:
         _, gs, gvh = np.linalg.svd(guard)
         keep = int(np.sum(gs > TOL_GUARD)) if gs.size else 0
         combos = gvh[keep:].conj().T
     vecs = ns @ combos
     if vecs.shape[1] == 0:
-        return 0, np.zeros((N - G, 0), dtype=complex)
+        return 0, np.zeros((N - G, 0), dtype=A.dtype)
     # residual certificate against the untruncated rows
     resid = A @ vecs
     scale = max(1.0, smax)
     if float(np.abs(resid).max(initial=0.0)) > TOL_RESIDUAL * scale:
-        return 0, np.zeros((N - G, 0), dtype=complex)
+        return 0, np.zeros((N - G, 0), dtype=A.dtype)
     cut = _orthonormalize(vecs[: N - G, :])
     return cut.shape[1], _fix_phases(cut)
 
@@ -450,7 +448,7 @@ def iter_kernels_of_powers(T: BandedOperator, powers, win: TruncationWindow | No
     Tm, k = identity_op(), 0
     for m in sorted(set(powers)):
         while k < m:
-            Tm, k = Tm * T, k + 1
+            Tm, k = (Tm * T if k else T), k + 1
         yield m, _stabilized_kernel(Tm, m * T.bandwidth, win)
 
 

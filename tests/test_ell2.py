@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from koszulkit.ell2 import (
 )
 from koszulkit.errors import FormatError, PreconditionError
 from koszulkit.linalg import Mat
-from koszulkit.scalars import GR_ONE, GaussianRational
+from koszulkit.scalars import GR_ONE, GR_ZERO, GaussianRational
+from koszulkit.tower import kernel_tower
 
 from oracles import oracle_winding
 
@@ -135,6 +138,58 @@ def test_adjoint_involution_property(a):
     assert a.adjoint().adjoint() == a
 
 
+_rationals = st.one_of(st.just(0), st.fractions(-2, 2, max_denominator=4))
+_gaussian_rationals = st.builds(GaussianRational, _rationals, _rationals)
+
+
+@st.composite
+def exact_banded_ops(draw):
+    diags = [
+        Diagonal(
+            o,
+            tuple(draw(st.lists(_gaussian_rationals, max_size=3))),
+            tuple(draw(st.lists(_gaussian_rationals, min_size=1, max_size=3))),
+        )
+        for o in sorted(draw(st.sets(st.integers(-3, 3), max_size=4)))
+    ]
+    return BandedOperator.build(diags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_banded_ops(), exact_banded_ops())
+def test_product_is_the_exact_entrywise_product(a, b):
+    wa, wb = a.bandwidth, b.bandwidth
+    (la, pa), (lb, pb) = a._tail_params(), b._tail_params()
+    L, P = max(la, lb) + wa + wb, lcm(pa, pb)
+
+    def ref(i, j):
+        terms = (a.entry(i, k) * b.entry(k, j) for k in range(max(0, i - wa), i + wa + 1))
+        return sum(terms, GR_ZERO)
+
+    prod = a * b
+    n = L + P + wa + wb
+    assert all(prod.entry(i, j) == ref(i, j) for i in range(n) for j in range(n))
+    diags = []
+    for o in range(-wa - wb, wa + wb + 1):
+        vals = [ref(t + max(-o, 0), t + max(o, 0)) for t in range(L + P)]
+        diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
+    assert prod == BandedOperator.build(diags)
+
+
+def test_powers_start_from_the_operator(monkeypatch, backward_shift):
+    products = []
+    real_mul = BandedOperator.__mul__
+    monkeypatch.setattr(
+        BandedOperator, "__mul__", lambda a, b: products.append(1) or real_mul(a, b)
+    )
+    fredholm_index_banded(backward_shift)
+    assert not products
+    kernel_tower(backward_shift, 6)
+    assert len(products) == 5
+    assert backward_shift.power(0) == identity_op()
+    assert backward_shift.power(1) == backward_shift and len(products) == 5
+
+
 def test_poly_matches_repeated_products(backward_shift):
     p = backward_shift.poly([0, 2, 0, 1])  # 2T + T^3
     direct = backward_shift.scale(2) + backward_shift.power(3)
@@ -145,6 +200,51 @@ def test_tail_normalization_canonicalizes():
     d1 = BandedOperator.build([Diagonal(0, (GR_ONE,), (GR_ONE,))])
     d2 = BandedOperator.build([Diagonal(0, (), (GR_ONE, GR_ONE))])
     assert d1 == d2 == identity_op().scale(1)
+
+
+def test_real_operator_has_a_real_section(backward_shift):
+    T = backward_shift + identity_op().scale(Fraction(1, 3))
+    expect = np.array([[T.entry(i, j).to_complex() for j in range(8)] for i in range(9)])
+    sec = T.section(9, 8)
+    assert sec.dtype == np.float64 and np.array_equal(sec, expect)
+    imaginary = BandedOperator.build([Diagonal(0, (GaussianRational(0, 1),), (GR_ZERO,))])
+    assert (T + imaginary).section(9, 8).dtype == np.complex128
+
+
+def _tower_report(T, depth, tmp_path):
+    """The kernel tower of T and the bytes of ``koszulkit tower`` on it."""
+    from koszulkit.cli import main
+    from koszulkit.jsonio import operator_to_json
+
+    inp, out = tmp_path / "op.json", tmp_path / "tower.json"
+    inp.write_text(json.dumps(operator_to_json(T)))
+    assert main(["tower", "--input", str(inp), "--max-level", str(depth), "--out", str(out)]) == 0
+    return kernel_tower(T, depth), out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        make_catalog_operator("adjoint_shift"),
+        make_catalog_operator("adjoint_shift") + identity_op().scale(Fraction(1, 3)),
+        make_catalog_operator("weighted_shift", period=[1, 2]).adjoint(),
+    ],
+    ids=["S*", "S*+I/3", "weighted-period-2"],
+)
+def test_real_sections_certify_as_complex_ones(monkeypatch, tmp_path, T):
+    real_idx = fredholm_index_banded(T)
+    real_tw, real_report = _tower_report(T, 12, tmp_path)
+    real_section = BandedOperator.section
+    monkeypatch.setattr(
+        BandedOperator, "section", lambda op, r, c: real_section(op, r, c).astype(complex)
+    )
+    idx = fredholm_index_banded(T)
+    tw, report = _tower_report(T, 12, tmp_path)
+    assert (idx.dim_ker, idx.dim_coker) == (real_idx.dim_ker, real_idx.dim_coker)
+    assert tw.kernel_dims == real_tw.kernel_dims and len(tw.kernel_dims) == 12
+    for lv, real_lv in zip(tw.levels, real_tw.levels):
+        assert np.abs(lv.h_basis - real_lv.h_basis).max() <= 1e-10
+    assert report == real_report
 
 
 # -- certified kernels --------------------------------------------------------
