@@ -264,9 +264,10 @@ class BandedOperator:
         sums = {}
         for da in self.diagonals:
             for db in other.diagonals:
-                o, i0 = da.offset + db.offset, max(-da.offset - db.offset, 0)
+                o = da.offset + db.offset
+                i0 = max(-o, 0)  # entry t of diagonal o sits at (t + i0, t + i0 + o)
                 vals = sums.setdefault(o, [GR_ZERO] * (L + P))
-                # entry t of diagonal o is (i, i + o), i = t + i0, through k = i + oa >= 0
+                # through the middle index k = i + oa, which must be >= 0
                 for t in range(max(-i0 - da.offset, 0), L + P):
                     i, k = t + i0, t + i0 + da.offset
                     av, bv = da.value(min(i, k)), db.value(min(k, i + o))
