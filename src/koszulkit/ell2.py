@@ -167,7 +167,7 @@ class BandedOperator:
         """Truncation to the first ``rows`` x ``cols`` coordinates, in the
         operator's own field: float64 when every stored value is real (so
         numpy takes the real SVD and QR), complex128 otherwise."""
-        real = all(not v.im for d in self.diagonals for v in d.prefix + d.period)
+        real = all(not v.b for d in self.diagonals for v in d.prefix + d.period)
         A = np.zeros((rows, cols), dtype=float if real else complex)
         for d in self.diagonals:
             o, pre = d.offset, len(d.prefix)

@@ -12,6 +12,7 @@ LAPACK path produced their rounding noise.
 from __future__ import annotations
 
 import json
+from math import gcd
 
 import numpy as np
 
@@ -61,9 +62,15 @@ def parse_scalar(value, mode: str):
         raise FormatError(f"bad float scalar {value!r}") from exc
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """p/q in lowest terms as ``str(Fraction(p, q))`` writes it."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
 def scalar_to_json(value):
     if isinstance(value, GaussianRational):
-        return [str(value.re), str(value.im)]
+        return [_ratio_str(value.a, value.d), _ratio_str(value.b, value.d)]
     c = complex(value)
     return [c.real, c.imag]
 

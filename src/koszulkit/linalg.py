@@ -297,20 +297,17 @@ def commutator(A: Mat, B: Mat) -> Mat:
 def _gauss_int_rows(M: Mat):
     """Rows of exact M as lists of (re, im) int pairs.
 
-    Each row is multiplied by the lcm of its denominators; scaling a row
-    changes neither the rank, the kernel nor the pivot positions.
+    Each row is multiplied by the lcm of its entries' denominators d; the
+    d of a normal-form (a + b*i)/d is the lcm of its two parts'
+    denominators.  Scaling a row changes neither the rank, the kernel nor
+    the pivot positions.
     """
     c = M.cols
     out = []
     for i in range(M.rows):
         row = M._ex[i * c : (i + 1) * c]
-        L = lcm(*(v.re.denominator for v in row), *(v.im.denominator for v in row))
-        out.append(
-            [
-                (v.re.numerator * (L // v.re.denominator), v.im.numerator * (L // v.im.denominator))
-                for v in row
-            ]
-        )
+        L = lcm(*(v.d for v in row))
+        out.append([(v.a * (L // v.d), v.b * (L // v.d)) for v in row])
     return out
 
 

@@ -1,120 +1,169 @@
 """Scalar arithmetic: exact Gaussian rationals and complex floats.
 
-Exact scalars are pairs of arbitrary-precision ``Fraction``s (real and
-imaginary part); arithmetic on them never rounds.  Float scalars are
-plain ``complex``.  Every matrix and operator carries one arithmetic
-mode; mixing modes raises :class:`~koszulkit.errors.ModeMismatch` at the
-point of use.
+An exact scalar (a + b*i)/d is held as three Python integers (a, b, d)
+in normal form: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and
+equal values have equal triples.  Each result is normalised by one
+three-way gcd, sums over a shared denominator skip the cross products,
+and no arithmetic builds a ``Fraction``; arithmetic never rounds.
+Integer and "p/q" strings are read straight into the triple, any other
+string through ``Fraction(str)``, so the accepted inputs are exactly
+``Fraction``'s.  Float scalars are plain ``complex``.  Every matrix and
+operator carries one arithmetic mode; mixing modes raises
+:class:`~koszulkit.errors.ModeMismatch` at the point of use.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from fractions import Fraction
+from math import gcd, sqrt
 
 from .errors import ModeMismatch
 
 EXACT = "exact"
 FLOAT = "float"
 
+#: the strings read without ``Fraction``: an ASCII integer or "p/q"
+_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+def _ratio(x) -> tuple:
+    """x as integers (p, q) with value p/q and q > 0, not reduced."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
+        m = _RATIO.fullmatch(x)
+        if m:
+            q = int(m[2] or 1)
+            if q:
+                return int(m[1]), q
+        x = Fraction(x)  # raises on "p/0" as before
+    elif isinstance(x, float):
         # decimal-faithful: 0.5 -> 1/2, 0.1 -> 1/10
-        return Fraction(str(x))
-    raise TypeError(f"cannot build an exact rational from {x!r}")
+        x = Fraction(str(x))
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"cannot build an exact rational from {x!r}")
+    return x.numerator, x.denominator
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    z = _new(GaussianRational)
+    if g == 1:
+        z.a, z.b, z.d = a, b, d
+    else:
+        z.a, z.b, z.d = a // g, b // g, d // g
+    return z
+
+
+def _coerce(x) -> "GaussianRational":
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, complex):
+        raise ModeMismatch("complex float given where an exact scalar is required")
+    return GaussianRational(x)
 
 
 class GaussianRational:
-    """a + b*i with exact rational a and b.  Immutable, hashable."""
+    """(a + b*i)/d with integers d > 0 and gcd(a, b, d) = 1.  Immutable,
+    hashable.  ``re`` and ``im`` give the parts as ``Fraction``s."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        if q != s:
+            p, r, q = p * s, r * q, q * s
+        g = gcd(p, r, q)
+        self.a, self.b, self.d = p // g, r // g, q // g
 
-    @staticmethod
-    def _coerce(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, complex):
-            raise ModeMismatch("cannot mix complex floats into exact arithmetic")
-        return GaussianRational(_frac(x))
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
+        d, f = self.d, o.d
+        if d == f:
+            return _make(self.a + o.a, self.b + o.b, d)
+        return _make(self.a * f + o.a * d, self.b * f + o.b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
+        d, f = self.d, o.d
+        if d == f:
+            return _make(self.a - o.a, self.b - o.b, d)
+        return _make(self.a * f - o.a * d, self.b * f - o.b * d, d * f)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if not (self.im or o.im):
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        if not (b or e):
+            return _make(a * c, 0, self.d * o.d)
+        return _make(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
+        o = other if isinstance(other, GaussianRational) else _coerce(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        f = o.d
+        return _make(f * (a * c + b * e), f * (b * c - a * e), self.d * n)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def magnitude(self) -> float:
-        return math.sqrt(float(self.abs2()))
+        # int / int rounds correctly, as float(Fraction) does
+        return sqrt((self.a * self.a + self.b * self.b) / (self.d * self.d))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (TypeError, ModeMismatch):
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if not isinstance(other, GaussianRational):
+            try:
+                other = _coerce(other)
+            except (TypeError, ValueError, ZeroDivisionError, ModeMismatch):
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self.b:
             return f"GR({self.re})"
         return f"GR({self.re}, {self.im})"
 
@@ -126,11 +175,7 @@ GR_ONE = GaussianRational(1)
 def as_scalar(value, mode: str):
     """Coerce a Python value into the scalar type of ``mode``."""
     if mode == EXACT:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, complex):
-            raise ModeMismatch("complex float given where an exact scalar is required")
-        return GaussianRational(_frac(value))
+        return _coerce(value)
     if mode == FLOAT:
         if isinstance(value, GaussianRational):
             return value.to_complex()

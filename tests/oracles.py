@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package internals: the rank
 oracle is a plain textbook row echelon (first nonzero pivot, row
-operations only), and the winding oracle integrates the argument of a
+operations only) over pairs of ``Fraction``s, not over the package's
+Gaussian rationals, and the winding oracle integrates the argument of a
 symbol around the unit circle by sampling.
 """
 
@@ -12,15 +13,26 @@ import math
 from koszulkit.linalg import Mat
 
 
+def pair_mul(x, y):
+    """Product of Gaussian rationals held as (re, im) pairs of Fractions."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_div(x, y):
+    """Quotient of (re, im) Fraction pairs; y must be nonzero."""
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
 def oracle_rank(M: Mat) -> int:
-    """Row-echelon rank over exact scalars, first-nonzero pivoting."""
-    rows = [[M.at(i, j) for j in range(M.cols)] for i in range(M.rows)]
+    """Row-echelon rank over (re, im) Fraction pairs, first-nonzero pivoting."""
+    rows = [[(M.at(i, j).re, M.at(i, j).im) for j in range(M.cols)] for i in range(M.rows)]
     r = 0
     col = 0
     while r < len(rows) and col < M.cols:
         piv = None
         for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
+            if rows[i][col] != (0, 0):
                 piv = i
                 break
         if piv is None:
@@ -28,11 +40,12 @@ def oracle_rank(M: Mat) -> int:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
+        rows[r] = [pair_div(v, pv) for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
+            if i != r and rows[i][col] != (0, 0):
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                fb = [pair_mul(f, b) for b in rows[r]]
+                rows[i] = [(a[0] - c[0], a[1] - c[1]) for a, c in zip(rows[i], fb)]
         r += 1
         col += 1
     return r
