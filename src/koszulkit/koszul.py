@@ -15,11 +15,16 @@ on cohomology are all computed here.  The degreewise dimension identity
 is taken with D^(-1) and D^n read as zero maps.  On finite-dimensional
 spaces the index is always 0 (Euler characteristic); every report checks
 this and raises NotStabilized otherwise.
+
+Commutation is checked in one place, the CommutingTuple constructor.
+Each block of D^(p+1) D^p is 0 or +-(T_i T_j - T_j T_i), so the chain
+identity D^(p+1) D^p = 0 holds exactly for every exact CommutingTuple,
+and koszul_complex does not multiply differentials to check it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import combinations
 from math import comb
 
@@ -43,12 +48,42 @@ TOL_COMM = 1e-10
 
 @dataclass(frozen=True)
 class CommutingTuple:
-    """n commuting d x d matrices sharing one arithmetic mode."""
+    """n commuting d x d matrices sharing one arithmetic mode.
+
+    The constructor checks all of it, so every instance commutes: exact
+    commutators must be zero (is_zero()); float ones may have Frobenius
+    norm up to TOL_COMM times the largest ||T_i|| (at least 1).  The
+    first ``checked`` matrices are taken to commute already, so only the
+    pairs with a later matrix are checked; ``checked`` is not stored.
+    """
 
     n: int
     d: int
     matrices: tuple
     mode: str
+    checked: InitVar[int] = 0
+
+    def __post_init__(self, checked):
+        mats, d = self.matrices, self.d
+        if self.n != len(mats):
+            raise ShapeError(f"declared {self.n} operators, got {len(mats)}")
+        for k, M in enumerate(mats):
+            if M.mode != self.mode:
+                raise ModeMismatch(f"operator {k} has mode {M.mode}, expected {self.mode}")
+            if M.rows != M.cols or M.rows != d:
+                raise ShapeError(f"operator {k} is {M.rows}x{M.cols}, expected {d}x{d}")
+        exact = self.mode == EXACT
+        tol = 0.0 if exact else TOL_COMM * max([1.0] + [M.fro_norm() for M in mats])
+        for k in range(checked, self.n):
+            for i in range(k):
+                C = commutator(mats[i], mats[k])
+                if not C.is_zero() if exact else C.fro_norm() > tol:
+                    nrm = C.fro_norm()
+                    raise NonCommuting(
+                        f"operators {i} and {k} do not commute (commutator norm {nrm:.3e})",
+                        pair=(i, k),
+                        norm=nrm,
+                    )
 
 
 @dataclass(frozen=True)
@@ -103,63 +138,17 @@ def form_basis(n: int, p: int) -> FormBasis:
 
 
 def validate_tuple(matrices) -> CommutingTuple:
-    """Check shapes and pairwise commutation; returns the validated tuple.
-
-    Each matrix is checked against the ones before it, so every pair is
-    checked once.
-    """
+    """The tuple of ``matrices``, checked by the CommutingTuple constructor."""
     mats = tuple(matrices)
     if not mats:
         raise ShapeError("empty tuple")
-    mode = mats[0].mode
-    d = mats[0].rows
-    for k, M in enumerate(mats):
-        _check_square(M, k, mode, d)
-    tol = _commutator_tol(mats)
-    for k in range(1, len(mats)):
-        _check_commutes(mats[k], k, mats[:k], tol)
-    return CommutingTuple(len(mats), d, mats, mode)
+    return CommutingTuple(len(mats), mats[0].rows, mats, mats[0].mode)
 
 
 def augment_tuple(T: CommutingTuple, S: Mat) -> CommutingTuple:
     """The (n+1)-tuple (T, S).  Only the pairs with S are checked; T's
-    pairs were checked when T was validated."""
-    _check_square(S, T.n, T.mode, T.d)
-    mats = T.matrices + (S,)
-    _check_commutes(S, T.n, T.matrices, _commutator_tol(mats))
-    return CommutingTuple(T.n + 1, T.d, mats, T.mode)
-
-
-def _check_square(M: Mat, k: int, mode: str, d: int):
-    if M.mode != mode:
-        raise ModeMismatch(f"operator {k} has mode {M.mode}, expected {mode}")
-    if M.rows != M.cols or M.rows != d:
-        raise ShapeError(f"operator {k} is {M.rows}x{M.cols}, expected {d}x{d}")
-
-
-def _commutator_tol(mats) -> float:
-    """Float mode allows commutator Frobenius norm up to TOL_COMM times
-    the largest ||T_i|| (at least 1); exact mode needs no tolerance."""
-    if mats[0].mode == EXACT:
-        return 0.0
-    scale = max((M.fro_norm() for M in mats), default=0.0)
-    return TOL_COMM * max(scale, 1.0)
-
-
-def _check_commutes(M: Mat, k: int, checked, tol: float):
-    """Raise NonCommuting unless operator k, M, commutes with every matrix
-    in ``checked`` (operators 0..k-1).  Exact mode decides by is_zero();
-    the norm of an exact commutator is computed only for the error."""
-    for i, A in enumerate(checked):
-        C = commutator(A, M)
-        bad = not C.is_zero() if M.mode == EXACT else C.fro_norm() > tol
-        if bad:
-            nrm = C.fro_norm()
-            raise NonCommuting(
-                f"operators {i} and {k} do not commute (commutator norm {nrm:.3e})",
-                pair=(i, k),
-                norm=nrm,
-            )
+    pairs were checked when T was built."""
+    return CommutingTuple(T.n + 1, T.d, T.matrices + (S,), T.mode, checked=T.n)
 
 
 def _wedge_insert(omega: tuple, i: int):
@@ -192,12 +181,7 @@ def koszul_differential(T: CommutingTuple, p: int) -> Mat:
 
 
 def koszul_complex(T: CommutingTuple) -> KoszulComplex:
-    diffs = tuple(koszul_differential(T, p) for p in range(T.n))
-    if T.mode == EXACT:
-        for p in range(T.n - 1):
-            if not (diffs[p + 1] @ diffs[p]).is_zero():
-                raise NonCommuting(f"chain identity D^{p + 1} D^{p} = 0 violated")
-    return KoszulComplex(T, diffs)
+    return KoszulComplex(T, tuple(koszul_differential(T, p) for p in range(T.n)))
 
 
 def _boundary_maps(T: CommutingTuple):

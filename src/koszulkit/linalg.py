@@ -401,29 +401,25 @@ def _exact_solve(A: Mat, B: Mat):
 # -- float (SVD) counterparts ------------------------------------------
 
 
-def _float_svd(arr):
-    if arr.size == 0:
-        return np.zeros((arr.shape[0], 0)), np.zeros(0), np.zeros((0, arr.shape[1]))
-    return np.linalg.svd(arr)
-
-
-def _float_rank(arr, tol_rank) -> int:
-    _, s, _ = _float_svd(arr)
+def _rank_count(s, tol_rank) -> int:
+    """The float rank decision: how many of the singular values s (in
+    decreasing order) exceed tol_rank times the largest; 0 if all vanish."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol_rank * s[0]))
 
 
-def _float_kernel(arr, tol_rank) -> np.ndarray:
-    n = arr.shape[1]
+def _float_rank(arr, tol_rank) -> int:
     if arr.size == 0:
-        return np.eye(n, dtype=complex)
+        return 0
+    return _rank_count(np.linalg.svd(arr)[1], tol_rank)
+
+
+def _float_kernel(arr, tol_rank) -> np.ndarray:
+    if arr.size == 0:
+        return np.eye(arr.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > tol_rank * s[0]))
-    return vh[r:].conj().T
+    return vh[_rank_count(s, tol_rank) :].conj().T
 
 
 # -- public operations -------------------------------------------------

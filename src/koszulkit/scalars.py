@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, sqrt
+from sys import hash_info
 
 from .errors import ModeMismatch
 
@@ -157,7 +158,16 @@ class GaussianRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        # a real value hashes like the equal int, Fraction or float:
+        # Python's rational hash, |a| / d modulo the hash prime
+        try:
+            h = hash(hash(abs(self.a)) * pow(self.d, -1, hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus
+            h = hash_info.inf
+        h = h if self.a >= 0 else -h
+        return -2 if h == -1 else h
 
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)

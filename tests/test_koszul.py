@@ -1,10 +1,11 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.errors import DegreeError, NonCommuting, NotStabilized, ShapeError
+from koszulkit.errors import DegreeError, ModeMismatch, NonCommuting, NotStabilized, ShapeError
 from koszulkit.koszul import (
     CohomologyReport,
     CommutingTuple,
@@ -137,6 +138,34 @@ def test_chain_identity_on_random_tuples(d, n, seed):
 def test_invariant_violations_raise_explicit_errors(violate, error):
     with pytest.raises(error):
         violate()
+
+
+F2 = Mat.from_numpy(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: CommutingTuple(2, 2, (F2, F2.adjoint()), "float"), NonCommuting),
+        (lambda: CommutingTuple(3, 2, (N2,), EXACT), ShapeError),
+        (lambda: CommutingTuple(1, 3, (N2,), EXACT), ShapeError),
+        (lambda: CommutingTuple(1, 2, (N2,), "float"), ModeMismatch),
+    ],
+    ids=["float-noncommuting", "wrong-n", "wrong-d", "wrong-mode"],
+)
+def test_constructor_checks_its_own_invariant(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_koszul_complex_multiplies_no_matrices(monkeypatch):
+    T = random_commuting_tuple(get_rng(3), 3, 3)
+    assert T.mode == EXACT
+    calls = []
+    real = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__", lambda A, B: calls.append(1) or real(A, B))
+    assert len(koszul_complex(T).differentials) == 3
+    assert calls == []
 
 
 # -- cohomology -------------------------------------------------------------

@@ -6,10 +6,11 @@ the integer triples must reproduce, value for value and bit for bit.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from koszulkit.errors import FormatError
@@ -93,6 +94,24 @@ def test_equality_and_hash_follow_the_value(x, y):
     )
     assert same == z and hash(same) == hash(z)
     assert (z == x[0]) == (x[1] == 0)
+
+
+_HASH_P = sys.hash_info.modulus
+
+
+@given(_parts)
+@example(Fraction(1, _HASH_P))
+@example(Fraction(-3, 2 * _HASH_P))
+@example(Fraction(5, _HASH_P + 1))
+@example(-1)
+@example(1)
+@example(0.5)
+def test_real_values_hash_like_the_equal_number(x):
+    # equal values must hash equally, whatever their type, so that a set
+    # or dict holds them in one slot
+    z = GaussianRational(x)
+    assert z == Fraction(x) and hash(z) == hash(Fraction(x)) == hash(x)
+    assert len({x, z}) == 1
 
 
 def test_zero_has_one_normal_form():
