@@ -190,7 +190,7 @@ def _obstruct_case(tw, K) -> dict:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> dict:
-    obj = _load_json(args.input)
+    obj = jsonio._expect(_load_json(args.input), dict, "obstruct input")
     if "operator" not in obj or "perturbation" not in obj:
         raise FormatError(
             "obstruct input needs {'operator': ..., 'perturbation': ...}"

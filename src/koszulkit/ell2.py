@@ -7,8 +7,10 @@ and the prefixes hold any finite-rank part: a dense top-left block
 class of operators is closed under sums, products, adjoints and
 polynomials, and every entry is stored exactly (Gaussian rationals), so
 operator algebra carries no rounding error; only section computations
-(kernels, norms) and the sampled symbol use floating point.  A product
-is formed one pair of stored diagonals at a time.  Sections are real
+(kernels, norms) and the sampled symbol use floating point.  Sums,
+patches (added as finite-rank operators) and products all accumulate
+per-offset value lists that one helper normalizes; a product goes one
+pair of stored diagonals at a time.  Sections are real
 (float64) for an operator whose stored values are all real, so their
 SVDs and QRs take numpy's real LAPACK drivers; complex otherwise.
 
@@ -123,20 +125,20 @@ class BandedOperator:
             if d.offset in by_offset:
                 raise FormatError(f"duplicate diagonal offset {d.offset}")
             by_offset[d.offset] = _normalize_diagonal(d.offset, d.prefix, d.period)
-        if patch is not None:
-            if patch.mode != EXACT:
-                raise FormatError("patch entries must be exact")
-            if patch.rows != patch.cols:
-                raise FormatError("patch must be square")
-            for o in range(1 - patch.rows, patch.rows):
-                d = by_offset.get(o, Diagonal(o, (), (GR_ZERO,)))
-                L = max(len(d.prefix), patch.rows - abs(o))
-                vals = [d.value(t) for t in range(L + len(d.period))]
-                for t in range(patch.rows - abs(o)):
-                    vals[t] = vals[t] + patch.at(t + max(-o, 0), t + max(o, 0))
-                by_offset[o] = _normalize_diagonal(o, vals[:L], vals[L:])
         diags = (d for d in by_offset.values() if not d.is_zero())
-        return cls(tuple(sorted(diags, key=lambda d: d.offset)))
+        op = cls(tuple(sorted(diags, key=lambda d: d.offset)))
+        if patch is None:
+            return op
+        if patch.mode != EXACT:
+            raise FormatError("patch entries must be exact")
+        if patch.rows != patch.cols:
+            raise FormatError("patch must be square")
+        n = patch.rows
+        corner = []  # each patch diagonal as a prefix over a zero tail
+        for o in range(1 - n, n):
+            entries = (patch.at(t + max(-o, 0), t + max(o, 0)) for t in range(n - abs(o)))
+            corner.append(Diagonal(o, tuple(entries), (GR_ZERO,)))
+        return op + cls.build(corner)
 
     # -- structure ----------------------------------------------------
 
@@ -205,26 +207,16 @@ class BandedOperator:
         return pre, per
 
     def __add__(self, other: "BandedOperator") -> "BandedOperator":
-        offsets = sorted(
-            {d.offset for d in self.diagonals} | {d.offset for d in other.diagonals}
-        )
-        diags = []
-        for o in offsets:
-            da = self._diag(o)
-            db = other._diag(o)
-            la = len(da.prefix) if da else 0
-            lb = len(db.prefix) if db else 0
-            pa = len(da.period) if da else 1
-            pb = len(db.period) if db else 1
-            L = max(la, lb)
-            P = lcm(pa, pb)
-            vals = []
+        """Sum, accumulated per offset the way ``__mul__`` is."""
+        la, pa = self._tail_params()
+        lb, pb = other._tail_params()
+        L, P = max(la, lb), lcm(pa, pb)
+        sums = {}
+        for d in self.diagonals + other.diagonals:
+            vals = sums.setdefault(d.offset, [GR_ZERO] * (L + P))
             for t in range(L + P):
-                va = da.value(t) if da else GR_ZERO
-                vb = db.value(t) if db else GR_ZERO
-                vals.append(va + vb)
-            diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
-        return BandedOperator.build(diags)
+                vals[t] = vals[t] + d.value(t)
+        return _assemble(sums, L)
 
     def __sub__(self, other: "BandedOperator") -> "BandedOperator":
         return self + other.scale(-1)
@@ -273,8 +265,7 @@ class BandedOperator:
                     av, bv = da.value(min(i, k)), db.value(min(k, i + o))
                     if av and bv:
                         vals[t] = vals[t] + av * bv
-        diags = (Diagonal(o, tuple(v[:L]), tuple(v[L:])) for o, v in sums.items())
-        return BandedOperator.build(diags)
+        return _assemble(sums, L)
 
     def power(self, m: int) -> "BandedOperator":
         out = identity_op()
@@ -293,6 +284,11 @@ class BandedOperator:
             if not gc.is_zero():
                 out = out + pw.scale(gc)
         return out
+
+
+def _assemble(sums: dict, L: int) -> BandedOperator:
+    """Operator whose diagonal o holds ``sums[o]``: L prefix values, then one period."""
+    return BandedOperator.build(Diagonal(o, tuple(v[:L]), tuple(v[L:])) for o, v in sums.items())
 
 
 def zero_op() -> BandedOperator:
@@ -438,7 +434,7 @@ def kernel_of_power(
     the section auto-doubles up to MAX_SECTION before raising
     NotStabilized.
     """
-    return kernels_of_powers(T, (m,), win)[0]
+    return next(iter_kernels_of_powers(T, (m,), win))[1]
 
 
 def iter_kernels_of_powers(T: BandedOperator, powers, win: TruncationWindow | None = None):
@@ -451,16 +447,6 @@ def iter_kernels_of_powers(T: BandedOperator, powers, win: TruncationWindow | No
         while k < m:
             Tm, k = (Tm * T if k else T), k + 1
         yield m, _stabilized_kernel(Tm, m * T.bandwidth, win)
-
-
-def kernels_of_powers(
-    T: BandedOperator, powers, win: TruncationWindow | None = None
-) -> list:
-    """Certified kernels of T^m for every m in ``powers``, in that order,
-    from one walk of ``iter_kernels_of_powers``."""
-    powers = list(powers)
-    kernels = dict(iter_kernels_of_powers(T, powers, win))
-    return [kernels[m] for m in powers]
 
 
 def _stabilized_kernel(

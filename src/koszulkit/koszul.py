@@ -48,7 +48,7 @@ TOL_COMM = 1e-10
 
 @dataclass(frozen=True)
 class CommutingTuple:
-    """n commuting d x d matrices sharing one arithmetic mode.
+    """n >= 1 commuting d x d matrices sharing one arithmetic mode.
 
     The constructor checks all of it, so every instance commutes: exact
     commutators must be zero (is_zero()); float ones may have Frobenius
@@ -67,6 +67,8 @@ class CommutingTuple:
         mats, d = self.matrices, self.d
         if self.n != len(mats):
             raise ShapeError(f"declared {self.n} operators, got {len(mats)}")
+        if not mats:
+            raise ShapeError("empty tuple")
         for k, M in enumerate(mats):
             if M.mode != self.mode:
                 raise ModeMismatch(f"operator {k} has mode {M.mode}, expected {self.mode}")

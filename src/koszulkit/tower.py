@@ -49,7 +49,6 @@ from .ell2 import (
     _fix_phases,
     fredholm_index_banded,
     iter_kernels_of_powers,
-    kernels_of_powers,
 )
 from .koszul import cohomology, validate_tuple
 from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
@@ -419,8 +418,8 @@ def growth_table(
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
     higher = [m for m in powers if m != 1]
-    kers = {1: base.ker} | dict(zip(higher, kernels_of_powers(T, higher, win)))
-    cokers = {1: base.coker} | dict(zip(higher, kernels_of_powers(T.adjoint(), higher, win)))
+    kers = {1: base.ker} | dict(iter_kernels_of_powers(T, higher, win))
+    cokers = {1: base.coker} | dict(iter_kernels_of_powers(T.adjoint(), higher, win))
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -477,6 +478,10 @@ _MALFORMED = {
     **{f"index-{name}": ("index", obj, None) for name, obj in _BAD_OPERATORS.items()},
     **{f"spectrum-{name}": ("spectrum", TUPLE_N0, obj) for name, obj in _BAD_MAPS.items()},
     **{f"demo-{name}": ("demo theorem-2.1", obj, None) for name, obj in _BAD_SCENARIOS.items()},
+    "obstruct-top-level-number": ("obstruct", 5, None),
+    "obstruct-top-level-string": ("obstruct", "operator perturbation", None),
+    "obstruct-without-perturbation": ("obstruct", {"operator": ASH}, None),
+    "les-one-matrix": ("les", TUPLE_N0 | {"matrices": TUPLE_N0["matrices"][:1]}, None),
 }
 
 
@@ -494,3 +499,87 @@ def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp,
         argv += ["--map", write(tmp_path, "map.json", pmap)]
     assert main(argv) == 2
     assert "error[FormatError]" in capsys.readouterr().err
+
+
+# T1 upper triangular with eigenvalues 1, 2 and T2 = T1^2: joint spectrum
+# {(1, 1), (2, 4)}; under f(z1, z2) = (z1 + z2, z1 z2) it is {(2, 1), (6, 8)}
+TRIANGULAR = {
+    "mode": "exact",
+    "matrices": [
+        {"rows": 2, "cols": 2, "entries": [["1", "0"], ["1", "0"], ["0", "0"], ["2", "0"]]},
+        {"rows": 2, "cols": 2, "entries": [["1", "0"], ["3", "0"], ["0", "0"], ["4", "0"]]},
+    ],
+}
+SUM_AND_PRODUCT = [
+    [{"coeff": ["1", "0"], "monomial": [1, 0]}, {"coeff": ["1", "0"], "monomial": [0, 1]}],
+    [{"coeff": ["1", "0"], "monomial": [1, 1]}],
+]
+
+
+@pytest.mark.parametrize(
+    "pmap, expected",
+    [(None, [[1, 1], [2, 4]]), (SUM_AND_PRODUCT, [[2, 1], [6, 8]])],
+    ids=["tuple", "mapped"],
+)
+def test_spectrum_reports_the_joint_eigenvalues(tmp_path, schema, pmap, expected):
+    argv = ["spectrum", "--input", write(tmp_path, "t.json", TRIANGULAR)]
+    if pmap is not None:
+        argv += ["--map", write(tmp_path, "map.json", pmap)]
+    code, data = run_cli(argv, tmp_path)
+    assert code == 0
+    rep = json.loads(data)
+    jsonschema.validate(rep, schema)
+    assert rep["mode"] == "exact" and rep["dimension"] == 2
+    points = sorted([[re for re, im in p["point"]] for p in rep["points"]])
+    assert points == expected
+    assert all(im == 0.0 for p in rep["points"] for _, im in p["point"])
+    assert [p["multiplicity"] for p in rep["points"]] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, first_rows",
+    [
+        (["index", "--input", "ash.json"], ["certified,true", "command,index"]),
+        (["demo", "theorem-2.1"], ["cases.0.dims.0,1"]),
+    ],
+    ids=["index", "demo-theorem-2.1"],
+)
+def test_csv_of_a_report_without_rows_is_sorted_key_value(tmp_path, argv, first_rows):
+    argv = [write(tmp_path, "ash.json", ASH) if a == "ash.json" else a for a in argv]
+    _, first = run_cli(argv + ["--format", "csv"], tmp_path, "r1.csv")
+    _, second = run_cli(argv + ["--format", "csv"], tmp_path, "r2.csv")
+    assert first == second
+    lines = first.decode().splitlines()
+    assert lines[0] == "key,value"
+    assert lines[1 : 1 + len(first_rows)] == first_rows
+    keys = [line.split(",", 1)[0] for line in lines[1:]]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_unreadable_inputs_and_unknown_demos_are_format_errors(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    for argv in [
+        ["index", "--input", str(tmp_path / "missing.json")],
+        ["index", "--input", str(garbled)],
+        ["demo", "no-such-demo"],
+    ]:
+        assert main(argv) == 2, argv
+        assert "error[FormatError]" in capsys.readouterr().err
+
+
+#: sha256 of the stdout of each demo; a change that alters a demo report
+#: updates its digest here and says why
+DEMO_DIGESTS = {
+    ("theorem-1.1", "json"): "4ddd171ab98ea15aed608991106aa945ef3429be74f666dcb7caacb7cac4246e",
+    ("theorem-1.1", "csv"): "35f63f7082cb447c7ae6ed2fc5bea4acc43e81d55e1dd4f9004c9046c1d53961",
+    ("theorem-2.1", "json"): "5c4c47a623bfe95d224e1baac5ec1663117e5fda4508b8a517722af3eba18240",
+    ("theorem-2.1", "csv"): "7c6fbeae317c5752a49c0fb2f4030aaa8b456d7aab03c50c08e00cc949b4feba",
+}
+
+
+@pytest.mark.parametrize("demo, fmt", DEMO_DIGESTS, ids=["-".join(k) for k in DEMO_DIGESTS])
+def test_demo_stdout_is_pinned(capsys, demo, fmt):
+    assert main(["demo", demo, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo, fmt]

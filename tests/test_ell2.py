@@ -13,8 +13,8 @@ from koszulkit.ell2 import (
     TruncationWindow,
     fredholm_index_banded,
     identity_op,
+    iter_kernels_of_powers,
     kernel_of_power,
-    kernels_of_powers,
     make_catalog_operator,
     symbol_winding,
     zero_op,
@@ -176,6 +176,34 @@ def test_product_is_the_exact_entrywise_product(a, b):
     assert prod == BandedOperator.build(diags)
 
 
+@settings(max_examples=40, deadline=None)
+@given(exact_banded_ops(), exact_banded_ops())
+def test_sum_is_the_exact_entrywise_sum(a, b):
+    (la, pa), (lb, pb) = a._tail_params(), b._tail_params()
+    L, P = max(la, lb), lcm(pa, pb)
+    w = max(a.bandwidth, b.bandwidth)
+    diags = []
+    for o in range(-w, w + 1):
+        at = [(t + max(-o, 0), t + max(o, 0)) for t in range(L + P)]
+        vals = [a.entry(i, j) + b.entry(i, j) for i, j in at]
+        diags.append(Diagonal(o, tuple(vals[:L]), tuple(vals[L:])))
+    assert a + b == BandedOperator.build(diags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_banded_ops(), st.integers(1, 3), st.data())
+def test_patch_adds_into_the_top_left_entries(a, n, data):
+    ents = data.draw(st.lists(_gaussian_rationals, min_size=n * n, max_size=n * n))
+    patch = Mat.from_rows([ents[i * n : (i + 1) * n] for i in range(n)])
+    patched = BandedOperator.build(a.diagonals, patch=patch)
+    L, P = a._tail_params()
+    size = L + P + n + max(a.bandwidth, n - 1) + 1
+    for i in range(size):
+        for j in range(size):
+            corner = patch.at(i, j) if i < n and j < n else GR_ZERO
+            assert patched.entry(i, j) == a.entry(i, j) + corner
+
+
 def test_powers_start_from_the_operator(monkeypatch, backward_shift):
     products = []
     real_mul = BandedOperator.__mul__
@@ -287,11 +315,11 @@ def test_certified_subspace_reverifies_at_double_window(backward_shift):
 
 def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift):
     powers = [3, 1, 3, 2]
-    subs = kernels_of_powers(backward_shift, powers)
-    for m, sub in zip(powers, subs):
+    subs = dict(iter_kernels_of_powers(backward_shift, powers))
+    for m in powers:
         one = kernel_of_power(backward_shift, m)
-        assert sub.dim == one.dim == m
-        assert np.array_equal(sub.basis, one.basis)
+        assert subs[m].dim == one.dim == m
+        assert np.array_equal(subs[m].basis, one.basis)
 
 
 def test_small_guard_rejected(backward_shift):

@@ -158,6 +158,13 @@ def test_constructor_checks_its_own_invariant(build, error):
         build()
 
 
+def test_constructor_refuses_the_empty_tuple():
+    with pytest.raises(ShapeError):
+        CommutingTuple(0, 2, (), EXACT)
+    with pytest.raises(ShapeError):
+        validate_tuple([])
+
+
 def test_koszul_complex_multiplies_no_matrices(monkeypatch):
     T = random_commuting_tuple(get_rng(3), 3, 3)
     assert T.mode == EXACT
