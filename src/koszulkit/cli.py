@@ -72,6 +72,13 @@ def _parse_powers(text: str) -> tuple:
     return powers
 
 
+def _parse_rank_bound(text: str) -> int:
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: need a rank bound >= 0")
+    return bound
+
+
 def _complex_pair(z: complex):
     return [float(z.real), float(z.imag)]
 
@@ -262,7 +269,7 @@ _FLAGS = {
     "--guard": {"type": int, "help": "guard band G"},
     "--max-level": {"type": int, "default": 12},
     "--powers": {"type": _parse_powers, "default": tuple(range(1, 11)), "help": "a:b range or comma list"},
-    "--rank-bound": {"type": int, "default": 4},
+    "--rank-bound": {"type": _parse_rank_bound, "default": 4},
 }
 
 _COMMANDS = (

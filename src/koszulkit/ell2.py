@@ -18,10 +18,14 @@ Kernel computations use rectangular truncations: a vector supported on
 the first N coordinates that the (N + m*w) x N section of T^m kills is a
 genuine kernel vector of the operator (every row that could be nonzero
 was included).  Acceptance additionally requires the vector to die out
-before the guard band, and the dimension to agree at window sizes N and
-2N.  That certificate is a desk-scale stabilization check, not a proof:
-operators whose kernel vectors have unbounded support (none of the
-catalog instances) can stabilize to an undercount.
+before the guard band, and then one of two things at window size N:
+either the dimension agrees at N and 2N, or (for a power m >= 2 whose
+walk knows dim ker T) it reaches the subadditivity bound
+dim ker T^m <= dim ker T^j + (m - j) * dim ker T from the last certified
+power j, which no larger window could exceed.  m = 1 always takes the
+N/2N check.  That certificate is a desk-scale stabilization check, not a
+proof: operators whose kernel vectors have unbounded support (none of
+the catalog instances) can stabilize to an undercount.
 
 Fredholmness comes from the symbol of the periodic tail
 (``symbol_winding``), which also gives the index independently of the
@@ -364,8 +368,9 @@ class TruncationWindow:
 
 @dataclass(frozen=True)
 class StabilizedSubspace:
-    """Orthonormal basis (columns) of a kernel, certified by two windows:
-    ``_stabilized_kernel`` builds one only when they agree."""
+    """Orthonormal basis (columns) of a kernel, certified at ``window``:
+    ``_stabilized_kernel`` builds one only when the next window agrees or
+    the count reaches the bound from lower powers."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
@@ -430,30 +435,62 @@ def kernel_of_power(
 ) -> StabilizedSubspace:
     """Certified orthonormal basis of ker T^m via stabilized sections.
 
-    When no window is given, the guard band is grown to m * bandwidth and
-    the section auto-doubles up to MAX_SECTION before raising
-    NotStabilized.
+    On its own it knows no lower power, so it always takes the N/2N
+    check of ``_stabilized_kernel``.  When no window is given, the guard
+    band is grown to m * bandwidth and the section auto-doubles up to
+    MAX_SECTION before raising NotStabilized.
     """
     return next(iter_kernels_of_powers(T, (m,), win))[1]
 
 
-def iter_kernels_of_powers(T: BandedOperator, powers, win: TruncationWindow | None = None):
-    """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``,
-    each certified as by ``kernel_of_power``.  The walk is lazy and builds
-    T^m = T^(m-1) * T only when asked, so a caller that stops early never
-    builds or certifies the higher powers."""
+def iter_kernels_of_powers(
+    T: BandedOperator,
+    powers,
+    win: TruncationWindow | None = None,
+    ker1: StabilizedSubspace | None = None,
+):
+    """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
+    The walk is lazy and builds T^m = T^(m-1) * T only when asked, so a
+    caller that stops early never builds or certifies the higher powers.
+
+    Each kernel is certified by ``_stabilized_kernel``.  Once dim ker T
+    is known (from ``ker1``, a certified ker T, or from the walk's own
+    m = 1), each m >= 2 also gets the bound
+    dim ker T^j + (m - j) * dim ker T, j the last power certified (j = 0
+    at the start, with dim 0): T^j maps ker T^m into ker T^(m-j) with
+    kernel ker T^j, and dim ker T^(m-j) <= (m - j) * dim ker T.  m = 1
+    never has a bound.
+    """
     Tm, k = identity_op(), 0
+    d1 = None if ker1 is None else ker1.dim
+    j, dj = 0, 0  # last certified power and the dimension of its kernel
     for m in sorted(set(powers)):
         while k < m:
             Tm, k = (Tm * T if k else T), k + 1
-        yield m, _stabilized_kernel(Tm, m * T.bandwidth, win)
+        bound = dj + (m - j) * d1 if m >= 2 and d1 is not None else None
+        sub = _stabilized_kernel(Tm, m * T.bandwidth, win, bound)
+        if m == 1 and d1 is None:
+            d1 = sub.dim
+        j, dj = m, sub.dim
+        yield m, sub
 
 
 def _stabilized_kernel(
-    Tm: BandedOperator, reach: int, win: TruncationWindow | None
+    Tm: BandedOperator, reach: int, win: TruncationWindow | None, bound: int | None = None
 ) -> StabilizedSubspace:
     """Certified kernel of Tm = T^m; ``reach`` = m * bandwidth(T) is the
-    least admissible guard band."""
+    least admissible guard band.
+
+    A kernel is accepted at window N in one of two ways:
+
+    - its count reaches ``bound``, an upper bound on dim ker T^m from
+      lower powers: every vector the section returns is a kernel vector
+      of T^m, so ``bound`` of them span it, and the 2N section is never
+      computed; a count above ``bound`` means a lower power undercounted
+      and raises NotStabilized;
+    - otherwise (and always without a bound, as for m = 1) the count at
+      N must equal the count at 2N.
+    """
     if win is None:
         win = TruncationWindow.for_guard(max(DEFAULT_G, reach))
     elif win.G < reach:
@@ -472,13 +509,17 @@ def _stabilized_kernel(
     cap = max(MAX_SECTION, win.N)
     while N <= cap:
         d1, basis = at(N)
-        d2, _ = at(2 * N)
-        if d1 == d2:
+        if bound is not None and d1 > bound:
+            raise NotStabilized(
+                f"section size {N} certifies {d1} kernel vectors, above the bound "
+                f"{bound} from lower powers: a lower power undercounted"
+            )
+        if d1 == bound or d1 == at(2 * N)[0]:
             return StabilizedSubspace(basis=basis, dim=d1, window=TruncationWindow(N, win.G))
         N *= 2
     raise NotStabilized(
         f"kernel dimension kept changing up to section size {cap} "
-        f"(last dims {d1} vs {d2})"
+        f"(last dims {d1} vs {at(N)[0]})"
     )
 
 

@@ -181,10 +181,14 @@ def kernel_tower(
     T must be Fredholm (by its symbol) with strictly positive certified index
     (pass the adjoint to flip a negative index).  The kernels of the powers
     are walked lazily and the walk stops (NotStabilized) at the first one
-    no larger than the one before, so no higher power is built.  Layer
-    bases come from modified Gram-Schmidt of each kernel against the
-    accumulated lower kernels, re-orthogonalized once.
+    no larger than the one before, so no higher power is built; a depth
+    below 4, which cannot show three equal layers, fails before any
+    section is computed.  Layer bases come from modified Gram-Schmidt of
+    each kernel against the accumulated lower kernels, re-orthogonalized
+    once.
     """
+    if max_depth < 4:
+        raise _no_stabilization_level(max_depth)
     idx = fredholm_index_banded(T, win)
     if idx.index <= 0:
         raise IndexSignError(
@@ -192,7 +196,7 @@ def kernel_tower(
             "apply it to the adjoint instead"
         )
     kernels = [idx.ker]
-    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), win):
+    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), win, idx.ker):
         if kn.dim <= kernels[-1].dim:
             raise NotStabilized(
                 f"kernel dimensions decreased between powers {n - 1} and {n}"
@@ -259,11 +263,7 @@ def kernel_tower(
             n0 = n
             break
     if n0 is None:
-        raise NotStabilized(
-            f"no stabilization level found within depth {max_depth} "
-            "(three equal layer dimensions with invertible compressions "
-            "are required); increase the depth"
-        )
+        raise _no_stabilization_level(max_depth)
     # orthogonality across all layers
     gram = acc.conj().T @ acc
     if gram.size and float(np.abs(gram - np.eye(gram.shape[0])).max()) > TOL_INVARIANCE:
@@ -274,6 +274,14 @@ def kernel_tower(
         kernel_dims=tuple(k.dim for k in kernels),
         n0=n0,
         index=idx,
+    )
+
+
+def _no_stabilization_level(max_depth: int) -> NotStabilized:
+    return NotStabilized(
+        f"no stabilization level found within depth {max_depth} "
+        "(three equal layer dimensions with invertible compressions "
+        "are required); increase the depth"
     )
 
 
@@ -414,12 +422,14 @@ def growth_table(
     powers = list(powers)
     if not powers or min(powers) < 0:
         raise FormatError(f"growth table needs powers m >= 0, got {powers}")
+    if rank_bound < 0:
+        raise FormatError(f"growth table needs rank_bound >= 0, got {rank_bound}")
     base = fredholm_index_banded(T, win)
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
     higher = [m for m in powers if m != 1]
-    kers = {1: base.ker} | dict(iter_kernels_of_powers(T, higher, win))
-    cokers = {1: base.coker} | dict(iter_kernels_of_powers(T.adjoint(), higher, win))
+    kers = {1: base.ker} | dict(iter_kernels_of_powers(T, higher, win, base.ker))
+    cokers = {1: base.coker} | dict(iter_kernels_of_powers(T.adjoint(), higher, win, base.coker))
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim

@@ -235,6 +235,70 @@ def test_growth_keeps_power_zero_and_repeated_powers(tmp_path):
     assert [(r["m"], r["dim_ker"], r["dim_coker"]) for r in rows] == [(0, 0, 0), (2, 2, 0), (2, 2, 0)]
 
 
+def test_growth_reports_validate_and_a_negative_rank_bound_is_refused(tmp_path, capsys, schema):
+    ash = write(tmp_path, "a.json", ASH)
+    for args in (["--powers", "0:2"], ["--rank-bound", "0"]):
+        code, data = run_cli(["growth", "--input", ash, *args], tmp_path)
+        assert code == 0
+        jsonschema.validate(json.loads(data), schema)
+    for argv in (["growth", "--input", ash], ["demo", "theorem-1.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--rank-bound", "-3"])
+        assert exc.value.code == 2
+        assert "argument --rank-bound" in capsys.readouterr().err
+    scenario = {"demo": "growth", "operator": ASH, "powers": [1, 2], "rank_bound": -3}
+    assert main(["demo", "theorem-1.1", "--input", write(tmp_path, "s.json", scenario)]) == 2
+    assert "error[FormatError]" in capsys.readouterr().err
+
+
+def _shift2_plus(re, im):
+    """S*^2 + cI: index 2 and coker 0, so dim ker T^m = 2m."""
+    return {
+        "diagonals": [
+            {"offset": 2, "period": [["1", "0"]]},
+            {"offset": 0, "period": [[re, im]]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "powers, rows",
+    [
+        ("0,2,5", [(0, 0, 0), (2, 4, 0), (5, 10, 0)]),
+        ("3", [(3, 6, 0)]),
+        ("1,4,7", [(1, 2, 0), (4, 8, 0), (7, 14, 0)]),
+    ],
+)
+def test_growth_rows_of_a_shifted_square(tmp_path, powers, rows):
+    inp = write(tmp_path, "t.json", _shift2_plus("1/4", "0"))
+    code, data = run_cli(["growth", "--input", inp, "--powers", powers], tmp_path)
+    assert code == 0
+    assert [(r["m"], r["dim_ker"], r["dim_coker"]) for r in json.loads(data)["rows"]] == rows
+
+
+#: sha256 of the stdout of ``tower --max-level 12`` on S*^2 + (i/4)I, taken
+#: when every power was still confirmed at twice its window
+TOWER_DIGEST = "3a8dafbfb906f33628791faf5261de09cbc8afcae0189d464d03c9f456bec675"
+
+
+def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsys, monkeypatch):
+    import koszulkit.ell2 as ell2
+
+    real, sizes = ell2._section_kernel, []
+
+    def counted(Tm, N, G):
+        sizes.append(N)
+        return real(Tm, N, G)
+
+    monkeypatch.setattr(ell2, "_section_kernel", counted)
+    inp = write(tmp_path, "t.json", _shift2_plus("0", "1/4"))
+    assert main(["tower", "--input", inp, "--max-level", "12"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["kernel_dims"] == list(range(2, 25, 2))
+    assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGEST
+    assert 256 not in sizes
+
+
 def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):
     inp = write(tmp_path, "t.json", TUPLE_N0)
     assert run_cli(["cohomology", "--input", inp], tmp_path, "warm.json")[0] == 0

@@ -11,6 +11,7 @@ from koszulkit.ell2 import (
     BandedOperator,
     Diagonal,
     TruncationWindow,
+    _stabilized_kernel,
     fredholm_index_banded,
     identity_op,
     iter_kernels_of_powers,
@@ -19,7 +20,7 @@ from koszulkit.ell2 import (
     symbol_winding,
     zero_op,
 )
-from koszulkit.errors import FormatError, PreconditionError
+from koszulkit.errors import FormatError, NotStabilized, PreconditionError
 from koszulkit.linalg import Mat
 from koszulkit.scalars import GR_ONE, GR_ZERO, GaussianRational
 from koszulkit.tower import kernel_tower
@@ -320,6 +321,51 @@ def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift)
         one = kernel_of_power(backward_shift, m)
         assert subs[m].dim == one.dim == m
         assert np.array_equal(subs[m].basis, one.basis)
+
+
+#: operators of positive index with coker 0, so dim ker T^m = m * dim ker T
+#: and every power m >= 2 of the walk reaches its bound
+_BOUND_OPERATORS = {
+    "S*": lambda: make_catalog_operator("adjoint_shift"),
+    "S*^2 + I/4": lambda: make_catalog_operator("toeplitz", symbol={-2: 1, 0: "1/4"}),
+    "S* - I/2": lambda: make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-1/2"}),
+    "weighted S*": lambda: make_catalog_operator(
+        "weighted_shift", prefix=["1/2"], period=[2, 1]
+    ).adjoint(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_OPERATORS))
+def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, name):
+    import koszulkit.ell2 as ell2
+
+    T = _BOUND_OPERATORS[name]()
+    real, sizes = ell2._section_kernel, {}
+
+    def counted(Tm, N, G):
+        sizes.setdefault(Tm, []).append(N)
+        return real(Tm, N, G)
+
+    monkeypatch.setattr(ell2, "_section_kernel", counted)
+    walk = dict(iter_kernels_of_powers(T, range(1, 9)))
+    d1 = walk[1].dim
+    for m in range(2, 9):
+        sub, Tm = walk[m], T.power(m)
+        assert sub.dim == m * d1
+        # accepted by the bound: the walk never took the doubled window ...
+        assert 2 * sub.window.N not in sizes[Tm]
+        # ... which gives the same count, as does the N/2N certificate
+        # that kernel_of_power alone still takes
+        assert real(Tm, 2 * sub.window.N, sub.window.G)[0] == sub.dim
+        alone = kernel_of_power(T, m)
+        assert (alone.dim, alone.window) == (sub.dim, sub.window)
+        assert np.array_equal(alone.basis, sub.basis)
+
+
+def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
+    # ker (S*)^2 has dimension 2, one more than the bound claims
+    with pytest.raises(NotStabilized, match="above the bound 1 "):
+        _stabilized_kernel(backward_shift.power(2), 2, None, bound=1)
 
 
 def test_small_guard_rejected(backward_shift):

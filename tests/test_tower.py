@@ -7,6 +7,7 @@ from koszulkit.ell2 import (
     zero_op,
 )
 from koszulkit.errors import (
+    FormatError,
     IndexSignError,
     IndexZeroError,
     NonCommuting,
@@ -76,6 +77,23 @@ def test_shallow_tower_not_stabilized(backward_shift):
         kernel_tower(backward_shift, 3)
 
 
+def test_shallow_tower_fails_before_any_section(backward_shift, monkeypatch):
+    # n0 needs three equal layers after level 1, so depth 4 at least; a
+    # shallower tower fails as a deep one without n0 does, and at once
+    import koszulkit.ell2 as ell2
+
+    calls = []
+    monkeypatch.setattr(ell2, "_section_kernel", lambda *args: calls.append(args))
+    for depth in (0, 1, 2, 3):
+        with pytest.raises(NotStabilized) as exc:
+            kernel_tower(backward_shift, depth)
+        assert str(exc.value) == (
+            f"no stabilization level found within depth {depth} (three equal layer "
+            "dimensions with invertible compressions are required); increase the depth"
+        )
+    assert calls == []
+
+
 @pytest.mark.parametrize("k", [2, 5])
 def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatch, k):
     # a healthy operator whose kernel dimension is made to stop growing at
@@ -84,11 +102,11 @@ def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatc
 
     real, requested, seen = ell2._stabilized_kernel, [], {}
 
-    def capped(Tm, reach, win):
+    def capped(Tm, reach, win, bound=None):
         requested.append(reach)  # reach = m * bandwidth, and S* has bandwidth 1
         if reach >= k:
             return seen[k - 1]
-        out = real(Tm, reach, win)
+        out = real(Tm, reach, win, bound)
         seen.setdefault(reach, out)  # ker T comes before ker T* at reach 1
         return out
 
@@ -316,6 +334,11 @@ def test_growth_table_toeplitz_square():
         assert row.dim_coker == 2 * row.m
         assert row.dim_ker == 0
         assert row.index == -2 * row.m
+
+
+def test_growth_table_refuses_a_negative_rank_bound(backward_shift):
+    with pytest.raises(FormatError, match="rank_bound >= 0"):
+        growth_table(backward_shift, [1, 2], -3)
 
 
 def test_growth_table_rejects_index_zero():
