@@ -23,9 +23,11 @@ either the dimension agrees at N and 2N, or (for a power m >= 2 whose
 walk knows dim ker T) it reaches the subadditivity bound
 dim ker T^m <= dim ker T^j + (m - j) * dim ker T from the last certified
 power j, which no larger window could exceed.  m = 1 always takes the
-N/2N check.  That certificate is a desk-scale stabilization check, not a
-proof: operators whose kernel vectors have unbounded support (none of
-the catalog instances) can stabilize to an undercount.
+N/2N check, with the 2N count read from singular values alone when that
+suffices.  A walk starts each power at the window of the power before.
+That certificate is a desk-scale stabilization check, not a proof:
+operators whose kernel vectors have unbounded support (none of the
+catalog instances) can stabilize to an undercount.
 
 Fredholmness comes from the symbol of the periodic tail
 (``symbol_winding``), which also gives the index independently of the
@@ -398,6 +400,13 @@ def _orthonormalize(B: np.ndarray) -> np.ndarray:
     return q * (d.conj() / np.abs(d))
 
 
+def _section_nullity(Tm: BandedOperator, N: int) -> int:
+    """Nullity of the window-N section from its singular values alone, by
+    ``_section_kernel``'s rank rule: no basis, guard band or residual."""
+    s = np.linalg.svd(Tm.section(max(N + Tm.bandwidth, 1), N), compute_uv=False)
+    return N - int(np.sum(s > TOL_SECTION_RANK * s[0]))
+
+
 def _section_kernel(Tm: BandedOperator, N: int, G: int):
     """(dim, basis restricted to [0, N-G)) for the window (N, G)."""
     A = Tm.section(max(N + Tm.bandwidth, 1), N)
@@ -460,18 +469,27 @@ def iter_kernels_of_powers(
     at the start, with dim 0): T^j maps ker T^m into ker T^(m-j) with
     kernel ker T^j, and dim ker T^(m-j) <= (m - j) * dim ker T.  m = 1
     never has a bound.
+
+    Power m starts at the first window of its doubling sequence (under
+    the cap) that is at least power j's: ker T^j lies in ker T^m and the
+    guard grows with m, so a smaller window cannot reach T^m's bound.
     """
     Tm, k = identity_op(), 0
     d1 = None if ker1 is None else ker1.dim
-    j, dj = 0, 0  # last certified power and the dimension of its kernel
+    j, dj, Nj = 0, 0, 0  # last certified power, its kernel's dim and window
     for m in sorted(set(powers)):
         while k < m:
             Tm, k = (Tm * T if k else T), k + 1
         bound = dj + (m - j) * d1 if m >= 2 and d1 is not None else None
-        sub = _stabilized_kernel(Tm, m * T.bandwidth, win, bound)
+        reach = m * T.bandwidth
+        w = win or TruncationWindow.for_guard(max(DEFAULT_G, reach))
+        N, cap = w.N, max(MAX_SECTION, w.N)
+        while N < Nj and 2 * N <= cap:
+            N *= 2
+        sub = _stabilized_kernel(Tm, reach, TruncationWindow(N, w.G), bound)
         if m == 1 and d1 is None:
             d1 = sub.dim
-        j, dj = m, sub.dim
+        j, dj, Nj = m, sub.dim, sub.window.N
         yield m, sub
 
 
@@ -489,7 +507,11 @@ def _stabilized_kernel(
       computed; a count above ``bound`` means a lower power undercounted
       and raises NotStabilized;
     - otherwise (and always without a bound, as for m = 1) the count at
-      N must equal the count at 2N.
+      N must equal the count at 2N.  Without a bound that count is first
+      read from singular values alone: the d window-N vectors, padded
+      with zeros, stay within tolerance at 2N, so a raw nullity of d
+      means they span the 2N null space and the full certificate would
+      count d too.  Otherwise (and with a bound) the full 2N section runs.
     """
     if win is None:
         win = TruncationWindow.for_guard(max(DEFAULT_G, reach))
@@ -514,7 +536,8 @@ def _stabilized_kernel(
                 f"section size {N} certifies {d1} kernel vectors, above the bound "
                 f"{bound} from lower powers: a lower power undercounted"
             )
-        if d1 == bound or d1 == at(2 * N)[0]:
+        confirmed = bound is None and _section_nullity(Tm, 2 * N) == d1
+        if d1 == bound or confirmed or d1 == at(2 * N)[0]:
             return StabilizedSubspace(basis=basis, dim=d1, window=TruncationWindow(N, win.G))
         N *= 2
     raise NotStabilized(

@@ -7,8 +7,10 @@ three-way gcd, sums over a shared denominator skip the cross products,
 and no arithmetic builds a ``Fraction``; arithmetic never rounds.
 Integer and "p/q" strings are read straight into the triple, any other
 string through ``Fraction(str)``, so the accepted inputs are exactly
-``Fraction``'s.  Float scalars are plain ``complex``.  Every matrix and
-operator carries one arithmetic mode; mixing modes raises
+``Fraction``'s, except that a decimal exponent larger in magnitude than
+``sys.get_int_max_str_digits()`` is refused instead of expanded.  Float
+scalars are plain ``complex``.  Every matrix and operator carries one
+arithmetic mode; mixing modes raises
 :class:`~koszulkit.errors.ModeMismatch` at the point of use.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, sqrt
-from sys import hash_info
+from sys import get_int_max_str_digits, hash_info
 
 from .errors import ModeMismatch
 
@@ -26,6 +28,9 @@ FLOAT = "float"
 
 #: the strings read without ``Fraction``: an ASCII integer or "p/q"
 _RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+#: the decimal exponent of a string ``Fraction`` would read
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _ratio(x) -> tuple:
@@ -38,6 +43,10 @@ def _ratio(x) -> tuple:
             q = int(m[2] or 1)
             if q:
                 return int(m[1]), q
+        e = _EXPONENT.search(x)
+        if e and 0 < get_int_max_str_digits() < abs(int(e[1])):
+            # Fraction would build 10**|exponent|: seconds per million digits
+            raise ValueError(f"decimal exponent {e[1]} is too large")
         x = Fraction(x)  # raises on "p/0" as before
     elif isinstance(x, float):
         # decimal-faithful: 0.5 -> 1/2, 0.1 -> 1/10

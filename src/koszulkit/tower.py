@@ -417,7 +417,9 @@ def growth_table(
     For index(T) != 0 the dimensions grow linearly (index of T^m is
     m times the index of T), so any map of rank <= rank_bound on those
     spaces stops being an isomorphism as soon as a dimension exceeds the
-    bound; the `exceeds` column marks where that happens.
+    bound; the `exceeds` column marks where that happens.  A row whose
+    index dim_ker - dim_coker is not m times the index of T raises
+    NotStabilized: a section undercounted one of its kernels.
     """
     powers = list(powers)
     if not powers or min(powers) < 0:
@@ -433,6 +435,11 @@ def growth_table(
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim
+        if k - c != m * base.index:
+            raise NotStabilized(
+                f"growth row m = {m} certifies index {k - c}, but index "
+                f"multiplicativity gives m * index T = {m * base.index}"
+            )
         rows.append(
             GrowthRow(
                 m=m,

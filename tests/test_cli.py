@@ -276,6 +276,23 @@ def test_growth_rows_of_a_shifted_square(tmp_path, powers, rows):
     assert [(r["m"], r["dim_ker"], r["dim_coker"]) for r in json.loads(data)["rows"]] == rows
 
 
+def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys):
+    # S* - I/2 has index 1, but its slowly decaying kernels make the
+    # sections certify dim ker T^11 = 10; that row must not exit 0
+    inp = write(tmp_path, "t.json", {
+        "diagonals": [
+            {"offset": 1, "period": [["1", "0"]]},
+            {"offset": 0, "period": [["-1/2", "0"]]},
+        ],
+    })
+    code, data = run_cli(["growth", "--input", inp, "--powers", "9:14"], tmp_path)
+    assert (code, data) == (3, b"")
+    assert capsys.readouterr().err.strip() == (
+        "error[NotStabilized]: growth row m = 11 certifies index 10, but index "
+        "multiplicativity gives m * index T = 11"
+    )
+
+
 #: sha256 of the stdout of ``tower --max-level 12`` on S*^2 + (i/4)I, taken
 #: when every power was still confirmed at twice its window
 TOWER_DIGEST = "3a8dafbfb906f33628791faf5261de09cbc8afcae0189d464d03c9f456bec675"

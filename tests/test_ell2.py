@@ -368,6 +368,84 @@ def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
         _stabilized_kernel(backward_shift.power(2), 2, None, bound=1)
 
 
+#: ker T and ker T* of these are certified at m = 1, with no bound
+_M1_OPERATORS = {
+    **_BOUND_OPERATORS,
+    "S": lambda: make_catalog_operator("shift"),
+    "patched S*": lambda: make_catalog_operator("adjoint_shift")
+    + BandedOperator.build([], patch=Mat.from_rows([[2, 1], [0, -1]])),
+    "S* - 9I/10": lambda: make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-9/10"}),
+}
+
+
+def _count_sections(monkeypatch):
+    """Record the window of every full ``_section_kernel`` call."""
+    import koszulkit.ell2 as ell2
+
+    real, sizes = ell2._section_kernel, []
+
+    def counted(Tm, N, G):
+        sizes.append(N)
+        return real(Tm, N, G)
+
+    monkeypatch.setattr(ell2, "_section_kernel", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(_M1_OPERATORS))
+def test_singular_values_confirm_the_doubled_window_as_its_section_does(monkeypatch, name):
+    import koszulkit.ell2 as ell2
+
+    T = _M1_OPERATORS[name]()
+    for op in (T, T.adjoint()):
+        sizes = _count_sections(monkeypatch)
+        fast = kernel_of_power(op, 1)
+        assert 2 * fast.window.N not in sizes  # confirmed by singular values
+        # a values-only count that never agrees forces the full 2N section
+        monkeypatch.setattr(ell2, "_section_nullity", lambda Tm, N: -1)
+        sizes.clear()
+        full = kernel_of_power(op, 1)
+        assert 2 * full.window.N in sizes
+        assert (fast.dim, fast.window) == (full.dim, full.window)
+        assert np.array_equal(fast.basis, full.basis)
+        monkeypatch.undo()
+
+
+def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_path):
+    from koszulkit.cli import main
+
+    sizes = _count_sections(monkeypatch)
+    inp = tmp_path / "t.json"
+    inp.write_text(json.dumps({"diagonals": [
+        {"offset": 1, "period": [["1", "0"]]},
+        {"offset": 0, "period": [["1/3", "0"]]},
+    ]}))
+    assert main(["index", "--input", str(inp), "--out", str(tmp_path / "o.json")]) == 0
+    assert json.loads((tmp_path / "o.json").read_text())["index"] == 1
+    assert sizes == [64, 64]  # ker T and ker T*, none at N = 128
+
+
+def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
+    # S* - I/2: ker T^3 needs N = 128, and no higher power can reach its
+    # bound at N = 64, so the walk takes no 64-section past m = 3
+    import koszulkit.ell2 as ell2
+
+    T = make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-1/2"})
+    real, calls = ell2._section_kernel, []
+    monkeypatch.setattr(
+        ell2, "_section_kernel", lambda Tm, N, G: calls.append((Tm, N)) or real(Tm, N, G)
+    )
+    walk = dict(iter_kernels_of_powers(T, range(1, 11)))
+    assert [m for m, sub in walk.items() if sub.window.N == 64] == [1, 2]
+    later = {T.power(m) for m in range(4, 11)}
+    assert [N for Tm, N in calls if Tm in later] == [128] * 7
+    monkeypatch.undo()
+    for m, sub in walk.items():
+        alone = kernel_of_power(T, m)
+        assert alone.dim == sub.dim == m and alone.window == sub.window
+        assert np.array_equal(alone.basis, sub.basis)
+
+
 def test_small_guard_rejected(backward_shift):
     with pytest.raises(FormatError):
         kernel_of_power(backward_shift, 8, TruncationWindow(64, 4))

@@ -7,6 +7,7 @@ the integer triples must reproduce, value for value and bit for bit.
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,9 +146,24 @@ _STRINGS = (
 )
 
 
-def _expected_parse(re, im):
-    """parse_scalar's result as the Fraction-pair representation gives it."""
+def _huge_exponent(x):
+    """A string whose text after its last "e" is an integer larger in
+    magnitude than the longest integer string Python reads."""
+    if not isinstance(x, str) or "e" not in x.lower():
+        return False
     try:
+        return abs(int(x.lower().rpartition("e")[2])) > sys.get_int_max_str_digits()
+    except ValueError:
+        return False
+
+
+def _expected_parse(re, im):
+    """parse_scalar's result as the Fraction-pair representation gives it;
+    a decimal exponent past sys.get_int_max_str_digits() is refused, where
+    Fraction would build 10**exponent."""
+    try:
+        if _huge_exponent(re) or _huge_exponent(im):
+            raise ValueError("decimal exponent too large")
         return (Fraction(re), Fraction(im)), None
     except (ValueError, ZeroDivisionError):
         return None, f"bad exact scalar {[re, im]!r}"
@@ -170,9 +186,25 @@ def test_parse_scalar_reads_strings_as_fraction_does(text):
 
 
 @given(st.text(alphabet="0123456789+-/ ._e", max_size=8), st.integers(-(10**20), 10**20))
+@example("0e500001", 0)
 def test_parse_scalar_agrees_with_fraction_on_any_text(text, n):
     _assert_parses_as_fraction_does(text, str(n))
     _assert_parses_as_fraction_does(n, text)
+
+
+@pytest.mark.parametrize("text", ["0e9999999", "1E-500001", " 2.5e+4_301 "])
+def test_huge_decimal_exponents_are_refused_quickly(text):
+    start = time.perf_counter()
+    for pair in ([text, "0"], ["0", text]):
+        with pytest.raises(FormatError) as info:
+            parse_scalar(pair, EXACT)
+        assert str(info.value) == f"bad exact scalar {pair!r}"
+    assert time.perf_counter() - start < 0.5
+    # the largest exponent still read is the limit itself
+    limit = sys.get_int_max_str_digits()
+    assert parse_scalar([f"1e{limit}", f"1e-{limit}"], EXACT) == GaussianRational(
+        10**limit, Fraction(1, 10**limit)
+    )
 
 
 @given(_pairs)
