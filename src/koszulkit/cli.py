@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .ell2 import DEFAULT_G, TruncationWindow, fredholm_index_banded
+from .ell2 import fredholm_index_banded
 from .koszul import augment_les, cohomology, validate_tuple
 from .scalars import EXACT
 from .spectrum import apply_poly_map, joint_spectrum
@@ -54,12 +54,6 @@ def _load_json(path: str):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _window(args: argparse.Namespace):
-    if args.window is None:
-        return None if args.guard is None else TruncationWindow.for_guard(args.guard)
-    return TruncationWindow(args.window, args.guard if args.guard is not None else DEFAULT_G)
-
-
 def _parse_powers(text: str) -> tuple:
     text = text.strip()
     if ":" in text:
@@ -77,6 +71,13 @@ def _parse_rank_bound(text: str) -> int:
     if bound < 0:
         raise argparse.ArgumentTypeError(f"{text!r}: need a rank bound >= 0")
     return bound
+
+
+def _parse_tol_rank(text: str) -> float:
+    tol = float(text)
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: need a rank tolerance 0 < tol < 1")
+    return tol
 
 
 def _complex_pair(z: complex):
@@ -147,7 +148,7 @@ def _cmd_les(args: argparse.Namespace) -> dict:
 
 def _cmd_index(args: argparse.Namespace) -> dict:
     op = jsonio.operator_from_json(_load_json(args.input))
-    cert = fredholm_index_banded(op, _window(args))
+    cert = fredholm_index_banded(op)
     return {
         "command": "index",
         "index": cert.index,
@@ -161,7 +162,7 @@ def _cmd_index(args: argparse.Namespace) -> dict:
 
 def _cmd_tower(args: argparse.Namespace) -> dict:
     op = jsonio.operator_from_json(_load_json(args.input))
-    tw = kernel_tower(op, args.max_level, _window(args))
+    tw = kernel_tower(op, args.max_level)
     return {
         "command": "tower",
         "dims": list(tw.layer_dims()),
@@ -204,7 +205,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> dict:
         )
     T = jsonio.operator_from_json(obj["operator"])
     K = jsonio.operator_from_json(obj["perturbation"])
-    tw = kernel_tower(T, args.max_level, _window(args))
+    tw = kernel_tower(T, args.max_level)
     return {"command": "obstruct"} | _obstruct_case(tw, K)
 
 
@@ -227,7 +228,7 @@ def _growth_rows(table) -> dict:
 
 def _cmd_growth(args: argparse.Namespace) -> dict:
     op = jsonio.operator_from_json(_load_json(args.input))
-    table = growth_table(op, args.powers, args.rank_bound, _window(args))
+    table = growth_table(op, args.powers, args.rank_bound)
     return {"command": "growth"} | _growth_rows(table)
 
 
@@ -251,8 +252,8 @@ def _cmd_demo(args: argparse.Namespace) -> dict:
     if scenario["demo"] == "growth":
         powers = scenario.get("powers", tuple(range(1, 11)))
         bound = scenario.get("rank_bound", args.rank_bound)
-        return head | _growth_rows(growth_table(T, powers, bound, _window(args)))
-    tw = kernel_tower(T, scenario.get("max_level", args.max_level), _window(args))
+        return head | _growth_rows(growth_table(T, powers, bound))
+    tw = kernel_tower(T, scenario.get("max_level", args.max_level))
     cases = [{"name": name} | _obstruct_case(tw, K) for name, K in scenario["perturbations"]]
     return head | {"pair_note": scenario.get("pair_note", ""), "cases": cases}
 
@@ -263,10 +264,8 @@ def _cmd_demo(args: argparse.Namespace) -> dict:
 #: flags read by some but not all commands; every command also takes
 #: --input, --format and --out
 _FLAGS = {
-    "--tol-rank": {"type": float},
+    "--tol-rank": {"type": _parse_tol_rank},
     "--map": {"help": "polynomial map JSON to apply first"},
-    "--window": {"type": int, "help": "section size N"},
-    "--guard": {"type": int, "help": "guard band G"},
     "--max-level": {"type": int, "default": 12},
     "--powers": {"type": _parse_powers, "default": tuple(range(1, 11)), "help": "a:b range or comma list"},
     "--rank-bound": {"type": _parse_rank_bound, "default": 4},
@@ -276,11 +275,11 @@ _COMMANDS = (
     ("cohomology", _cmd_cohomology, ("--tol-rank",)),
     ("spectrum", _cmd_spectrum, ("--map",)),
     ("les", _cmd_les, ("--tol-rank",)),
-    ("index", _cmd_index, ("--window", "--guard")),
-    ("tower", _cmd_tower, ("--window", "--guard", "--max-level")),
-    ("obstruct", _cmd_obstruct, ("--window", "--guard", "--max-level")),
-    ("growth", _cmd_growth, ("--window", "--guard", "--powers", "--rank-bound")),
-    ("demo", _cmd_demo, ("--window", "--guard", "--max-level", "--rank-bound")),
+    ("index", _cmd_index, ()),
+    ("tower", _cmd_tower, ("--max-level",)),
+    ("obstruct", _cmd_obstruct, ("--max-level",)),
+    ("growth", _cmd_growth, ("--powers", "--rank-bound")),
+    ("demo", _cmd_demo, ("--max-level", "--rank-bound")),
 )
 
 

@@ -17,7 +17,9 @@ SVDs and QRs take numpy's real LAPACK drivers; complex otherwise.
 Kernel computations use rectangular truncations: a vector supported on
 the first N coordinates that the (N + m*w) x N section of T^m kills is a
 genuine kernel vector of the operator (every row that could be nonzero
-was included).  Acceptance additionally requires the vector to die out
+was included).  There is one window rule: the guard band is
+G = max(16, m*w), the first section N = max(64, 2G), and N doubles up
+to max(1024, N).  Acceptance additionally requires the vector to die out
 before the guard band, and then one of two things at window size N:
 either the dimension agrees at N and 2N, or (for a power m >= 2 whose
 walk knows dim ker T) it reaches the subadditivity bound
@@ -44,7 +46,7 @@ import numpy as np
 from .errors import FormatError, NotStabilized, PreconditionError
 from .scalars import EXACT, GR_ONE, GR_ZERO, GaussianRational, as_scalar
 
-#: default window and hard cap for auto-doubling
+#: least section size and guard band, and the cap for auto-doubling
 DEFAULT_N = 64
 DEFAULT_G = 16
 MAX_SECTION = 1024
@@ -355,17 +357,10 @@ def decay_diagonal(rule, length: int) -> BandedOperator:
 
 @dataclass(frozen=True)
 class TruncationWindow:
-    N: int = DEFAULT_N
-    G: int = DEFAULT_G
+    """Section size N and guard band G at which a kernel was accepted."""
 
-    def __post_init__(self):
-        if not (self.N > self.G >= 0):
-            raise FormatError(f"window needs N > G >= 0, got N={self.N} G={self.G}")
-
-    @classmethod
-    def for_guard(cls, G: int) -> "TruncationWindow":
-        """The automatic window around guard band G: N = max(DEFAULT_N, 2G)."""
-        return cls(max(DEFAULT_N, 2 * G), G)
+    N: int
+    G: int
 
 
 @dataclass(frozen=True)
@@ -439,25 +434,17 @@ def _section_kernel(Tm: BandedOperator, N: int, G: int):
     return cut.shape[1], _fix_phases(cut)
 
 
-def kernel_of_power(
-    T: BandedOperator, m: int, win: TruncationWindow | None = None
-) -> StabilizedSubspace:
+def kernel_of_power(T: BandedOperator, m: int) -> StabilizedSubspace:
     """Certified orthonormal basis of ker T^m via stabilized sections.
 
     On its own it knows no lower power, so it always takes the N/2N
-    check of ``_stabilized_kernel``.  When no window is given, the guard
-    band is grown to m * bandwidth and the section auto-doubles up to
-    MAX_SECTION before raising NotStabilized.
+    check of ``_stabilized_kernel``, from the window that
+    ``iter_kernels_of_powers`` gives power m.
     """
-    return next(iter_kernels_of_powers(T, (m,), win))[1]
+    return next(iter_kernels_of_powers(T, (m,)))[1]
 
 
-def iter_kernels_of_powers(
-    T: BandedOperator,
-    powers,
-    win: TruncationWindow | None = None,
-    ker1: StabilizedSubspace | None = None,
-):
+def iter_kernels_of_powers(T: BandedOperator, powers, ker1: StabilizedSubspace | None = None):
     """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
     The walk is lazy and builds T^m = T^(m-1) * T only when asked, so a
     caller that stops early never builds or certifies the higher powers.
@@ -470,9 +457,11 @@ def iter_kernels_of_powers(
     kernel ker T^j, and dim ker T^(m-j) <= (m - j) * dim ker T.  m = 1
     never has a bound.
 
-    Power m starts at the first window of its doubling sequence (under
-    the cap) that is at least power j's: ker T^j lies in ker T^m and the
-    guard grows with m, so a smaller window cannot reach T^m's bound.
+    Power m has guard band G = max(DEFAULT_G, m * bandwidth) and starts
+    at the first window of its doubling sequence from max(DEFAULT_N, 2G)
+    (under the cap) that is at least power j's: ker T^j lies in ker T^m
+    and the guard grows with m, so a smaller window cannot reach T^m's
+    bound.
     """
     Tm, k = identity_op(), 0
     d1 = None if ker1 is None else ker1.dim
@@ -481,12 +470,11 @@ def iter_kernels_of_powers(
         while k < m:
             Tm, k = (Tm * T if k else T), k + 1
         bound = dj + (m - j) * d1 if m >= 2 and d1 is not None else None
-        reach = m * T.bandwidth
-        w = win or TruncationWindow.for_guard(max(DEFAULT_G, reach))
-        N, cap = w.N, max(MAX_SECTION, w.N)
-        while N < Nj and 2 * N <= cap:
+        G = max(DEFAULT_G, m * T.bandwidth)
+        N = max(DEFAULT_N, 2 * G)
+        while N < Nj and 2 * N <= MAX_SECTION:
             N *= 2
-        sub = _stabilized_kernel(Tm, reach, TruncationWindow(N, w.G), bound)
+        sub = _stabilized_kernel(Tm, N, G, bound)
         if m == 1 and d1 is None:
             d1 = sub.dim
         j, dj, Nj = m, sub.dim, sub.window.N
@@ -494,10 +482,10 @@ def iter_kernels_of_powers(
 
 
 def _stabilized_kernel(
-    Tm: BandedOperator, reach: int, win: TruncationWindow | None, bound: int | None = None
+    Tm: BandedOperator, N: int, G: int, bound: int | None = None
 ) -> StabilizedSubspace:
-    """Certified kernel of Tm = T^m; ``reach`` = m * bandwidth(T) is the
-    least admissible guard band.
+    """Certified kernel of Tm = T^m, from the section of size N with guard
+    band G (G >= m * bandwidth(T)), doubling N up to max(MAX_SECTION, N).
 
     A kernel is accepted at window N in one of two ways:
 
@@ -513,22 +501,14 @@ def _stabilized_kernel(
       means they span the 2N null space and the full certificate would
       count d too.  Otherwise (and with a bound) the full 2N section runs.
     """
-    if win is None:
-        win = TruncationWindow.for_guard(max(DEFAULT_G, reach))
-    elif win.G < reach:
-        raise FormatError(
-            f"window guard {win.G} below m*bandwidth = {reach}; "
-            "enlarge the guard band"
-        )
     cache = {}
 
     def at(n):
         if n not in cache:
-            cache[n] = _section_kernel(Tm, n, win.G)
+            cache[n] = _section_kernel(Tm, n, G)
         return cache[n]
 
-    N = win.N
-    cap = max(MAX_SECTION, win.N)
+    cap = max(MAX_SECTION, N)
     while N <= cap:
         d1, basis = at(N)
         if bound is not None and d1 > bound:
@@ -538,7 +518,7 @@ def _stabilized_kernel(
             )
         confirmed = bound is None and _section_nullity(Tm, 2 * N) == d1
         if d1 == bound or confirmed or d1 == at(2 * N)[0]:
-            return StabilizedSubspace(basis=basis, dim=d1, window=TruncationWindow(N, win.G))
+            return StabilizedSubspace(basis=basis, dim=d1, window=TruncationWindow(N, G))
         N *= 2
     raise NotStabilized(
         f"kernel dimension kept changing up to section size {cap} "
@@ -605,9 +585,7 @@ class IndexCertificate:
     coker: StabilizedSubspace
 
 
-def fredholm_index_banded(
-    T: BandedOperator, win: TruncationWindow | None = None
-) -> IndexCertificate:
+def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
     """dim ker T - dim ker T*, both sides certified by stabilized windows.
 
     Fredholmness comes from the symbol (``symbol_winding``), which raises
@@ -615,8 +593,8 @@ def fredholm_index_banded(
     kernel of the adjoint.
     """
     symbol_winding(T)
-    ker = kernel_of_power(T, 1, win)
-    coker = kernel_of_power(T.adjoint(), 1, win)
+    ker = kernel_of_power(T, 1)
+    coker = kernel_of_power(T.adjoint(), 1)
     return IndexCertificate(
         index=ker.dim - coker.dim,
         dim_ker=ker.dim,

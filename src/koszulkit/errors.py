@@ -33,7 +33,7 @@ class DegreeError(KoszulKitError):
 
 
 class FormatError(KoszulKitError):
-    """Malformed operator/tuple/polynomial/window description."""
+    """Malformed operator/tuple/polynomial description."""
 
 
 class DeflationFailure(KoszulKitError):

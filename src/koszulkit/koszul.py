@@ -125,7 +125,7 @@ class LESReport:
 
     dims_direct: tuple
     dims_sequence: tuple
-    agree: bool
+    agree: bool  # always True: augment_les raises NotStabilized otherwise
     index: int
     base_dims: tuple
     induced_ranks: tuple
@@ -268,8 +268,9 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
 
     (a) direct cohomology of the (n+1)-tuple; (b) splicing the long exact
     sequence: dim H^p(T,S) = dim coker(S on H^(p-1)) + dim ker(S on H^p).
-    Both must agree; the report also says in which degrees the induced
-    action is an isomorphism.
+    Both must agree, else NotStabilized (float rank decisions can split
+    them); the report also says in which degrees the induced action is an
+    isomorphism.
     """
     Tp = augment_tuple(T, S)
     direct = _cohomology(Tp, _boundary_maps(Tp), tol_rank)
@@ -281,11 +282,16 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
         coker_prev = (base.dims[p - 1] - ranks[p - 1]) if 1 <= p <= T.n + 1 else 0
         ker_here = (base.dims[p] - ranks[p]) if p <= T.n else 0
         dims_seq.append(coker_prev + ker_here)
+    if direct.dims != tuple(dims_seq):
+        raise NotStabilized(
+            f"direct cohomology dims {list(direct.dims)} and long exact sequence "
+            f"dims {dims_seq} disagree"
+        )
     iso = tuple(ranks[p] == base.dims[p] for p in range(T.n + 1))
     return LESReport(
         dims_direct=direct.dims,
         dims_sequence=tuple(dims_seq),
-        agree=direct.dims == tuple(dims_seq),
+        agree=True,
         index=direct.index,
         base_dims=base.dims,
         induced_ranks=tuple(ranks),

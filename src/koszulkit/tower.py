@@ -45,7 +45,6 @@ from .errors import (
 from .ell2 import (
     BandedOperator,
     IndexCertificate,
-    TruncationWindow,
     _fix_phases,
     fredholm_index_banded,
     iter_kernels_of_powers,
@@ -173,9 +172,7 @@ def _compress(op: BandedOperator, Q: np.ndarray):
     return W, _pad(Q, W.shape[0]).conj().T @ W
 
 
-def kernel_tower(
-    T: BandedOperator, max_depth: int, win: TruncationWindow | None = None
-) -> KernelTower:
+def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     """Layers H_n = ker T^n (-) ker T^(n-1) with compressions and n0.
 
     T must be Fredholm (by its symbol) with strictly positive certified index
@@ -189,14 +186,14 @@ def kernel_tower(
     """
     if max_depth < 4:
         raise _no_stabilization_level(max_depth)
-    idx = fredholm_index_banded(T, win)
+    idx = fredholm_index_banded(T)
     if idx.index <= 0:
         raise IndexSignError(
             f"kernel tower needs index > 0, got {idx.index}; "
             "apply it to the adjoint instead"
         )
     kernels = [idx.ker]
-    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), win, idx.ker):
+    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), idx.ker):
         if kn.dim <= kernels[-1].dim:
             raise NotStabilized(
                 f"kernel dimensions decreased between powers {n - 1} and {n}"
@@ -406,12 +403,7 @@ def obstruction_certificate(
     )
 
 
-def growth_table(
-    T: BandedOperator,
-    powers,
-    rank_bound: int,
-    win: TruncationWindow | None = None,
-) -> GrowthTable:
+def growth_table(T: BandedOperator, powers, rank_bound: int) -> GrowthTable:
     """Kernel/cokernel growth of T^m against a finite-rank budget.
 
     For index(T) != 0 the dimensions grow linearly (index of T^m is
@@ -426,12 +418,12 @@ def growth_table(
         raise FormatError(f"growth table needs powers m >= 0, got {powers}")
     if rank_bound < 0:
         raise FormatError(f"growth table needs rank_bound >= 0, got {rank_bound}")
-    base = fredholm_index_banded(T, win)
+    base = fredholm_index_banded(T)
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
     higher = [m for m in powers if m != 1]
-    kers = {1: base.ker} | dict(iter_kernels_of_powers(T, higher, win, base.ker))
-    cokers = {1: base.coker} | dict(iter_kernels_of_powers(T.adjoint(), higher, win, base.coker))
+    kers = {1: base.ker} | dict(iter_kernels_of_powers(T, higher, base.ker))
+    cokers = {1: base.coker} | dict(iter_kernels_of_powers(T.adjoint(), higher, base.coker))
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim
@@ -452,9 +444,7 @@ def growth_table(
     return GrowthTable(rows=tuple(rows), rank_bound=rank_bound, base_index=base.index)
 
 
-def augmented_pair_cohomology(
-    T: BandedOperator, coeffs, win: TruncationWindow | None = None
-) -> PairCohomology:
+def augmented_pair_cohomology(T: BandedOperator, coeffs) -> PairCohomology:
     """Cohomology dimensions of the pair (T, p(T)) for p with p(0) = 0.
 
     Computed by splicing the augmentation sequence at one operator:
@@ -467,7 +457,7 @@ def augmented_pair_cohomology(
     coeffs = list(coeffs)
     if coeffs and not as_scalar(coeffs[0], EXACT).is_zero():
         raise FormatError("polynomial must vanish at 0 (no constant term)")
-    idx = fredholm_index_banded(T, win)
+    idx = fredholm_index_banded(T)
     pT = T.poly(coeffs)
     r0 = _float_matrix_rank(_compress(pT, idx.ker.basis)[1])
     r1 = _float_matrix_rank(_compress(pT, idx.coker.basis)[1])

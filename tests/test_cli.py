@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -145,14 +146,6 @@ def test_obstruct_rejects_a_tiny_nonzero_commutator(tmp_path, capsys):
     assert "error[NonCommuting]" in capsys.readouterr().err
 
 
-def test_guard_alone_sets_the_automatic_window(tmp_path):
-    inp = write(tmp_path, "a.json", ASH)
-    code, data = run_cli(["index", "--input", inp, "--guard", "100"], tmp_path)
-    assert code == 0
-    rep = json.loads(data)
-    assert rep["index"] == 1 and rep["window"] == {"N": 200, "G": 100}
-
-
 def test_removed_tolerance_flag_is_rejected(tmp_path):
     inp = write(tmp_path, "t.json", TUPLE_N0)
     with pytest.raises(SystemExit) as exc:
@@ -198,6 +191,12 @@ def test_stale_fredholm_key_is_ignored(tmp_path, flag):
         ["cohomology", "--input", "t.json", "--window", "5"],
         ["spectrum", "--input", "t.json", "--tol-rank", "1e-3"],
         ["demo", "theorem-1.1", "--powers", "1:3"],
+        # the section window follows one automatic rule; no command sets it
+        ["index", "--input", "t.json", "--window", "64"],
+        ["tower", "--input", "t.json", "--guard", "16"],
+        ["growth", "--input", "t.json", "--window", "64"],
+        ["obstruct", "--input", "t.json", "--guard", "16"],
+        ["demo", "theorem-2.1", "--window", "64"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
@@ -205,6 +204,27 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([inp if a == "t.json" else a for a in argv])
     assert exc.value.code == 2
+
+
+def _readme_flag_bullets():
+    """{command: flags} from the README bullets between "takes only the
+    flags it reads" and "Any other flag"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("takes only the flags it reads")
+    section = readme[start : readme.index("Any other flag", start)]
+    listed = {}
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", section, flags=re.M):
+        names, rest = bullet.split(":", 1)
+        flags = set(re.findall(r"`(--[a-z-]+)", rest))
+        for name in re.findall(r"`([a-z]+)`", names):
+            listed[name] = flags
+    return listed
+
+
+def test_readme_lists_exactly_the_flags_each_command_takes():
+    from koszulkit.cli import _COMMANDS
+
+    assert _readme_flag_bullets() == {name: set(flags) for name, _, flags in _COMMANDS}
 
 
 def test_reports_are_byte_stable(tmp_path):
@@ -485,6 +505,31 @@ def test_tol_rank_is_read_only_for_float_tuples(tmp_path, capsys, command):
     code, data = run_cli([command, "--input", floats, "--tol-rank", "1e-9"], tmp_path)
     assert code == 0
     assert json.loads(data)["index"] == 0
+
+
+def _float_diag(*values):
+    d = len(values)
+    entries = [[v if i == j else 0, 0] for i in range(d) for j, v in enumerate(values)]
+    return {"rows": d, "cols": d, "entries": entries}
+
+
+@pytest.mark.parametrize("tol", ["nan", "2", "inf", "0", "-1", "1"])
+def test_tol_rank_outside_the_unit_interval_is_refused(tmp_path, capsys, tol):
+    inp = write(tmp_path, "f.json", {"mode": "float", "matrices": [_float_diag(1, 2)]})
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--input", inp, "--tol-rank", tol])
+    assert exc.value.code == 2
+    assert "argument --tol-rank" in capsys.readouterr().err
+
+
+def test_float_les_exits_3_when_its_two_computations_disagree(tmp_path, capsys):
+    # 1.2e-10 clears the rank tolerance relative to T alone, not relative
+    # to the stacked [T; S], so the direct and spliced dimensions differ
+    mats = [_float_diag(1, 1.2e-10), _float_diag(1, 0)]
+    inp = write(tmp_path, "f.json", {"mode": "float", "matrices": mats})
+    assert main(["les", "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert "error[NotStabilized]" in err and "[1, 2, 1]" in err and "[0, 0, 0]" in err
 
 
 def _with_first_entry(entry):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from koszulkit.ell2 import (
     BandedOperator,
     Diagonal,
-    TruncationWindow,
     _stabilized_kernel,
     fredholm_index_banded,
     identity_op,
@@ -308,9 +307,7 @@ def test_kernel_dims_nondecreasing_with_stable_growth(backward_shift):
 
 def test_certified_subspace_reverifies_at_double_window(backward_shift):
     sub = kernel_of_power(backward_shift, 4)
-    again = kernel_of_power(
-        backward_shift, 4, TruncationWindow(2 * sub.window.N, sub.window.G)
-    )
+    again = _stabilized_kernel(backward_shift.power(4), 2 * sub.window.N, sub.window.G)
     assert again.dim == sub.dim
 
 
@@ -365,7 +362,7 @@ def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, n
 def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
     # ker (S*)^2 has dimension 2, one more than the bound claims
     with pytest.raises(NotStabilized, match="above the bound 1 "):
-        _stabilized_kernel(backward_shift.power(2), 2, None, bound=1)
+        _stabilized_kernel(backward_shift.power(2), 64, 16, bound=1)
 
 
 #: ker T and ker T* of these are certified at m = 1, with no bound
@@ -444,11 +441,6 @@ def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
         alone = kernel_of_power(T, m)
         assert alone.dim == sub.dim == m and alone.window == sub.window
         assert np.array_equal(alone.basis, sub.basis)
-
-
-def test_small_guard_rejected(backward_shift):
-    with pytest.raises(FormatError):
-        kernel_of_power(backward_shift, 8, TruncationWindow(64, 4))
 
 
 # -- index -------------------------------------------------------------------

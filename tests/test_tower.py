@@ -102,12 +102,13 @@ def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatc
 
     real, requested, seen = ell2._stabilized_kernel, [], {}
 
-    def capped(Tm, reach, win, bound=None):
-        requested.append(reach)  # reach = m * bandwidth, and S* has bandwidth 1
-        if reach >= k:
+    def capped(Tm, N, G, bound=None):
+        m = Tm.bandwidth  # (S*)^m has bandwidth m
+        requested.append(m)
+        if m >= k:
             return seen[k - 1]
-        out = real(Tm, reach, win, bound)
-        seen.setdefault(reach, out)  # ker T comes before ker T* at reach 1
+        out = real(Tm, N, G, bound)
+        seen.setdefault(m, out)  # ker T comes before ker T* at m = 1
         return out
 
     monkeypatch.setattr(ell2, "_stabilized_kernel", capped)
