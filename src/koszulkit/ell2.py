@@ -15,21 +15,21 @@ pair of stored diagonals at a time.  Sections are real
 SVDs and QRs take numpy's real LAPACK drivers; complex otherwise.
 
 Kernel computations use rectangular truncations: a vector supported on
-the first N coordinates that the (N + m*w) x N section of T^m kills is a
-genuine kernel vector of the operator (every row that could be nonzero
-was included).  There is one window rule: the guard band is
-G = max(16, m*w), the first section N = max(64, 2G), and N doubles up
-to max(1024, N).  Acceptance additionally requires the vector to die out
-before the guard band, and then one of two things at window size N:
-either the dimension agrees at N and 2N, or (for a power m >= 2 whose
-walk knows dim ker T) it reaches the subadditivity bound
-dim ker T^m <= dim ker T^j + (m - j) * dim ker T from the last certified
-power j, which no larger window could exceed.  m = 1 always takes the
-N/2N check, with the 2N count read from singular values alone when that
-suffices.  A walk starts each power at the window of the power before.
-That certificate is a desk-scale stabilization check, not a proof:
-operators whose kernel vectors have unbounded support (none of the
-catalog instances) can stabilize to an undercount.
+the first N coordinates that the (N + w) x N section B of T kills is a
+genuine kernel vector of T (every row that could be nonzero was
+included).  There is one window rule: the guard band is G = max(16, w),
+ker T starts at N = max(64, 2G), each power at the window of the power
+before, and N doubles up to max(1024, N).  Every vector must die out
+before the guard band.  ker T is accepted at N when its dimension agrees
+at N and 2N (the 2N count read from singular values alone when that
+suffices).  ker T^m for m >= 2 is the preimage chain
+{x : B x in ker T^(m-1)} through one factorization of B per window, so
+no power of T is ever formed; it is accepted at N when it reaches the
+bound dim ker T^(m-1) + dim ker T, which no larger window could exceed,
+and otherwise by the same N/2N check.  That certificate is a desk-scale
+stabilization check, not a proof: operators whose kernel vectors have
+unbounded support (none of the catalog instances) can stabilize to an
+undercount.
 
 Fredholmness comes from the symbol of the periodic tail
 (``symbol_winding``), which also gives the index independently of the
@@ -39,6 +39,7 @@ sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from math import lcm
 
 import numpy as np
@@ -366,8 +367,9 @@ class TruncationWindow:
 @dataclass(frozen=True)
 class StabilizedSubspace:
     """Orthonormal basis (columns) of a kernel, certified at ``window``:
-    ``_stabilized_kernel`` builds one only when the next window agrees or
-    the count reaches the bound from lower powers."""
+    built only when the next window agrees (``_stabilized_kernel``, or a
+    chain step) or a chain step's count reaches the bound from lower
+    powers (``_chain_kernel``)."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
@@ -402,127 +404,136 @@ def _section_nullity(Tm: BandedOperator, N: int) -> int:
     return N - int(np.sum(s > TOL_SECTION_RANK * s[0]))
 
 
-def _section_kernel(Tm: BandedOperator, N: int, G: int):
-    """(dim, basis restricted to [0, N-G)) for the window (N, G)."""
-    A = Tm.section(max(N + Tm.bandwidth, 1), N)
-    if not A.any():
-        ns = np.eye(N, dtype=A.dtype)
-        smax = 0.0
-    else:
-        _, s, vh = np.linalg.svd(A)
-        smax = float(s[0])
-        r = int(np.sum(s > TOL_SECTION_RANK * smax))
-        ns = vh[r:].conj().T
-    if ns.shape[1] == 0:
-        return 0, np.zeros((N - G, 0), dtype=A.dtype)
-    guard = ns[N - G :, :]
-    if guard.size == 0:
-        combos = np.eye(ns.shape[1], dtype=A.dtype)
-    else:
-        _, gs, gvh = np.linalg.svd(guard)
-        keep = int(np.sum(gs > TOL_GUARD)) if gs.size else 0
-        combos = gvh[keep:].conj().T
-    vecs = ns @ combos
-    if vecs.shape[1] == 0:
-        return 0, np.zeros((N - G, 0), dtype=A.dtype)
-    # residual certificate against the untruncated rows
-    resid = A @ vecs
-    scale = max(1.0, smax)
-    if float(np.abs(resid).max(initial=0.0)) > TOL_RESIDUAL * scale:
-        return 0, np.zeros((N - G, 0), dtype=A.dtype)
+def _certify(ns: np.ndarray, residual, smax: float, N: int, G: int):
+    """(dim, basis restricted to [0, N-G)) from orthonormal candidates
+    ``ns`` (N rows): the combinations that vanish on the guard band, all
+    dropped unless ``residual`` of them is within TOL_RESIDUAL * max(1,
+    smax), then cut, orthonormalized and phase-fixed."""
+    _, gs, gvh = np.linalg.svd(ns[N - G :, :])
+    vecs = ns @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
+    if not vecs.shape[1] or np.abs(residual(vecs)).max() > TOL_RESIDUAL * max(1.0, smax):
+        return 0, np.zeros((N - G, 0), dtype=ns.dtype)
     cut = _orthonormalize(vecs[: N - G, :])
     return cut.shape[1], _fix_phases(cut)
 
 
-def kernel_of_power(T: BandedOperator, m: int) -> StabilizedSubspace:
-    """Certified orthonormal basis of ker T^m via stabilized sections.
+def _section_kernel(Tm: BandedOperator, N: int, G: int):
+    """(dim, basis restricted to [0, N-G)) for the window (N, G)."""
+    A = Tm.section(max(N + Tm.bandwidth, 1), N)
+    if not A.any():
+        ns, smax = np.eye(N, dtype=A.dtype), 0.0
+    else:
+        _, s, vh = np.linalg.svd(A)
+        smax = float(s[0])
+        ns = vh[int(np.sum(s > TOL_SECTION_RANK * smax)) :].conj().T
+    return _certify(ns, lambda V: A @ V, smax, N, G)
 
-    On its own it knows no lower power, so it always takes the N/2N
-    check of ``_stabilized_kernel``, from the window that
-    ``iter_kernels_of_powers`` gives power m.
-    """
+
+def _factor_section(T: BandedOperator, N: int):
+    """(B, U_r, s_r, V) for the window-N section B = T[0:N+w, 0:N] = U S V*,
+    the rank r by ``_section_kernel``'s rule; only U's first r columns
+    are kept."""
+    B = T.section(N + T.bandwidth, N)
+    u, s, vh = np.linalg.svd(B, full_matrices=False)
+    r = int(np.sum(s > TOL_SECTION_RANK * s[0]))
+    return B, u[:, :r].copy(), s[:r], vh.conj().T
+
+
+def _preimage_kernel(fact, K: np.ndarray, G: int):
+    """(dim, basis) of {x : B x in span K} for the factored section B and
+    orthonormal K: null(B) plus B^+ (span K cut down to ran B).  The c
+    with (I - U_r U_r*) K c ~ 0 come from a thin SVD by the rank rule
+    relative to ||K|| = 1; the residual is (I - K K*) B x."""
+    B, U, s, V = fact
+    Kp = np.pad(K, ((0, B.shape[0] - K.shape[0]), (0, 0)))
+    _, ps, pvh = np.linalg.svd(Kp - U @ (U.conj().T @ Kp), full_matrices=False)
+    C = pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
+    r = U.shape[1]
+    pre = V[:, :r] @ ((U.conj().T @ (Kp @ C)) / s[:, None])
+    ns, smax = np.hstack([V[:, r:], _orthonormalize(pre)]), float(s[0]) if r else 0.0
+    return _certify(ns, lambda X: B @ X - Kp @ (Kp.conj().T @ (B @ X)), smax, V.shape[0], G)
+
+
+def kernel_of_power(T: BandedOperator, m: int) -> StabilizedSubspace:
+    """Certified orthonormal basis of ker T^m: the kernel that
+    ``iter_kernels_of_powers`` gives power m, walking 1..m."""
     return next(iter_kernels_of_powers(T, (m,)))[1]
 
 
 def iter_kernels_of_powers(T: BandedOperator, powers, ker1: StabilizedSubspace | None = None):
     """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
-    The walk is lazy and builds T^m = T^(m-1) * T only when asked, so a
-    caller that stops early never builds or certifies the higher powers.
 
-    Each kernel is certified by ``_stabilized_kernel``.  Once dim ker T
-    is known (from ``ker1``, a certified ker T, or from the walk's own
-    m = 1), each m >= 2 also gets the bound
-    dim ker T^j + (m - j) * dim ker T, j the last power certified (j = 0
-    at the start, with dim 0): T^j maps ker T^m into ker T^(m-j) with
-    kernel ker T^j, and dim ker T^(m-j) <= (m - j) * dim ker T.  m = 1
-    never has a bound.
-
-    Power m has guard band G = max(DEFAULT_G, m * bandwidth) and starts
-    at the first window of its doubling sequence from max(DEFAULT_N, 2G)
-    (under the cap) that is at least power j's: ker T^j lies in ker T^m
-    and the guard grows with m, so a smaller window cannot reach T^m's
-    bound.
+    ker T^0 = {0}; ker T is ``ker1`` when given, else ``_stabilized_kernel``
+    of T.  Every m >= 2 is a preimage chain through T's own section
+    (``_chain_kernel``), ker T^m = {x : T x in ker T^(m-1)}, so no power
+    T^m is built.  The walk is lazy: a caller that stops early factors
+    nothing for the higher powers, and only the current window's
+    factorization is held.
     """
-    Tm, k = identity_op(), 0
-    d1 = None if ker1 is None else ker1.dim
-    j, dj, Nj = 0, 0, 0  # last certified power, its kernel's dim and window
-    for m in sorted(set(powers)):
-        while k < m:
-            Tm, k = (Tm * T if k else T), k + 1
-        bound = dj + (m - j) * d1 if m >= 2 and d1 is not None else None
-        G = max(DEFAULT_G, m * T.bandwidth)
-        N = max(DEFAULT_N, 2 * G)
-        while N < Nj and 2 * N <= MAX_SECTION:
-            N *= 2
-        sub = _stabilized_kernel(Tm, N, G, bound)
-        if m == 1 and d1 is None:
-            d1 = sub.dim
-        j, dj, Nj = m, sub.dim, sub.window.N
-        yield m, sub
+    want = set(powers)
+    if min(want, default=0) < 0:
+        raise FormatError(f"kernels of powers need m >= 0, got {sorted(want)}")
+    G = max(DEFAULT_G, T.bandwidth)
+    N0 = max(DEFAULT_N, 2 * G)
+    ker = StabilizedSubspace(np.zeros((N0 - G, 0)), 0, TruncationWindow(N0, G))
+    factor = lru_cache(maxsize=1)(lambda n: _factor_section(T, n))
+    for m in range(max(want, default=-1) + 1):
+        if m == 1:
+            ker = ker1 if ker1 is not None else _stabilized_kernel(T, N0, G)
+            d1 = ker.dim
+        elif m >= 2:
+            ker = _chain_kernel(ker, ker.dim + d1, factor)
+        if m in want:
+            yield m, ker
 
 
-def _stabilized_kernel(
-    Tm: BandedOperator, N: int, G: int, bound: int | None = None
-) -> StabilizedSubspace:
-    """Certified kernel of Tm = T^m, from the section of size N with guard
-    band G (G >= m * bandwidth(T)), doubling N up to max(MAX_SECTION, N).
+def _chain_kernel(prev: StabilizedSubspace, bound: int, factor) -> StabilizedSubspace:
+    """ker T^m from ker T^(m-1) = ``prev``, from prev's window on, with
+    ``factor(N)`` T's factored window-N section.
 
-    A kernel is accepted at window N in one of two ways:
-
-    - its count reaches ``bound``, an upper bound on dim ker T^m from
-      lower powers: every vector the section returns is a kernel vector
-      of T^m, so ``bound`` of them span it, and the 2N section is never
-      computed; a count above ``bound`` means a lower power undercounted
-      and raises NotStabilized;
-    - otherwise (and always without a bound, as for m = 1) the count at
-      N must equal the count at 2N.  Without a bound that count is first
-      read from singular values alone: the d window-N vectors, padded
-      with zeros, stay within tolerance at 2N, so a raw nullity of d
-      means they span the 2N null space and the full certificate would
-      count d too.  Otherwise (and with a bound) the full 2N section runs.
+    Every vector found has T^m x = 0 within the residual, and
+    dim ker T^m <= dim ker T^(m-1) + dim ker T = ``bound``: a count equal
+    to the bound is accepted at N, one above it raises NotStabilized (a
+    lower power undercounted), one below it waits for N and 2N to agree.
     """
-    cache = {}
+    G = prev.window.G
 
-    def at(n):
-        if n not in cache:
-            cache[n] = _section_kernel(Tm, n, G)
-        return cache[n]
-
-    cap = max(MAX_SECTION, N)
-    while N <= cap:
-        d1, basis = at(N)
-        if bound is not None and d1 > bound:
+    def reached(N, d):
+        if d > bound:
             raise NotStabilized(
-                f"section size {N} certifies {d1} kernel vectors, above the bound "
+                f"section size {N} certifies {d} kernel vectors, above the bound "
                 f"{bound} from lower powers: a lower power undercounted"
             )
-        confirmed = bound is None and _section_nullity(Tm, 2 * N) == d1
-        if d1 == bound or confirmed or d1 == at(2 * N)[0]:
-            return StabilizedSubspace(basis=basis, dim=d1, window=TruncationWindow(N, G))
+        return d == bound
+
+    at = cache(lambda n: _preimage_kernel(factor(n), prev.basis, G))
+    return _doubling(at, prev.window.N, G, reached)
+
+
+def _stabilized_kernel(Tm: BandedOperator, N: int, G: int) -> StabilizedSubspace:
+    """Certified kernel of Tm (ker T, m = 1) from window-N sections.  The
+    2N count is first read from singular values alone: the d window-N
+    vectors, padded with zeros, stay within tolerance at 2N, so a raw
+    nullity of d means they span the 2N null space and the full
+    certificate would count d too.  Otherwise the full 2N section runs.
+    """
+    at = cache(lambda n: _section_kernel(Tm, n, G))
+    return _doubling(at, N, G, lambda n, d: _section_nullity(Tm, 2 * n) == d)
+
+
+def _doubling(at, N: int, G: int, early) -> StabilizedSubspace:
+    """The kernel (d, basis) = ``at(N)``, N doubling up to
+    max(MAX_SECTION, N) until ``early(N, d)`` holds or the count at 2N
+    is d too."""
+    cap = max(MAX_SECTION, N)
+    while N <= cap:
+        d, basis = at(N)
+        if early(N, d) or d == at(2 * N)[0]:
+            return StabilizedSubspace(basis=basis, dim=d, window=TruncationWindow(N, G))
         N *= 2
     raise NotStabilized(
         f"kernel dimension kept changing up to section size {cap} "
-        f"(last dims {d1} vs {at(N)[0]})"
+        f"(last dims {d} vs {at(N)[0]})"
     )
 
 

@@ -12,7 +12,8 @@ LAPACK path produced their rounding noise.
 from __future__ import annotations
 
 import json
-from math import gcd
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -236,27 +237,45 @@ def polymap_to_json(f: PolyMap) -> list:
 REPORT_FLOAT_FLOOR = 1e-14
 
 
-def _round_floats(x):
-    if isinstance(x, float):
+def _report_leaf(x):
+    """A report scalar as written: floats rounded to 12 significant
+    digits (0.0 below REPORT_FLOAT_FLOOR in size), numpy scalars as
+    Python ones."""
+    if isinstance(x, (float, np.floating)):
         return 0.0 if abs(x) < REPORT_FLOAT_FLOOR else float(f"{x:.12g}")
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _json_parts(x, pad: str, out: list) -> None:
+    """Append to ``out`` the text that ``json.dumps(..., sort_keys=True,
+    indent=2)`` gives x with its leaves rounded, in one walk; a complex
+    number is the list [re, im]."""
     if isinstance(x, complex):
-        return [_round_floats(x.real), _round_floats(x.imag)]
-    if isinstance(x, dict):
-        return {k: _round_floats(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_round_floats(v) for v in x]
-    if isinstance(x, np.floating):
-        return _round_floats(float(x))
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
+        x = (x.real, x.imag)
+    if isinstance(x, (dict, list, tuple)) and x:
+        keyed, inner = isinstance(x, dict), pad + "  "
+        lead = ("{" if keyed else "[") + "\n" + inner
+        for k in sorted(x) if keyed else range(len(x)):
+            key = _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": " if keyed else ""
+            out.append(lead + key)
+            _json_parts(x[k], inner, out)
+            lead = ",\n" + inner
+        out.append("\n" + pad + ("}" if keyed else "]"))
+    else:
+        v = _report_leaf(x)
+        if isinstance(v, str):
+            out.append(_encode_str(v))
+        elif type(v) is int or isinstance(v, float) and isfinite(v):
+            out.append(repr(v))
+        else:  # bool, None, empty containers, nan and infinities
+            out.append(json.dumps(v))
 
 
 def report_to_json_bytes(report: dict) -> bytes:
-    body = json.dumps(_round_floats(report), sort_keys=True, indent=2)
-    return (body + "\n").encode("utf-8")
+    out = []
+    _json_parts(report, "", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def _csv_cell(v) -> str:
@@ -280,21 +299,23 @@ def report_to_csv_bytes(report: dict) -> bytes:
                 )
             )
         return ("\n".join(lines) + "\n").encode("utf-8")
-    flat = _flatten(_round_floats(report))
+    flat = _flatten(report)
     lines = ["key,value"] + [f"{k},{_csv_cell(v)}" for k, v in sorted(flat.items())]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _flatten(obj, prefix=""):
     out = {}
+    if isinstance(obj, complex):
+        obj = (obj.real, obj.imag)
     if isinstance(obj, dict):
         for k, v in obj.items():
             out.update(_flatten(v, f"{prefix}{k}."))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             out.update(_flatten(v, f"{prefix}{i}."))
     else:
-        out[prefix[:-1] if prefix.endswith(".") else prefix] = obj
+        out[prefix[:-1] if prefix.endswith(".") else prefix] = _report_leaf(obj)
     return out
 
 

@@ -178,7 +178,7 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     T must be Fredholm (by its symbol) with strictly positive certified index
     (pass the adjoint to flip a negative index).  The kernels of the powers
     are walked lazily and the walk stops (NotStabilized) at the first one
-    no larger than the one before, so no higher power is built; a depth
+    no larger than the one before, so no higher kernel is sought; a depth
     below 4, which cannot show three equal layers, fails before any
     section is computed.  Layer bases come from modified Gram-Schmidt of
     each kernel against the accumulated lower kernels, re-orthogonalized

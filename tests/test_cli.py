@@ -8,13 +8,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit.cli import main
 from koszulkit.jsonio import (
+    REPORT_FLOAT_FLOOR,
     operator_from_json,
     polymap_from_json,
     polymap_to_json,
+    report_to_json_bytes,
     tuple_from_json,
     tuple_to_json,
 )
@@ -296,15 +301,54 @@ def test_growth_rows_of_a_shifted_square(tmp_path, powers, rows):
     assert [(r["m"], r["dim_ker"], r["dim_coker"]) for r in json.loads(data)["rows"]] == rows
 
 
-def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys):
-    # S* - I/2 has index 1, but its slowly decaying kernels make the
-    # sections certify dim ker T^11 = 10; that row must not exit 0
-    inp = write(tmp_path, "t.json", {
+#: S* - aI: index 1 and coker 0, with a kernel (a^k) that decays slowly
+#: for a near 1
+def _shift_minus(a):
+    return {
         "diagonals": [
             {"offset": 1, "period": [["1", "0"]]},
-            {"offset": 0, "period": [["-1/2", "0"]]},
+            {"offset": 0, "period": [[f"-{a}", "0"]]},
         ],
-    })
+    }
+
+
+def test_growth_of_a_slowly_decaying_kernel_is_index_multiplicative(tmp_path):
+    inp = write(tmp_path, "t.json", _shift_minus("1/2"))
+    code, data = run_cli(["growth", "--input", inp, "--powers", "9:14"], tmp_path)
+    assert code == 0
+    rows = json.loads(data)["rows"]
+    assert [(r["m"], r["dim_ker"], r["dim_coker"]) for r in rows] == [
+        (m, m, 0) for m in range(9, 15)
+    ]
+
+
+@pytest.mark.parametrize("a", ["1/2", "3/4"])
+def test_tower_of_a_slowly_decaying_kernel_grows_by_one_per_power(tmp_path, a):
+    inp = write(tmp_path, "t.json", _shift_minus(a))
+    start = time.perf_counter()
+    code, data = run_cli(["tower", "--input", inp, "--max-level", "12"], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rep = json.loads(data)
+    assert (rep["kernel_dims"], rep["dims"]) == (list(range(1, 13)), [1] * 12)
+
+
+def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys, monkeypatch):
+    # a chain that drops one vector of ker T^11 makes row m = 11 certify
+    # index 10; that row must not exit 0
+    import koszulkit.ell2 as ell2
+
+    real, dropped = ell2._chain_kernel, []
+
+    def dropping(prev, bound, factor):
+        sub = real(prev, bound, factor)
+        if sub.dim != 11 or dropped:
+            return sub
+        dropped.append(sub)
+        return ell2.StabilizedSubspace(sub.basis[:, :-1], sub.dim - 1, sub.window)
+
+    monkeypatch.setattr(ell2, "_chain_kernel", dropping)
+    inp = write(tmp_path, "t.json", _shift_minus("1/2"))
     code, data = run_cli(["growth", "--input", inp, "--powers", "9:14"], tmp_path)
     assert (code, data) == (3, b"")
     assert capsys.readouterr().err.strip() == (
@@ -314,26 +358,28 @@ def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys)
 
 
 #: sha256 of the stdout of ``tower --max-level 12`` on S*^2 + (i/4)I, taken
-#: when every power was still confirmed at twice its window
-TOWER_DIGEST = "3a8dafbfb906f33628791faf5261de09cbc8afcae0189d464d03c9f456bec675"
+#: when the kernels of powers became preimage chains through T's section
+#: (the layer bases turned inside each 2-dim layer; every A_n kept its
+#: singular values)
+TOWER_DIGEST = "fc727e157a080594e8255446fd1e9411fcf63102df8313de0b2f81844c7a9bca"
 
 
 def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsys, monkeypatch):
     import koszulkit.ell2 as ell2
 
-    real, sizes = ell2._section_kernel, []
+    real, sizes = ell2._factor_section, []
 
-    def counted(Tm, N, G):
+    def counted(T, N):
         sizes.append(N)
-        return real(Tm, N, G)
+        return real(T, N)
 
-    monkeypatch.setattr(ell2, "_section_kernel", counted)
+    monkeypatch.setattr(ell2, "_factor_section", counted)
     inp = write(tmp_path, "t.json", _shift2_plus("0", "1/4"))
     assert main(["tower", "--input", inp, "--max-level", "12"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["kernel_dims"] == list(range(2, 25, 2))
     assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGEST
-    assert 256 not in sizes
+    assert sizes == [64, 128]  # one factorization per window, none at 256
 
 
 def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):
@@ -413,6 +459,47 @@ def test_demo_reports_clamp_rounding_noise_to_zero(tmp_path):
     assert code == 0 and case["r"] == 0.0
     assert all(e == [0.0, 0.0] for lv in case["levels"] for e in lv["X"]["entries"])
     assert b"-0.0" not in data
+
+
+_report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.complex_numbers(),
+    st.text(),
+    st.floats().map(np.float64),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128),
+)
+_reports = st.recursive(
+    _report_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _rounded(x):
+    """A report with the documented rounding applied, as plain JSON values."""
+    if isinstance(x, complex):
+        return [_rounded(x.real), _rounded(x.imag)]
+    if isinstance(x, dict):
+        return {k: _rounded(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_rounded(v) for v in x]
+    if isinstance(x, (float, np.floating)):
+        return 0.0 if abs(x) < REPORT_FLOAT_FLOOR else float(f"{float(x):.12g}")
+    return x.item() if isinstance(x, np.generic) else x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports)
+def test_report_json_is_the_json_module_text_of_the_rounded_report(report):
+    text = json.dumps(_rounded(report), sort_keys=True, indent=2) + "\n"
+    assert report_to_json_bytes(report) == text.encode("utf-8")
 
 
 def test_demo_byte_stability(tmp_path):

@@ -211,11 +211,12 @@ def test_powers_start_from_the_operator(monkeypatch, backward_shift):
         BandedOperator, "__mul__", lambda a, b: products.append(1) or real_mul(a, b)
     )
     fredholm_index_banded(backward_shift)
-    assert not products
     kernel_tower(backward_shift, 6)
-    assert len(products) == 5
+    assert not products  # the walk goes through T's own section
     assert backward_shift.power(0) == identity_op()
-    assert backward_shift.power(1) == backward_shift and len(products) == 5
+    assert backward_shift.power(1) == backward_shift and not products
+    backward_shift.power(3)
+    assert len(products) == 2
 
 
 def test_poly_matches_repeated_products(backward_shift):
@@ -320,6 +321,19 @@ def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift)
         assert np.array_equal(subs[m].basis, one.basis)
 
 
+def test_power_zero_has_the_zero_kernel_and_a_negative_power_is_refused(backward_shift):
+    from koszulkit.ell2 import TruncationWindow
+
+    sub = kernel_of_power(backward_shift, 0)
+    assert (sub.dim, sub.basis.shape, sub.window) == (0, (48, 0), TruncationWindow(64, 16))
+    assert [(m, k.dim) for m, k in iter_kernels_of_powers(backward_shift, [2, 0, 2])] == [
+        (0, 0),
+        (2, 2),
+    ]
+    with pytest.raises(FormatError, match="m >= 0"):
+        kernel_of_power(backward_shift, -1)
+
+
 #: operators of positive index with coker 0, so dim ker T^m = m * dim ker T
 #: and every power m >= 2 of the walk reaches its bound
 _BOUND_OPERATORS = {
@@ -332,37 +346,66 @@ _BOUND_OPERATORS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_BOUND_OPERATORS))
-def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, name):
+def _count_chain_windows(monkeypatch):
+    """Record the window of every factorization and, per dim ker T^(m-1),
+    every window at which the chain sought ker T^m."""
     import koszulkit.ell2 as ell2
 
+    real_factor, real_step = ell2._factor_section, ell2._preimage_kernel
+    factored, sought = [], {}
+
+    def factor(T, N):
+        factored.append(N)
+        return real_factor(T, N)
+
+    def step(fact, K, G):
+        sought.setdefault(K.shape[1], []).append(fact[3].shape[0])
+        return real_step(fact, K, G)
+
+    monkeypatch.setattr(ell2, "_factor_section", factor)
+    monkeypatch.setattr(ell2, "_preimage_kernel", step)
+    return factored, sought
+
+
+def _sin_largest_angle(P, Q):
+    """Sine of the largest principal angle between the column spans of
+    orthonormal P and Q, padded with zeros to one length."""
+    L = max(P.shape[0], Q.shape[0])
+    P, Q = (np.vstack([B, np.zeros((L - B.shape[0], B.shape[1]))]) for B in (P, Q))
+    return float(np.linalg.norm(Q - P @ (P.conj().T @ Q), 2))
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_OPERATORS))
+def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, name):
+    from koszulkit.ell2 import _section_kernel
+
     T = _BOUND_OPERATORS[name]()
-    real, sizes = ell2._section_kernel, {}
-
-    def counted(Tm, N, G):
-        sizes.setdefault(Tm, []).append(N)
-        return real(Tm, N, G)
-
-    monkeypatch.setattr(ell2, "_section_kernel", counted)
+    _, sought = _count_chain_windows(monkeypatch)
     walk = dict(iter_kernels_of_powers(T, range(1, 9)))
+    monkeypatch.undo()
     d1 = walk[1].dim
     for m in range(2, 9):
-        sub, Tm = walk[m], T.power(m)
+        sub = walk[m]
         assert sub.dim == m * d1
-        # accepted by the bound: the walk never took the doubled window ...
-        assert 2 * sub.window.N not in sizes[Tm]
-        # ... which gives the same count, as does the N/2N certificate
-        # that kernel_of_power alone still takes
-        assert real(Tm, 2 * sub.window.N, sub.window.G)[0] == sub.dim
+        # accepted by the bound: the chain never sought it at the doubled window ...
+        assert 2 * sub.window.N not in sought[(m - 1) * d1]
+        # ... where the section of the power T^m spans the same kernel
+        G = max(16, m * T.bandwidth)
+        dim, basis = _section_kernel(T.power(m), 2 * sub.window.N, G)
+        assert dim == sub.dim
+        assert _sin_largest_angle(basis, sub.basis) <= 1e-8
         alone = kernel_of_power(T, m)
         assert (alone.dim, alone.window) == (sub.dim, sub.window)
         assert np.array_equal(alone.basis, sub.basis)
 
 
 def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
-    # ker (S*)^2 has dimension 2, one more than the bound claims
-    with pytest.raises(NotStabilized, match="above the bound 1 "):
-        _stabilized_kernel(backward_shift.power(2), 64, 16, bound=1)
+    # given ker S* as ker T of T = (S*)^2, the chain finds e0, e1 and the
+    # preimage e2 of e0: one more than the bound 1 + 1 claims
+    ker1 = kernel_of_power(backward_shift, 1)
+    walk = iter_kernels_of_powers(backward_shift.power(2), [2], ker1)
+    with pytest.raises(NotStabilized, match="above the bound 2 "):
+        next(walk)
 
 
 #: ker T and ker T* of these are certified at m = 1, with no bound
@@ -423,19 +466,14 @@ def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_
 
 
 def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
-    # S* - I/2: ker T^3 needs N = 128, and no higher power can reach its
-    # bound at N = 64, so the walk takes no 64-section past m = 3
-    import koszulkit.ell2 as ell2
-
+    # S* - I/2: ker T^3 needs N = 128 and every later power starts there,
+    # so the walk factors T's section once at 64 and once at 128
     T = make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-1/2"})
-    real, calls = ell2._section_kernel, []
-    monkeypatch.setattr(
-        ell2, "_section_kernel", lambda Tm, N, G: calls.append((Tm, N)) or real(Tm, N, G)
-    )
+    factored, sought = _count_chain_windows(monkeypatch)
     walk = dict(iter_kernels_of_powers(T, range(1, 11)))
     assert [m for m, sub in walk.items() if sub.window.N == 64] == [1, 2]
-    later = {T.power(m) for m in range(4, 11)}
-    assert [N for Tm, N in calls if Tm in later] == [128] * 7
+    assert factored == [64, 128]
+    assert [sought[m - 1] for m in range(4, 11)] == [[128]] * 7
     monkeypatch.undo()
     for m, sub in walk.items():
         alone = kernel_of_power(T, m)

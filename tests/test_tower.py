@@ -100,18 +100,14 @@ def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatc
     # power k: the walk must fail there and never ask for power k + 1
     import koszulkit.ell2 as ell2
 
-    real, requested, seen = ell2._stabilized_kernel, [], {}
+    real, requested = ell2._chain_kernel, []
 
-    def capped(Tm, N, G, bound=None):
-        m = Tm.bandwidth  # (S*)^m has bandwidth m
+    def capped(prev, bound, factor):
+        m = prev.dim + 1  # prev = ker (S*)^(m-1) has dimension m - 1
         requested.append(m)
-        if m >= k:
-            return seen[k - 1]
-        out = real(Tm, N, G, bound)
-        seen.setdefault(m, out)  # ker T comes before ker T* at m = 1
-        return out
+        return prev if m >= k else real(prev, bound, factor)
 
-    monkeypatch.setattr(ell2, "_stabilized_kernel", capped)
+    monkeypatch.setattr(ell2, "_chain_kernel", capped)
     with pytest.raises(NotStabilized, match=f"layer {k} vanished"):
         kernel_tower(backward_shift, 12)
     assert max(requested) == k
@@ -139,8 +135,11 @@ def test_two_dimensional_layers_obstruction(backward_shift):
     assert cert.r == pytest.approx(2.0, abs=1e-8)
     tw = kernel_tower(T2, 10)
     blocks = commutant_blocks(tw, K)
-    x = blocks.level(4).x_block
-    assert np.allclose(np.sort(np.abs([x[0, 0], x[1, 1]])), [2.0, 2.0], atol=1e-8)
+    # in the layer's own orthonormal basis: X - 2I is nilpotent of norm 1,
+    # which holds exactly for the unitary conjugates of [[2, 0], [1, 2]]
+    nil = blocks.level(4).x_block - 2 * np.eye(2)
+    assert np.abs(nil @ nil).max() <= 1e-8
+    assert np.linalg.norm(nil, 2) == pytest.approx(1.0, abs=1e-8)
     assert blocks.similarity_certified
 
 
