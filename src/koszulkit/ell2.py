@@ -22,7 +22,9 @@ ker T starts at N = max(64, 2G), each power at the window of the power
 before, and N doubles up to max(1024, N).  Every vector must die out
 before the guard band.  ker T is accepted at N when its dimension agrees
 at N and 2N (the 2N count read from singular values alone when that
-suffices).  ker T^m for m >= 2 is the preimage chain
+suffices), or at N alone when it reaches a known upper bound on
+dim ker T (Coburn's dimension, for a scalar Toeplitz T).  ker T^m for
+m >= 2 is the preimage chain
 {x : B x in ker T^(m-1)} through one factorization of B per window, so
 no power of T is ever formed; it is accepted at N when it reaches the
 bound dim ker T^(m-1) + dim ker T, which no larger window could exceed,
@@ -32,8 +34,8 @@ unbounded support (none of the catalog instances) can stabilize to an
 undercount.
 
 Fredholmness comes from the symbol of the periodic tail
-(``symbol_winding``), which also gives the index independently of the
-sections.
+(``symbol_winding``).  Its winding only shortens the check of a scalar
+Toeplitz kernel whose count agrees with it; the counts give the index.
 """
 
 from __future__ import annotations
@@ -368,8 +370,9 @@ class TruncationWindow:
 class StabilizedSubspace:
     """Orthonormal basis (columns) of a kernel, certified at ``window``:
     built only when the next window agrees (``_stabilized_kernel``, or a
-    chain step) or a chain step's count reaches the bound from lower
-    powers (``_chain_kernel``)."""
+    chain step) or the count reaches an upper bound on the dimension:
+    the bound from lower powers in a chain step (``_chain_kernel``), or
+    the one a caller passes for ker T (Coburn's, for scalar Toeplitz)."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
@@ -454,21 +457,29 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     return _certify(ns, lambda X: B @ X - Kp @ (Kp.conj().T @ (B @ X)), smax, V.shape[0], G)
 
 
-def kernel_of_power(T: BandedOperator, m: int) -> StabilizedSubspace:
+def kernel_of_power(
+    T: BandedOperator, m: int, ker_bound: int | None = None
+) -> StabilizedSubspace:
     """Certified orthonormal basis of ker T^m: the kernel that
-    ``iter_kernels_of_powers`` gives power m, walking 1..m."""
-    return next(iter_kernels_of_powers(T, (m,)))[1]
+    ``iter_kernels_of_powers`` gives power m, walking 1..m, with
+    ``ker_bound`` an upper bound on dim ker T when one is known."""
+    return next(iter_kernels_of_powers(T, (m,), ker_bound=ker_bound))[1]
 
 
-def iter_kernels_of_powers(T: BandedOperator, powers, ker1: StabilizedSubspace | None = None):
+def iter_kernels_of_powers(
+    T: BandedOperator, powers, ker1: StabilizedSubspace | None = None, ker_bound: int | None = None
+):
     """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
 
     ker T^0 = {0}; ker T is ``ker1`` when given, else ``_stabilized_kernel``
-    of T.  Every m >= 2 is a preimage chain through T's own section
-    (``_chain_kernel``), ker T^m = {x : T x in ker T^(m-1)}, so no power
-    T^m is built.  The walk is lazy: a caller that stops early factors
-    nothing for the higher powers, and only the current window's
-    factorization is held.
+    of T, which accepts a count equal to ``ker_bound`` (an upper bound on
+    dim ker T) at its first window.  Every m >= 2 is a preimage chain
+    through T's own section (``_chain_kernel``),
+    ker T^m = {x : T x in ker T^(m-1)}, so no power T^m is built.  The
+    walk is lazy: a caller that stops early factors nothing for the
+    higher powers.  The factorizations of the last two windows are held,
+    since a power confirmed at 2N and accepted at N starts the next one
+    at N again.
     """
     want = set(powers)
     if min(want, default=0) < 0:
@@ -476,10 +487,10 @@ def iter_kernels_of_powers(T: BandedOperator, powers, ker1: StabilizedSubspace |
     G = max(DEFAULT_G, T.bandwidth)
     N0 = max(DEFAULT_N, 2 * G)
     ker = StabilizedSubspace(np.zeros((N0 - G, 0)), 0, TruncationWindow(N0, G))
-    factor = lru_cache(maxsize=1)(lambda n: _factor_section(T, n))
+    factor = lru_cache(maxsize=2)(lambda n: _factor_section(T, n))
     for m in range(max(want, default=-1) + 1):
         if m == 1:
-            ker = ker1 if ker1 is not None else _stabilized_kernel(T, N0, G)
+            ker = ker1 if ker1 is not None else _stabilized_kernel(T, N0, G, ker_bound)
             d1 = ker.dim
         elif m >= 2:
             ker = _chain_kernel(ker, ker.dim + d1, factor)
@@ -510,15 +521,21 @@ def _chain_kernel(prev: StabilizedSubspace, bound: int, factor) -> StabilizedSub
     return _doubling(at, prev.window.N, G, reached)
 
 
-def _stabilized_kernel(Tm: BandedOperator, N: int, G: int) -> StabilizedSubspace:
-    """Certified kernel of Tm (ker T, m = 1) from window-N sections.  The
-    2N count is first read from singular values alone: the d window-N
-    vectors, padded with zeros, stay within tolerance at 2N, so a raw
-    nullity of d means they span the 2N null space and the full
-    certificate would count d too.  Otherwise the full 2N section runs.
+def _stabilized_kernel(
+    Tm: BandedOperator, N: int, G: int, bound: int | None = None
+) -> StabilizedSubspace:
+    """Certified kernel of Tm (ker T, m = 1) from window-N sections.
+
+    A count d equal to ``bound``, an upper bound on dim ker Tm, is
+    accepted at once: each certified vector is a genuine kernel vector,
+    so d <= dim ker Tm <= bound = d.  Any other count is checked at 2N,
+    first from singular values alone: the d window-N vectors, padded
+    with zeros, stay within tolerance at 2N, so a raw nullity of d means
+    they span the 2N null space and the full certificate would count d
+    too.  Otherwise the full 2N section runs.
     """
     at = cache(lambda n: _section_kernel(Tm, n, G))
-    return _doubling(at, N, G, lambda n, d: _section_nullity(Tm, 2 * n) == d)
+    return _doubling(at, N, G, lambda n, d: d == bound or _section_nullity(Tm, 2 * n) == d)
 
 
 def _doubling(at, N: int, G: int, early) -> StabilizedSubspace:
@@ -601,11 +618,16 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
 
     Fredholmness comes from the symbol (``symbol_winding``), which raises
     PreconditionError for a non-Fredholm operator; the cokernel is the
-    kernel of the adjoint.
+    kernel of the adjoint.  For a scalar Toeplitz T (no prefix, period
+    1) Coburn's lemma gives dim ker T = max(-wind, 0) and
+    dim ker T* = max(wind, 0), passed as the bounds at which each kernel
+    is accepted without the 2N check.  A side that misses its bound
+    takes the N/2N check, and its count stands even if it disagrees.
     """
-    symbol_winding(T)
-    ker = kernel_of_power(T, 1)
-    coker = kernel_of_power(T.adjoint(), 1)
+    wind = symbol_winding(T)
+    toeplitz = T._tail_params() == (0, 1)
+    ker = kernel_of_power(T, 1, ker_bound=max(-wind, 0) if toeplitz else None)
+    coker = kernel_of_power(T.adjoint(), 1, ker_bound=max(wind, 0) if toeplitz else None)
     return IndexCertificate(
         index=ker.dim - coker.dim,
         dim_ker=ker.dim,

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -451,10 +452,24 @@ def test_singular_values_confirm_the_doubled_window_as_its_section_does(monkeypa
         monkeypatch.undo()
 
 
+def _count_nullities(monkeypatch):
+    """Record (operator, N) for every values-only ``_section_nullity`` call."""
+    import koszulkit.ell2 as ell2
+
+    real, calls = ell2._section_nullity, []
+
+    def counted(Tm, N):
+        calls.append((Tm, N))
+        return real(Tm, N)
+
+    monkeypatch.setattr(ell2, "_section_nullity", counted)
+    return calls
+
+
 def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_path):
     from koszulkit.cli import main
 
-    sizes = _count_sections(monkeypatch)
+    sizes, nullities = _count_sections(monkeypatch), _count_nullities(monkeypatch)
     inp = tmp_path / "t.json"
     inp.write_text(json.dumps({"diagonals": [
         {"offset": 1, "period": [["1", "0"]]},
@@ -463,6 +478,123 @@ def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_
     assert main(["index", "--input", str(inp), "--out", str(tmp_path / "o.json")]) == 0
     assert json.loads((tmp_path / "o.json").read_text())["index"] == 1
     assert sizes == [64, 64]  # ker T and ker T*, none at N = 128
+    assert nullities == []  # both counts equal Coburn's dimensions
+
+
+def _root_symbol(c, p, roots):
+    """Coefficients {k: c_k} of the symbol c z^(-p) prod_r (z - r)."""
+    poly = [c]  # ascending powers of z
+    for r in roots:
+        poly = [lo - r * hi for hi, lo in zip(poly + [GR_ZERO], [GR_ZERO] + poly)]
+    return {k - p: v for k, v in enumerate(poly)}
+
+
+def _index_and_oracles(T):
+    """``fredholm_index_banded(T)``, the operators it ran ``_section_nullity``
+    on, and ``kernel_of_power`` of T and T* alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_nullities(mp)
+        idx = fredholm_index_banded(T)
+    ops = [op for op, _ in calls]
+    return idx, ops, kernel_of_power(T, 1), kernel_of_power(T.adjoint(), 1)
+
+
+def _assert_same_kernel(sub, alone):
+    assert (sub.dim, sub.window) == (alone.dim, alone.window)
+    assert np.array_equal(sub.basis, alone.basis)
+
+
+#: scalar Toeplitz operators, whose kernel dimensions the symbol fixes
+_TOEPLITZ_OPERATORS = {
+    "I": identity_op,
+    "S*": lambda: make_catalog_operator("adjoint_shift"),
+    "S^2": lambda: make_catalog_operator("toeplitz", symbol={2: 1}),
+    "S* - I/2": _BOUND_OPERATORS["S* - I/2"],
+    "S*^2 + I/4": _BOUND_OPERATORS["S*^2 + I/4"],
+    # (1 + i/2) z^(-1) prod (z - r), roots drawn once: two inside the
+    # circle and two outside, so wind = 2 - 1
+    "complex bandwidth 3": lambda: make_catalog_operator(
+        "toeplitz",
+        symbol=_root_symbol(
+            GaussianRational(1, Fraction(1, 2)),
+            1,
+            [
+                GaussianRational(Fraction(1, 4), Fraction(1, 8)),
+                GaussianRational(Fraction(-1, 5), Fraction(1, 5)),
+                GaussianRational(3, -2),
+                GaussianRational(0, -4),
+            ],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOEPLITZ_OPERATORS))
+def test_toeplitz_kernels_at_coburns_dimension_take_no_doubled_window(name):
+    T = _TOEPLITZ_OPERATORS[name]()
+    assert T._tail_params() == (0, 1)
+    idx, nullity_ops, ker, coker = _index_and_oracles(T)
+    assert nullity_ops == []
+    assert idx.index == -symbol_winding(T)
+    _assert_same_kernel(idx.ker, ker)
+    _assert_same_kernel(idx.coker, coker)
+
+
+def test_a_toeplitz_count_below_coburns_dimension_takes_the_doubled_window(monkeypatch):
+    # S* - 3I/4: ker T counts 0 at N = 64, below the bound 1; the 2N read
+    # sends it to N = 128, where it counts 1 and is accepted with no 256 read
+    T = make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-3/4"})
+    sizes, nullities = _count_sections(monkeypatch), _count_nullities(monkeypatch)
+    idx = fredholm_index_banded(T)
+    assert nullities == [(T, 128)] and 256 not in sizes
+    assert (idx.ker.window.N, idx.dim_ker) == (128, 1)
+    monkeypatch.undo()
+    _assert_same_kernel(idx.ker, kernel_of_power(T, 1))
+    _assert_same_kernel(idx.coker, kernel_of_power(T.adjoint(), 1))
+
+
+def test_defect_1_keeps_its_doubled_window_on_the_kernel_side():
+    # S* - 9I/10 certifies 0 against Coburn's 1: the miss takes the old
+    # N/2N check, whose count (the known undercount) stands
+    T = _M1_OPERATORS["S* - 9I/10"]()
+    idx, nullity_ops, ker, coker = _index_and_oracles(T)
+    assert nullity_ops == [T]
+    _assert_same_kernel(idx.ker, ker)
+    _assert_same_kernel(idx.coker, coker)
+
+
+@pytest.mark.parametrize("name", ["patched S*", "weighted S*"])
+def test_operators_off_the_toeplitz_class_get_no_bound(name):
+    T = _M1_OPERATORS[name]()
+    idx, nullity_ops, ker, coker = _index_and_oracles(T)
+    assert nullity_ops == [T, T.adjoint()]
+    _assert_same_kernel(idx.ker, ker)
+    _assert_same_kernel(idx.coker, coker)
+
+
+#: roots a + bi of modulus 3..5, or their inverses (modulus 1/5..1/3)
+_roots = st.builds(
+    lambda ab, inside: GR_ONE / GaussianRational(*ab) if inside else GaussianRational(*ab),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
+        lambda ab: 9 <= ab[0] ** 2 + ab[1] ** 2 <= 25
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.builds(GaussianRational, st.integers(1, 3), st.integers(-2, 2)),
+    st.integers(0, 3),
+    st.lists(_roots, min_size=1, max_size=3),
+)
+def test_toeplitz_index_from_coburns_shortcut_matches_the_winding_oracle(c, p, roots):
+    sym = _root_symbol(c, p, roots)
+    T = make_catalog_operator("toeplitz", symbol=sym)
+    idx, nullity_ops, ker, coker = _index_and_oracles(T)
+    assert nullity_ops == []
+    assert idx.index == -oracle_winding(sym)
+    assert (idx.dim_ker, idx.dim_coker) == (ker.dim, coker.dim)
 
 
 def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
@@ -479,6 +611,25 @@ def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
         alone = kernel_of_power(T, m)
         assert alone.dim == sub.dim == m and alone.window == sub.window
         assert np.array_equal(alone.basis, sub.basis)
+
+
+def test_a_walk_below_the_bound_factors_each_window_once(monkeypatch):
+    # the adjoint of the weighted shift with weights 0, 2, 1, 1, ...: every
+    # power grows by one of dim ker T = 2, so each is confirmed at 2N and
+    # accepted at N, and the next starts at N again
+    import koszulkit.ell2 as ell2
+
+    T = make_catalog_operator("weighted_shift", prefix=[0, 2], period=[1]).adjoint()
+    factored, _ = _count_chain_windows(monkeypatch)
+    walk = dict(iter_kernels_of_powers(T, range(1, 9)))
+    assert factored == [64, 128]
+    assert [sub.dim for sub in walk.values()] == list(range(2, 10))
+    # the same walk holding one factorization refactors both windows per power
+    monkeypatch.setattr(ell2, "lru_cache", lambda maxsize: lru_cache(maxsize=1))
+    factored.clear()
+    for m, sub in iter_kernels_of_powers(T, range(1, 9)):
+        _assert_same_kernel(walk[m], sub)
+    assert factored == [64, 128] * 7
 
 
 # -- index -------------------------------------------------------------------
