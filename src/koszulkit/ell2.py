@@ -20,22 +20,22 @@ genuine kernel vector of T (every row that could be nonzero was
 included).  There is one window rule: the guard band is G = max(16, w),
 ker T starts at N = max(64, 2G), each power at the window of the power
 before, and N doubles up to max(1024, N).  Every vector must die out
-before the guard band.  ker T is accepted at N when its dimension agrees
-at N and 2N (the 2N count read from singular values alone when that
-suffices), or at N alone when it reaches a known upper bound on
-dim ker T (Coburn's dimension, for a scalar Toeplitz T).  ker T^m for
-m >= 2 is the preimage chain
-{x : B x in ker T^(m-1)} through one factorization of B per window, so
-no power of T is ever formed; it is accepted at N when it reaches the
-bound dim ker T^(m-1) + dim ker T, which no larger window could exceed,
-and otherwise by the same N/2N check.  That certificate is a desk-scale
-stabilization check, not a proof: operators whose kernel vectors have
-unbounded support (none of the catalog instances) can stabilize to an
-undercount.
+before the guard band.  ker T^m for every m >= 1 is the preimage chain
+{x : B x in ker T^(m-1)} from ker T^0 = {0}, through one factorization
+of B per window, so no power of T is ever formed.  A step is accepted at
+N when its count reaches an upper bound on its dimension, which no
+larger window could exceed: dim ker T^(m-1) + dim ker T for m >= 2, and
+for ker T the caller's (Coburn's dimension, for a scalar Toeplitz T).  A
+count above the bound raises NotStabilized; any other count waits for N
+and 2N to agree (for ker T the 2N count read from singular values alone
+when that suffices).  That certificate is a desk-scale stabilization
+check, not a proof: operators whose kernel vectors have unbounded
+support (none of the catalog instances) can stabilize to an undercount.
 
 Fredholmness comes from the symbol of the periodic tail
-(``symbol_winding``).  Its winding only shortens the check of a scalar
-Toeplitz kernel whose count agrees with it; the counts give the index.
+(``symbol_winding``).  Its winding bounds the kernels of a scalar
+Toeplitz T, so it shortens the check of a count that reaches the bound
+and refuses one above it; the counts give the index.
 """
 
 from __future__ import annotations
@@ -368,11 +368,9 @@ class TruncationWindow:
 
 @dataclass(frozen=True)
 class StabilizedSubspace:
-    """Orthonormal basis (columns) of a kernel, certified at ``window``:
-    built only when the next window agrees (``_stabilized_kernel``, or a
-    chain step) or the count reaches an upper bound on the dimension:
-    the bound from lower powers in a chain step (``_chain_kernel``), or
-    the one a caller passes for ker T (Coburn's, for scalar Toeplitz)."""
+    """Orthonormal basis (columns) of a kernel, certified at ``window`` by
+    a chain step (``_chain_kernel``): built only when the next window
+    agrees or the count reaches an upper bound on the dimension."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
@@ -402,40 +400,15 @@ def _orthonormalize(B: np.ndarray) -> np.ndarray:
 
 def _section_nullity(Tm: BandedOperator, N: int) -> int:
     """Nullity of the window-N section from its singular values alone, by
-    ``_section_kernel``'s rank rule: no basis, guard band or residual."""
+    ``_factor_section``'s rank rule: no basis, guard band or residual."""
     s = np.linalg.svd(Tm.section(max(N + Tm.bandwidth, 1), N), compute_uv=False)
     return N - int(np.sum(s > TOL_SECTION_RANK * s[0]))
 
 
-def _certify(ns: np.ndarray, residual, smax: float, N: int, G: int):
-    """(dim, basis restricted to [0, N-G)) from orthonormal candidates
-    ``ns`` (N rows): the combinations that vanish on the guard band, all
-    dropped unless ``residual`` of them is within TOL_RESIDUAL * max(1,
-    smax), then cut, orthonormalized and phase-fixed."""
-    _, gs, gvh = np.linalg.svd(ns[N - G :, :])
-    vecs = ns @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
-    if not vecs.shape[1] or np.abs(residual(vecs)).max() > TOL_RESIDUAL * max(1.0, smax):
-        return 0, np.zeros((N - G, 0), dtype=ns.dtype)
-    cut = _orthonormalize(vecs[: N - G, :])
-    return cut.shape[1], _fix_phases(cut)
-
-
-def _section_kernel(Tm: BandedOperator, N: int, G: int):
-    """(dim, basis restricted to [0, N-G)) for the window (N, G)."""
-    A = Tm.section(max(N + Tm.bandwidth, 1), N)
-    if not A.any():
-        ns, smax = np.eye(N, dtype=A.dtype), 0.0
-    else:
-        _, s, vh = np.linalg.svd(A)
-        smax = float(s[0])
-        ns = vh[int(np.sum(s > TOL_SECTION_RANK * smax)) :].conj().T
-    return _certify(ns, lambda V: A @ V, smax, N, G)
-
-
 def _factor_section(T: BandedOperator, N: int):
     """(B, U_r, s_r, V) for the window-N section B = T[0:N+w, 0:N] = U S V*,
-    the rank r by ``_section_kernel``'s rule; only U's first r columns
-    are kept."""
+    the rank r the number of singular values above TOL_SECTION_RANK * s[0];
+    only U's first r columns are kept."""
     B = T.section(N + T.bandwidth, N)
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     r = int(np.sum(s > TOL_SECTION_RANK * s[0]))
@@ -443,18 +416,29 @@ def _factor_section(T: BandedOperator, N: int):
 
 
 def _preimage_kernel(fact, K: np.ndarray, G: int):
-    """(dim, basis) of {x : B x in span K} for the factored section B and
-    orthonormal K: null(B) plus B^+ (span K cut down to ran B).  The c
-    with (I - U_r U_r*) K c ~ 0 come from a thin SVD by the rank rule
-    relative to ||K|| = 1; the residual is (I - K K*) B x."""
+    """(dim, basis restricted to [0, N-G)) of {x : B x in span K} for the
+    factored window-N section B and orthonormal K (no columns for ker T):
+    null(B) plus B^+ (span K cut down to ran B).  The c with
+    (I - U_r U_r*) K c ~ 0 come from a thin SVD by the rank rule relative
+    to ||K|| = 1.  Of these candidates the combinations that vanish on
+    the guard band are kept, all dropped unless their residual
+    (I - K K*) B x is within TOL_RESIDUAL * max(1, ||B||), then cut,
+    orthonormalized and phase-fixed."""
     B, U, s, V = fact
-    Kp = np.pad(K, ((0, B.shape[0] - K.shape[0]), (0, 0)))
+    N, r = V.shape[0], U.shape[1]
+    Kp = np.zeros((B.shape[0], K.shape[1]), dtype=K.dtype)
+    Kp[: K.shape[0]] = K
     _, ps, pvh = np.linalg.svd(Kp - U @ (U.conj().T @ Kp), full_matrices=False)
     C = pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
-    r = U.shape[1]
     pre = V[:, :r] @ ((U.conj().T @ (Kp @ C)) / s[:, None])
-    ns, smax = np.hstack([V[:, r:], _orthonormalize(pre)]), float(s[0]) if r else 0.0
-    return _certify(ns, lambda X: B @ X - Kp @ (Kp.conj().T @ (B @ X)), smax, V.shape[0], G)
+    ns = np.hstack([V[:, r:], _orthonormalize(pre)])
+    _, gs, gvh = np.linalg.svd(ns[N - G :, :])
+    vecs = ns @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
+    X = B @ vecs
+    if np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):
+        return 0, np.zeros((N - G, 0), dtype=ns.dtype)
+    cut = _orthonormalize(vecs[: N - G, :])
+    return cut.shape[1], _fix_phases(cut)
 
 
 def kernel_of_power(
@@ -471,15 +455,15 @@ def iter_kernels_of_powers(
 ):
     """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
 
-    ker T^0 = {0}; ker T is ``ker1`` when given, else ``_stabilized_kernel``
-    of T, which accepts a count equal to ``ker_bound`` (an upper bound on
-    dim ker T) at its first window.  Every m >= 2 is a preimage chain
-    through T's own section (``_chain_kernel``),
-    ker T^m = {x : T x in ker T^(m-1)}, so no power T^m is built.  The
-    walk is lazy: a caller that stops early factors nothing for the
-    higher powers.  The factorizations of the last two windows are held,
-    since a power confirmed at 2N and accepted at N starts the next one
-    at N again.
+    ker T^0 = {0}, and every m >= 1 is a preimage chain step through T's
+    own section (``_chain_kernel``), ker T^m = {x : T x in ker T^(m-1)},
+    so no power T^m is built.  ker T, the step from {0}, is ``ker1`` when
+    given; its bound is ``ker_bound`` (an upper bound on dim ker T, or
+    None), and the bound of ker T^m for m >= 2 is
+    dim ker T^(m-1) + dim ker T.  The walk is lazy: a caller that stops
+    early factors nothing for the higher powers.  The factorizations of
+    the last two windows are held, since a power confirmed at 2N and
+    accepted at N starts the next one at N again.
     """
     want = set(powers)
     if min(want, default=0) < 0:
@@ -490,62 +474,44 @@ def iter_kernels_of_powers(
     factor = lru_cache(maxsize=2)(lambda n: _factor_section(T, n))
     for m in range(max(want, default=-1) + 1):
         if m == 1:
-            ker = ker1 if ker1 is not None else _stabilized_kernel(T, N0, G, ker_bound)
+            ker = ker1 if ker1 is not None else _chain_kernel(T, ker, ker_bound, factor)
             d1 = ker.dim
         elif m >= 2:
-            ker = _chain_kernel(ker, ker.dim + d1, factor)
+            ker = _chain_kernel(T, ker, ker.dim + d1, factor)
         if m in want:
             yield m, ker
 
 
-def _chain_kernel(prev: StabilizedSubspace, bound: int, factor) -> StabilizedSubspace:
+def _chain_kernel(
+    T: BandedOperator, prev: StabilizedSubspace, bound: int | None, factor
+) -> StabilizedSubspace:
     """ker T^m from ker T^(m-1) = ``prev``, from prev's window on, with
     ``factor(N)`` T's factored window-N section.
 
-    Every vector found has T^m x = 0 within the residual, and
-    dim ker T^m <= dim ker T^(m-1) + dim ker T = ``bound``: a count equal
-    to the bound is accepted at N, one above it raises NotStabilized (a
-    lower power undercounted), one below it waits for N and 2N to agree.
+    Every vector found has T^m x = 0 within the residual, so a count
+    equal to ``bound`` (an upper bound on dim ker T^m, or None) is
+    accepted at N, and one above it raises NotStabilized.  Any other
+    count waits for N and 2N to agree, N doubling up to
+    max(MAX_SECTION, N).  When prev is {0} the 2N count is first read
+    from singular values alone: the d window-N vectors, padded with
+    zeros, stay within tolerance at 2N, so a raw nullity of d means they
+    span the 2N null space and the full certificate would count d too.
     """
-    G = prev.window.G
-
-    def reached(N, d):
-        if d > bound:
-            raise NotStabilized(
-                f"section size {N} certifies {d} kernel vectors, above the bound "
-                f"{bound} from lower powers: a lower power undercounted"
-            )
-        return d == bound
-
+    G, N = prev.window.G, prev.window.N
     at = cache(lambda n: _preimage_kernel(factor(n), prev.basis, G))
-    return _doubling(at, prev.window.N, G, reached)
-
-
-def _stabilized_kernel(
-    Tm: BandedOperator, N: int, G: int, bound: int | None = None
-) -> StabilizedSubspace:
-    """Certified kernel of Tm (ker T, m = 1) from window-N sections.
-
-    A count d equal to ``bound``, an upper bound on dim ker Tm, is
-    accepted at once: each certified vector is a genuine kernel vector,
-    so d <= dim ker Tm <= bound = d.  Any other count is checked at 2N,
-    first from singular values alone: the d window-N vectors, padded
-    with zeros, stay within tolerance at 2N, so a raw nullity of d means
-    they span the 2N null space and the full certificate would count d
-    too.  Otherwise the full 2N section runs.
-    """
-    at = cache(lambda n: _section_kernel(Tm, n, G))
-    return _doubling(at, N, G, lambda n, d: d == bound or _section_nullity(Tm, 2 * n) == d)
-
-
-def _doubling(at, N: int, G: int, early) -> StabilizedSubspace:
-    """The kernel (d, basis) = ``at(N)``, N doubling up to
-    max(MAX_SECTION, N) until ``early(N, d)`` holds or the count at 2N
-    is d too."""
     cap = max(MAX_SECTION, N)
     while N <= cap:
         d, basis = at(N)
-        if early(N, d) or d == at(2 * N)[0]:
+        if bound is not None and d > bound:
+            raise NotStabilized(
+                f"section size {N} certifies {d} kernel vectors, above the bound "
+                f"{bound} on their number: the bound, or a count it rests on, is wrong"
+            )
+        if (
+            d == bound
+            or (not prev.dim and _section_nullity(T, 2 * N) == d)
+            or d == at(2 * N)[0]
+        ):
             return StabilizedSubspace(basis=basis, dim=d, window=TruncationWindow(N, G))
         N *= 2
     raise NotStabilized(
@@ -621,8 +587,9 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
     kernel of the adjoint.  For a scalar Toeplitz T (no prefix, period
     1) Coburn's lemma gives dim ker T = max(-wind, 0) and
     dim ker T* = max(wind, 0), passed as the bounds at which each kernel
-    is accepted without the 2N check.  A side that misses its bound
-    takes the N/2N check, and its count stands even if it disagrees.
+    is accepted without the 2N check.  A side above its bound raises
+    NotStabilized; one below it takes the N/2N check, and its count
+    stands even if it disagrees.
     """
     wind = symbol_winding(T)
     toeplitz = T._tail_params() == (0, 1)

@@ -379,8 +379,10 @@ def obstruction_certificate(
     on every layer; the compression itself is returned as ``blocks``.
     Verdict "obstructed" means: were (T, K) an invertible commuting pair,
     K would be bounded below by r on infinitely many orthogonal nonzero
-    layers and hence could not be compact.  Verdict "inconclusive"
-    (r ~ 0) means this route says nothing about the given K.
+    layers and hence could not be compact.  It needs the corner blocks
+    past n0 certified similar (``similarity_certified``).  Verdict
+    "inconclusive" (r ~ 0, or no such certificate) means this route says
+    nothing about the given K.
     """
     blocks = commutant_blocks(tower, K)
     x0 = blocks.level(tower.n0).x_block
@@ -388,7 +390,8 @@ def obstruction_certificate(
     norms = {lv.n: lv.norm for lv in blocks.levels}
     dims = tower.layer_dims()
     obstructed = (
-        r > TOL_RADIUS
+        blocks.similarity_certified
+        and r > TOL_RADIUS
         and all(d >= 1 for d in dims)
         and all(norms[n] >= r - TOL_RADIUS for n in range(tower.n0, tower.depth + 1))
     )

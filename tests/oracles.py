@@ -3,12 +3,15 @@
 These deliberately share no code with the package internals: the rank
 oracle is a plain textbook row echelon (first nonzero pivot, row
 operations only) over pairs of ``Fraction``s, not over the package's
-Gaussian rationals, and the winding oracle integrates the argument of a
-symbol around the unit circle by sampling.
+Gaussian rationals, the winding oracle integrates the argument of a
+symbol around the unit circle by sampling, and the section oracle reads
+a banded operator entry by entry into a dense matrix.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 from koszulkit.linalg import Mat
 
@@ -73,3 +76,25 @@ def oracle_winding(symbol: dict, samples: int = 4096) -> int:
             total += d
         prev = ang
     return round(total / (2.0 * math.pi))
+
+
+def oracle_section_kernel(T, N: int, G: int) -> np.ndarray:
+    """Orthonormal basis (columns, first N - G coordinates) of the kernel
+    vectors of the (N + w) x N section of the banded T, w its bandwidth,
+    that vanish on the guard band, the last G of the N coordinates.
+
+    The section is read entry by entry through ``T.entry``; its null
+    space is numpy's SVD by a rank cut at 1e-10 of the largest singular
+    value, and the combinations of it that vanish on the guard band are
+    those the SVD of its guard rows sends to zero (below 1e-12).
+    """
+    w = T.bandwidth
+    A = np.zeros((N + w, N), dtype=complex)
+    for i in range(N + w):
+        for j in range(max(i - w, 0), min(i + w + 1, N)):
+            A[i, j] = T.entry(i, j).to_complex()
+    _, s, vh = np.linalg.svd(A)
+    null = vh[int(np.sum(s > 1e-10 * s[0])) :].conj().T if s[0] else np.eye(N)
+    _, gs, gvh = np.linalg.svd(null[N - G :, :])
+    vecs = null @ gvh[int(np.sum(gs > 1e-12)) :].conj().T
+    return np.linalg.qr(vecs[: N - G, :])[0]

@@ -340,8 +340,8 @@ def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys,
 
     real, dropped = ell2._chain_kernel, []
 
-    def dropping(prev, bound, factor):
-        sub = real(prev, bound, factor)
+    def dropping(T, prev, bound, factor):
+        sub = real(T, prev, bound, factor)
         if sub.dim != 11 or dropped:
             return sub
         dropped.append(sub)
@@ -379,7 +379,9 @@ def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsy
     out = capsys.readouterr().out
     assert json.loads(out)["kernel_dims"] == list(range(2, 25, 2))
     assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGEST
-    assert sizes == [64, 128]  # one factorization per window, none at 256
+    # ker T and ker T* for the index, then one factorization per window
+    # for the chain from ker T on, none at 256
+    assert sizes == [64, 64, 64, 128]
 
 
 def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from koszulkit.ell2 import (
     BandedOperator,
     Diagonal,
-    _stabilized_kernel,
     fredholm_index_banded,
     identity_op,
     iter_kernels_of_powers,
@@ -25,7 +24,7 @@ from koszulkit.linalg import Mat
 from koszulkit.scalars import GR_ONE, GR_ZERO, GaussianRational
 from koszulkit.tower import kernel_tower
 
-from oracles import oracle_winding
+from oracles import oracle_section_kernel, oracle_winding
 
 
 @st.composite
@@ -308,8 +307,13 @@ def test_kernel_dims_nondecreasing_with_stable_growth(backward_shift):
 
 
 def test_certified_subspace_reverifies_at_double_window(backward_shift):
+    from koszulkit.ell2 import StabilizedSubspace, TruncationWindow, _chain_kernel, _factor_section
+
     sub = kernel_of_power(backward_shift, 4)
-    again = _stabilized_kernel(backward_shift.power(4), 2 * sub.window.N, sub.window.G)
+    T4, N, G = backward_shift.power(4), 2 * sub.window.N, sub.window.G
+    # the chain step from {0} at the doubled window, with no bound
+    zero = StabilizedSubspace(np.zeros((N - G, 0)), 0, TruncationWindow(N, G))
+    again = _chain_kernel(T4, zero, None, lambda n: _factor_section(T4, n))
     assert again.dim == sub.dim
 
 
@@ -378,8 +382,6 @@ def _sin_largest_angle(P, Q):
 
 @pytest.mark.parametrize("name", sorted(_BOUND_OPERATORS))
 def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, name):
-    from koszulkit.ell2 import _section_kernel
-
     T = _BOUND_OPERATORS[name]()
     _, sought = _count_chain_windows(monkeypatch)
     walk = dict(iter_kernels_of_powers(T, range(1, 9)))
@@ -392,12 +394,26 @@ def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, n
         assert 2 * sub.window.N not in sought[(m - 1) * d1]
         # ... where the section of the power T^m spans the same kernel
         G = max(16, m * T.bandwidth)
-        dim, basis = _section_kernel(T.power(m), 2 * sub.window.N, G)
-        assert dim == sub.dim
+        basis = oracle_section_kernel(T.power(m), 2 * sub.window.N, G)
+        assert basis.shape[1] == sub.dim
         assert _sin_largest_angle(basis, sub.basis) <= 1e-8
         alone = kernel_of_power(T, m)
         assert (alone.dim, alone.window) == (sub.dim, sub.window)
         assert np.array_equal(alone.basis, sub.basis)
+
+
+def test_a_ker_t_count_above_the_callers_bound_is_not_stabilized(backward_shift):
+    # ker S* is spanned by e0, so a bound of 0 on dim ker T is wrong: the
+    # count is refused, not confirmed at 2N
+    with pytest.raises(NotStabilized) as exc:
+        kernel_of_power(backward_shift, 1, ker_bound=0)
+    assert str(exc.value) == (
+        "section size 64 certifies 1 kernel vectors, above the bound 0 on their "
+        "number: the bound, or a count it rests on, is wrong"
+    )
+    # a bound the count reaches accepts it; a larger one leaves it to the 2N check
+    assert kernel_of_power(backward_shift, 1, ker_bound=1).dim == 1
+    assert kernel_of_power(backward_shift, 1, ker_bound=2).dim == 1
 
 
 def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
@@ -420,16 +436,16 @@ _M1_OPERATORS = {
 
 
 def _count_sections(monkeypatch):
-    """Record the window of every full ``_section_kernel`` call."""
+    """Record the window of every full section SVD (``_factor_section``)."""
     import koszulkit.ell2 as ell2
 
-    real, sizes = ell2._section_kernel, []
+    real, sizes = ell2._factor_section, []
 
-    def counted(Tm, N, G):
+    def counted(T, N):
         sizes.append(N)
-        return real(Tm, N, G)
+        return real(T, N)
 
-    monkeypatch.setattr(ell2, "_section_kernel", counted)
+    monkeypatch.setattr(ell2, "_factor_section", counted)
     return sizes
 
 
@@ -450,6 +466,17 @@ def test_singular_values_confirm_the_doubled_window_as_its_section_does(monkeypa
         assert (fast.dim, fast.window) == (full.dim, full.window)
         assert np.array_equal(fast.basis, full.basis)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", sorted(_M1_OPERATORS))
+def test_kernels_match_the_entrywise_section_oracle_at_their_window(name):
+    T = _M1_OPERATORS[name]()
+    for op in (T, T.adjoint()):
+        sub = kernel_of_power(op, 1)
+        basis = oracle_section_kernel(op, sub.window.N, sub.window.G)
+        assert basis.shape[1] == sub.dim
+        if sub.dim:
+            assert _sin_largest_angle(basis, sub.basis) <= 1e-8
 
 
 def _count_nullities(monkeypatch):

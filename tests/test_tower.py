@@ -83,7 +83,7 @@ def test_shallow_tower_fails_before_any_section(backward_shift, monkeypatch):
     import koszulkit.ell2 as ell2
 
     calls = []
-    monkeypatch.setattr(ell2, "_section_kernel", lambda *args: calls.append(args))
+    monkeypatch.setattr(ell2, "_factor_section", lambda *args: calls.append(args))
     for depth in (0, 1, 2, 3):
         with pytest.raises(NotStabilized) as exc:
             kernel_tower(backward_shift, depth)
@@ -102,10 +102,10 @@ def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatc
 
     real, requested = ell2._chain_kernel, []
 
-    def capped(prev, bound, factor):
+    def capped(T, prev, bound, factor):
         m = prev.dim + 1  # prev = ker (S*)^(m-1) has dimension m - 1
         requested.append(m)
-        return prev if m >= k else real(prev, bound, factor)
+        return prev if m >= k else real(T, prev, bound, factor)
 
     monkeypatch.setattr(ell2, "_chain_kernel", capped)
     with pytest.raises(NotStabilized, match=f"layer {k} vanished"):
@@ -261,6 +261,24 @@ def test_obstruction_certificate_carries_the_commutant_blocks(backward_shift):
     direct = commutant_blocks(tw, K)
     for n in range(1, tw.depth + 1):
         assert np.array_equal(cert.blocks.level(n).x_block, direct.level(n).x_block)
+
+
+def test_obstruction_needs_certified_similar_corner_blocks(backward_shift, monkeypatch):
+    import dataclasses
+
+    import koszulkit.tower as tower
+
+    real = tower.commutant_blocks
+    monkeypatch.setattr(
+        tower,
+        "commutant_blocks",
+        lambda tw, S: dataclasses.replace(real(tw, S), similarity_certified=False),
+    )
+    cert = obstruction_certificate(
+        kernel_tower(backward_shift, 12), identity_op().scale(2) + backward_shift
+    )
+    assert cert.verdict == "inconclusive"
+    assert cert.r == pytest.approx(2.0, abs=1e-8)  # r alone would obstruct
 
 
 def test_obstruction_inconclusive_for_shift_itself(backward_shift):
