@@ -21,16 +21,17 @@ included).  There is one window rule: the guard band is G = max(16, w),
 ker T starts at N = max(64, 2G), each power at the window of the power
 before, and N doubles up to max(1024, N).  Every vector must die out
 before the guard band.  ker T^m for every m >= 1 is the preimage chain
-{x : B x in ker T^(m-1)} from ker T^0 = {0}, through one factorization
-of B per window, so no power of T is ever formed.  A step is accepted at
-N when its count reaches an upper bound on its dimension, which no
-larger window could exceed: dim ker T^(m-1) + dim ker T for m >= 2, and
-for ker T the caller's (Coburn's dimension, for a scalar Toeplitz T).  A
-count above the bound raises NotStabilized; any other count waits for N
-and 2N to agree (for ker T the 2N count read from singular values alone
-when that suffices).  That certificate is a desk-scale stabilization
-check, not a proof: operators whose kernel vectors have unbounded
-support (none of the catalog instances) can stabilize to an undercount.
+{x : B x in ker T^(m-1)} from ker T^0 = {0}, each window of B factored
+at most once for an index and the towers on it, so no power of T is ever
+formed.  A step is accepted at N when its count reaches an upper bound
+on its dimension, which no larger window could exceed: dim ker T^(m-1) +
+dim ker T for m >= 2, and for ker T the caller's (Coburn's dimension,
+for a scalar Toeplitz T).  A count above the bound raises NotStabilized;
+any other waits for N and 2N to agree.  From {0} singular values come
+first: they settle an empty kernel unfactored and confirm a 2N count.
+That certificate is a desk-scale stabilization check, not a proof:
+operators whose kernel vectors have unbounded support (none of the
+catalog instances) can stabilize to an undercount.
 
 Fredholmness comes from the symbol of the periodic tail
 (``symbol_winding``).  Its winding bounds the kernels of a scalar
@@ -40,7 +41,7 @@ and refuses one above it; the counts give the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from math import lcm
 
@@ -441,17 +442,31 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     return cut.shape[1], _fix_phases(cut)
 
 
+class _Sections:
+    """One walk's reads of T's sections, made once per window: nullity
+    (``_section_nullity``) and full SVD (``_factor_section``, the last two
+    held, as a power checked at 2N and accepted at N starts the next at N)."""
+
+    def __init__(self, T: BandedOperator):
+        self.factor = lru_cache(maxsize=2)(lambda n: _factor_section(T, n))
+        self.nullity = cache(lambda n: _section_nullity(T, n))
+
+
 def kernel_of_power(
-    T: BandedOperator, m: int, ker_bound: int | None = None
+    T: BandedOperator, m: int, ker_bound: int | None = None, sections: _Sections | None = None
 ) -> StabilizedSubspace:
     """Certified orthonormal basis of ker T^m: the kernel that
     ``iter_kernels_of_powers`` gives power m, walking 1..m, with
     ``ker_bound`` an upper bound on dim ker T when one is known."""
-    return next(iter_kernels_of_powers(T, (m,), ker_bound=ker_bound))[1]
+    return next(iter_kernels_of_powers(T, (m,), ker_bound=ker_bound, sections=sections))[1]
 
 
 def iter_kernels_of_powers(
-    T: BandedOperator, powers, ker1: StabilizedSubspace | None = None, ker_bound: int | None = None
+    T: BandedOperator,
+    powers,
+    ker1: StabilizedSubspace | None = None,
+    sections: _Sections | None = None,
+    ker_bound: int | None = None,
 ):
     """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
 
@@ -461,9 +476,9 @@ def iter_kernels_of_powers(
     given; its bound is ``ker_bound`` (an upper bound on dim ker T, or
     None), and the bound of ker T^m for m >= 2 is
     dim ker T^(m-1) + dim ker T.  The walk is lazy: a caller that stops
-    early factors nothing for the higher powers.  The factorizations of
-    the last two windows are held, since a power confirmed at 2N and
-    accepted at N starts the next one at N again.
+    early factors nothing for the higher powers.  Its steps share one
+    ``_Sections``: ``sections``, the walk that certified ``ker1`` (from
+    ``IndexCertificate``), when given, else a new one.
     """
     want = set(powers)
     if min(want, default=0) < 0:
@@ -471,34 +486,40 @@ def iter_kernels_of_powers(
     G = max(DEFAULT_G, T.bandwidth)
     N0 = max(DEFAULT_N, 2 * G)
     ker = StabilizedSubspace(np.zeros((N0 - G, 0)), 0, TruncationWindow(N0, G))
-    factor = lru_cache(maxsize=2)(lambda n: _factor_section(T, n))
+    sections = sections or _Sections(T)
     for m in range(max(want, default=-1) + 1):
         if m == 1:
-            ker = ker1 if ker1 is not None else _chain_kernel(T, ker, ker_bound, factor)
+            ker = ker1 if ker1 is not None else _chain_kernel(T, ker, ker_bound, sections)
             d1 = ker.dim
         elif m >= 2:
-            ker = _chain_kernel(T, ker, ker.dim + d1, factor)
+            ker = _chain_kernel(T, ker, ker.dim + d1, sections)
         if m in want:
             yield m, ker
 
 
 def _chain_kernel(
-    T: BandedOperator, prev: StabilizedSubspace, bound: int | None, factor
+    T: BandedOperator, prev: StabilizedSubspace, bound: int | None, sections: _Sections
 ) -> StabilizedSubspace:
-    """ker T^m from ker T^(m-1) = ``prev``, from prev's window on, with
-    ``factor(N)`` T's factored window-N section.
+    """ker T^m from ker T^(m-1) = ``prev``, from prev's window on, through
+    the walk's ``sections`` of T.
 
     Every vector found has T^m x = 0 within the residual, so a count
     equal to ``bound`` (an upper bound on dim ker T^m, or None) is
     accepted at N, and one above it raises NotStabilized.  Any other
     count waits for N and 2N to agree, N doubling up to
-    max(MAX_SECTION, N).  When prev is {0} the 2N count is first read
-    from singular values alone: the d window-N vectors, padded with
-    zeros, stay within tolerance at 2N, so a raw nullity of d means they
-    span the 2N null space and the full certificate would count d too.
+    max(MAX_SECTION, N).  When prev is {0} the step is null(B), and its
+    singular values come first: with a bound of 0 or None a raw nullity
+    of 0 counts 0 unfactored, and a raw 2N nullity of d confirms d (the
+    d window-N vectors, zero-padded, span the 2N null space).
     """
     G, N = prev.window.G, prev.window.N
-    at = cache(lambda n: _preimage_kernel(factor(n), prev.basis, G))
+
+    @cache
+    def at(n):
+        if not prev.dim and not bound and not sections.nullity(n):
+            return 0, np.zeros((n - G, 0), dtype=T.section(0, 0).dtype)
+        return _preimage_kernel(sections.factor(n), prev.basis, G)
+
     cap = max(MAX_SECTION, N)
     while N <= cap:
         d, basis = at(N)
@@ -507,11 +528,7 @@ def _chain_kernel(
                 f"section size {N} certifies {d} kernel vectors, above the bound "
                 f"{bound} on their number: the bound, or a count it rests on, is wrong"
             )
-        if (
-            d == bound
-            or (not prev.dim and _section_nullity(T, 2 * N) == d)
-            or d == at(2 * N)[0]
-        ):
+        if d == bound or (not prev.dim and sections.nullity(2 * N) == d) or d == at(2 * N)[0]:
             return StabilizedSubspace(basis=basis, dim=d, window=TruncationWindow(N, G))
         N *= 2
     raise NotStabilized(
@@ -577,6 +594,7 @@ class IndexCertificate:
     dim_coker: int
     ker: StabilizedSubspace
     coker: StabilizedSubspace
+    sections: tuple = field(repr=False)  # the ker T and ker T* walks' _Sections
 
 
 def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
@@ -589,17 +607,22 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
     dim ker T* = max(wind, 0), passed as the bounds at which each kernel
     is accepted without the 2N check.  A side above its bound raises
     NotStabilized; one below it takes the N/2N check, and its count
-    stands even if it disagrees.
+    stands even if it disagrees.  The certificate keeps both walks'
+    ``sections``, so towers and growth tables walk on to higher powers
+    without reading a window again.
     """
     wind = symbol_winding(T)
     toeplitz = T._tail_params() == (0, 1)
-    ker = kernel_of_power(T, 1, ker_bound=max(-wind, 0) if toeplitz else None)
-    coker = kernel_of_power(T.adjoint(), 1, ker_bound=max(wind, 0) if toeplitz else None)
+    adj = T.adjoint()
+    sections = (_Sections(T), _Sections(adj))
+    ker = kernel_of_power(T, 1, max(-wind, 0) if toeplitz else None, sections[0])
+    coker = kernel_of_power(adj, 1, max(wind, 0) if toeplitz else None, sections[1])
     return IndexCertificate(
         index=ker.dim - coker.dim,
         dim_ker=ker.dim,
         dim_coker=coker.dim,
         ker=ker,
         coker=coker,
+        sections=sections,
     )
 

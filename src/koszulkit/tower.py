@@ -193,7 +193,7 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
             "apply it to the adjoint instead"
         )
     kernels = [idx.ker]
-    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), idx.ker):
+    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), idx.ker, idx.sections[0]):
         if kn.dim <= kernels[-1].dim:
             raise NotStabilized(
                 f"kernel dimensions decreased between powers {n - 1} and {n}"
@@ -425,8 +425,10 @@ def growth_table(T: BandedOperator, powers, rank_bound: int) -> GrowthTable:
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
     higher = [m for m in powers if m != 1]
-    kers = {1: base.ker} | dict(iter_kernels_of_powers(T, higher, base.ker))
-    cokers = {1: base.coker} | dict(iter_kernels_of_powers(T.adjoint(), higher, base.coker))
+    kers, cokers = (
+        {1: k} | dict(iter_kernels_of_powers(op, higher, k, s))
+        for op, k, s in zip((T, T.adjoint()), (base.ker, base.coker), base.sections)
+    )
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim

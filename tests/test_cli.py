@@ -364,24 +364,51 @@ def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys,
 TOWER_DIGEST = "fc727e157a080594e8255446fd1e9411fcf63102df8313de0b2f81844c7a9bca"
 
 
-def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsys, monkeypatch):
+def _count_section_reads(monkeypatch):
+    """Record (helper, operator, N) for every full (``_factor_section``)
+    and values-only (``_section_nullity``) section SVD."""
     import koszulkit.ell2 as ell2
 
-    real, sizes = ell2._factor_section, []
+    reads = []
+    for name in ("_factor_section", "_section_nullity"):
 
-    def counted(T, N):
-        sizes.append(N)
-        return real(T, N)
+        def counted(T, N, real=getattr(ell2, name), name=name):
+            reads.append((name, T, N))
+            return real(T, N)
 
-    monkeypatch.setattr(ell2, "_factor_section", counted)
+        monkeypatch.setattr(ell2, name, counted)
+    return reads
+
+
+def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsys, monkeypatch):
+    reads = _count_section_reads(monkeypatch)
     inp = write(tmp_path, "t.json", _shift2_plus("0", "1/4"))
     assert main(["tower", "--input", inp, "--max-level", "12"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["kernel_dims"] == list(range(2, 25, 2))
     assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGEST
-    # ker T and ker T* for the index, then one factorization per window
-    # for the chain from ker T on, none at 256
-    assert sizes == [64, 64, 64, 128]
+    # ker T (bounded by 2) factored for the index, ker T* (bounded by 0)
+    # read from singular values; the chain from ker T on reuses the 64
+    # factorization and factors 128 once, none at 256
+    assert [(helper, N) for helper, _, N in reads] == [
+        ("_factor_section", 64), ("_section_nullity", 64), ("_factor_section", 128)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tower", "--max-level", "12"], ["demo", "theorem-2.1"], ["demo", "theorem-1.1"]],
+    ids=["tower", "theorem-2.1", "theorem-1.1"],
+)
+def test_a_command_factors_each_section_once(tmp_path, capsys, monkeypatch, argv):
+    # the index's ker T and ker T* walks go on into the tower's and the
+    # growth table's higher powers, so no window is factored twice
+    if argv[0] == "tower":
+        argv = argv + ["--input", write(tmp_path, "t.json", _shift2_plus("0", "1/4"))]
+    reads = _count_section_reads(monkeypatch)
+    assert main(argv) == 0
+    factored = [(T, N) for helper, T, N in reads if helper == "_factor_section"]
+    assert factored and len(set(factored)) == len(factored)
 
 
 def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):

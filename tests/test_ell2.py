@@ -307,13 +307,13 @@ def test_kernel_dims_nondecreasing_with_stable_growth(backward_shift):
 
 
 def test_certified_subspace_reverifies_at_double_window(backward_shift):
-    from koszulkit.ell2 import StabilizedSubspace, TruncationWindow, _chain_kernel, _factor_section
+    from koszulkit.ell2 import StabilizedSubspace, TruncationWindow, _chain_kernel, _Sections
 
     sub = kernel_of_power(backward_shift, 4)
     T4, N, G = backward_shift.power(4), 2 * sub.window.N, sub.window.G
     # the chain step from {0} at the doubled window, with no bound
     zero = StabilizedSubspace(np.zeros((N - G, 0)), 0, TruncationWindow(N, G))
-    again = _chain_kernel(T4, zero, None, lambda n: _factor_section(T4, n))
+    again = _chain_kernel(T4, zero, None, _Sections(T4))
     assert again.dim == sub.dim
 
 
@@ -435,18 +435,27 @@ _M1_OPERATORS = {
 }
 
 
-def _count_sections(monkeypatch):
-    """Record the window of every full section SVD (``_factor_section``)."""
+FACTOR, NULLITY = "_factor_section", "_section_nullity"
+
+
+def _count_reads(monkeypatch):
+    """Record (helper, operator, N) for every section read: a full SVD
+    (``_factor_section``) or a values-only one (``_section_nullity``)."""
     import koszulkit.ell2 as ell2
 
-    real, sizes = ell2._factor_section, []
+    reads = []
+    for name in (FACTOR, NULLITY):
 
-    def counted(T, N):
-        sizes.append(N)
-        return real(T, N)
+        def counted(T, N, real=getattr(ell2, name), name=name):
+            reads.append((name, T, N))
+            return real(T, N)
 
-    monkeypatch.setattr(ell2, "_factor_section", counted)
-    return sizes
+        monkeypatch.setattr(ell2, name, counted)
+    return reads
+
+
+def _factored(reads):
+    return [N for helper, _, N in reads if helper == FACTOR]
 
 
 @pytest.mark.parametrize("name", sorted(_M1_OPERATORS))
@@ -455,14 +464,14 @@ def test_singular_values_confirm_the_doubled_window_as_its_section_does(monkeypa
 
     T = _M1_OPERATORS[name]()
     for op in (T, T.adjoint()):
-        sizes = _count_sections(monkeypatch)
+        reads = _count_reads(monkeypatch)
         fast = kernel_of_power(op, 1)
-        assert 2 * fast.window.N not in sizes  # confirmed by singular values
+        assert 2 * fast.window.N not in _factored(reads)  # confirmed by singular values
         # a values-only count that never agrees forces the full 2N section
         monkeypatch.setattr(ell2, "_section_nullity", lambda Tm, N: -1)
-        sizes.clear()
+        reads.clear()
         full = kernel_of_power(op, 1)
-        assert 2 * full.window.N in sizes
+        assert 2 * full.window.N in _factored(reads)
         assert (fast.dim, fast.window) == (full.dim, full.window)
         assert np.array_equal(fast.basis, full.basis)
         monkeypatch.undo()
@@ -479,24 +488,10 @@ def test_kernels_match_the_entrywise_section_oracle_at_their_window(name):
             assert _sin_largest_angle(basis, sub.basis) <= 1e-8
 
 
-def _count_nullities(monkeypatch):
-    """Record (operator, N) for every values-only ``_section_nullity`` call."""
-    import koszulkit.ell2 as ell2
-
-    real, calls = ell2._section_nullity, []
-
-    def counted(Tm, N):
-        calls.append((Tm, N))
-        return real(Tm, N)
-
-    monkeypatch.setattr(ell2, "_section_nullity", counted)
-    return calls
-
-
 def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_path):
     from koszulkit.cli import main
 
-    sizes, nullities = _count_sections(monkeypatch), _count_nullities(monkeypatch)
+    reads = _count_reads(monkeypatch)
     inp = tmp_path / "t.json"
     inp.write_text(json.dumps({"diagonals": [
         {"offset": 1, "period": [["1", "0"]]},
@@ -504,8 +499,9 @@ def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_
     ]}))
     assert main(["index", "--input", str(inp), "--out", str(tmp_path / "o.json")]) == 0
     assert json.loads((tmp_path / "o.json").read_text())["index"] == 1
-    assert sizes == [64, 64]  # ker T and ker T*, none at N = 128
-    assert nullities == []  # both counts equal Coburn's dimensions
+    # ker T, bounded by 1, is factored; ker T*, bounded by 0, is settled by
+    # its singular values; none at N = 128, as both counts equal Coburn's
+    assert [(helper, N) for helper, _, N in reads] == [(FACTOR, 64), (NULLITY, 64)]
 
 
 def _root_symbol(c, p, roots):
@@ -517,13 +513,22 @@ def _root_symbol(c, p, roots):
 
 
 def _index_and_oracles(T):
-    """``fredholm_index_banded(T)``, the operators it ran ``_section_nullity``
-    on, and ``kernel_of_power`` of T and T* alone."""
+    """``fredholm_index_banded(T)``, its section reads (``_count_reads``),
+    and ``kernel_of_power`` of T and T* alone."""
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_nullities(mp)
+        reads = _count_reads(mp)
         idx = fredholm_index_banded(T)
-    ops = [op for op, _ in calls]
-    return idx, ops, kernel_of_power(T, 1), kernel_of_power(T.adjoint(), 1)
+    return idx, reads, kernel_of_power(T, 1), kernel_of_power(T.adjoint(), 1)
+
+
+def _assert_one_read_per_side(idx, reads):
+    """Each side of a Toeplitz index at Coburn's dimension reads one
+    section, at its accepted window: only its singular values when the
+    bound is 0, else its full factorization."""
+    sides = (idx.ker, idx.coker)
+    assert [(helper, N) for helper, _, N in reads] == [
+        (NULLITY if sub.dim == 0 else FACTOR, sub.window.N) for sub in sides
+    ]
 
 
 def _assert_same_kernel(sub, alone):
@@ -560,8 +565,8 @@ _TOEPLITZ_OPERATORS = {
 def test_toeplitz_kernels_at_coburns_dimension_take_no_doubled_window(name):
     T = _TOEPLITZ_OPERATORS[name]()
     assert T._tail_params() == (0, 1)
-    idx, nullity_ops, ker, coker = _index_and_oracles(T)
-    assert nullity_ops == []
+    idx, reads, ker, coker = _index_and_oracles(T)
+    _assert_one_read_per_side(idx, reads)
     assert idx.index == -symbol_winding(T)
     _assert_same_kernel(idx.ker, ker)
     _assert_same_kernel(idx.coker, coker)
@@ -571,9 +576,13 @@ def test_a_toeplitz_count_below_coburns_dimension_takes_the_doubled_window(monke
     # S* - 3I/4: ker T counts 0 at N = 64, below the bound 1; the 2N read
     # sends it to N = 128, where it counts 1 and is accepted with no 256 read
     T = make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-3/4"})
-    sizes, nullities = _count_sections(monkeypatch), _count_nullities(monkeypatch)
+    reads = _count_reads(monkeypatch)
     idx = fredholm_index_banded(T)
-    assert nullities == [(T, 128)] and 256 not in sizes
+    # the 128 section is read twice, values first (left for the recurrence);
+    # ker T*, bounded by 0, takes its singular values alone
+    assert reads == [
+        (FACTOR, T, 64), (NULLITY, T, 128), (FACTOR, T, 128), (NULLITY, T.adjoint(), 64)
+    ]
     assert (idx.ker.window.N, idx.dim_ker) == (128, 1)
     monkeypatch.undo()
     _assert_same_kernel(idx.ker, kernel_of_power(T, 1))
@@ -584,8 +593,8 @@ def test_defect_1_keeps_its_doubled_window_on_the_kernel_side():
     # S* - 9I/10 certifies 0 against Coburn's 1: the miss takes the old
     # N/2N check, whose count (the known undercount) stands
     T = _M1_OPERATORS["S* - 9I/10"]()
-    idx, nullity_ops, ker, coker = _index_and_oracles(T)
-    assert nullity_ops == [T]
+    idx, reads, ker, coker = _index_and_oracles(T)
+    assert reads == [(FACTOR, T, 64), (NULLITY, T, 128), (NULLITY, T.adjoint(), 64)]
     _assert_same_kernel(idx.ker, ker)
     _assert_same_kernel(idx.coker, coker)
 
@@ -593,10 +602,40 @@ def test_defect_1_keeps_its_doubled_window_on_the_kernel_side():
 @pytest.mark.parametrize("name", ["patched S*", "weighted S*"])
 def test_operators_off_the_toeplitz_class_get_no_bound(name):
     T = _M1_OPERATORS[name]()
-    idx, nullity_ops, ker, coker = _index_and_oracles(T)
-    assert nullity_ops == [T, T.adjoint()]
+    idx, reads, ker, coker = _index_and_oracles(T)
+    # no bound: each side reads its 64 section's values first and confirms
+    # its count at 128 from singular values; only ker T, not {0}, is factored
+    adj = T.adjoint()
+    assert reads == [
+        (NULLITY, T, 64), (FACTOR, T, 64), (NULLITY, T, 128), (NULLITY, adj, 64), (NULLITY, adj, 128)
+    ]
     _assert_same_kernel(idx.ker, ker)
     _assert_same_kernel(idx.coker, coker)
+
+
+def test_values_first_kernels_equal_the_fully_factored_ones(monkeypatch):
+    import koszulkit.ell2 as ell2
+
+    for name, make in sorted({**_M1_OPERATORS, **_TOEPLITZ_OPERATORS}.items()):
+        T = make()
+        for op in (T, T.adjoint()):
+            fast = kernel_of_power(op, 1)
+            # a values-only count that is never 0 and never agrees factors
+            # every window the step reads
+            monkeypatch.setattr(ell2, "_section_nullity", lambda Tm, N: -1)
+            full = kernel_of_power(op, 1)
+            monkeypatch.undo()
+            assert (fast.dim, fast.window) == (full.dim, full.window), name
+            assert (fast.basis.shape, fast.basis.dtype) == (full.basis.shape, full.basis.dtype)
+            assert np.array_equal(fast.basis, full.basis), name
+    # S*: ker T*, bounded by 0, is settled by its section's singular values
+    # and factored nowhere; ker T, bounded by 1, is factored at 64 with no
+    # values-only read there
+    T = _TOEPLITZ_OPERATORS["S*"]()
+    reads = _count_reads(monkeypatch)
+    idx = fredholm_index_banded(T)
+    assert reads == [(FACTOR, T, 64), (NULLITY, T.adjoint(), 64)]
+    assert (idx.dim_ker, idx.dim_coker, idx.coker.basis.shape) == (1, 0, (48, 0))
 
 
 #: roots a + bi of modulus 3..5, or their inverses (modulus 1/5..1/3)
@@ -618,8 +657,8 @@ _roots = st.builds(
 def test_toeplitz_index_from_coburns_shortcut_matches_the_winding_oracle(c, p, roots):
     sym = _root_symbol(c, p, roots)
     T = make_catalog_operator("toeplitz", symbol=sym)
-    idx, nullity_ops, ker, coker = _index_and_oracles(T)
-    assert nullity_ops == []
+    idx, reads, ker, coker = _index_and_oracles(T)
+    _assert_one_read_per_side(idx, reads)
     assert idx.index == -oracle_winding(sym)
     assert (idx.dim_ker, idx.dim_coker) == (ker.dim, coker.dim)
 

@@ -52,3 +52,53 @@ def test_private_names_quoted_in_prose_are_defined(path):
     }
     missing = sorted(quoted - _defined_names())
     assert missing == [], f"{path.name} quotes undefined private names {missing}"
+
+
+#: the one module-level cache allowed: the argparse tree, built once per process
+_CACHE_ALLOWED = {("cli.py", "build_parser")}
+_CACHES = {"cache", "lru_cache"}
+_DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+
+
+def _callee(node):
+    """Name of a decorator or called function: ``cache``, ``functools.cache``
+    and ``lru_cache(maxsize=2)`` all give their last name."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_keeps_no_memo_across_calls(path):
+    # a module-level cache or memo dict would let a repeated call reuse work
+    # from an earlier one; caches live inside the call that builds them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            top += node.body
+    found = [
+        node.name
+        for node in top
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_callee(d) in _CACHES for d in node.decorator_list)
+        and (path.name, node.name) not in _CACHE_ALLOWED
+    ]
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node.value, ast.Call) and _callee(node.value.func) in _CACHES:
+                found += names  # x = lru_cache(...)(f)
+            if isinstance(node.value, ast.Dict) or _callee(node.value) in {"dict", "defaultdict"}:
+                dicts.update(names)
+    for node in ast.walk(tree):
+        written = (
+            isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+        ) or (isinstance(node, ast.Attribute) and node.attr in _DICT_WRITES)
+        if written and isinstance(node.value, ast.Name) and node.value.id in dicts:
+            found.append(node.value.id)
+    assert found == [], f"{path.name} keeps module-level caches or memo dicts {found}"
