@@ -24,7 +24,6 @@ from .errors import (
 from .scalars import EXACT, FLOAT, GaussianRational
 from .linalg import (
     Mat,
-    intertwine_verify,
     kernel_basis,
     rank,
     solve,
@@ -88,7 +87,6 @@ __all__ = [
     "rank",
     "solve",
     "spectral_radius",
-    "intertwine_verify",
     "CommutingTuple",
     "FormBasis",
     "KoszulComplex",

@@ -23,12 +23,16 @@ before, and N doubles up to max(1024, N).  Every vector must die out
 before the guard band.  ker T^m for every m >= 1 is the preimage chain
 {x : B x in ker T^(m-1)} from ker T^0 = {0}, each window of B factored
 at most once for an index and the towers on it, so no power of T is ever
-formed.  A step is accepted at N when its count reaches an upper bound
-on its dimension, which no larger window could exceed: dim ker T^(m-1) +
-dim ker T for m >= 2, and for ker T the caller's (Coburn's dimension,
-for a scalar Toeplitz T).  A count above the bound raises NotStabilized;
-any other waits for N and 2N to agree.  From {0} singular values come
-first: they settle an empty kernel unfactored and confirm a 2N count.
+formed.  A step keeps the basis of ker T^(m-1) as its first columns and
+appends its new directions, orthogonal to them, so the basis of ker T^m
+is nested, [H_1 | ... | H_m], with H_n spanning ker T^n (-) ker T^(n-1):
+the layers of a kernel tower.  A step is accepted at N when its count
+reaches an upper bound on its dimension, which no larger window could
+exceed: dim ker T^(m-1) + dim ker T for m >= 2, and for ker T the
+caller's (Coburn's dimension, for a scalar Toeplitz T).  A count above
+the bound raises NotStabilized; any other waits for N and 2N to agree.
+From {0} singular values come first: they settle an empty kernel
+unfactored and confirm a 2N count.
 That certificate is a desk-scale stabilization check, not a proof:
 operators whose kernel vectors have unbounded support (none of the
 catalog instances) can stabilize to an undercount.
@@ -351,11 +355,6 @@ def make_catalog_operator(kind: str, **params) -> BandedOperator:
     raise FormatError(f"unknown catalog kind {kind!r}")
 
 
-def decay_diagonal(rule, length: int) -> BandedOperator:
-    """Compact candidate: diagonal with values rule(0..length-1), zero tail."""
-    return make_catalog_operator("diagonal", values=[rule(k) for k in range(length)])
-
-
 # -- sections and certified kernels -------------------------------------
 
 
@@ -371,7 +370,9 @@ class TruncationWindow:
 class StabilizedSubspace:
     """Orthonormal basis (columns) of a kernel, certified at ``window`` by
     a chain step (``_chain_kernel``): built only when the next window
-    agrees or the count reaches an upper bound on the dimension."""
+    agrees or the count reaches an upper bound on the dimension.  The
+    basis of ker T^m from a walk is nested: its first dim ker T^(m-1)
+    columns are the basis of ker T^(m-1), zero-padded to this window."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
@@ -417,29 +418,43 @@ def _factor_section(T: BandedOperator, N: int):
 
 
 def _preimage_kernel(fact, K: np.ndarray, G: int):
-    """(dim, basis restricted to [0, N-G)) of {x : B x in span K} for the
-    factored window-N section B and orthonormal K (no columns for ker T):
-    null(B) plus B^+ (span K cut down to ran B).  The c with
-    (I - U_r U_r*) K c ~ 0 come from a thin SVD by the rank rule relative
-    to ||K|| = 1.  Of these candidates the combinations that vanish on
-    the guard band are kept, all dropped unless their residual
-    (I - K K*) B x is within TOL_RESIDUAL * max(1, ||B||), then cut,
-    orthonormalized and phase-fixed."""
+    """(dim, nested basis [K | H] on [0, N-G)) of {x : B x in span K} for
+    the factored window-N section B and orthonormal K, the basis of
+    ker T^(m-1) (no columns for ker T): null(B) plus B^+ (span K cut down
+    to ran B).  The c with (I - U_r U_r*) K c ~ 0 come from a thin SVD by
+    the rank rule relative to ||K|| = 1.  K must lie in that candidate
+    span ns: the Frobenius norm of K - ns ns* K, which bounds the sine of
+    their largest angle, is within TOL_RESIDUAL, else NotStabilized.  The
+    SVD of ns* K splits off the complement of span K, the new
+    directions.  Of these the combinations that vanish on the guard band
+    are kept.  Unless the residual (I - K K*) B x of K and of every kept
+    direction is within TOL_RESIDUAL * max(1, ||B||), the step finds K
+    alone; else the new directions are cut, orthonormalized and
+    phase-fixed into H, so K's columns stay bitwise the first ones."""
     B, U, s, V = fact
-    N, r = V.shape[0], U.shape[1]
-    Kp = np.zeros((B.shape[0], K.shape[1]), dtype=K.dtype)
+    N, r, d = V.shape[0], U.shape[1], K.shape[1]
+    Kp = np.zeros((B.shape[0], d), dtype=K.dtype)
     Kp[: K.shape[0]] = K
     _, ps, pvh = np.linalg.svd(Kp - U @ (U.conj().T @ Kp), full_matrices=False)
     C = pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
     pre = V[:, :r] @ ((U.conj().T @ (Kp @ C)) / s[:, None])
     ns = np.hstack([V[:, r:], _orthonormalize(pre)])
-    _, gs, gvh = np.linalg.svd(ns[N - G :, :])
-    vecs = ns @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
-    X = B @ vecs
+    cos = ns.conj().T @ Kp[:N]
+    sine = np.linalg.norm(Kp[:N] - ns @ cos)
+    if sine > TOL_RESIDUAL:
+        raise NotStabilized(
+            f"T does not map ker T^(m-1) into itself at section size {N}: its basis "
+            f"lies up to sine {sine:.3e} off the preimages of its span (tolerance "
+            f"{TOL_RESIDUAL:g})"
+        )
+    new = ns @ np.linalg.svd(cos)[0][:, d:]
+    _, gs, gvh = np.linalg.svd(new[N - G :, :])
+    new = new @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
+    X = B @ np.hstack([Kp[:N], new])
     if np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):
-        return 0, np.zeros((N - G, 0), dtype=ns.dtype)
-    cut = _orthonormalize(vecs[: N - G, :])
-    return cut.shape[1], _fix_phases(cut)
+        return d, Kp[: N - G]
+    H = _fix_phases(_orthonormalize(new[: N - G, :]))
+    return d + H.shape[1], np.hstack([Kp[: N - G], H])
 
 
 class _Sections:
@@ -457,7 +472,8 @@ def kernel_of_power(
 ) -> StabilizedSubspace:
     """Certified orthonormal basis of ker T^m: the kernel that
     ``iter_kernels_of_powers`` gives power m, walking 1..m, with
-    ``ker_bound`` an upper bound on dim ker T when one is known."""
+    ``ker_bound`` an upper bound on dim ker T when one is known.  Its
+    columns are nested, [H_1 | ... | H_m]."""
     return next(iter_kernels_of_powers(T, (m,), ker_bound=ker_bound, sections=sections))[1]
 
 
@@ -475,10 +491,12 @@ def iter_kernels_of_powers(
     so no power T^m is built.  ker T, the step from {0}, is ``ker1`` when
     given; its bound is ``ker_bound`` (an upper bound on dim ker T, or
     None), and the bound of ker T^m for m >= 2 is
-    dim ker T^(m-1) + dim ker T.  The walk is lazy: a caller that stops
-    early factors nothing for the higher powers.  Its steps share one
-    ``_Sections``: ``sections``, the walk that certified ``ker1`` (from
-    ``IndexCertificate``), when given, else a new one.
+    dim ker T^(m-1) + dim ker T.  Each basis extends the one before:
+    the first dim ker T^(m-1) columns of ker T^m's are ker T^(m-1)'s,
+    zero-padded, so H_m is a column slice.  The walk is lazy: a caller
+    that stops early factors nothing for the higher powers.  Its steps
+    share one ``_Sections``: ``sections``, the walk that certified
+    ``ker1`` (from ``IndexCertificate``), when given, else a new one.
     """
     want = set(powers)
     if min(want, default=0) < 0:

@@ -492,15 +492,3 @@ def spectral_radius(M: Mat) -> float:
         return 0.0
     ev = np.linalg.eigvals(M.to_numpy())
     return float(np.abs(ev).max())
-
-
-def intertwine_verify(A: Mat, X: Mat, Y: Mat, tol: float) -> bool:
-    """True iff ||Y A - A X|| <= tol (exactly zero in exact mode)."""
-    if A.mode != X.mode or A.mode != Y.mode:
-        raise ModeMismatch("intertwine_verify: mixed modes")
-    if Y.cols != A.rows or A.cols != X.rows or (Y.rows, X.cols) != (A.rows, A.cols):
-        raise ShapeError("intertwine_verify: shapes do not compose")
-    R = Y @ A - A @ X
-    if A.mode == EXACT:
-        return R.is_zero()
-    return R.fro_norm() <= tol

@@ -76,12 +76,6 @@ class Polynomial:
                 terms.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
         return Polynomial.from_terms(self.nvars, terms, self.mode)
 
-    def scale(self, c) -> "Polynomial":
-        s = as_scalar(c, self.mode)
-        return Polynomial.from_terms(
-            self.nvars, [(e, s * cf) for e, cf in self.terms], self.mode
-        )
-
     def power(self, k: int) -> "Polynomial":
         out = Polynomial.constant(self.nvars, 1, self.mode)
         for _ in range(k):

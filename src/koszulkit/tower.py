@@ -45,7 +45,6 @@ from .errors import (
 from .ell2 import (
     BandedOperator,
     IndexCertificate,
-    _fix_phases,
     fredholm_index_banded,
     iter_kernels_of_powers,
 )
@@ -180,9 +179,9 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     are walked lazily and the walk stops (NotStabilized) at the first one
     no larger than the one before, so no higher kernel is sought; a depth
     below 4, which cannot show three equal layers, fails before any
-    section is computed.  Layer bases come from modified Gram-Schmidt of
-    each kernel against the accumulated lower kernels, re-orthogonalized
-    once.
+    section is computed.  Every chain step appends its new directions to
+    the basis of the kernel before it, so the layers are column slices of
+    the last kernel's basis [H_1 | ... | H_D].
     """
     if max_depth < 4:
         raise _no_stabilization_level(max_depth)
@@ -196,41 +195,18 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), idx.ker, idx.sections[0]):
         if kn.dim <= kernels[-1].dim:
             raise NotStabilized(
-                f"kernel dimensions decreased between powers {n - 1} and {n}"
-                if kn.dim < kernels[-1].dim
-                else f"layer {n} vanished although the index is positive; window too small"
+                f"layer {n} vanished although the index is positive; window too small"
             )
         kernels.append(kn)
-    L = max(k.basis.shape[0] for k in kernels)
-    acc = np.zeros((L, 0), dtype=complex)
-    layers = []
-    prev_kdim = 0
-    for n, kn in enumerate(kernels, start=1):
-        Kb = _pad(kn.basis, L)
-        V = Kb - acc @ (acc.conj().T @ Kb)
-        V = V - acc @ (acc.conj().T @ V)
-        h_expected = kn.dim - prev_kdim
-        u, s, _ = np.linalg.svd(V)
-        if s.size < h_expected or s[h_expected - 1] <= TOL_LAYER:
-            raise NotStabilized(
-                f"layer {n} basis is ill-conditioned "
-                f"(singular values {s[:h_expected]})"
-            )
-        if s.size > h_expected and s[h_expected] > TOL_LAYER:
-            raise NotStabilized(
-                f"layer {n} has ambiguous dimension (extra singular value "
-                f"{s[h_expected]:.3e})"
-            )
-        H = _fix_phases(u[:, :h_expected])
-        layers.append(H)
-        acc = np.hstack([acc, H])
-        prev_kdim = kn.dim
+    # every chain step appends its layer: ker T^D's basis is [H_1 | ... | H_D]
+    acc = kernels[-1].basis
+    off = [0, *(k.dim for k in kernels)]
     # T in the tower basis: on ker T^n = H_n + ker T^(n-1) it acts as
     # [[A_n, 0], [B_n, C_n]] into H_(n-1) + ker T^(n-2)
     _, TB = _compress(T, acc)
-    off = list(accumulate((H.shape[1] for H in layers), initial=0))
     levels = []
-    for n, H in enumerate(layers, start=1):
+    for n in range(1, len(off)):
+        H = acc[:, off[n - 1] : off[n]]
         blocks = (None, None, None)
         if n >= 2:
             prev, cur = slice(off[n - 2], off[n - 1]), slice(off[n - 1], off[n])

@@ -358,10 +358,10 @@ def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys,
 
 
 #: sha256 of the stdout of ``tower --max-level 12`` on S*^2 + (i/4)I, taken
-#: when the kernels of powers became preimage chains through T's section
-#: (the layer bases turned inside each 2-dim layer; every A_n kept its
+#: when the layers became column slices of the chain's nested basis (the
+#: layer bases turned inside each 2-dim layer; every A_n kept its
 #: singular values)
-TOWER_DIGEST = "fc727e157a080594e8255446fd1e9411fcf63102df8313de0b2f81844c7a9bca"
+TOWER_DIGEST = "f7f86d798c771425211628179cabb541faf9d101123f25d30363767fe8a17686"
 
 
 def _count_section_reads(monkeypatch):

@@ -68,9 +68,7 @@ def test_toeplitz_z_is_forward_shift(forward_shift):
 
 
 def test_decaying_diagonal_is_compact_candidate():
-    from koszulkit.ell2 import decay_diagonal
-
-    D = decay_diagonal(lambda k: Fraction(1, k + 1), 12)
+    D = make_catalog_operator("diagonal", values=[Fraction(1, k + 1) for k in range(12)])
     assert D.is_finite_rank()
     assert D.entry(3, 3) == GaussianRational(Fraction(1, 4))
     assert D.entry(20, 20).is_zero()
@@ -424,6 +422,65 @@ def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
     with pytest.raises(NotStabilized, match="above the bound 2 "):
         next(walk)
 
+
+def test_a_previous_basis_that_t_does_not_map_into_its_span_is_not_stabilized(backward_shift):
+    # e40 handed to S* as ker T: S* e40 = e39 leaves its span, so the
+    # preimages of that span, e0 and e41, miss e40 at sine 1
+    from koszulkit.ell2 import StabilizedSubspace, TruncationWindow
+
+    e40 = np.zeros((48, 1))
+    e40[40] = 1.0
+    ker1 = StabilizedSubspace(e40, 1, TruncationWindow(64, 16))
+    with pytest.raises(NotStabilized, match=r"up to sine 1\.000e\+00 "):
+        next(iter_kernels_of_powers(backward_shift, [2], ker1))
+
+
+#: walks whose bases must nest: scalar and complex 2-dim layers, slow
+#: decay and a layer dimension that drops from 2 to 1
+_NESTED_OPERATORS = {
+    "S*^2": lambda: make_catalog_operator("adjoint_shift").power(2),
+    "S*^2 + iI/4": lambda: make_catalog_operator(
+        "toeplitz", symbol={-2: 1, 0: GaussianRational(0, Fraction(1, 4))}
+    ),
+    "S* - I/2": _BOUND_OPERATORS["S* - I/2"],
+    "weighted S*, weights 0, 2, 1, ...": lambda: make_catalog_operator(
+        "weighted_shift", prefix=[0, 2], period=[1]
+    ).adjoint(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_OPERATORS))
+def test_each_power_keeps_the_basis_of_the_one_before_as_its_first_columns(name):
+    T = _NESTED_OPERATORS[name]()
+    kernels = {m: kernel_of_power(T, m) for m in range(1, 9)}
+    for m in range(2, 9):
+        prev, head = kernels[m - 1], kernels[m].basis[:, : kernels[m - 1].dim]
+        rows = prev.basis.shape[0]
+        assert np.array_equal(head[:rows], prev.basis)
+        assert not head[rows:].any()
+
+
+#: towers whose kernels decay fast enough for the entrywise oracle's window
+_FAST_TOWERS = {
+    "S*^2": _NESTED_OPERATORS["S*^2"],
+    "S*^3": lambda: make_catalog_operator("adjoint_shift").power(3),
+    "S*^2 + iI/4": _NESTED_OPERATORS["S*^2 + iI/4"],
+    "weighted S*, weights 0, 2, 1, ...": _NESTED_OPERATORS["weighted S*, weights 0, 2, 1, ..."],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAST_TOWERS))
+def test_tower_layers_match_the_entrywise_section_oracle(name):
+    # H_n lies in the oracle's ker T^n and is orthogonal to its ker T^(n-1),
+    # both read at the window where H_n's support ends at the guard band
+    T = _FAST_TOWERS[name]()
+    for lv in kernel_tower(T, 8).levels:
+        L, G = lv.h_basis.shape[0], max(16, lv.n * T.bandwidth)
+        ker = oracle_section_kernel(T.power(lv.n), L + G, G)
+        assert _sin_largest_angle(ker, lv.h_basis) <= 1e-8
+        low = oracle_section_kernel(T.power(lv.n - 1), L + G, G)
+        complement = np.linalg.svd(low)[0][:, low.shape[1] :]
+        assert _sin_largest_angle(complement, lv.h_basis) <= 1e-8
 
 #: ker T and ker T* of these are certified at m = 1, with no bound
 _M1_OPERATORS = {

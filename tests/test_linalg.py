@@ -9,7 +9,6 @@ from koszulkit.errors import ShapeError
 from koszulkit.linalg import (
     Mat,
     independent_columns,
-    intertwine_verify,
     kernel_basis,
     mat_hstack,
     mat_power,
@@ -65,15 +64,6 @@ def test_spectral_radius_examples():
 def test_spectral_radius_shape_errors():
     with pytest.raises(ShapeError):
         spectral_radius(Mat.zeros(2, 3))
-
-
-def test_intertwine_examples():
-    I = Mat.identity(2)
-    X = Mat.from_rows([[3, 0], [0, 4]])
-    assert intertwine_verify(I, X, X, 0.0)
-    assert not intertwine_verify(I, Mat.zeros(2, 2), I, 0.0)
-    A = Mat.from_rows([[1, 0], [0, 2]])
-    assert intertwine_verify(A, X, X, 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -102,3 +102,19 @@ def test_package_keeps_no_memo_across_calls(path):
         if written and isinstance(node.value, ast.Name) and node.value.id in dicts:
             found.append(node.value.id)
     assert found == [], f"{path.name} keeps module-level caches or memo dicts {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_no_private_name_from_another_module(path):
+    # a private helper stays behind the module that defines it: a decision
+    # such as how a kernel basis is phased is made in one place only
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "koszulkit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == [], f"{path.name} imports private names {found}"
