@@ -380,15 +380,10 @@ class StabilizedSubspace:
 
 
 def _fix_phases(B: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest entry is real positive."""
-    B = B.copy()
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        k = int(np.argmax(np.abs(col)))
-        v = col[k]
-        if abs(v) > 0:
-            B[:, j] = col * (abs(v) / v)
-    return B
+    """Rotate each column so its largest entry (the first, on a tie) is
+    real positive; a zero column stays as it is."""
+    v = np.take_along_axis(B, np.argmax(np.abs(B), axis=0)[None], axis=0)[0]
+    return B * np.divide(np.abs(v), v, out=np.ones_like(v), where=v != 0)
 
 
 def _orthonormalize(B: np.ndarray) -> np.ndarray:
@@ -421,13 +416,17 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     """(dim, nested basis [K | H] on [0, N-G)) of {x : B x in span K} for
     the factored window-N section B and orthonormal K, the basis of
     ker T^(m-1) (no columns for ker T): null(B) plus B^+ (span K cut down
-    to ran B).  The c with (I - U_r U_r*) K c ~ 0 come from a thin SVD by
-    the rank rule relative to ||K|| = 1.  K must lie in that candidate
-    span ns: the Frobenius norm of K - ns ns* K, which bounds the sine of
-    their largest angle, is within TOL_RESIDUAL, else NotStabilized.  The
-    SVD of ns* K splits off the complement of span K, the new
-    directions.  Of these the combinations that vanish on the guard band
-    are kept.  Unless the residual (I - K K*) B x of K and of every kept
+    to ran B), from U_r* K formed once.  The c with (I - U_r U_r*) K c ~ 0
+    come from a thin SVD by the rank rule relative to ||K|| = 1, run only
+    when that projection's Frobenius norm, a bound on its singular values,
+    exceeds TOL_SECTION_RANK: below it the rule keeps every c, as the
+    identity.  K must lie in that candidate span ns: the Frobenius norm of
+    K - ns ns* K, which bounds the sine of their largest angle, is within
+    TOL_RESIDUAL, else NotStabilized.  The SVD of ns* K splits off the
+    complement of span K, the new directions.  Of these the combinations
+    that vanish on the guard band are kept, by an SVD of the guard rows
+    run only when their Frobenius norm exceeds TOL_GUARD (else all, as
+    they are).  Unless the residual (I - K K*) B x of K and of every kept
     direction is within TOL_RESIDUAL * max(1, ||B||), the step finds K
     alone; else the new directions are cut, orthonormalized and
     phase-fixed into H, so K's columns stay bitwise the first ones."""
@@ -435,9 +434,12 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     N, r, d = V.shape[0], U.shape[1], K.shape[1]
     Kp = np.zeros((B.shape[0], d), dtype=K.dtype)
     Kp[: K.shape[0]] = K
-    _, ps, pvh = np.linalg.svd(Kp - U @ (U.conj().T @ Kp), full_matrices=False)
-    C = pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
-    pre = V[:, :r] @ ((U.conj().T @ (Kp @ C)) / s[:, None])
+    UK = U.conj().T @ Kp
+    out = Kp - U @ UK  # the part of K outside ran B
+    if np.linalg.norm(out) > TOL_SECTION_RANK:
+        _, ps, pvh = np.linalg.svd(out, full_matrices=False)
+        UK = UK @ pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
+    pre = V[:, :r] @ (UK / s[:, None])
     ns = np.hstack([V[:, r:], _orthonormalize(pre)])
     cos = ns.conj().T @ Kp[:N]
     sine = np.linalg.norm(Kp[:N] - ns @ cos)
@@ -448,8 +450,9 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
             f"{TOL_RESIDUAL:g})"
         )
     new = ns @ np.linalg.svd(cos)[0][:, d:]
-    _, gs, gvh = np.linalg.svd(new[N - G :, :])
-    new = new @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
+    if np.linalg.norm(new[N - G :]) > TOL_GUARD:
+        _, gs, gvh = np.linalg.svd(new[N - G :])
+        new = new @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
     X = B @ np.hstack([Kp[:N], new])
     if np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):
         return d, Kp[: N - G]

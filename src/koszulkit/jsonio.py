@@ -103,7 +103,9 @@ def mat_to_json(M: Mat) -> dict:
 
 
 def mat_from_numpy_json(A: np.ndarray) -> dict:
-    return mat_to_json(Mat.from_numpy(np.atleast_2d(A)))
+    """A float matrix as a literal; each complex entry is written [re, im]."""
+    A = np.atleast_2d(np.asarray(A, complex))
+    return {"rows": A.shape[0], "cols": A.shape[1], "entries": A.ravel().tolist()}
 
 
 # -- tuples -------------------------------------------------------------

@@ -17,9 +17,13 @@ The certificate computed here reports exactly that chain: r, the
 per-layer norms, and the verdict.
 
 T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
-one apply gives W = op Q and B = Q* W, every block (A_n, B_n, C_n for T;
-X_n, Y_n, Z_n for K) is a slice of B, and ||K restricted to H_n|| is the
-largest singular value of the H_n columns of W.
+one apply gives W = op Q and B = Q* W, and every block (A_n, B_n, C_n for
+T; X_n, Y_n, Z_n for K) is a slice of B.  The layers are the chain's
+(``ell2._preimage_kernel`` says which SVDs a step runs); here the only
+SVDs are a values-only one per A_n tried for n0 and, per K, one batched
+over the layers for ||K restricted to H_n||, the largest singular value
+of the H_n columns of W.  As R = W - Q B is orthogonal to span Q, one R
+gives every level's invariance residual (``commutant_blocks``).
 
 A certificate is a witness of the obstruction mechanism for the given K;
 an "inconclusive" verdict (r ~ 0) only means this route does not apply
@@ -276,30 +280,40 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     triangular, and that the intertwining identity holds at every level;
     beyond n0 the corner blocks must share their characteristic
     polynomial with the one at n0.  Each level also carries the norm of
-    S restricted to H_n.
+    S restricted to H_n.  The first level that fails a check raises.
+
+    One pass serves every level.  ker T^n is the first hi columns, and
+    R = W - Q B is orthogonal to span Q, so the residual
+    ||W[:, :hi] - Q[:, :hi] B[:hi, :hi]|| of each level has its square
+    ||R[:, :hi]||^2 + ||B[hi:, :hi]||^2, read off cumulative sums.  The
+    norms come from one SVD of the layers' columns of W, each padded
+    with zero columns (which keep its largest singular value) to the
+    widest layer, and the characteristic polynomials from n0 on from
+    one eigenvalue call.
     """
     _check_operator_commutes(tower.operator, S)
     Q = np.hstack([lv.h_basis for lv in tower.levels])
     W, B = _compress(S, Q)
-    Qp = _pad(Q, W.shape[0])
     off = list(accumulate(tower.layer_dims(), initial=0))
+    lo, hi, D = np.array(off[:-1]), np.array(off[1:]), len(B)
+    below = np.zeros((D + 1, D + 1))  # below[i, j] = ||B[i:, :j]||^2
+    below[:D, 1:] = np.cumsum(np.cumsum(np.abs(B[::-1]) ** 2, axis=0)[::-1], axis=1)
+    R = W - _pad(Q, W.shape[0]) @ B
+    r2, w2 = (np.cumsum(np.sum(np.abs(M) ** 2, axis=0))[hi - 1] for M in (R, W))
+    inv = np.sqrt(r2 + below[hi, hi]) / np.maximum(1.0, np.sqrt(w2))
+    cols = lo[:, None] + np.arange(max(hi - lo))
+    padded = np.where(cols < hi[:, None], W[:, np.minimum(cols, D - 1)], 0)
+    norms = np.linalg.svd(padded.transpose(1, 0, 2), compute_uv=False)[:, 0]
     levels = []
-    prev_x = None
-    for lv in tower.levels:
-        n = lv.n
-        lo, hi = off[n - 1], off[n]  # H_n is columns lo:hi, ker T^(n-1) is :lo
-        x = B[lo:hi, lo:hi]
-        ur = B[lo:hi, :lo]
-        ur_norm = float(np.abs(ur).max()) if ur.size else 0.0
+    for n in range(1, len(off)):
+        l, h = off[n - 1], off[n]  # H_n is columns l:h, ker T^(n-1) is :l
+        x, a = B[l:h, l:h], tower.level(n).a_block
+        ur_norm = float(np.abs(B[l:h, :l]).max(initial=0.0))
         # invariance: S . ker T^n stays inside ker T^n
-        img_k = W[:, :hi]
-        off_k = img_k - Qp[:, :hi] @ B[:hi, :hi]
-        scale = max(1.0, float(np.linalg.norm(img_k)))
-        inv_resid = float(np.linalg.norm(off_k)) / scale
-        if inv_resid > TOL_INVARIANCE:
+        if inv[n - 1] > TOL_INVARIANCE:
             raise InvarianceViolation(
                 f"ker T^{n} is not invariant under the operator "
-                f"(residual {inv_resid:.3e}); window too small or "
+                f"(residual {inv[n - 1]:.3e}); window too small or "
                 "genuinely non-commuting"
             )
         if ur_norm > TOL_INVARIANCE:
@@ -307,38 +321,38 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
                 f"block upper-right corner at level {n} is {ur_norm:.3e}, "
                 "triangular structure violated"
             )
-        inter = None
-        if n >= 2:
-            inter = float(np.abs(prev_x @ lv.a_block - lv.a_block @ x).max())
+        inter = None if n == 1 else float(np.abs(levels[-1].x_block @ a - a @ x).max())
         levels.append(
             CommutantLevel(
                 n=n,
                 x_block=x,
-                y_block=B[:lo, lo:hi],
-                z_block=B[:lo, :lo],
+                y_block=B[:l, l:h],
+                z_block=B[:l, :l],
                 upper_right_norm=ur_norm,
-                invariance_residual=inv_resid,
+                invariance_residual=float(inv[n - 1]),
                 intertwine_residual=inter,
-                norm=float(np.linalg.svd(W[:, lo:hi], compute_uv=False)[0]),
+                norm=float(norms[n - 1]),
             )
         )
-        prev_x = x
-    ref = np.atleast_1d(np.poly(levels[tower.n0 - 1].x_block)).astype(complex)
-    diffs = {}
-    for lv in levels:
-        if lv.n > tower.n0:
-            cp = np.atleast_1d(np.poly(lv.x_block)).astype(complex)
-            diffs[lv.n] = (
-                float(np.abs(cp - ref).max()) if cp.shape == ref.shape else float("inf")
-            )
+    # np.poly's products of (z - root), one root at a time, for the corners
+    # from n0 on of n0's dimension; a corner of another dimension differs
+    n0, d0 = tower.n0, tower.level(tower.n0).dim
+    same = [lv for lv in levels[n0 - 1 :] if lv.x_block.shape[0] == d0]
+    roots = np.linalg.eigvals(np.stack([lv.x_block for lv in same]))
+    cps = np.zeros((len(same), d0 + 1), dtype=complex)
+    cps[:, 0] = 1
+    for k in range(d0):
+        cps[:, 1:] -= roots[:, k, None] * cps[:, :-1]
+    diffs = dict.fromkeys(range(n0 + 1, tower.depth + 1), float("inf"))
+    diffs.update((lv.n, float(np.abs(cp - cps[0]).max())) for lv, cp in zip(same[1:], cps[1:]))
     certified = all(v <= TOL_CHARPOLY for v in diffs.values()) and all(
         lv.intertwine_residual is None or lv.intertwine_residual <= TOL_INTERTWINE
         for lv in levels
     )
     return CommutantBlocks(
         levels=tuple(levels),
-        n0=tower.n0,
-        charpoly_reference=ref,
+        n0=n0,
+        charpoly_reference=cps[0],
         charpoly_max_diff=diffs,
         similarity_certified=certified,
     )

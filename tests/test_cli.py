@@ -23,6 +23,7 @@ from koszulkit.jsonio import (
     tuple_from_json,
     tuple_to_json,
 )
+from koszulkit.tower import kernel_tower
 jsonschema = pytest.importorskip("jsonschema")
 
 ASH = {
@@ -358,10 +359,11 @@ def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys,
 
 
 #: sha256 of the stdout of ``tower --max-level 12`` on S*^2 + (i/4)I, taken
-#: when the layers became column slices of the chain's nested basis (the
-#: layer bases turned inside each 2-dim layer; every A_n kept its
-#: singular values)
-TOWER_DIGEST = "f7f86d798c771425211628179cabb541faf9d101123f25d30363767fe8a17686"
+#: when chain steps stopped factoring the blocks already below their
+#: tolerance (the projection of K off ran B and the guard rows): the layer
+#: bases turned inside each 2-dim layer, and every A_n kept its singular
+#: values, both 15/16
+TOWER_DIGEST = "99ffa800011b16035b53b2ad8e81eda5d7cf147536fff24e1cb1c6ce7aa42b4f"
 
 
 def _count_section_reads(monkeypatch):
@@ -393,6 +395,12 @@ def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsy
     assert [(helper, N) for helper, _, N in reads] == [
         ("_factor_section", 64), ("_section_nullity", 64), ("_factor_section", 128)
     ]
+    # the spans behind the bytes: T maps each layer onto the one below as
+    # 15/16 = 1 - |i/4|^2 times an isometry
+    monkeypatch.undo()
+    tw = kernel_tower(operator_from_json(_shift2_plus("0", "1/4")), 12)
+    for lv in tw.levels[1:]:
+        assert np.allclose(np.linalg.svd(lv.a_block, compute_uv=False), 15 / 16, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

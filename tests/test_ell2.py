@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -447,6 +448,80 @@ _NESTED_OPERATORS = {
         "weighted_shift", prefix=[0, 2], period=[1]
     ).adjoint(),
 }
+
+
+def test_phases_are_fixed_as_the_column_loop_fixes_them():
+    import koszulkit.ell2 as ell2
+
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    B[:, 1] = 0  # a zero column stays
+    B[:, 2] = [0, 1j, -1j, 0, 0, 0]  # on a tie the first largest entry wins
+    refs = []
+    for M in (B, B.real):
+        ref = M.copy()
+        for j in range(M.shape[1]):
+            v = M[int(np.argmax(np.abs(M[:, j]))), j]
+            if abs(v) > 0:
+                ref[:, j] = M[:, j] * (abs(v) / v)
+        refs.append(ref)
+    # a real column only changes sign; a complex phase is divided out by a
+    # ufunc instead of on numpy scalars, so within 4 eps of each entry
+    assert np.array_equal(ell2._fix_phases(B.real), refs[1])
+    assert (np.abs(ell2._fix_phases(B) - refs[0]) <= 4 * np.finfo(float).eps * np.abs(B)).all()
+    assert np.array_equal(ell2._fix_phases(B)[:, 2], [0, 1, -1, 0, 0, 0])
+
+
+def _count_step_svds(monkeypatch):
+    """Per chain step, the ``full_matrices`` flag of each np.linalg.svd call
+    that ``_preimage_kernel`` makes itself; only the SVD of the projection
+    of K off ran B asks for thin factors (False)."""
+    import koszulkit.ell2 as ell2
+
+    real_svd, real_step = np.linalg.svd, ell2._preimage_kernel
+    steps = []
+
+    def svd(a, *args, **kwargs):
+        if sys._getframe(1).f_code is real_step.__code__:
+            steps[-1].append(kwargs.get("full_matrices", True))
+        return real_svd(a, *args, **kwargs)
+
+    def step(fact, K, G):
+        steps.append([])
+        return real_step(fact, K, G)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(ell2, "_preimage_kernel", step)
+    return steps
+
+
+def test_no_step_of_the_s_star_tower_factors_a_block_below_its_tolerance(
+    monkeypatch, backward_shift
+):
+    # ker (S*)^(m-1) = span(e0, ..., e(m-2)) lies in ran B, and every new
+    # direction e(m-1) vanishes on the guard band: each step factors only
+    # ns* K, to split off the new direction
+    steps = _count_step_svds(monkeypatch)
+    tw = kernel_tower(backward_shift, 12)
+    assert tw.kernel_dims == tuple(range(1, 13))
+    assert len(steps) == 12
+    assert steps == [[True]] * 12
+
+
+def test_a_kernel_outside_the_sections_range_still_takes_the_projection_svd(monkeypatch):
+    # the weight 0 puts e0 in ker T but outside ran B, so every step past
+    # ker T factors the projection of K off ran B; the kernels still match
+    # the entrywise oracle's
+    T = _NESTED_OPERATORS["weighted S*, weights 0, 2, 1, ..."]()
+    steps = _count_step_svds(monkeypatch)
+    walk = dict(iter_kernels_of_powers(T, range(1, 7)))
+    monkeypatch.undo()
+    assert [sub.dim for sub in walk.values()] == [2, 3, 4, 5, 6, 7]
+    assert all(False in calls for calls in steps[1:])
+    for m, sub in walk.items():
+        basis = oracle_section_kernel(T.power(m), sub.window.N, sub.window.G)
+        assert basis.shape[1] == sub.dim
+        assert _sin_largest_angle(basis, sub.basis) <= 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(_NESTED_OPERATORS))

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,13 @@ from koszulkit.errors import (
     FormatError,
     IndexSignError,
     IndexZeroError,
+    InvarianceViolation,
     NonCommuting,
     NotStabilized,
     PreconditionError,
 )
 from koszulkit.linalg import Mat
+from koszulkit.scalars import GaussianRational
 from koszulkit.tower import (
     augmented_pair_cohomology,
     commutant_blocks,
@@ -211,6 +216,84 @@ def test_similarity_chain_for_polynomials(backward_shift):
         for n, diff in blocks.charpoly_max_diff.items():
             assert diff <= 1e-8
         assert blocks.similarity_certified
+
+
+def _per_level_checks(tower, S):
+    """Each level's invariance residual by its own formula,
+    ||W[:, :hi] - Q[:, :hi] B[:hi, :hi]|| / max(1, ||W[:, :hi]||) with
+    ker T^n the first hi columns of Q, and ||S restricted to H_n||."""
+    Q = np.hstack([lv.h_basis for lv in tower.levels])
+    W = S.apply(Q)
+    Qp = np.vstack([Q, np.zeros((W.shape[0] - Q.shape[0], Q.shape[1]))])
+    B = Qp.conj().T @ W
+    resid, norms, hi = [], [], 0
+    for lv in tower.levels:
+        lo, hi = hi, hi + lv.dim
+        img = W[:, :hi]
+        resid.append(np.linalg.norm(img - Qp[:, :hi] @ B[:hi, :hi]) / max(1.0, np.linalg.norm(img)))
+        norms.append(np.linalg.norm(W[:, lo:hi], 2))
+    return resid, norms
+
+
+def _weighted_adjoint_shift():
+    # weights 0, 2, 1, 1, ...: the layer dimension drops from 2 to 1
+    return make_catalog_operator("weighted_shift", prefix=[0, 2], period=[1]).adjoint()
+
+
+#: (T, S) with S commuting with T: 1-dim layers, complex 2-dim layers,
+#: and layers of dimensions 2, 1, 1, ...
+_COMMUTANT_CASES = {
+    "S*, S = 2I + S*": lambda: (
+        make_catalog_operator("adjoint_shift"),
+        identity_op().scale(2) + make_catalog_operator("adjoint_shift"),
+    ),
+    "S*^2 + iI/4, S = S*": lambda: (
+        make_catalog_operator("toeplitz", symbol={-2: 1, 0: GaussianRational(0, Fraction(1, 4))}),
+        make_catalog_operator("adjoint_shift"),
+    ),
+    "weighted S*, S = 3I - T + T^2": lambda: (
+        _weighted_adjoint_shift(),
+        _weighted_adjoint_shift().poly([3, -1, 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMUTANT_CASES))
+def test_one_pass_commutant_checks_match_the_per_level_formulas(name):
+    T, S = _COMMUTANT_CASES[name]()
+    tw = kernel_tower(T, 8)
+    blocks = commutant_blocks(tw, S)
+    resid, norms = _per_level_checks(tw, S)
+    for lv, r, norm in zip(blocks.levels, resid, norms):
+        assert abs(lv.invariance_residual - r) <= 1e-14
+        assert abs(lv.norm - norm) <= 1e-14 * max(1.0, norm)
+    # the batched characteristic polynomials are np.poly's, level by level
+    ref = np.poly(blocks.level(tw.n0).x_block)
+    assert np.abs(blocks.charpoly_reference - ref).max() <= 1e-14
+    for n, diff in blocks.charpoly_max_diff.items():
+        assert abs(diff - np.abs(np.poly(blocks.level(n).x_block) - ref).max()) <= 1e-14
+    assert blocks.similarity_certified
+
+
+def test_the_first_level_the_operator_leaves_raises_as_its_per_level_formula_does(
+    backward_shift,
+):
+    # mixing H_3 = span(e2) with H_5 = span(e4) keeps the basis orthonormal,
+    # but S* sends (e2 + e4)/sqrt(2) off span(e0, e1, (e2 + e4)/sqrt(2))
+    tw = kernel_tower(backward_shift, 8)
+    h3, h5 = tw.level(3).h_basis, tw.level(5).h_basis
+    levels = list(tw.levels)
+    levels[2] = replace(levels[2], h_basis=(h3 + h5) / np.sqrt(2))
+    levels[4] = replace(levels[4], h_basis=(h3 - h5) / np.sqrt(2))
+    bent = replace(tw, levels=tuple(levels))
+    resid, _ = _per_level_checks(bent, backward_shift)
+    assert [r > 1e-10 for r in resid[:3]] == [False, False, True]
+    with pytest.raises(InvarianceViolation) as exc:
+        commutant_blocks(bent, backward_shift)
+    assert str(exc.value) == (
+        f"ker T^3 is not invariant under the operator (residual {resid[2]:.3e}); "
+        "window too small or genuinely non-commuting"
+    )
 
 
 # -- matrix-pair kernel restriction ----------------------------------------------
