@@ -3,8 +3,9 @@
 Exact mode works over Gaussian rationals.  Every rank, kernel, solution
 and independent-column choice comes from one elimination: each row is
 cleared of denominators to Gaussian integers, then fraction-free Bareiss
-elimination runs with exact division by the previous pivot, so nothing
-is ever rounded.  Float mode works over complex doubles and makes every
+elimination runs with exact division by the previous pivot, and back
+substitution stays in Z[i] up to one division by the last pivot, so
+nothing is ever rounded.  Float mode works over complex doubles and makes every
 rank decision through an explicit relative tolerance via the SVD.
 
 Pivots are the first nonzero entry, scanning columns left to right, so
@@ -218,9 +219,6 @@ class Mat:
             return self._ex == other._ex
         return bool(np.array_equal(self._fl, other._fl))
 
-    def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, {self.mode})"
-
 
 # -- assembly helpers -------------------------------------------------
 
@@ -357,16 +355,33 @@ def _echelon(rows, npiv):
     return piv
 
 
-def _back_substitute(rows, piv, j, n):
-    """x with free entries 0 solving the pivot rows against their column j."""
+def _back_substitute(rows, piv, j, n, sign=1):
+    """``sign`` times the x with free entries 0 that solves the pivot rows
+    against their column j.  The last pivot delta is the determinant of
+    the pivot block, so y = delta x is a Gaussian integer (Cramer's rule)
+    and each y entry an exact division in Z[i] by its row's pivot (Nakos,
+    Turner and Williams, SIGSAM Bull. 31, 1997); x is y/delta."""
     x = [GR_ZERO] * n
-    for i in range(len(piv) - 1, -1, -1):
+    r = len(piv)
+    dr, di = rows[r - 1][piv[-1]] if r else (1, 0)
+    ys = [None] * r
+    for i in range(r - 1, -1, -1):
         row = rows[i]
-        s = GaussianRational(*row[j])
-        for c in piv[i + 1 :]:
-            if row[c] != (0, 0) and x[c]:
-                s = s - GaussianRational(*row[c]) * x[c]
-        x[piv[i]] = s / GaussianRational(*row[piv[i]])
+        br, bi = row[j]
+        sr, si = dr * br - di * bi, dr * bi + di * br
+        for k in range(i + 1, r):
+            yr, yi = ys[k]
+            ar, ai = row[piv[k]]
+            if (yr or yi) and (ar or ai):
+                sr, si = sr - ar * yr + ai * yi, si - ar * yi - ai * yr
+        pr, pi = row[piv[i]]
+        den = pr * pr + pi * pi
+        ys[i] = ((sr * pr + si * pi) // den, (si * pr - sr * pi) // den)
+    # y / delta = y conj(delta) / |delta|^2
+    cr, ci, q = sign * dr, -sign * di, dr * dr + di * di
+    for c, (yr, yi) in zip(piv, ys):
+        if yr or yi:
+            x[c] = GaussianRational.from_ints(yr * cr - yi * ci, yr * ci + yi * cr, q)
     return x
 
 
@@ -381,7 +396,7 @@ def _exact_kernel(M: Mat) -> Mat:
     vecs = []
     for f in sorted(set(range(n)) - set(piv)):
         # e_f minus the solution of the pivot rows against column f
-        x = [-v for v in _back_substitute(rows, piv, f, n)]
+        x = _back_substitute(rows, piv, f, n, -1)
         x[f] = GR_ONE
         vecs.append(x)
     return _from_columns(vecs, n)

@@ -92,6 +92,14 @@ class GaussianRational:
         g = gcd(p, r, q)
         self.a, self.b, self.d = p // g, r // g, q // g
 
+    @classmethod
+    def from_ints(cls, a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b*i)/d for integers a, b and d > 0, brought to normal form
+        by one gcd; nothing is parsed."""
+        if d <= 0:
+            raise ValueError(f"denominator {d} is not positive")
+        return _make(a, b, d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)

@@ -2,28 +2,29 @@
 
 For commuting matrices the joint spectrum is the multiset of joint
 eigenvalues.  It is computed by refinement: split the space into the
-generalized eigenspaces of the first operator (deterministically ordered
-by (real part, imaginary part)), compress the remaining operators onto
-each invariant subspace, and recurse.  Total multiplicity always equals
+generalized eigenspaces of the first operator, compress the remaining
+operators onto each invariant subspace, and recurse.  Points are ordered
+by (real part, imaginary part), and their multiplicities always sum to
 the space dimension.
 
-Each generalized eigenspace ker (A - lam I)^d is the kernel chain
-ker B c ker B^2 c ... of B = A - lam I stopped at its ascent, the first
-power whose kernel does not grow, so a spurious candidate costs one
-elimination and a semisimple eigenvalue one product.
-
 Exact mode requires the eigenvalues to be Gaussian rationals: candidate
-values are extracted in floating point, snapped to small rationals, and
-then every candidate is verified exactly (its generalized eigenspace is
-computed with exact arithmetic); if the verified multiplicities do not
-exhaust the space, DeflationFailure is raised.
+values are extracted in floating point, snapped in integers to rationals
+with denominator at most SNAP_DENOMINATOR, and verified exactly, simplest
+(smallest denominator) first, until the verified generalized eigenspaces
+cover the space; they form a direct sum, so later candidates have none.
+If they never cover it, DeflationFailure is raised.  Float mode tries
+every cluster, so that over-coverage raises it too.
+
+Each generalized eigenspace ker (A - lam I)^d is the kernel chain
+ker B c ker B^2 c ... of B = A - lam I stopped at its ascent (the first
+power whose kernel does not grow) or once the kernel fills the dimensions
+left, so a spurious candidate costs one elimination.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -64,21 +65,40 @@ def _sort_key(z) -> tuple:
     return (c.real, c.imag)
 
 
-def _snap_rational(x: float) -> Fraction:
-    return Fraction(x).limit_denominator(SNAP_DENOMINATOR)
+def _snap_rational(x: float) -> tuple:
+    """(p, q) with p/q = ``Fraction(x).limit_denominator(SNAP_DENOMINATOR)``,
+    tie rule included, from the continued fraction of x in integers."""
+    n, d = x.as_integer_ratio()
+    if d <= SNAP_DENOMINATOR:
+        return n, d
+    p0, q0, p1, q1, num, den = 0, 1, 1, 0, n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > SNAP_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (SNAP_DENOMINATOR - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, cross-multiplied
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 def _exact_eig_candidates(A: Mat):
-    """Gaussian-rational candidates for the eigenvalues of A."""
+    """Gaussian-rational candidates for the eigenvalues of A, each once,
+    simplest first: by denominator, then real and imaginary part."""
     if A.rows == 0:
         return []
-    approx = np.linalg.eigvals(A.to_numpy())
-    cands = []
-    for z in approx:
-        lam = GaussianRational(_snap_rational(float(z.real)), _snap_rational(float(z.imag)))
-        if lam not in cands:
-            cands.append(lam)
-    return sorted(cands, key=_sort_key)
+    cands = {}
+    for z in np.linalg.eigvals(A.to_numpy()):
+        p, q = _snap_rational(float(z.real))
+        r, s = _snap_rational(float(z.imag))
+        lam = GaussianRational.from_ints(p * s, r * q, q * s)
+        cands.setdefault((lam.a, lam.b, lam.d), lam)
+    return sorted(cands.values(), key=lambda lam: (lam.d, _sort_key(lam)))
 
 
 def _float_eig_clusters(A: Mat, tol: float):
@@ -104,14 +124,16 @@ def _compress(mats, E: Mat, tol=None):
     return out
 
 
-def _generalized_eigenspace(A: Mat, lam, tol=None) -> Mat:
+def _generalized_eigenspace(A: Mat, lam, tol=None, room=None) -> Mat:
     """Basis of ker B^d, B = A - lam I and d = dim A, from the kernel
-    chain of B stopped at its ascent; in exact mode the same matrix as
+    chain of B stopped at its ascent or once the kernel fills ``room``
+    (default d), a bound on dim ker B^d; in exact mode the same matrix as
     ``kernel_basis(mat_power(B, d))``, as that basis depends only on the
     kernel."""
+    room = A.rows if room is None else room
     B = A.minus_scalar(lam)
     E, P = kernel_basis(B, tol), B
-    while 0 < E.cols < A.rows:
+    while 0 < E.cols < room:
         P = P @ B
         F = kernel_basis(P, tol)
         if F.cols == E.cols:
@@ -124,16 +146,20 @@ def _joint_points(mats, dim: int, mode: str):
     if not mats:
         return [((), dim)]
     A = mats[0]
-    scale = max(A.max_abs(), 1.0)
     if mode == EXACT:
         cands = _exact_eig_candidates(A)
     else:
-        cands = _float_eig_clusters(A, DEFLATION_TOL * scale)
+        cands = _float_eig_clusters(A, DEFLATION_TOL * max(A.max_abs(), 1.0))
     tol = DEFLATION_TOL if mode == FLOAT else None
     pts = []
     total = 0
     for lam in cands:
-        E = _generalized_eigenspace(A, lam, tol)
+        # exact generalized eigenspaces form a direct sum: this one has
+        # at most dim - total dimensions, and none once that is 0
+        room = dim - total if mode == EXACT else dim
+        if room == 0:
+            break
+        E = _generalized_eigenspace(A, lam, tol, room)
         e = E.cols
         if e == 0:
             continue

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from koszulkit.cli import main
 from koszulkit.jsonio import (
     REPORT_FLOAT_FLOOR,
+    mat_from_numpy_json,
     operator_from_json,
     polymap_from_json,
     polymap_to_json,
@@ -23,7 +24,12 @@ from koszulkit.jsonio import (
     tuple_from_json,
     tuple_to_json,
 )
+from koszulkit.koszul import validate_tuple
+from koszulkit.linalg import Mat, solve
+from koszulkit.scalars import GaussianRational
 from koszulkit.tower import kernel_tower
+
+from randgen import get_rng, random_unimodular
 jsonschema = pytest.importorskip("jsonschema")
 
 ASH = {
@@ -539,6 +545,22 @@ def test_report_json_is_the_json_module_text_of_the_rounded_report(report):
     assert report_to_json_bytes(report) == text.encode("utf-8")
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [1 / 3 + 2j, -0.0 + 1e-300j, 123456789.123456789 - 1j],
+        [1 + 0j, complex(float("nan"), 1), complex(0, float("-inf"))],
+    ],
+    ids=["finite", "non-finite"],
+)
+def test_matrix_literal_entries_are_the_json_module_text(entries):
+    # the entries of a matrix literal, finite or not, are the json module's text
+    report = {"A": mat_from_numpy_json(np.array([entries]))}
+    assert isinstance(report["A"]["entries"][0], complex)
+    text = json.dumps(_rounded(report), sort_keys=True, indent=2) + "\n"
+    assert report_to_json_bytes(report) == text.encode("utf-8")
+
+
 def test_demo_byte_stability(tmp_path):
     _, a = run_cli(["demo", "theorem-1.1"], tmp_path, "a.json")
     _, b = run_cli(["demo", "theorem-1.1"], tmp_path, "b.json")
@@ -833,3 +855,63 @@ def test_demo_stdout_is_pinned(capsys, demo, fmt):
     assert main(["demo", demo, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[demo, fmt]
+
+
+def _jordan(d, lam):
+    return Mat.from_rows([[lam if j == i else int(j == i + 1) for j in range(d)] for i in range(d)])
+
+
+def _diag(*vals):
+    return Mat.from_rows([[v if j == i else 0 for j in range(len(vals))] for i, v in enumerate(vals)])
+
+
+def _conjugated_tuple(seed, *mats):
+    """P M P^-1 for each M, with one seeded unimodular P."""
+    d = mats[0].rows
+    P = random_unimodular(get_rng(seed), d)
+    Pinv = solve(P, Mat.identity(d))
+    return tuple_to_json(validate_tuple([P @ M @ Pinv for M in mats]))
+
+
+_THIRD, _I = GaussianRational("1/3"), GaussianRational(0, 1)
+
+#: spectrum inputs: repeated eigenvalues, complex eigenvalues, a 6-dim
+#: Jordan block whose float eigenvalues snap back to 1/3, and a 3-dim one
+#: whose do not (ROADMAP defect 2: DeflationFailure, exit 3)
+SPECTRUM_CORPUS = {
+    "repeated": lambda: _conjugated_tuple(
+        3, _diag("1/2", "1/2", -3, -3, 2), _diag(0, 1, 0, 0, 5)
+    ),
+    "complex": lambda: _conjugated_tuple(
+        5, _diag(_I, _I, GaussianRational(1, "-2/3"), -1), _diag(1, 2, 1, 0)
+    ),
+    "jordan-6": lambda: _conjugated_tuple(2, _jordan(6, _THIRD), _jordan(6, _THIRD) @ _jordan(6, _THIRD)),
+    "defect-2": lambda: _conjugated_tuple(1, _jordan(3, _THIRD), _jordan(3, _THIRD) @ _jordan(3, _THIRD)),
+}
+
+#: (exit code, sha256 of stdout) of ``spectrum`` and of ``spectrum --map``
+#: with SUM_AND_PRODUCT on each input; a change that alters a spectrum
+#: report updates its digest here and says why
+SPECTRUM_DIGESTS = {
+    ("repeated", False): (0, "4b5192fb6fd0e3f47e2e06018122ce17ac4ed0b19569055698826ed688a133ba"),
+    ("repeated", True): (0, "6dc7ac0689622b486c8da323c8b6ae2c0db5b6a2c478b11f10f8f375d4c6894d"),
+    ("complex", False): (0, "b1188423c9faea440196d62648e5d3b140c75ee31743d2834052df0b4a246950"),
+    ("complex", True): (0, "c8f5163d21fd934f68c97d8131d35287933ecea427657ecb1ceeb6d8738ed94e"),
+    ("jordan-6", False): (0, "d0ed355eebea6cee7f516009acee6422b047c47dc3b36c1629cfa09fa1e3aa25"),
+    ("jordan-6", True): (0, "c453801316ef1eafc5fba0299aabbceb4d0ba5e0de3dff684b0134d336f02bae"),
+    # empty stdout: the report is an error on stderr
+    ("defect-2", False): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("defect-2", True): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mapped", SPECTRUM_DIGESTS, ids=[f"{n}-map" if m else n for n, m in SPECTRUM_DIGESTS]
+)
+def test_spectrum_stdout_is_pinned(tmp_path, capsys, name, mapped):
+    argv = ["spectrum", "--input", write(tmp_path, "t.json", SPECTRUM_CORPUS[name]())]
+    if mapped:
+        argv += ["--map", write(tmp_path, "map.json", SUM_AND_PRODUCT)]
+    code = main(argv)
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (code, hashlib.sha256(out).hexdigest()) == SPECTRUM_DIGESTS[name, mapped]

@@ -130,6 +130,29 @@ def test_exact_solve_matches_rank_criterion(A, data):
         assert A @ X == B
 
 
+@settings(max_examples=40, deadline=None)
+@given(exact_mats(), st.data())
+def test_kernel_and_solve_parse_no_scalar(A, data):
+    # back substitution stays in Gaussian integers and builds each entry
+    # in normal form directly, never through the parsing constructor
+    if data.draw(st.booleans()):
+        A = A @ data.draw(exact_mats(max_dim=3, rows=A.cols))  # often rank-deficient
+    B = A @ data.draw(exact_mats(max_dim=3, rows=A.cols))
+    parsed = []
+    init = GaussianRational.__init__
+
+    def counted(self, *args):
+        parsed.append(args)
+        init(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GaussianRational, "__init__", counted)
+        K, X = kernel_basis(A), solve(A, B)
+    assert parsed == []
+    assert (A @ K).is_zero() and A @ X == B
+    assert K.cols + rank(A) == A.cols
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_independent_columns_are_the_first_ones(mode):
     M = Mat.from_rows([[0, 1, 2, 1], [0, 2, 4, 3]], mode)

@@ -127,6 +127,22 @@ def test_zero_has_one_normal_form():
         assert z.is_zero() and not z and hash(z) == hash(GaussianRational(0))
 
 
+_ints = st.integers(-(10**30), 10**30)
+
+
+@given(_ints, _ints, st.integers(1, 10**30))
+@example(0, 0, 7)
+@example(6, -4, 10)
+def test_from_ints_is_the_normal_form_of_the_value(a, b, d):
+    _check(GaussianRational.from_ints(a, b, d), (Fraction(a, d), Fraction(b, d)))
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_from_ints_refuses_a_denominator_that_is_not_positive(d):
+    with pytest.raises(ValueError):
+        GaussianRational.from_ints(1, 2, d)
+
+
 def test_equality_with_values_it_cannot_coerce_is_false():
     one = GaussianRational(1)
     for other in ("abc", "", "1/0", float("nan"), float("inf"), 1j, None, object(), [1]):

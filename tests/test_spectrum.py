@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from koszulkit.errors import DeflationFailure, PreconditionError
 from koszulkit.koszul import validate_tuple
@@ -8,7 +12,9 @@ from koszulkit.polymap import Polynomial, PolyMap
 from koszulkit.scalars import EXACT, GaussianRational
 import koszulkit.spectrum as spectrum_module
 from koszulkit.spectrum import (
+    _exact_eig_candidates,
     _generalized_eigenspace,
+    _snap_rational,
     apply_poly_map,
     joint_spectrum,
     point_in_spectrum,
@@ -95,6 +101,18 @@ def test_float_mode_spectrum():
     s = joint_spectrum(T)
     vals = sorted(z[0].real for z in s.distinct())
     assert vals == pytest.approx([1.0, 2.0])
+
+
+def test_float_chain_keeps_a_small_eigenvalue_apart():
+    # float ranks are relative to the largest singular value: B^3 at 0
+    # keeps 0.005^3 above DEFLATION_TOL; a chain that went on to B^4 would
+    # not, and would pull the 0.005 eigenvector into the eigenspace of 0
+    A = np.diag([0.0, 0.0, 0.005, 1.0]).astype(complex)
+    A[0, 1] = 1.0
+    s = joint_spectrum(validate_tuple([Mat.from_numpy(A)]))
+    pts = [(p.point[0].real, p.multiplicity) for p in s.points]
+    assert [m for _, m in pts] == [2, 1, 1]
+    assert [x for x, _ in pts] == pytest.approx([0.0, 0.005, 1.0], abs=1e-12)
 
 
 def test_deflation_failure_on_irrational_eigenvalues():
@@ -192,6 +210,89 @@ def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
     assert len(s.points) == 6 and all(p.multiplicity == 1 for p in s.points)
     assert len(candidates) == 9
     assert len(calls) <= len(candidates)
+
+
+def test_spectrum_stops_once_the_space_is_covered(monkeypatch):
+    # LAM's generalized eigenspace is all of C^4, so the spurious MU that
+    # follows it is never eliminated
+    A = _conjugated(_jordan_plus(4, 2, LAM))
+    monkeypatch.setattr(spectrum_module, "_exact_eig_candidates", lambda M: [LAM, MU])
+    tried = []
+    real = spectrum_module._generalized_eigenspace
+
+    def recorded(M, lam, tol=None, room=None):
+        tried.append(lam)
+        return real(M, lam, tol, room)
+
+    monkeypatch.setattr(spectrum_module, "_generalized_eigenspace", recorded)
+    s = joint_spectrum(validate_tuple([A]))
+    assert [(p.point, p.multiplicity) for p in s.points] == [((LAM,), 4)]
+    assert tried == [LAM]
+
+
+def test_an_eigenspace_that_fills_the_room_left_costs_no_product(monkeypatch):
+    # LAM = 1 + 3i comes first, and takes one product to confirm that its
+    # 3-dim kernel is all of its eigenspace; then ker (A - 2I) fills the 2 left
+    A = _conjugated(_diag_rows(LAM, 2, LAM, 2, LAM))
+    products = _count_square_products(monkeypatch)
+    s = joint_spectrum(validate_tuple([A]))
+    assert [(p.point, p.multiplicity) for p in s.points] == [((LAM,), 3), ((GaussianRational(2),), 2)]
+    assert len(products) == 1
+
+
+# -- candidate extraction -------------------------------------------------------
+
+
+def _limit(x: float, cap: int = 10**6) -> tuple:
+    f = Fraction(x).limit_denominator(cap)
+    return f.numerator, f.denominator
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),
+        st.floats(-1e9, 1e9),
+    )
+)
+@example(-1 / 3)
+@example(1e6 + 0.3)
+@example(-2.5e12)
+@example(5e-324)  # subnormal
+@example(-2.2250738585072014e-308 / 3)
+@example(1 / 3 + 1e-7)
+def test_snap_rational_is_limit_denominator(x):
+    assert spectrum_module.SNAP_DENOMINATOR == 10**6
+    assert _snap_rational(x) == _limit(x)
+
+
+@pytest.mark.parametrize(
+    "cap, x",
+    [(1, 0.5), (1, -2.5), (4, 0.125), (4, -3 - 7 / 8), (2**20, 2.0**-21), (2**20, 5 + 2.0**-21), (2**20, -7 - 2.0**-21)],
+)
+def test_snap_rational_breaks_ties_as_limit_denominator(monkeypatch, cap, x):
+    # x lies exactly between its best lower and upper approximations, which
+    # for a float needs a power-of-two cap; 10**6 admits no such float
+    monkeypatch.setattr(spectrum_module, "SNAP_DENOMINATOR", cap)
+    assert _snap_rational(x) == _limit(x, cap)
+
+
+def test_candidates_come_simplest_first_and_build_no_fraction(monkeypatch):
+    half, i, minus_two_fifths = GaussianRational("1/2"), GaussianRational(0, 1), GaussianRational("-2/5")
+    A = _conjugated(_diag_rows(half, 3, i, -1, minus_two_fifths, 3))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert Fraction(1, 2) and built, "the counter must see Fraction constructions"
+    built.clear()
+    cands = _exact_eig_candidates(A)
+    assert built == []
+    assert cands == [GaussianRational(-1), i, GaussianRational(3), half, minus_two_fifths]
 
 
 # -- polynomial calculus -----------------------------------------------------
