@@ -77,65 +77,3 @@ from .tower import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EXACT",
-    "FLOAT",
-    "GaussianRational",
-    "Mat",
-    "kernel_basis",
-    "rank",
-    "solve",
-    "spectral_radius",
-    "CommutingTuple",
-    "FormBasis",
-    "KoszulComplex",
-    "CohomologyReport",
-    "form_basis",
-    "validate_tuple",
-    "koszul_differential",
-    "koszul_complex",
-    "cohomology",
-    "induced_map",
-    "augment_les",
-    "Polynomial",
-    "PolyMap",
-    "JointSpectrum",
-    "joint_spectrum",
-    "apply_poly_map",
-    "spectral_mapping_check",
-    "poly_map_invertibility_check",
-    "point_in_spectrum",
-    "BandedOperator",
-    "Diagonal",
-    "TruncationWindow",
-    "StabilizedSubspace",
-    "IndexCertificate",
-    "make_catalog_operator",
-    "identity_op",
-    "zero_op",
-    "kernel_of_power",
-    "fredholm_index_banded",
-    "KernelTower",
-    "CommutantBlocks",
-    "ObstructionCertificate",
-    "GrowthTable",
-    "kernel_tower",
-    "commutant_blocks",
-    "obstruction_certificate",
-    "growth_table",
-    "augmented_pair_cohomology",
-    "kernel_restriction_check",
-    "KoszulKitError",
-    "ModeMismatch",
-    "ShapeError",
-    "NonCommuting",
-    "DegreeError",
-    "FormatError",
-    "DeflationFailure",
-    "NotStabilized",
-    "InvarianceViolation",
-    "PreconditionError",
-    "IndexSignError",
-    "IndexZeroError",
-]

@@ -198,13 +198,7 @@ def _obstruct_case(tw, K) -> dict:
 
 
 def _cmd_obstruct(args: argparse.Namespace) -> dict:
-    obj = jsonio._expect(_load_json(args.input), dict, "obstruct input")
-    if "operator" not in obj or "perturbation" not in obj:
-        raise FormatError(
-            "obstruct input needs {'operator': ..., 'perturbation': ...}"
-        )
-    T = jsonio.operator_from_json(obj["operator"])
-    K = jsonio.operator_from_json(obj["perturbation"])
+    T, K = jsonio.pair_from_json(_load_json(args.input))
     tw = kernel_tower(T, args.max_level)
     return {"command": "obstruct"} | _obstruct_case(tw, K)
 

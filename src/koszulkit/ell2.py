@@ -21,12 +21,13 @@ included).  There is one window rule: the guard band is G = max(16, w),
 ker T starts at N = max(64, 2G), each power at the window of the power
 before, and N doubles up to max(1024, N).  Every vector must die out
 before the guard band.  ker T^m for every m >= 1 is the preimage chain
-{x : B x in ker T^(m-1)} from ker T^0 = {0}, each window of B factored
-at most once for an index and the towers on it, so no power of T is ever
-formed.  A step keeps the basis of ker T^(m-1) as its first columns and
-appends its new directions, orthogonal to them, so the basis of ker T^m
-is nested, [H_1 | ... | H_m], with H_n spanning ker T^n (-) ker T^(n-1):
-the layers of a kernel tower.  A step is accepted at N when its count
+{x : B x in ker T^(m-1)} from ker T^0 = {0}, walked by one
+``KernelWalk`` per operator that an index hands on to the towers and
+growth tables on it, so each window of B is factored at most once and no
+power of T is ever formed.  A step keeps the basis of ker T^(m-1) as its
+first columns and appends its new directions, orthogonal to them, so the
+basis of ker T^m is nested, [H_1 | ... | H_m], with H_n spanning
+ker T^n (-) ker T^(n-1): the layers of a kernel tower.  A step is accepted at N when its count
 reaches an upper bound on its dimension, which no larger window could
 exceed: dim ker T^(m-1) + dim ker T for m >= 2, and for ker T the
 caller's (Coburn's dimension, for a scalar Toeplitz T).  A count above
@@ -460,69 +461,51 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     return d + H.shape[1], np.hstack([Kp[: N - G], H])
 
 
-class _Sections:
-    """One walk's reads of T's sections, made once per window: nullity
-    (``_section_nullity``) and full SVD (``_factor_section``, the last two
-    held, as a power checked at 2N and accepted at N starts the next at N)."""
+class KernelWalk:
+    """The chain {0} = ker T^0 c ker T c ker T^2 c ... of one operator,
+    certified lazily: ``kernels`` holds the powers walked so far, and
+    ``kernel(m)`` walks on to m.  ker T^m = {x : T x in ker T^(m-1)} is a
+    chain step through T's own section (``_chain_kernel``), so no power
+    T^m is built.  The bound of ker T is ``ker_bound`` (an upper bound on
+    dim ker T, or None), and that of ker T^m for m >= 2 is
+    dim ker T^(m-1) + dim ker T.  Each basis extends the one before: the
+    first dim ker T^(m-1) columns of ker T^m's are ker T^(m-1)'s,
+    zero-padded, so H_m is a column slice.  Every step reads T's
+    sections through the walk's two caches, so each window is read once:
+    nullity (``_section_nullity``) and full SVD (``_factor_section``, the
+    last two held, as a power checked at 2N and accepted at N starts the
+    next at N)."""
 
-    def __init__(self, T: BandedOperator):
+    def __init__(self, T: BandedOperator, ker_bound: int | None = None):
+        self.T, self.ker_bound = T, ker_bound
         self.factor = lru_cache(maxsize=2)(lambda n: _factor_section(T, n))
         self.nullity = cache(lambda n: _section_nullity(T, n))
+        G = max(DEFAULT_G, T.bandwidth)
+        N0 = max(DEFAULT_N, 2 * G)
+        self.kernels = [StabilizedSubspace(np.zeros((N0 - G, 0)), 0, TruncationWindow(N0, G))]
+
+    def kernel(self, m: int) -> StabilizedSubspace:
+        """Certified orthonormal basis of ker T^m, nested [H_1 | ... | H_m]."""
+        if m < 0:
+            raise FormatError(f"kernels of powers need m >= 0, got {m}")
+        kernels = self.kernels
+        while len(kernels) <= m:
+            bound = kernels[-1].dim + kernels[1].dim if len(kernels) > 1 else self.ker_bound
+            kernels.append(_chain_kernel(self.T, kernels[-1], bound, self))
+        return kernels[m]
 
 
-def kernel_of_power(
-    T: BandedOperator, m: int, ker_bound: int | None = None, sections: _Sections | None = None
-) -> StabilizedSubspace:
-    """Certified orthonormal basis of ker T^m: the kernel that
-    ``iter_kernels_of_powers`` gives power m, walking 1..m, with
-    ``ker_bound`` an upper bound on dim ker T when one is known.  Its
-    columns are nested, [H_1 | ... | H_m]."""
-    return next(iter_kernels_of_powers(T, (m,), ker_bound=ker_bound, sections=sections))[1]
-
-
-def iter_kernels_of_powers(
-    T: BandedOperator,
-    powers,
-    ker1: StabilizedSubspace | None = None,
-    sections: _Sections | None = None,
-    ker_bound: int | None = None,
-):
-    """Yield (m, kernel of T^m) for the sorted distinct m in ``powers``.
-
-    ker T^0 = {0}, and every m >= 1 is a preimage chain step through T's
-    own section (``_chain_kernel``), ker T^m = {x : T x in ker T^(m-1)},
-    so no power T^m is built.  ker T, the step from {0}, is ``ker1`` when
-    given; its bound is ``ker_bound`` (an upper bound on dim ker T, or
-    None), and the bound of ker T^m for m >= 2 is
-    dim ker T^(m-1) + dim ker T.  Each basis extends the one before:
-    the first dim ker T^(m-1) columns of ker T^m's are ker T^(m-1)'s,
-    zero-padded, so H_m is a column slice.  The walk is lazy: a caller
-    that stops early factors nothing for the higher powers.  Its steps
-    share one ``_Sections``: ``sections``, the walk that certified
-    ``ker1`` (from ``IndexCertificate``), when given, else a new one.
-    """
-    want = set(powers)
-    if min(want, default=0) < 0:
-        raise FormatError(f"kernels of powers need m >= 0, got {sorted(want)}")
-    G = max(DEFAULT_G, T.bandwidth)
-    N0 = max(DEFAULT_N, 2 * G)
-    ker = StabilizedSubspace(np.zeros((N0 - G, 0)), 0, TruncationWindow(N0, G))
-    sections = sections or _Sections(T)
-    for m in range(max(want, default=-1) + 1):
-        if m == 1:
-            ker = ker1 if ker1 is not None else _chain_kernel(T, ker, ker_bound, sections)
-            d1 = ker.dim
-        elif m >= 2:
-            ker = _chain_kernel(T, ker, ker.dim + d1, sections)
-        if m in want:
-            yield m, ker
+def kernel_of_power(T: BandedOperator, m: int, ker_bound: int | None = None) -> StabilizedSubspace:
+    """Certified orthonormal basis of ker T^m from a new ``KernelWalk``,
+    with ``ker_bound`` an upper bound on dim ker T when one is known."""
+    return KernelWalk(T, ker_bound).kernel(m)
 
 
 def _chain_kernel(
-    T: BandedOperator, prev: StabilizedSubspace, bound: int | None, sections: _Sections
+    T: BandedOperator, prev: StabilizedSubspace, bound: int | None, walk: KernelWalk
 ) -> StabilizedSubspace:
     """ker T^m from ker T^(m-1) = ``prev``, from prev's window on, through
-    the walk's ``sections`` of T.
+    the section caches of T's ``walk``.
 
     Every vector found has T^m x = 0 within the residual, so a count
     equal to ``bound`` (an upper bound on dim ker T^m, or None) is
@@ -537,9 +520,9 @@ def _chain_kernel(
 
     @cache
     def at(n):
-        if not prev.dim and not bound and not sections.nullity(n):
+        if not prev.dim and not bound and not walk.nullity(n):
             return 0, np.zeros((n - G, 0), dtype=T.section(0, 0).dtype)
-        return _preimage_kernel(sections.factor(n), prev.basis, G)
+        return _preimage_kernel(walk.factor(n), prev.basis, G)
 
     cap = max(MAX_SECTION, N)
     while N <= cap:
@@ -549,7 +532,7 @@ def _chain_kernel(
                 f"section size {N} certifies {d} kernel vectors, above the bound "
                 f"{bound} on their number: the bound, or a count it rests on, is wrong"
             )
-        if d == bound or (not prev.dim and sections.nullity(2 * N) == d) or d == at(2 * N)[0]:
+        if d == bound or (not prev.dim and walk.nullity(2 * N) == d) or d == at(2 * N)[0]:
             return StabilizedSubspace(basis=basis, dim=d, window=TruncationWindow(N, G))
         N *= 2
     raise NotStabilized(
@@ -615,7 +598,7 @@ class IndexCertificate:
     dim_coker: int
     ker: StabilizedSubspace
     coker: StabilizedSubspace
-    sections: tuple = field(repr=False)  # the ker T and ker T* walks' _Sections
+    walks: tuple = field(repr=False)  # the KernelWalks of T and T*
 
 
 def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
@@ -628,22 +611,23 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
     dim ker T* = max(wind, 0), passed as the bounds at which each kernel
     is accepted without the 2N check.  A side above its bound raises
     NotStabilized; one below it takes the N/2N check, and its count
-    stands even if it disagrees.  The certificate keeps both walks'
-    ``sections``, so towers and growth tables walk on to higher powers
-    without reading a window again.
+    stands even if it disagrees.  The certificate keeps the
+    ``KernelWalk`` of T and of T*, so towers and growth tables walk on to
+    higher powers without reading a window again.
     """
     wind = symbol_winding(T)
     toeplitz = T._tail_params() == (0, 1)
-    adj = T.adjoint()
-    sections = (_Sections(T), _Sections(adj))
-    ker = kernel_of_power(T, 1, max(-wind, 0) if toeplitz else None, sections[0])
-    coker = kernel_of_power(adj, 1, max(wind, 0) if toeplitz else None, sections[1])
+    walks = (
+        KernelWalk(T, max(-wind, 0) if toeplitz else None),
+        KernelWalk(T.adjoint(), max(wind, 0) if toeplitz else None),
+    )
+    ker, coker = (w.kernel(1) for w in walks)
     return IndexCertificate(
         index=ker.dim - coker.dim,
         dim_ker=ker.dim,
         dim_coker=coker.dim,
         ker=ker,
         coker=coker,
-        sections=sections,
+        walks=walks,
     )
 

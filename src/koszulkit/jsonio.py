@@ -176,6 +176,14 @@ def operator_to_json(op: BandedOperator) -> dict:
     }
 
 
+def pair_from_json(obj) -> tuple:
+    """(T, K) from the obstruct input {'operator': ..., 'perturbation': ...}."""
+    obj = _expect(obj, dict, "obstruct input")
+    if "operator" not in obj or "perturbation" not in obj:
+        raise FormatError("obstruct input needs {'operator': ..., 'perturbation': ...}")
+    return operator_from_json(obj["operator"]), operator_from_json(obj["perturbation"])
+
+
 # -- demo scenarios --------------------------------------------------------
 
 

@@ -18,12 +18,14 @@ per-layer norms, and the verdict.
 
 T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
 one apply gives W = op Q and B = Q* W, and every block (A_n, B_n, C_n for
-T; X_n, Y_n, Z_n for K) is a slice of B.  The layers are the chain's
-(``ell2._preimage_kernel`` says which SVDs a step runs); here the only
-SVDs are a values-only one per A_n tried for n0 and, per K, one batched
-over the layers for ||K restricted to H_n||, the largest singular value
-of the H_n columns of W.  As R = W - Q B is orthogonal to span Q, one R
-gives every level's invariance residual (``commutant_blocks``).
+T; X_n, Y_n, Z_n for K) is a slice of B.  The layers are read off the
+``KernelWalk`` of T that its index certificate holds, and a growth table
+asks the walks of T and T* for its powers (``ell2._preimage_kernel``
+says which SVDs a chain step runs); here the only SVDs are a values-only
+one per A_n tried for n0 and, per K, one batched over the layers for
+||K restricted to H_n||, the largest singular value of the H_n columns
+of W.  As R = W - Q B is orthogonal to span Q, one R gives every
+level's invariance residual (``commutant_blocks``).
 
 A certificate is a witness of the obstruction mechanism for the given K;
 an "inconclusive" verdict (r ~ 0) only means this route does not apply
@@ -46,12 +48,7 @@ from .errors import (
     NotStabilized,
     PreconditionError,
 )
-from .ell2 import (
-    BandedOperator,
-    IndexCertificate,
-    fredholm_index_banded,
-    iter_kernels_of_powers,
-)
+from .ell2 import BandedOperator, IndexCertificate, fredholm_index_banded
 from .koszul import cohomology, validate_tuple
 from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
 from .scalars import EXACT, as_scalar
@@ -180,12 +177,13 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
 
     T must be Fredholm (by its symbol) with strictly positive certified index
     (pass the adjoint to flip a negative index).  The kernels of the powers
-    are walked lazily and the walk stops (NotStabilized) at the first one
-    no larger than the one before, so no higher kernel is sought; a depth
-    below 4, which cannot show three equal layers, fails before any
-    section is computed.  Every chain step appends its new directions to
-    the basis of the kernel before it, so the layers are column slices of
-    the last kernel's basis [H_1 | ... | H_D].
+    are walked lazily on the index's ``KernelWalk`` of T, and the walk
+    stops (NotStabilized) at the first one no larger than the one before,
+    so no higher kernel is sought; a depth below 4, which cannot show three
+    equal layers, fails before any section is computed.  Every chain step
+    appends its new directions to the basis of the kernel before it, so
+    the layers are column slices of the last kernel's basis
+    [H_1 | ... | H_D].
     """
     if max_depth < 4:
         raise _no_stabilization_level(max_depth)
@@ -195,16 +193,15 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
             f"kernel tower needs index > 0, got {idx.index}; "
             "apply it to the adjoint instead"
         )
-    kernels = [idx.ker]
-    for n, kn in iter_kernels_of_powers(T, range(2, max_depth + 1), idx.ker, idx.sections[0]):
-        if kn.dim <= kernels[-1].dim:
+    walk = idx.walks[0]
+    for n in range(2, max_depth + 1):
+        if walk.kernel(n).dim <= walk.kernels[n - 1].dim:
             raise NotStabilized(
                 f"layer {n} vanished although the index is positive; window too small"
             )
-        kernels.append(kn)
     # every chain step appends its layer: ker T^D's basis is [H_1 | ... | H_D]
-    acc = kernels[-1].basis
-    off = [0, *(k.dim for k in kernels)]
+    acc = walk.kernels[max_depth].basis
+    off = [k.dim for k in walk.kernels]
     # T in the tower basis: on ker T^n = H_n + ker T^(n-1) it acts as
     # [[A_n, 0], [B_n, C_n]] into H_(n-1) + ker T^(n-2)
     _, TB = _compress(T, acc)
@@ -248,7 +245,7 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     return KernelTower(
         operator=T,
         levels=tuple(levels),
-        kernel_dims=tuple(k.dim for k in kernels),
+        kernel_dims=tuple(off[1:]),
         n0=n0,
         index=idx,
     )
@@ -414,11 +411,7 @@ def growth_table(T: BandedOperator, powers, rank_bound: int) -> GrowthTable:
     base = fredholm_index_banded(T)
     if base.index == 0:
         raise IndexZeroError("growth table needs a nonzero index")
-    higher = [m for m in powers if m != 1]
-    kers, cokers = (
-        {1: k} | dict(iter_kernels_of_powers(op, higher, k, s))
-        for op, k, s in zip((T, T.adjoint()), (base.ker, base.coker), base.sections)
-    )
+    kers, cokers = ({m: w.kernel(m) for m in powers} for w in base.walks)
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim

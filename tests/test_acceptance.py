@@ -3,11 +3,13 @@ prints one PASS/FAIL line.  Run with ``pytest -s tests/test_acceptance.py``
 to see the lines; the corpus seed comes from KOSZULKIT_SEED.
 """
 
+import ast
 import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,17 @@ def test_c13_determinism(tmp_path):
             "T": "inconclusive",
             "0": "inconclusive",
         }
+
+
+def test_readme_library_quick_tour_gives_the_values_its_comments_state():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    ns, shown = {}, []  # shown: the values of the bare expression lines
+    for stmt in ast.parse(tour.split("```", 1)[0]).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+    assert ns["rep"].dims == (1, 2, 1)
+    assert shown == [1, (1, 1, 0)]  # index +1; the pair (T, T)
+    assert abs(ns["cert"].r - 2) <= 1e-8 and ns["cert"].verdict == "obstructed"

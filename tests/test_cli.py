@@ -158,6 +158,20 @@ def test_obstruct_rejects_a_tiny_nonzero_commutator(tmp_path, capsys):
     assert "error[NonCommuting]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([ASH, ASH], "obstruct input must be a JSON object"),
+        ({"operator": ASH}, "obstruct input needs {'operator': ..., 'perturbation': ...}"),
+    ],
+    ids=["list", "no-perturbation"],
+)
+def test_obstruct_refuses_an_input_that_is_not_an_operator_pair(tmp_path, capsys, obj, message):
+    inp = write(tmp_path, "obs.json", obj)
+    assert main(["obstruct", "--input", inp]) == 2
+    assert capsys.readouterr().err.strip() == f"error[FormatError]: {message}"
+
+
 def test_removed_tolerance_flag_is_rejected(tmp_path):
     inp = write(tmp_path, "t.json", TUPLE_N0)
     with pytest.raises(SystemExit) as exc:
@@ -411,18 +425,31 @@ def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsy
 
 @pytest.mark.parametrize(
     "argv",
-    [["tower", "--max-level", "12"], ["demo", "theorem-2.1"], ["demo", "theorem-1.1"]],
-    ids=["tower", "theorem-2.1", "theorem-1.1"],
+    [
+        ["tower", "--max-level", "12"],
+        ["growth", "--powers", "9,2,5"],
+        ["demo", "theorem-2.1"],
+        ["demo", "theorem-1.1"],
+    ],
+    ids=["tower", "growth", "theorem-2.1", "theorem-1.1"],
 )
 def test_a_command_factors_each_section_once(tmp_path, capsys, monkeypatch, argv):
     # the index's ker T and ker T* walks go on into the tower's and the
-    # growth table's higher powers, so no window is factored twice
-    if argv[0] == "tower":
-        argv = argv + ["--input", write(tmp_path, "t.json", _shift2_plus("0", "1/4"))]
+    # growth table's higher powers, so no window is factored twice; growth
+    # asks its walks for a lower power after a higher one
+    inputs = {"tower": _shift2_plus("0", "1/4"), "growth": _shift_minus("1/2")}
+    if argv[0] in inputs:
+        argv = argv + ["--input", write(tmp_path, "t.json", inputs[argv[0]])]
     reads = _count_section_reads(monkeypatch)
     assert main(argv) == 0
     factored = [(T, N) for helper, T, N in reads if helper == "_factor_section"]
     assert factored and len(set(factored)) == len(factored)
+    if argv[0] == "growth":
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert main(argv[:2] + ["2,5,9"] + argv[3:]) == 0
+        by_m = {r["m"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert [r["m"] for r in rows] == [9, 2, 5]
+        assert rows == [by_m[m] for m in (9, 2, 5)]
 
 
 def test_main_builds_no_parser_after_the_first_call(tmp_path, monkeypatch):

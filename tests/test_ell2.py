@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from koszulkit.ell2 import (
     BandedOperator,
     Diagonal,
+    KernelWalk,
     fredholm_index_banded,
     identity_op,
-    iter_kernels_of_powers,
     kernel_of_power,
     make_catalog_operator,
     symbol_winding,
@@ -306,23 +306,22 @@ def test_kernel_dims_nondecreasing_with_stable_growth(backward_shift):
 
 
 def test_certified_subspace_reverifies_at_double_window(backward_shift):
-    from koszulkit.ell2 import StabilizedSubspace, TruncationWindow, _chain_kernel, _Sections
+    from koszulkit.ell2 import StabilizedSubspace, TruncationWindow, _chain_kernel
 
     sub = kernel_of_power(backward_shift, 4)
     T4, N, G = backward_shift.power(4), 2 * sub.window.N, sub.window.G
     # the chain step from {0} at the doubled window, with no bound
     zero = StabilizedSubspace(np.zeros((N - G, 0)), 0, TruncationWindow(N, G))
-    again = _chain_kernel(T4, zero, None, _Sections(T4))
+    again = _chain_kernel(T4, zero, None, KernelWalk(T4))
     assert again.dim == sub.dim
 
 
 def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift):
-    powers = [3, 1, 3, 2]
-    subs = dict(iter_kernels_of_powers(backward_shift, powers))
-    for m in powers:
-        one = kernel_of_power(backward_shift, m)
-        assert subs[m].dim == one.dim == m
-        assert np.array_equal(subs[m].basis, one.basis)
+    walk = KernelWalk(backward_shift)
+    for m in [3, 1, 3, 2]:
+        sub, one = walk.kernel(m), kernel_of_power(backward_shift, m)
+        assert sub.dim == one.dim == m
+        assert np.array_equal(sub.basis, one.basis)
 
 
 def test_power_zero_has_the_zero_kernel_and_a_negative_power_is_refused(backward_shift):
@@ -330,10 +329,8 @@ def test_power_zero_has_the_zero_kernel_and_a_negative_power_is_refused(backward
 
     sub = kernel_of_power(backward_shift, 0)
     assert (sub.dim, sub.basis.shape, sub.window) == (0, (48, 0), TruncationWindow(64, 16))
-    assert [(m, k.dim) for m, k in iter_kernels_of_powers(backward_shift, [2, 0, 2])] == [
-        (0, 0),
-        (2, 2),
-    ]
+    walk = KernelWalk(backward_shift)
+    assert [(m, walk.kernel(m).dim) for m in [2, 0, 2]] == [(2, 2), (0, 0), (2, 2)]
     with pytest.raises(FormatError, match="m >= 0"):
         kernel_of_power(backward_shift, -1)
 
@@ -383,11 +380,12 @@ def _sin_largest_angle(P, Q):
 def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, name):
     T = _BOUND_OPERATORS[name]()
     _, sought = _count_chain_windows(monkeypatch)
-    walk = dict(iter_kernels_of_powers(T, range(1, 9)))
+    walk = KernelWalk(T)
+    kernels = {m: walk.kernel(m) for m in range(1, 9)}
     monkeypatch.undo()
-    d1 = walk[1].dim
+    d1 = kernels[1].dim
     for m in range(2, 9):
-        sub = walk[m]
+        sub = kernels[m]
         assert sub.dim == m * d1
         # accepted by the bound: the chain never sought it at the doubled window ...
         assert 2 * sub.window.N not in sought[(m - 1) * d1]
@@ -418,10 +416,10 @@ def test_a_ker_t_count_above_the_callers_bound_is_not_stabilized(backward_shift)
 def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
     # given ker S* as ker T of T = (S*)^2, the chain finds e0, e1 and the
     # preimage e2 of e0: one more than the bound 1 + 1 claims
-    ker1 = kernel_of_power(backward_shift, 1)
-    walk = iter_kernels_of_powers(backward_shift.power(2), [2], ker1)
+    walk = KernelWalk(backward_shift.power(2))
+    walk.kernels.append(kernel_of_power(backward_shift, 1))
     with pytest.raises(NotStabilized, match="above the bound 2 "):
-        next(walk)
+        walk.kernel(2)
 
 
 def test_a_previous_basis_that_t_does_not_map_into_its_span_is_not_stabilized(backward_shift):
@@ -431,9 +429,10 @@ def test_a_previous_basis_that_t_does_not_map_into_its_span_is_not_stabilized(ba
 
     e40 = np.zeros((48, 1))
     e40[40] = 1.0
-    ker1 = StabilizedSubspace(e40, 1, TruncationWindow(64, 16))
+    walk = KernelWalk(backward_shift)
+    walk.kernels.append(StabilizedSubspace(e40, 1, TruncationWindow(64, 16)))
     with pytest.raises(NotStabilized, match=r"up to sine 1\.000e\+00 "):
-        next(iter_kernels_of_powers(backward_shift, [2], ker1))
+        walk.kernel(2)
 
 
 #: walks whose bases must nest: scalar and complex 2-dim layers, slow
@@ -514,11 +513,12 @@ def test_a_kernel_outside_the_sections_range_still_takes_the_projection_svd(monk
     # the entrywise oracle's
     T = _NESTED_OPERATORS["weighted S*, weights 0, 2, 1, ..."]()
     steps = _count_step_svds(monkeypatch)
-    walk = dict(iter_kernels_of_powers(T, range(1, 7)))
+    walk = KernelWalk(T)
+    kernels = {m: walk.kernel(m) for m in range(1, 7)}
     monkeypatch.undo()
-    assert [sub.dim for sub in walk.values()] == [2, 3, 4, 5, 6, 7]
+    assert [sub.dim for sub in kernels.values()] == [2, 3, 4, 5, 6, 7]
     assert all(False in calls for calls in steps[1:])
-    for m, sub in walk.items():
+    for m, sub in kernels.items():
         basis = oracle_section_kernel(T.power(m), sub.window.N, sub.window.G)
         assert basis.shape[1] == sub.dim
         assert _sin_largest_angle(basis, sub.basis) <= 1e-8
@@ -800,12 +800,13 @@ def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
     # so the walk factors T's section once at 64 and once at 128
     T = make_catalog_operator("toeplitz", symbol={-1: 1, 0: "-1/2"})
     factored, sought = _count_chain_windows(monkeypatch)
-    walk = dict(iter_kernels_of_powers(T, range(1, 11)))
-    assert [m for m, sub in walk.items() if sub.window.N == 64] == [1, 2]
+    walk = KernelWalk(T)
+    kernels = {m: walk.kernel(m) for m in range(1, 11)}
+    assert [m for m, sub in kernels.items() if sub.window.N == 64] == [1, 2]
     assert factored == [64, 128]
     assert [sought[m - 1] for m in range(4, 11)] == [[128]] * 7
     monkeypatch.undo()
-    for m, sub in walk.items():
+    for m, sub in kernels.items():
         alone = kernel_of_power(T, m)
         assert alone.dim == sub.dim == m and alone.window == sub.window
         assert np.array_equal(alone.basis, sub.basis)
@@ -819,14 +820,16 @@ def test_a_walk_below_the_bound_factors_each_window_once(monkeypatch):
 
     T = make_catalog_operator("weighted_shift", prefix=[0, 2], period=[1]).adjoint()
     factored, _ = _count_chain_windows(monkeypatch)
-    walk = dict(iter_kernels_of_powers(T, range(1, 9)))
+    walk = KernelWalk(T)
+    kernels = {m: walk.kernel(m) for m in range(1, 9)}
     assert factored == [64, 128]
-    assert [sub.dim for sub in walk.values()] == list(range(2, 10))
+    assert [sub.dim for sub in kernels.values()] == list(range(2, 10))
     # the same walk holding one factorization refactors both windows per power
     monkeypatch.setattr(ell2, "lru_cache", lambda maxsize: lru_cache(maxsize=1))
     factored.clear()
-    for m, sub in iter_kernels_of_powers(T, range(1, 9)):
-        _assert_same_kernel(walk[m], sub)
+    again = KernelWalk(T)
+    for m in range(1, 9):
+        _assert_same_kernel(kernels[m], again.kernel(m))
     assert factored == [64, 128] * 7
 
 

@@ -107,14 +107,28 @@ def test_package_keeps_no_memo_across_calls(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_imports_no_private_name_from_another_module(path):
     # a private helper stays behind the module that defines it: a decision
-    # such as how a kernel basis is phased is made in one place only
+    # such as how a kernel basis is phased is made in one place only.  It
+    # is neither imported by name nor read off an imported package module
+    # (``from . import jsonio`` then ``jsonio._expect``).
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [
-        f"{node.module}.{alias.name}"
+    stems = {p.stem for p in MODULES}
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "koszulkit"
+        ):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+            modules |= {a.asname or a.name for a in node.names if a.name in stems}
+        elif isinstance(node, ast.Import):
+            modules |= {
+                a.asname or a.name for a in node.names if a.name.split(".")[0] == "koszulkit"
+            }
+    found += [
+        f"{node.value.id}.{node.attr}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level or (node.module or "").split(".")[0] == "koszulkit")
-        for alias in node.names
-        if alias.name.startswith("_")
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
     ]
     assert found == [], f"{path.name} imports private names {found}"
