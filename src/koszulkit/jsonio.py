@@ -90,9 +90,13 @@ def mat_from_json(obj, mode: str = EXACT) -> Mat:
         raise FormatError(
             f"matrix literal has {len(entries)} entries for {rows}x{cols}"
         )
-    vals = [parse_scalar(e, mode) for e in entries]
     if mode == EXACT:
-        return Mat(rows, cols, vals, EXACT)
+        # each distinct pair of strings is parsed once; any other entry (keyed by index) each time
+        keys = [tuple(e) if isinstance(e, list) and list(map(type, e)) == [str, str] else i
+                for i, e in enumerate(entries)]
+        parsed = {k: parse_scalar(e, EXACT) for k, e in dict(zip(keys, entries)).items()}
+        return Mat(rows, cols, [parsed[k] for k in keys], EXACT)
+    vals = [parse_scalar(e, mode) for e in entries]
     arr = np.array(vals, dtype=complex).reshape(rows, cols) if vals else np.zeros((rows, cols), dtype=complex)
     return Mat(rows, cols, arr, FLOAT)
 

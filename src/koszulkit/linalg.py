@@ -14,7 +14,9 @@ every returned basis is reproducible across runs.
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import add, sub
 
 import numpy as np
 
@@ -127,17 +129,19 @@ class Mat:
         if self.mode != other.mode:
             raise ModeMismatch(f"mixed modes {self.mode}/{other.mode}")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, other: "Mat", op) -> "Mat":
         self._check_mode(other)
         if self.shape != other.shape:
-            raise ShapeError(f"add shape mismatch {self.shape} vs {other.shape}")
+            raise ShapeError(f"{op.__name__} shape mismatch {self.shape} vs {other.shape}")
         if self.mode == EXACT:
-            ent = tuple(a + b for a, b in zip(self._ex, other._ex))
-            return Mat(self.rows, self.cols, ent, EXACT)
-        return Mat(self.rows, self.cols, self._fl + other._fl, FLOAT)
+            return Mat(self.rows, self.cols, tuple(map(op, self._ex, other._ex)), EXACT)
+        return Mat(self.rows, self.cols, op(self._fl, other._fl), FLOAT)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "Mat":
         if self.mode == EXACT:
@@ -292,20 +296,20 @@ def commutator(A: Mat, B: Mat) -> Mat:
 # -- exact elimination (Bareiss over the Gaussian integers) ------------
 
 
-def _gauss_int_rows(M: Mat):
+def _gauss_int_rows(M: Mat, L=None):
     """Rows of exact M as lists of (re, im) int pairs.
 
-    Each row is multiplied by the lcm of its entries' denominators d; the
-    d of a normal-form (a + b*i)/d is the lcm of its two parts'
-    denominators.  Scaling a row changes neither the rank, the kernel nor
-    the pivot positions.
+    Each row is multiplied by L, by default the lcm of its entries'
+    denominators d; the d of a normal-form (a + b*i)/d is the lcm of its
+    two parts' denominators.  Scaling a row changes neither the rank, the
+    kernel nor the pivot positions.
     """
     c = M.cols
     out = []
     for i in range(M.rows):
         row = M._ex[i * c : (i + 1) * c]
-        L = lcm(*(v.d for v in row))
-        out.append([(v.a * (L // v.d), v.b * (L // v.d)) for v in row])
+        s = L or lcm(*(v.d for v in row))
+        out.append([(v.a * (s // v.d), v.b * (s // v.d)) for v in row])
     return out
 
 
@@ -389,10 +393,7 @@ def _from_columns(cols, n) -> Mat:
     return Mat(n, len(cols), [col[i] for i in range(n) for col in cols], EXACT)
 
 
-def _exact_kernel(M: Mat) -> Mat:
-    rows = _gauss_int_rows(M)
-    n = M.cols
-    piv = _echelon(rows, n)
+def _free_kernel(rows, piv, n) -> Mat:
     vecs = []
     for f in sorted(set(range(n)) - set(piv)):
         # e_f minus the solution of the pivot rows against column f
@@ -400,6 +401,28 @@ def _exact_kernel(M: Mat) -> Mat:
         x[f] = GR_ONE
         vecs.append(x)
     return _from_columns(vecs, n)
+
+
+def _primitive(row):
+    """A Gaussian-integer row divided by its content; the row itself if no g > 1 divides it."""
+    g = gcd(*chain.from_iterable(row))
+    return [(a // g, b // g) for a, b in row] if g > 1 else row
+
+
+def _int_product(P, Q):
+    """Rows of P Q for Gaussian-integer rows, each divided by its content."""
+    m = len(Q[0]) if Q else 0
+    qrows = [[(j, qr, qi) for j, (qr, qi) in enumerate(row) if qr or qi] for row in Q]
+    out = []
+    for prow in P:
+        re, im = [0] * m, [0] * m
+        for (pr, pi), q in zip(prow, qrows):
+            if pr or pi:
+                for j, qr, qi in q:
+                    re[j] += pr * qr - pi * qi
+                    im[j] += pr * qi + pi * qr
+        out.append(_primitive(list(zip(re, im))))
+    return out
 
 
 def _exact_solve(A: Mat, B: Mat):
@@ -450,13 +473,46 @@ def rank(M: Mat, tol_rank: float | None = None) -> int:
 def kernel_basis(M: Mat, tol_rank: float | None = None) -> Mat:
     """Matrix whose columns are a basis of ker M (cols - rank of them).
 
-    Exact mode: each column satisfies M v = 0 with zero residual.
+    Exact mode: each column satisfies M v = 0 with zero residual; there is
+    one per free column f of M, in increasing f, with the identity at the
+    free rows and row f its last nonzero row, so it depends only on ker M.
     Float mode: residuals are below tol * ||M||.
     """
     if M.mode == EXACT:
-        return _exact_kernel(M)
+        rows = _gauss_int_rows(M)
+        return _free_kernel(rows, _echelon(rows, M.cols), M.cols)
     ns = _float_kernel(M._fl, TOL_RANK if tol_rank is None else tol_rank)
     return Mat.from_numpy(ns)
+
+
+def kernel_chain(B: Mat, room: int, tol_rank: float | None = None) -> Mat:
+    """Basis of ker B^k for square B, as ``kernel_basis`` gives it, for the
+    first k whose kernel has ``room`` columns or does not grow (the ascent);
+    with room a bound on dim ker B^d, d = dim B, that is ker B^d."""
+    if B.rows != B.cols:
+        raise ShapeError("kernel chain of a non-square matrix")
+    if B.mode == FLOAT:
+        E, P = kernel_basis(B, tol_rank), B
+        while 0 < E.cols < room:
+            P = P @ B
+            F = kernel_basis(P, tol_rank)
+            if F.cols == E.cols:
+                break
+            E = F
+        return E
+    # (L B)^k = L^k B^k for one scalar L, and a row divided by its content keeps the kernel
+    n = B.cols
+    LB = _gauss_int_rows(B, lcm(*(v.d for v in B._ex)))
+    P, rows = LB, [_primitive(row[:]) for row in LB]
+    piv = _echelon(rows, n)
+    while 0 < n - len(piv) < room:
+        P = _int_product(P, LB)
+        nxt = [row[:] for row in P]
+        npiv = _echelon(nxt, n)
+        if len(npiv) == len(piv):
+            break
+        rows, piv = nxt, npiv
+    return _free_kernel(rows, piv, n)
 
 
 def solve(A: Mat, B: Mat, tol: float | None = None):

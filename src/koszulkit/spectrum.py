@@ -15,10 +15,11 @@ cover the space; they form a direct sum, so later candidates have none.
 If they never cover it, DeflationFailure is raised.  Float mode tries
 every cluster, so that over-coverage raises it too.
 
-Each generalized eigenspace ker (A - lam I)^d is the kernel chain
-ker B c ker B^2 c ... of B = A - lam I stopped at its ascent (the first
-power whose kernel does not grow) or once the kernel fills the dimensions
-left, so a spurious candidate costs one elimination.
+Each generalized eigenspace ker (A - lam I)^d is ``linalg.kernel_chain``
+of B = A - lam I: the chain ker B c ker B^2 c ... stopped at its ascent
+(the first power whose kernel does not grow) or once the kernel fills the
+dimensions left, so a spurious candidate costs one elimination.  Exact
+operators are compressed onto it by reading rows, without elimination.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import DeflationFailure, PreconditionError
 from .koszul import CommutingTuple, cohomology, validate_tuple
-from .linalg import Mat, kernel_basis, solve
+from .linalg import Mat, kernel_chain, solve
 from .polymap import PolyMap
 from .scalars import EXACT, FLOAT, GaussianRational, as_scalar
 
@@ -111,10 +112,19 @@ def _float_eig_clusters(A: Mat, tol: float):
 
 
 def _compress(mats, E: Mat, tol=None):
-    """Coordinates of each operator restricted to the invariant span of E."""
+    """Coordinates of each operator restricted to the invariant span of E.
+    An exact E is a ``kernel_basis``, the identity at its free rows (the last
+    nonzero row of each column): C is those rows of M E, if E C == M E."""
+    e = E.cols
+    free = [max(i for i in range(E.rows) if E.at(i, j)) for j in range(e)] if E.mode == EXACT else None
     out = []
     for M in mats:
-        C = solve(E, M @ E, tol)
+        ME = M @ E
+        if free is None:
+            C = solve(E, ME, tol)
+        else:
+            C = Mat(e, e, [ME.at(f, j) for f in free for j in range(e)], EXACT)
+            C = C if E @ C == ME else None
         if C is None:
             raise DeflationFailure(
                 "subspace expected to be invariant was not; eigenspace "
@@ -125,21 +135,10 @@ def _compress(mats, E: Mat, tol=None):
 
 
 def _generalized_eigenspace(A: Mat, lam, tol=None, room=None) -> Mat:
-    """Basis of ker B^d, B = A - lam I and d = dim A, from the kernel
-    chain of B stopped at its ascent or once the kernel fills ``room``
+    """Basis of ker B^d, B = A - lam I and d = dim A, given ``room``
     (default d), a bound on dim ker B^d; in exact mode the same matrix as
-    ``kernel_basis(mat_power(B, d))``, as that basis depends only on the
-    kernel."""
-    room = A.rows if room is None else room
-    B = A.minus_scalar(lam)
-    E, P = kernel_basis(B, tol), B
-    while 0 < E.cols < room:
-        P = P @ B
-        F = kernel_basis(P, tol)
-        if F.cols == E.cols:
-            break
-        E = F
-    return E
+    ``kernel_basis(mat_power(B, d))``."""
+    return kernel_chain(A.minus_scalar(lam), A.rows if room is None else room, tol)
 
 
 def _joint_points(mats, dim: int, mode: str):

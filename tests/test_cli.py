@@ -717,9 +717,11 @@ def _with_first_entry(entry):
         ("cohomology", _with_first_entry(["1/x", "0"])),
         ("cohomology", _with_first_entry([float("nan"), "0"])),
         ("cohomology", _with_first_entry(["0", True])),
+        # True == 1, so a parse memo keyed on values would let it through
+        ("cohomology", {"matrices": [{"rows": 2, "cols": 2, "entries": [["1", "0"], [1, "0"], "1", [True, "0"]]}]}),
         ("index", {"diagonals": [{"offset": 1, "period": [["3/0", "0"]]}]}),
     ],
-    ids=["non-rational", "nan", "bool", "zero-denominator"],
+    ids=["non-rational", "nan", "bool", "bool-after-ones", "zero-denominator"],
 )
 def test_malformed_exact_scalars_are_format_errors(tmp_path, capsys, command, obj):
     assert main([command, "--input", write(tmp_path, "in.json", obj)]) == 2

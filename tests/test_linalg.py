@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koszulkit.linalg as linalg_module
 from koszulkit.errors import ShapeError
 from koszulkit.linalg import (
     Mat,
     independent_columns,
     kernel_basis,
+    kernel_chain,
     mat_hstack,
     mat_power,
     rank,
@@ -19,6 +21,7 @@ from koszulkit.linalg import (
 from koszulkit.scalars import EXACT, GaussianRational
 
 from oracles import oracle_rank
+from randgen import get_rng, random_unimodular
 
 
 @st.composite
@@ -169,3 +172,74 @@ def test_solve_float():
 def test_nilpotent_power_vanishes():
     N = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert mat_power(N, 3).is_zero()
+
+
+# -- kernel chains --------------------------------------------------------------
+
+
+DENOMS = (1, 3, 7, 999_983, 10**6)
+
+
+def _gr(rng):
+    part = lambda: Fraction(rng.randint(-9, 9), rng.choice(DENOMS))
+    return GaussianRational(part(), part())
+
+
+def _chain_matrix(seed, d, blocks):
+    """S J S^-1 with complex entries of mixed denominators up to 10**6: J has
+    nilpotent Jordan-like blocks of the given sizes at 0 (nonzero entries
+    above the diagonal), then nonzero eigenvalues on the rest."""
+    rng = get_rng(seed)
+    J = [[GaussianRational(0)] * d for _ in range(d)]
+    start = 0
+    for k in blocks:
+        for i in range(start, start + k - 1):
+            J[i][i + 1] = _gr(rng) or GaussianRational(1)
+        start += k
+    for i in range(start, d):
+        J[i][i] = _gr(rng) or GaussianRational(1, 1)
+    S = random_unimodular(rng, d) @ Mat.from_rows(
+        [[(_gr(rng) or 1) if i == j else 0 for j in range(d)] for i in range(d)]
+    )
+    return S @ Mat.from_rows(J) @ solve(S, Mat.identity(d))
+
+
+CHAIN_CASES = [(0, 1, ()), (1, 3, (3,)), (2, 4, (2, 1)), (3, 5, (3,)), (4, 5, (2, 2)), (5, 6, (4, 1)), (6, 4, ())]
+
+
+@pytest.mark.parametrize("seed, d, blocks", CHAIN_CASES)
+def test_exact_kernel_chain_is_the_kernel_of_a_power(seed, d, blocks):
+    B = _chain_matrix(seed, d, blocks)
+    assert max(v.d for i in range(d) for j in range(d) for v in [B.at(i, j)]) > 10**4
+    powers = [kernel_basis(mat_power(B, k)) for k in range(1, d + 2)]
+    assert powers[-1].cols == sum(blocks)
+    assert kernel_chain(B, d) == powers[-1]
+    for room in range(d + 1):
+        # the first power whose kernel fills room, is {0} or stops growing
+        k = 0
+        while 0 < powers[k].cols < room and powers[k + 1].cols > powers[k].cols:
+            k += 1
+        assert kernel_chain(B, room) == powers[k]
+
+
+def test_exact_kernel_chain_multiplies_no_scalar_and_back_substitutes_once(monkeypatch):
+    B = _chain_matrix(3, 5, (3,))
+    muls, kernels = [], []
+    real_mul, real_kernel = GaussianRational.__mul__, linalg_module._free_kernel
+
+    def counted_mul(a, b):
+        muls.append(1)
+        return real_mul(a, b)
+
+    def counted_kernel(rows, piv, n):
+        kernels.append(n - len(piv))
+        return real_kernel(rows, piv, n)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counted_mul)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counted_mul)
+    monkeypatch.setattr(linalg_module, "_free_kernel", counted_kernel)
+    assert GaussianRational(2) * 3 and muls == [1], "the counter must see scalar products"
+    muls.clear()
+    E = kernel_chain(B, 5)
+    # ker B, ker B^2, ker B^3 and ker B^4 were eliminated; only ker B^3 is built
+    assert E.cols == 3 and muls == [] and kernels == [3]

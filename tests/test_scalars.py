@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from koszulkit.errors import FormatError
-from koszulkit.jsonio import parse_scalar, scalar_to_json
+from koszulkit.jsonio import mat_from_json, parse_scalar, scalar_to_json
 from koszulkit.scalars import EXACT, GaussianRational, as_scalar
 
 from oracles import pair_div, pair_mul
@@ -221,6 +221,12 @@ def test_huge_decimal_exponents_are_refused_quickly(text):
     assert parse_scalar([f"1e{limit}", f"1e-{limit}"], EXACT) == GaussianRational(
         10**limit, Fraction(1, 10**limit)
     )
+
+
+def test_repeated_matrix_entries_parse_to_equal_values():
+    entries = [["1/3", "-2"], ["0", "0"], ["1/3", "-2"], ["0", "0"], "1/3", ["2/6", "-2"]]
+    M = mat_from_json({"rows": 2, "cols": 3, "entries": entries})
+    assert [M.at(i, j) for i in range(2) for j in range(3)] == [parse_scalar(e, EXACT) for e in entries]
 
 
 @given(_pairs)

@@ -10,8 +10,10 @@ from koszulkit.koszul import validate_tuple
 from koszulkit.linalg import Mat, kernel_basis, mat_power, solve
 from koszulkit.polymap import Polynomial, PolyMap
 from koszulkit.scalars import EXACT, GaussianRational
+import koszulkit.linalg as linalg_module
 import koszulkit.spectrum as spectrum_module
 from koszulkit.spectrum import (
+    _compress,
     _exact_eig_candidates,
     _generalized_eigenspace,
     _snap_rational,
@@ -181,17 +183,28 @@ def _count_square_products(monkeypatch):
     return calls
 
 
+def _count_chain_products(monkeypatch):
+    # the exact chain multiplies Gaussian-integer rows, not Mats
+    calls = []
+    real = linalg_module._int_product
+
+    def counted(P, Q):
+        calls.append(len(P))
+        return real(P, Q)
+
+    monkeypatch.setattr(linalg_module, "_int_product", counted)
+    return calls
+
+
 def test_spurious_candidate_costs_no_product(monkeypatch):
     A = _conjugated(_jordan_plus(5, 3, MU))
-    calls = _count_square_products(monkeypatch)
+    calls = _count_chain_products(monkeypatch)
     E = _generalized_eigenspace(A, GaussianRational(7, 2))
     assert E.cols == 0 and E.rows == 5
     assert calls == []
 
 
 def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
-    # the first operator is never scalar, so every square product is a
-    # chain product: the compressions multiply by a basis with fewer columns
     half, third = GaussianRational(-1, 2), GaussianRational(1, 3)
     T = validate_tuple(
         [_conjugated(_diag_rows(1, 1, 2, 2, half, half)), _conjugated(_diag_rows(0, 1, 0, third, 0, 2))]
@@ -205,7 +218,7 @@ def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
         return out
 
     monkeypatch.setattr(spectrum_module, "_exact_eig_candidates", recorded)
-    calls = _count_square_products(monkeypatch)
+    calls = _count_chain_products(monkeypatch)
     s = joint_spectrum(T)
     assert len(s.points) == 6 and all(p.multiplicity == 1 for p in s.points)
     assert len(candidates) == 9
@@ -234,10 +247,25 @@ def test_an_eigenspace_that_fills_the_room_left_costs_no_product(monkeypatch):
     # LAM = 1 + 3i comes first, and takes one product to confirm that its
     # 3-dim kernel is all of its eigenspace; then ker (A - 2I) fills the 2 left
     A = _conjugated(_diag_rows(LAM, 2, LAM, 2, LAM))
-    products = _count_square_products(monkeypatch)
+    products = _count_chain_products(monkeypatch)
     s = joint_spectrum(validate_tuple([A]))
     assert [(p.point, p.multiplicity) for p in s.points] == [((LAM,), 3), ((GaussianRational(2),), 2)]
     assert len(products) == 1
+
+
+def test_exact_compress_reads_the_free_rows():
+    half = GaussianRational(-1, 2)
+    A = _conjugated(_diag_rows(LAM, 2, LAM, half, LAM))
+    M = A @ A + A.scale(GaussianRational("1/7", 2))
+    for lam in (LAM, GaussianRational(2), half):
+        E = _generalized_eigenspace(A, lam)
+        assert E.cols > 0
+        assert _compress([A, M], E) == [solve(E, A @ E), solve(E, M @ E)]
+    # the eigenspace of -1/2 is not invariant under a matrix that does not commute with A
+    N = _conjugated(_jordan_plus(5, 5, MU), seed=3)
+    assert solve(E, N @ E) is None
+    with pytest.raises(DeflationFailure):
+        _compress([N], E)
 
 
 # -- candidate extraction -------------------------------------------------------
