@@ -16,6 +16,13 @@ is taken with D^(-1) and D^n read as zero maps.  On finite-dimensional
 spaces the index is always 0 (Euler characteristic); every report checks
 this and raises NotStabilized otherwise.
 
+Exact cohomology and augment_les run on V_0, the joint generalized
+eigenspace at 0: H^p(T; V) = H^p(T; V_0), as V = V_0 (+) V' is invariant
+and on each joint generalized eigenspace in V' some T_i is invertible, so
+the complex is exact there (J. L. Taylor, J. Funct. Anal. 6, 1970).  An
+invertible tuple has V_0 = 0 and builds no complex.  Float tuples are not
+localised: a generalized kernel under a relative rank tolerance is fragile.
+
 Commutation is checked in one place, the CommutingTuple constructor.
 Each block of D^(p+1) D^p is 0 or +-(T_i T_j - T_j T_i), so the chain
 identity D^(p+1) D^p = 0 holds exactly for every exact CommutingTuple,
@@ -33,8 +40,10 @@ from .linalg import (
     Mat,
     block_diag_copies,
     commutator,
+    compress,
     independent_columns,
     kernel_basis,
+    kernel_chain,
     mat_block,
     mat_hstack,
     rank,
@@ -201,9 +210,30 @@ def _boundary_maps(T: CommutingTuple):
     return D
 
 
+def _at_zero(T: CommutingTuple, n: int):
+    """Exact T compressed onto V_0, the joint generalized eigenspace at 0 of
+    its first n matrices, or None when V_0 = 0.  Each generalized kernel is
+    invariant under every matrix, which commutes with the one it is of."""
+    mats, d = T.matrices, T.d
+    if any(rank(M) == d for M in mats[:n]):
+        return None
+    for k in range(n):
+        E = kernel_chain(mats[k], d)
+        if E.cols == 0:
+            return None
+        if E.cols < d:
+            mats, d = tuple(compress(mats, E)), E.cols
+    return CommutingTuple(T.n, d, mats, T.mode, checked=T.n)
+
+
 def cohomology(T: CommutingTuple, tol_rank: float | None = None) -> CohomologyReport:
-    """Cohomology dimensions, index, and whether the tuple is invertible."""
-    return _cohomology(T, _boundary_maps(T), tol_rank)
+    """Cohomology dimensions, index, and whether the tuple is invertible.
+    An exact tuple is localised to V_0 first (module docstring); a float
+    tuple is not."""
+    L = _at_zero(T, T.n) if T.mode == EXACT else T
+    if L is None:
+        return CohomologyReport((0,) * (T.n + 1), 0, True)
+    return _cohomology(L, _boundary_maps(L), tol_rank)
 
 
 def _cohomology(T: CommutingTuple, D, tol_rank) -> CohomologyReport:
@@ -270,9 +300,17 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
     sequence: dim H^p(T,S) = dim coker(S on H^(p-1)) + dim ker(S on H^p).
     Both must agree, else NotStabilized (float rank decisions can split
     them); the report also says in which degrees the induced action is an
-    isomorphism.
+    isomorphism.  An exact (T, S) is first compressed onto V_0(T), which S
+    preserves since it commutes with T, and both ways run there; a float
+    one is not localised.
     """
     Tp = augment_tuple(T, S)
+    if T.mode == EXACT:
+        Tp = _at_zero(Tp, T.n)
+        if Tp is None:
+            zero = (0,) * (T.n + 2)
+            return LESReport(zero, zero, True, 0, zero[1:], zero[1:], (True,) * (T.n + 1), True)
+        T, S = CommutingTuple(T.n, Tp.d, Tp.matrices[:-1], T.mode, checked=T.n), Tp.matrices[-1]
     direct = _cohomology(Tp, _boundary_maps(Tp), tol_rank)
     D = _boundary_maps(T)
     base = _cohomology(T, D, tol_rank)

@@ -20,7 +20,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .errors import ModeMismatch, ShapeError
+from .errors import DeflationFailure, ModeMismatch, ShapeError
 from .scalars import EXACT, FLOAT, GR_ONE, GR_ZERO, GaussianRational, as_scalar
 
 #: default relative rank tolerance for float mode
@@ -529,6 +529,29 @@ def solve(A: Mat, B: Mat, tol: float | None = None):
     if float(np.linalg.norm(resid)) > 1e3 * t * scale:
         return None
     return Mat.from_numpy(x)
+
+
+def compress(mats, E: Mat, tol: float | None = None) -> list:
+    """The C with E C = M E for each M in ``mats``, or DeflationFailure.  An
+    exact E is a kernel basis, the identity at its free rows (the last nonzero
+    row of each column): C is those rows of M E, if E C == M E."""
+    e = E.cols
+    free = [max(i for i in range(E.rows) if E.at(i, j)) for j in range(e)] if E.mode == EXACT else None
+    out = []
+    for M in mats:
+        ME = M @ E
+        if free is None:
+            C = solve(E, ME, tol)
+        else:
+            C = Mat(e, e, [ME.at(f, j) for f in free for j in range(e)], EXACT)
+            C = C if E @ C == ME else None
+        if C is None:
+            raise DeflationFailure(
+                "subspace expected to be invariant was not; eigenspace "
+                "extraction is below the conditioning threshold"
+            )
+        out.append(C)
+    return out
 
 
 def independent_columns(M: Mat, tol_rank: float | None = None) -> list[int]:

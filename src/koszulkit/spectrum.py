@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DeflationFailure, PreconditionError
 from .koszul import CommutingTuple, cohomology, validate_tuple
-from .linalg import Mat, kernel_chain, solve
+from .linalg import Mat, compress, kernel_chain
 from .polymap import PolyMap
 from .scalars import EXACT, FLOAT, GaussianRational, as_scalar
 
@@ -111,29 +111,6 @@ def _float_eig_clusters(A: Mat, tol: float):
     return reps
 
 
-def _compress(mats, E: Mat, tol=None):
-    """Coordinates of each operator restricted to the invariant span of E.
-    An exact E is a ``kernel_basis``, the identity at its free rows (the last
-    nonzero row of each column): C is those rows of M E, if E C == M E."""
-    e = E.cols
-    free = [max(i for i in range(E.rows) if E.at(i, j)) for j in range(e)] if E.mode == EXACT else None
-    out = []
-    for M in mats:
-        ME = M @ E
-        if free is None:
-            C = solve(E, ME, tol)
-        else:
-            C = Mat(e, e, [ME.at(f, j) for f in free for j in range(e)], EXACT)
-            C = C if E @ C == ME else None
-        if C is None:
-            raise DeflationFailure(
-                "subspace expected to be invariant was not; eigenspace "
-                "extraction is below the conditioning threshold"
-            )
-        out.append(C)
-    return out
-
-
 def _generalized_eigenspace(A: Mat, lam, tol=None, room=None) -> Mat:
     """Basis of ker B^d, B = A - lam I and d = dim A, given ``room``
     (default d), a bound on dim ker B^d; in exact mode the same matrix as
@@ -162,7 +139,7 @@ def _joint_points(mats, dim: int, mode: str):
         e = E.cols
         if e == 0:
             continue
-        rest = _compress(mats[1:], E, tol)
+        rest = compress(mats[1:], E, tol)
         for tail, mult in _joint_points(rest, e, mode):
             pts.append(((lam,) + tail, mult))
         total += e

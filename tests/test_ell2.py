@@ -795,6 +795,74 @@ def test_toeplitz_index_from_coburns_shortcut_matches_the_winding_oracle(c, p, r
     assert (idx.dim_ker, idx.dim_coker) == (ker.dim, coker.dim)
 
 
+#: near-circle symbols c z^(-p) (z - r) prod_s (z - s): one zero r of modulus
+#: 0.8..0.99 (a slowly decaying cokernel vector) or 1.01..1.25 (a slowly
+#: decaying kernel vector, as for S* - aI), the others s far from the circle
+_G = GaussianRational
+_NEAR_CIRCLE = [
+    (_G(2, 1) if k % 5 == 0 else GR_ONE, p, r,
+     [] if k % 2 == 0 else [(_G(3), _G(0, "1/4"), _G(-4, 1), _G("-1/3"))[k % 4]])
+    for k, (p, r) in enumerate([
+        (0, _G("9/10")), (1, _G("-4/5")), (2, _G(0, "19/20")), (0, _G("3/5", "3/5")),
+        (1, _G("-7/8", "1/4")), (2, _G("1/2", "-3/4")), (0, _G("99/100")), (1, _G(0, "-17/20")),
+        (2, _G("-2/3", "-2/3")), (0, _G("4/5", "1/5")), (1, _G("11/10")), (2, _G("-6/5")),
+        (0, _G(0, "21/20")), (1, _G("4/5", "4/5")), (2, _G(1, "1/2")), (0, _G("-1/10", "-6/5")),
+        (1, _G("101/100")), (2, _G(-1, "-1/5")), (0, _G(0, "-6/5")), (1, _G("7/8", "-7/8")),
+    ])
+]
+#: S* - I/4, whose kernel decays fast; its index is 1
+_FAST_DECAY = {-1: 1, 0: "-1/4"}
+_NEAR_PATCH = Mat.from_rows([[1, "1/2"], [0, -1]])
+#: the members whose certified index is wrong today (ROADMAP defect 1)
+_DEFECT_1 = {
+    (0, "plain"), (0, "fast"), (0, "patched"), (1, "plain"), (1, "fast"), (1, "patched"),
+    (3, "plain"), (3, "fast"), (3, "patched"), (4, "patched"),
+    (6, "plain"), (6, "fast"), (6, "patched"), (7, "plain"), (7, "fast"), (7, "patched"),
+    (9, "plain"), (9, "fast"), (9, "patched"), (10, "plain"), (10, "fast"), (10, "patched"),
+    (11, "plain"), (11, "fast"), (14, "plain"), (14, "fast"), (14, "patched"),
+    (16, "plain"), (16, "fast"), (17, "plain"), (17, "fast"),
+}
+
+
+def test_the_near_circle_corpus_has_one_zero_near_the_circle():
+    for c, p, r, far in _NEAR_CIRCLE:
+        assert 0.8 <= abs(r.to_complex()) <= 0.99 or 1.01 <= abs(r.to_complex()) <= 1.25
+        assert all(not 1 / 3 < abs(s.to_complex()) < 3 for s in far)
+        sym = _root_symbol(c, p, [r] + far)
+        assert make_catalog_operator("toeplitz", symbol=sym).bandwidth <= 3
+
+
+@pytest.mark.parametrize(
+    "k, variant",
+    [
+        pytest.param(
+            k, v, id=f"near-{k}-{v}",
+            marks=[pytest.mark.xfail(
+                strict=True,
+                reason="defect 1: a slowly decaying kernel vector is missed and the index certified",
+            )] if (k, v) in _DEFECT_1 else [],
+        )
+        for k in range(len(_NEAR_CIRCLE))
+        for v in ("plain", "fast", "patched")
+    ],
+)
+def test_near_circle_index_is_the_winding_oracle_or_undecided(k, variant):
+    c, p, r, far = _NEAR_CIRCLE[k]
+    sym = _root_symbol(c, p, [r] + far)
+    T = make_catalog_operator("toeplitz", symbol=sym)
+    expected = -oracle_winding(sym)
+    if variant == "fast":
+        # the index of a product of Fredholm operators is the sum
+        T, expected = T * make_catalog_operator("toeplitz", symbol=_FAST_DECAY), expected + 1
+    elif variant == "patched":
+        T = BandedOperator.build(T.diagonals, patch=_NEAR_PATCH)
+    try:
+        index = fredholm_index_banded(T).index
+    except NotStabilized:
+        return
+    assert index == expected
+
+
 def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
     # S* - I/2: ker T^3 needs N = 128 and every later power starts there,
     # so the walk factors T's section once at 64 and once at 128

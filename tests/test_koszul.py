@@ -18,11 +18,17 @@ from koszulkit.koszul import (
     koszul_differential,
     validate_tuple,
 )
-from koszulkit.linalg import Mat
+from koszulkit.linalg import Mat, solve
 from koszulkit.scalars import EXACT, GaussianRational
 
 from oracles import oracle_rank
-from randgen import get_rng, random_commuting_tuple, random_exact_matrix, random_poly_in
+from randgen import (
+    get_rng,
+    random_commuting_tuple,
+    random_exact_matrix,
+    random_poly_in,
+    random_unimodular,
+)
 
 N2 = Mat.from_rows([[0, 1], [0, 0]])
 
@@ -341,3 +347,154 @@ def test_float_les_matches_exact_on_c04_like_corpus():
         assert fl.dims_direct == exact.dims_direct
         assert fl.base_dims == exact.base_dims
         assert fl.iso_by_degree == exact.iso_by_degree
+
+
+# -- localisation to the joint generalized eigenspace at 0 ------------------
+
+
+def _oracle_dims(T):
+    """Cohomology dims of T by ``oracle_rank`` on its full Koszul complex."""
+    ranks = [0] + [oracle_rank(D) for D in koszul_complex(T).differentials] + [0]
+    return tuple(T.d * comb(T.n, p) - ranks[p + 1] - ranks[p] for p in range(T.n + 1))
+
+
+def _assert_localised_les_matches_the_full_space(T, S):
+    rep = augment_les(T, S)
+    full = _oracle_dims(augment_tuple(T, S))
+    assert rep.dims_direct == rep.dims_sequence == full
+    assert rep.base_dims == cohomology(T).dims == _oracle_dims(T)
+    ranks = tuple(oracle_rank(induced_map(S, T, p)) for p in range(T.n + 1))
+    assert rep.induced_ranks == ranks
+    assert rep.iso_by_degree == tuple(r == b for r, b in zip(ranks, rep.base_dims))
+    return rep
+
+
+def _similar(blocks, seed):
+    """P (block diagonal of ``blocks``) P^-1 for a unimodular P."""
+    d = sum(len(b) for b in blocks)
+    rows, at = [[0] * d for _ in range(d)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    P = random_unimodular(get_rng(seed), d)
+    return P @ Mat.from_rows(rows) @ solve(P, Mat.identity(d))
+
+
+def _jordan(lam, k):
+    return [[lam if i == j else (1 if j == i + 1 else 0) for j in range(k)] for i in range(k)]
+
+
+def test_localised_dims_match_the_full_complex_on_the_c04_corpus():
+    rng = get_rng(17)
+    nonzero = 0
+    for _ in range(40):
+        T, S = _c04_like_pair(rng)
+        rep = _assert_localised_les_matches_the_full_space(T, S)
+        nonzero += any(rep.base_dims)
+    assert nonzero >= 3
+
+
+def test_localised_dims_match_the_full_complex_on_nilpotent_tuples():
+    # V_0 is the whole space.  Polynomials without constant term in one
+    # conjugated nilpotent matrix, and conjugated square-zero tuples
+    # e_1 u_i^T (u_i(1) = 0), whose products all vanish; on the latter the
+    # cohomology on ker T_1 differs from that on V, e.g. (E_12, E_13) has
+    # dims (1, 3, 2) on C^3 but (1, 2, 1) on ker E_12
+    rng = get_rng(19)
+    for seed in range(8):
+        d = rng.randint(2, 5)
+        N = _similar([[[rng.randint(-2, 2) if j > i else 0 for j in range(d)] for i in range(d)]], seed)
+        mats = [random_poly_in(rng, N) @ N for _ in range(rng.randint(1, 3))]
+        T = validate_tuple(mats)
+        assert any(cohomology(T).dims)
+        _assert_localised_les_matches_the_full_space(T, random_poly_in(rng, N))
+    E = [_similar([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]], 4), _similar([[[0, 0, 1], [0, 0, 0], [0, 0, 0]]], 4)]
+    assert cohomology(validate_tuple(E)).dims == (1, 3, 2)
+    for seed in range(8):
+        d, n = rng.randint(3, 5), rng.randint(2, 3)
+        rows = [[[0] + [rng.randint(-2, 2) for _ in range(d - 1)]] + [[0] * d] * (d - 1) for _ in range(n + 1)]
+        mats = [_similar([r], seed) for r in rows]
+        _assert_localised_les_matches_the_full_space(validate_tuple(mats[:-1]), mats[-1])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [_jordan(0, 3)],
+        [_jordan(0, 2), _jordan("1/2", 2)],
+        [_jordan(0, 2), _jordan(0, 1), _jordan(-3, 2)],
+        [_jordan("2/3", 3), _jordan(0, 1)],
+        [_jordan(1, 2), _jordan(-1, 2)],
+    ],
+)
+def test_localised_dims_match_the_full_complex_on_conjugated_jordan_tuples(blocks):
+    rng = get_rng(23)
+    A = _similar(blocks, 5)
+    for n in (1, 2, 3):
+        T = validate_tuple([A] + [random_poly_in(rng, A) @ A for _ in range(n - 1)])
+        _assert_localised_les_matches_the_full_space(T, random_poly_in(rng, A))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (0, 1), (1, 0), (2, -1)],
+        [(0, 0), (0, 0), (0, "1/2"), ("-1/3", 0)],
+        [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1), (0, 0, 0)],
+    ],
+)
+def test_localised_dims_match_the_full_complex_with_several_joint_eigenvalues(points):
+    # conjugated diagonal tuples whose joint eigenvalues include 0 once or twice
+    d, n = len(points), len(points[0])
+    mats = [_similar([[[pt[i]]] for pt in points], 7) for i in range(n)]
+    T = validate_tuple(mats)
+    zeros = sum(all(GaussianRational(x).is_zero() for x in pt) for pt in points)
+    assert cohomology(T).dims == tuple(zeros * comb(n, p) for p in range(n + 1))
+    for S in (mats[0], Mat.identity(d), Mat.zeros(d, d)):
+        _assert_localised_les_matches_the_full_space(T, S)
+
+
+def test_an_augmentation_invertible_on_v0_only_closes_the_sequence():
+    # S is I + N on V_0(T) = the Jordan block at 0, and 0 on T's other
+    # eigenspaces: singular on V, yet (T, S) is invertible
+    T = validate_tuple([_similar([_jordan(0, 2), _jordan(1, 1), _jordan(2, 1)], 9)])
+    S = _similar([[[1, 1], [0, 1]], [[0]], [[0]]], 9)
+    assert oracle_rank(S) == 2
+    rep = _assert_localised_les_matches_the_full_space(T, S)
+    assert rep.dims_direct == (0, 0, 0) and rep.base_dims == (1, 1)
+    assert rep.all_iso
+
+
+def test_an_invertible_exact_tuple_builds_no_differential(monkeypatch):
+    import koszulkit.koszul as kz
+
+    calls = []
+    real = kz.koszul_differential
+    monkeypatch.setattr(kz, "koszul_differential", lambda T, p: calls.append(p) or real(T, p))
+    T = validate_tuple([N2, N2 + Mat.identity(2)])
+    assert cohomology(T).dims == (0, 0, 0)
+    assert augment_les(T, N2).dims_direct == (0, 0, 0, 0)
+    # augment_les localises to V_0 of T alone, where S = I + N2 is invertible
+    assert augment_les(validate_tuple([N2]), N2 + Mat.identity(2)).dims_direct == (0, 0, 0)
+    assert calls == [0, 1, 0]
+    calls.clear()
+    assert cohomology(validate_tuple([N2, Mat.zeros(2, 2)])).dims == (1, 2, 1)
+    assert calls == [0, 1]
+
+
+def test_a_float_tuple_is_not_localised(monkeypatch):
+    import koszulkit.koszul as kz
+
+    calls = []
+    real = kz.kernel_chain
+    monkeypatch.setattr(kz, "kernel_chain", lambda *a: calls.append(1) or real(*a))
+    exact = [_similar([_jordan(0, 2), _jordan(3, 1)], 2)]
+    T, S = validate_tuple(exact), exact[0] @ exact[0]
+    Tf = validate_tuple([Mat.from_numpy(M.to_numpy()) for M in T.matrices])
+    Sf = Mat.from_numpy(S.to_numpy())
+    assert cohomology(Tf).dims == (1, 1)
+    assert augment_les(Tf, Sf).dims_direct == (1, 2, 1)
+    assert calls == []
+    assert cohomology(T).dims == (1, 1)
+    assert calls == [1]

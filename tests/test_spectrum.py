@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from koszulkit.errors import DeflationFailure, PreconditionError
 from koszulkit.koszul import validate_tuple
-from koszulkit.linalg import Mat, kernel_basis, mat_power, solve
+from koszulkit.linalg import Mat, compress, kernel_basis, mat_power, solve
 from koszulkit.polymap import Polynomial, PolyMap
 from koszulkit.scalars import EXACT, GaussianRational
 import koszulkit.linalg as linalg_module
 import koszulkit.spectrum as spectrum_module
 from koszulkit.spectrum import (
-    _compress,
     _exact_eig_candidates,
     _generalized_eigenspace,
     _snap_rational,
@@ -260,12 +259,17 @@ def test_exact_compress_reads_the_free_rows():
     for lam in (LAM, GaussianRational(2), half):
         E = _generalized_eigenspace(A, lam)
         assert E.cols > 0
-        assert _compress([A, M], E) == [solve(E, A @ E), solve(E, M @ E)]
+        assert compress([A, M], E) == [solve(E, A @ E), solve(E, M @ E)]
     # the eigenspace of -1/2 is not invariant under a matrix that does not commute with A
     N = _conjugated(_jordan_plus(5, 5, MU), seed=3)
     assert solve(E, N @ E) is None
     with pytest.raises(DeflationFailure):
-        _compress([N], E)
+        compress([N], E)
+    # a float E is solved for, within the tolerance
+    Af, Mf = (Mat.from_numpy(X.to_numpy()) for X in (A, M))
+    Ef = _generalized_eigenspace(Af, LAM.to_complex(), 1e-8)
+    assert Ef.cols == 3
+    assert compress([Af, Mf], Ef, 1e-8) == [solve(Ef, Af @ Ef, 1e-8), solve(Ef, Mf @ Ef, 1e-8)]
 
 
 # -- candidate extraction -------------------------------------------------------
