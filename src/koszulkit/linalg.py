@@ -425,6 +425,123 @@ def _int_product(P, Q):
     return out
 
 
+# -- polynomials over Z[i]: lists of (re, im) int pairs, highest degree first
+
+
+def _dot(x, y):
+    """sum x_j y_j over Gaussian-integer pairs."""
+    re = im = 0
+    for (a, b), (c, e) in zip(x, y):
+        re += a * c - b * e
+        im += a * e + b * c
+    return re, im
+
+
+def _charpoly(rows):
+    """det(zI - M) for Gaussian-integer rows by Berkowitz's division-free
+    recursion (IPL 18, 1984): for a trailing block [[a, R], [C, A]], the lower
+    triangular Toeplitz matrix of (1, -a, -RC, -RAC, ...) times det(zI - A)."""
+    n = len(rows)
+    p = [(1, 0)]
+    for k in range(n - 1, -1, -1):
+        R, A, v = rows[k][k + 1 :], [row[k + 1 :] for row in rows[k + 1 :]], [row[k] for row in rows[k + 1 :]]
+        t = [(1, 0), (-rows[k][k][0], -rows[k][k][1])]
+        for j in range(n - k - 1):
+            v = [_dot(row, v) for row in A] if j else v
+            re, im = _dot(R, v)
+            t.append((-re, -im))
+        p = [_dot(t[i::-1], p) for i in range(n - k + 1)]
+    return p
+
+
+def _pdivmod(a, b):
+    """Pseudo-division: (q, r) with lc(b)^(len(a) - len(b) + 1) a = q b + r,
+    r shorter than b and without leading zeros; for monic b, a = q b + r."""
+    (lr, li), q, r = b[0], [], list(a)
+    tail = b[1:] + [(0, 0)] * (len(a) - len(b))
+    while len(r) >= len(b):
+        (cr, ci), r = r[0], r[1:]
+        q = [(lr * x - li * y, lr * y + li * x) for x, y in q] + [(cr, ci)]
+        r = [(lr * x - li * y - cr * u + ci * v, lr * y + li * x - cr * v - ci * u) for (x, y), (u, v) in zip(r, tail)]
+    while r and r[0] == (0, 0):
+        r = r[1:]
+    return q, r
+
+
+def _horner(p, mu):
+    """(q, p(mu)) with p = (z - mu) q + p(mu): ``_pdivmod`` by z - mu, fast."""
+    mr, mi = mu
+    out = [p[0]]
+    for cr, ci in p[1:]:
+        xr, xi = out[-1]
+        out.append((cr + xr * mr - xi * mi, ci + xr * mi + xi * mr))
+    return out[:-1], out[-1]
+
+
+def _squarefree(p):
+    """p / gcd(p, p') for monic p in Z[i][z], with p's roots once each.  The
+    gcd ends the pseudo-remainder sequence, each remainder divided by its
+    integer content; its monic multiple is in Z[i][z], as p's roots are
+    algebraic integers, so its leading coefficient divides it exactly."""
+    a, b = p, [(x * j, y * j) for j, (x, y) in zip(range(len(p) - 1, 0, -1), p)]
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    c, e = a[0]
+    n = c * c + e * e
+    return _pdivmod(p, [((x * c + y * e) // n, (y * c - x * e) // n) for x, y in a])[0]
+
+
+def _rounded_roots(s):
+    """The roots of monic s in Z[i][z] rounded to Gaussian integers, from the
+    float roots of s(w + c), c the Gaussian integer nearest their mean."""
+    k = len(s) - 1
+    c = tuple((k - 2 * x) // (2 * k) for x in s[1])
+    if k == 1:
+        return [c]
+    q, shifted = s, []
+    while len(q) > 1:
+        q, r = _horner(q, c)
+        shifted.insert(0, r)
+    try:
+        roots = np.roots([complex(*x) for x in q + shifted])
+    except OverflowError:  # coefficients beyond the float range
+        return []
+    return [(c[0] + round(z.real), c[1] + round(z.imag)) for z in roots if np.isfinite(z)]
+
+
+def gaussian_eigenvalues(A: Mat) -> list:
+    """Pairs (lam, m): each eigenvalue lam of exact square A that lies in
+    Q(i), once, with its algebraic multiplicity m.
+
+    p(z) = det(zI - LA), L the lcm of A's denominators, is monic in Z[i][z],
+    so its roots in Q(i) are Gaussian integers mu = L lam: rounded float
+    roots of its square-free part s (again for those left, while that finds
+    more), kept if p(mu) = 0 exactly, m the exact divisions of p by z - mu.
+    The m never overcount; they fall short of dim A exactly when some
+    eigenvalue is not in Q(i) or its float root did not round to it.
+    """
+    if A.rows != A.cols:
+        raise ShapeError("eigenvalues of a non-square matrix")
+    L = lcm(*(v.d for v in A._ex))
+    p = _charpoly(_gauss_int_rows(A, L))
+    s, out = _squarefree(p), []
+    while len(s) > 1:
+        found = len(out)
+        for mu in _rounded_roots(s):
+            m = 0
+            while len(p) > 1:
+                q, r = _horner(p, mu)
+                if r != (0, 0):
+                    break
+                p, m = q, m + 1
+            if m:
+                s = _horner(s, mu)[0]
+                out.append((GaussianRational.from_ints(mu[0], mu[1], L), m))
+        if len(out) == found:
+            break
+    return out
+
+
 def _exact_solve(A: Mat, B: Mat):
     """Solve A X = B exactly by eliminating [A | B]; None if inconsistent.
     Free variables are 0."""

@@ -7,19 +7,19 @@ operators onto each invariant subspace, and recurse.  Points are ordered
 by (real part, imaginary part), and their multiplicities always sum to
 the space dimension.
 
-Exact mode requires the eigenvalues to be Gaussian rationals: candidate
-values are extracted in floating point, snapped in integers to rationals
-with denominator at most SNAP_DENOMINATOR, and verified exactly, simplest
-(smallest denominator) first, until the verified generalized eigenspaces
-cover the space; they form a direct sum, so later candidates have none.
-If they never cover it, DeflationFailure is raised.  Float mode tries
-every cluster, so that over-coverage raises it too.
+Exact eigenvalues are the Gaussian-integer roots of det(zI - LA), L the
+lcm of A's denominators, divided by L and verified exactly with their
+multiplicities (``linalg.gaussian_eigenvalues``): no denominator cap, no
+tolerance.  If the multiplicities fall short of the dimension, some
+eigenvalue is not Gaussian rational or its float root did not round to
+it, and DeflationFailure is raised.  Float mode tries every eigenvalue
+cluster, so that over-coverage raises it too.
 
 Each generalized eigenspace ker (A - lam I)^d is ``linalg.kernel_chain``
-of B = A - lam I: the chain ker B c ker B^2 c ... stopped at its ascent
-(the first power whose kernel does not grow) or once the kernel fills the
-dimensions left, so a spurious candidate costs one elimination.  Exact
-operators are compressed onto it by reading rows, without elimination.
+of B = A - lam I, stopped once the kernel fills lam's multiplicity (exact
+mode; at the first kernel when lam is semisimple) or at its ascent.
+Exact mode runs it only to compress the other operators onto it, by
+reading rows: not for the last operator, nor for a lone eigenvalue.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ import numpy as np
 
 from .errors import DeflationFailure, PreconditionError
 from .koszul import CommutingTuple, cohomology, validate_tuple
-from .linalg import Mat, compress, kernel_chain
+from .linalg import Mat, compress, gaussian_eigenvalues, kernel_chain
 from .polymap import PolyMap
-from .scalars import EXACT, FLOAT, GaussianRational, as_scalar
+from .scalars import EXACT, FLOAT, as_scalar
 
 #: float-mode eigenspace extraction threshold
 DEFLATION_TOL = 1e-8
-
-#: denominator cap when snapping float eigenvalues to rationals
-SNAP_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,42 +63,6 @@ def _sort_key(z) -> tuple:
     return (c.real, c.imag)
 
 
-def _snap_rational(x: float) -> tuple:
-    """(p, q) with p/q = ``Fraction(x).limit_denominator(SNAP_DENOMINATOR)``,
-    tie rule included, from the continued fraction of x in integers."""
-    n, d = x.as_integer_ratio()
-    if d <= SNAP_DENOMINATOR:
-        return n, d
-    p0, q0, p1, q1, num, den = 0, 1, 1, 0, n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > SNAP_DENOMINATOR:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (SNAP_DENOMINATOR - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |p2/q2 - n/d|, cross-multiplied
-    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
-def _exact_eig_candidates(A: Mat):
-    """Gaussian-rational candidates for the eigenvalues of A, each once,
-    simplest first: by denominator, then real and imaginary part."""
-    if A.rows == 0:
-        return []
-    cands = {}
-    for z in np.linalg.eigvals(A.to_numpy()):
-        p, q = _snap_rational(float(z.real))
-        r, s = _snap_rational(float(z.imag))
-        lam = GaussianRational.from_ints(p * s, r * q, q * s)
-        cands.setdefault((lam.a, lam.b, lam.d), lam)
-    return sorted(cands.values(), key=lambda lam: (lam.d, _sort_key(lam)))
-
-
 def _float_eig_clusters(A: Mat, tol: float):
     vals = sorted(np.linalg.eigvals(A.to_numpy()), key=lambda z: (z.real, z.imag))
     reps = []
@@ -121,36 +82,37 @@ def _generalized_eigenspace(A: Mat, lam, tol=None, room=None) -> Mat:
 def _joint_points(mats, dim: int, mode: str):
     if not mats:
         return [((), dim)]
-    A = mats[0]
+    A, rest = mats[0], mats[1:]
     if mode == EXACT:
-        cands = _exact_eig_candidates(A)
+        tol, eigs = None, gaussian_eigenvalues(A)
+        covered = sum(m for _, m in eigs)
+        if covered < dim:
+            raise DeflationFailure(
+                f"exact eigenvalues cover {covered} of {dim} dimensions; the others are "
+                "not Gaussian rational, or their float roots did not round to them"
+            )
     else:
-        cands = _float_eig_clusters(A, DEFLATION_TOL * max(A.max_abs(), 1.0))
-    tol = DEFLATION_TOL if mode == FLOAT else None
-    pts = []
-    total = 0
-    for lam in cands:
-        # exact generalized eigenspaces form a direct sum: this one has
-        # at most dim - total dimensions, and none once that is 0
-        room = dim - total if mode == EXACT else dim
-        if room == 0:
-            break
-        E = _generalized_eigenspace(A, lam, tol, room)
-        e = E.cols
-        if e == 0:
-            continue
-        rest = compress(mats[1:], E, tol)
-        for tail, mult in _joint_points(rest, e, mode):
+        tol = DEFLATION_TOL
+        eigs = [(lam, dim) for lam in _float_eig_clusters(A, tol * max(A.max_abs(), 1.0))]
+    pts, total = [], 0
+    for lam, room in eigs:
+        if mode == EXACT and (room == dim or not rest):
+            # an exact generalized eigenspace has dimension room; its basis
+            # is needed only to compress the rest, and is I when room = dim
+            e, comp = room, rest
+        else:
+            E = _generalized_eigenspace(A, lam, tol, room)
+            e = E.cols
+            if e == 0:
+                continue
+            comp = compress(rest, E, tol)
+        for tail, mult in _joint_points(comp, e, mode):
             pts.append(((lam,) + tail, mult))
         total += e
     if total != dim:
         raise DeflationFailure(
-            f"joint eigenvalue extraction covered {total} of {dim} dimensions"
-            + (
-                "; eigenvalues are not Gaussian rational within the snap bound"
-                if mode == EXACT
-                else "; eigenspace conditioning below threshold"
-            )
+            f"joint eigenvalue extraction covered {total} of {dim} dimensions; "
+            "eigenspace conditioning below threshold"
         )
     return pts
 
@@ -169,10 +131,11 @@ def joint_spectrum(T: CommutingTuple) -> JointSpectrum:
 
 
 def apply_poly_map(f: PolyMap, T: CommutingTuple) -> CommutingTuple:
-    """The tuple (f_1(T), ..., f_m(T)); commutes by construction."""
+    """The tuple (f_1(T), ..., f_m(T)).  Polynomials in one exact commuting
+    tuple commute exactly, so only a float one is checked again."""
     cache = {}
-    mats = [c.eval_matrices(list(T.matrices), cache) for c in f.components]
-    return validate_tuple(mats)
+    mats = tuple(c.eval_matrices(list(T.matrices), cache) for c in f.components)
+    return CommutingTuple(len(mats), T.d, mats, T.mode, checked=len(mats) if T.mode == EXACT else 0)
 
 
 def _match_sets(left, right, tol: float) -> bool:

@@ -3,13 +3,16 @@
 These deliberately share no code with the package internals: the rank
 oracle is a plain textbook row echelon (first nonzero pivot, row
 operations only) over pairs of ``Fraction``s, not over the package's
-Gaussian rationals, the winding oracle integrates the argument of a
-symbol around the unit circle by sampling, and the section oracle reads
-a banded operator entry by entry into a dense matrix.
+Gaussian rationals, the characteristic polynomial oracle expands
+det(zI - M) by cofactors over the same pairs, the winding oracle
+integrates the argument of a symbol around the unit circle by sampling,
+and the section oracle reads a banded operator entry by entry into a
+dense matrix.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,3 +101,45 @@ def oracle_section_kernel(T, N: int, G: int) -> np.ndarray:
     _, gs, gvh = np.linalg.svd(null[N - G :, :])
     vecs = null @ gvh[int(np.sum(gs > 1e-12)) :].conj().T
     return np.linalg.qr(vecs[: N - G, :])[0]
+
+
+def oracle_charpoly(M: Mat) -> list:
+    """det(zI - M) as (re, im) Fraction pairs, highest degree first, by
+    cofactor expansion along the first row of zI - M, whose entries are
+    polynomials in z (lists of pairs, lowest degree first)."""
+    zero = (Fraction(0), Fraction(0))
+
+    def padd(p, q):
+        n = max(len(p), len(q))
+        p, q = p + [zero] * (n - len(p)), q + [zero] * (n - len(q))
+        return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(p, q)]
+
+    def pmul(p, q):
+        out = [zero] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                c = pair_mul(a, b)
+                out[i + j] = (out[i + j][0] + c[0], out[i + j][1] + c[1])
+        return out
+
+    def det(rows):
+        if not rows:
+            return [(Fraction(1), Fraction(0))]
+        total = [zero]
+        for j, entry in enumerate(rows[0]):
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            term = pmul(entry, det(minor))
+            if j % 2:
+                term = [(-a, -b) for a, b in term]
+            total = padd(total, term)
+        return total
+
+    n = M.rows
+    rows = [
+        [
+            [(-M.at(i, j).re, -M.at(i, j).im)] + ([(Fraction(1), Fraction(0))] if i == j else [])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return det(rows)[: n + 1][::-1]

@@ -904,9 +904,9 @@ def _conjugated_tuple(seed, *mats):
 
 _THIRD, _I = GaussianRational("1/3"), GaussianRational(0, 1)
 
-#: spectrum inputs: repeated eigenvalues, complex eigenvalues, a 6-dim
-#: Jordan block whose float eigenvalues snap back to 1/3, and a 3-dim one
-#: whose do not (ROADMAP defect 2: DeflationFailure, exit 3)
+#: spectrum inputs: repeated eigenvalues, complex eigenvalues, and 6-dim
+#: and 3-dim Jordan blocks at 1/3, whose float eigenvalues spread by up to
+#: about 3e-3 around it
 SPECTRUM_CORPUS = {
     "repeated": lambda: _conjugated_tuple(
         3, _diag("1/2", "1/2", -3, -3, 2), _diag(0, 1, 0, 0, 5)
@@ -928,9 +928,8 @@ SPECTRUM_DIGESTS = {
     ("complex", True): (0, "c8f5163d21fd934f68c97d8131d35287933ecea427657ecb1ceeb6d8738ed94e"),
     ("jordan-6", False): (0, "d0ed355eebea6cee7f516009acee6422b047c47dc3b36c1629cfa09fa1e3aa25"),
     ("jordan-6", True): (0, "c453801316ef1eafc5fba0299aabbceb4d0ba5e0de3dff684b0134d336f02bae"),
-    # empty stdout: the report is an error on stderr
-    ("defect-2", False): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("defect-2", True): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("defect-2", False): (0, "793f81b4acedafe4e09a591ec934389e4c767febd75eda9c36de3a782d9ce387"),
+    ("defect-2", True): (0, "30694ffdb57386935fa7be7ad6d0dadffbaa28a581a0360feffba2146171b6f5"),
 }
 
 
@@ -944,3 +943,60 @@ def test_spectrum_stdout_is_pinned(tmp_path, capsys, name, mapped):
     code = main(argv)
     out = capsys.readouterr().out.encode("utf-8")
     assert (code, hashlib.sha256(out).hexdigest()) == SPECTRUM_DIGESTS[name, mapped]
+
+
+def _ill_conditioned_unimodular(d):
+    """U U* for U = I + 3N, N the shift: determinant 1, condition number
+    about 1e2 at d = 2 and 1e6 at d = 6."""
+    U = Mat.from_rows([[1 if j == i else 3 * int(j == i + 1) for j in range(d)] for i in range(d)])
+    return U @ U.adjoint()
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["tuple", "mapped"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_a_conjugated_jordan_block_is_one_point(tmp_path, capsys, d, mapped):
+    # P J P^-1 with J the Jordan block at 1/3 and an ill-conditioned P, whose
+    # float eigenvalues spread widely around 1/3: one point of multiplicity d
+    P = _ill_conditioned_unimodular(d)
+    Pinv = solve(P, Mat.identity(d))
+    J = _jordan(d, _THIRD)
+    argv = ["spectrum", "--input", write(tmp_path, "t.json", tuple_to_json(validate_tuple([P @ J @ Pinv, P @ J @ J @ Pinv])))]
+    point = [1 / 3, 1 / 9]
+    if mapped:
+        argv += ["--map", write(tmp_path, "map.json", SUM_AND_PRODUCT)]
+        point = [4 / 9, 1 / 27]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [p["multiplicity"] for p in rep["points"]] == [d]
+    assert [re for re, _ in rep["points"][0]["point"]] == pytest.approx(point, abs=1e-12)
+
+
+def _spectrum_of(tmp_path, capsys, *mats):
+    code = main(["spectrum", "--input", write(tmp_path, "t.json", tuple_to_json(validate_tuple(mats)))])
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if code == 0 else err
+
+
+def test_an_irrational_eigenvalue_exits_3(tmp_path, capsys):
+    # eigenvalues +-sqrt(2): the characteristic polynomial z^2 - 2 has no root in Z[i]
+    code, err = _spectrum_of(tmp_path, capsys, Mat.from_rows([[0, 1], [2, 0]]))
+    assert code == 3
+    assert "error[DeflationFailure]" in err and "cover 0 of 2" in err
+
+
+def test_an_eigenvalue_needs_no_denominator_cap(tmp_path, capsys):
+    # a denominator above 10^6: det(zI - LA), L = 10^6 + 3, has the roots
+    # 1 and 2L
+    code, rep = _spectrum_of(tmp_path, capsys, _diag(GaussianRational.from_ints(1, 0, 10**6 + 3), 2))
+    assert code == 0
+    points = [(p["point"][0][0], p["multiplicity"]) for p in rep["points"]]
+    assert points == [(pytest.approx(1 / (10**6 + 3), rel=1e-11), 1), (2.0, 1)]
+
+
+def test_characteristic_coefficients_beyond_the_float_range_exit_3(tmp_path, capsys):
+    # L = (10^200 + 7)(10^199 + 3) makes the coefficients of det(zI - LA)
+    # about 10^400, too large for a float: exit 3, not an OverflowError
+    A = _diag(GaussianRational.from_ints(1, 0, 10**200 + 7), GaussianRational.from_ints(1, 0, 10**199 + 3))
+    code, err = _spectrum_of(tmp_path, capsys, A)
+    assert code == 3
+    assert "error[DeflationFailure]" in err and "cover 0 of 2" in err

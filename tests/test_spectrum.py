@@ -1,21 +1,21 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from koszulkit.errors import DeflationFailure, PreconditionError
+import koszulkit.koszul as koszul_module
+from koszulkit.errors import DeflationFailure, PreconditionError, ShapeError
 from koszulkit.koszul import validate_tuple
-from koszulkit.linalg import Mat, compress, kernel_basis, mat_power, solve
+from koszulkit.linalg import Mat, compress, gaussian_eigenvalues, kernel_basis, mat_power, solve
 from koszulkit.polymap import Polynomial, PolyMap
-from koszulkit.scalars import EXACT, GaussianRational
+from koszulkit.scalars import EXACT, FLOAT, GaussianRational, as_scalar
 import koszulkit.linalg as linalg_module
 import koszulkit.spectrum as spectrum_module
 from koszulkit.spectrum import (
-    _exact_eig_candidates,
     _generalized_eigenspace,
-    _snap_rational,
     apply_poly_map,
     joint_spectrum,
     point_in_spectrum,
@@ -23,6 +23,7 @@ from koszulkit.spectrum import (
     spectral_mapping_check,
 )
 
+from oracles import oracle_charpoly
 from randgen import get_rng, random_commuting_tuple, random_poly_map, random_unimodular
 
 
@@ -203,53 +204,58 @@ def test_spurious_candidate_costs_no_product(monkeypatch):
     assert calls == []
 
 
-def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
-    half, third = GaussianRational(-1, 2), GaussianRational(1, 3)
-    T = validate_tuple(
-        [_conjugated(_diag_rows(1, 1, 2, 2, half, half)), _conjugated(_diag_rows(0, 1, 0, third, 0, 2))]
-    )
-    candidates = []
-    real = spectrum_module._exact_eig_candidates
-
-    def recorded(A):
-        out = real(A)
-        candidates.extend(out)
-        return out
-
-    monkeypatch.setattr(spectrum_module, "_exact_eig_candidates", recorded)
-    calls = _count_chain_products(monkeypatch)
-    s = joint_spectrum(T)
-    assert len(s.points) == 6 and all(p.multiplicity == 1 for p in s.points)
-    assert len(candidates) == 9
-    assert len(calls) <= len(candidates)
-
-
-def test_spectrum_stops_once_the_space_is_covered(monkeypatch):
-    # LAM's generalized eigenspace is all of C^4, so the spurious MU that
-    # follows it is never eliminated
-    A = _conjugated(_jordan_plus(4, 2, LAM))
-    monkeypatch.setattr(spectrum_module, "_exact_eig_candidates", lambda M: [LAM, MU])
+def _count_chains(monkeypatch):
     tried = []
     real = spectrum_module._generalized_eigenspace
 
     def recorded(M, lam, tol=None, room=None):
-        tried.append(lam)
+        tried.append((lam, room))
         return real(M, lam, tol, room)
 
     monkeypatch.setattr(spectrum_module, "_generalized_eigenspace", recorded)
-    s = joint_spectrum(validate_tuple([A]))
-    assert [(p.point, p.multiplicity) for p in s.points] == [((LAM,), 4)]
-    assert tried == [LAM]
+    return tried
+
+
+def test_joint_spectrum_makes_one_chain_product_per_candidate(monkeypatch):
+    # each eigenvalue of the first matrix runs one chain, with its
+    # multiplicity as room, to compress the second; the second's own
+    # multiplicities are the answer and run none.  Every eigenvalue here is
+    # semisimple, so no chain makes a product
+    half, third = GaussianRational(-1, 2), GaussianRational(1, 3)
+    T = validate_tuple(
+        [_conjugated(_diag_rows(1, 1, 2, 2, half, half)), _conjugated(_diag_rows(0, 1, 0, third, 0, 2))]
+    )
+    tried = _count_chains(monkeypatch)
+    calls = _count_chain_products(monkeypatch)
+    s = joint_spectrum(T)
+    assert len(s.points) == 6 and all(p.multiplicity == 1 for p in s.points)
+    assert [room for _, room in tried] == [2, 2, 2]
+    assert calls == []
+
+
+def test_spectrum_stops_once_the_space_is_covered(monkeypatch):
+    # LAM's generalized eigenspace is all of C^4: a lone eigenvalue runs no
+    # chain, and the tuple needs no compression
+    A = _conjugated(_jordan_plus(4, 2, LAM))
+    tried = _count_chains(monkeypatch)
+    compressed = []
+    monkeypatch.setattr(spectrum_module, "compress", lambda *a: compressed.append(a))
+    s = joint_spectrum(validate_tuple([A, A @ A]))
+    assert [(p.point, p.multiplicity) for p in s.points] == [((LAM, LAM * LAM), 4)]
+    assert tried == [] and compressed == []
 
 
 def test_an_eigenspace_that_fills_the_room_left_costs_no_product(monkeypatch):
-    # LAM = 1 + 3i comes first, and takes one product to confirm that its
-    # 3-dim kernel is all of its eigenspace; then ker (A - 2I) fills the 2 left
+    # LAM = 1 + 3i has multiplicity 3 and is semisimple: its first kernel
+    # already has 3 columns, so neither chain makes a product
     A = _conjugated(_diag_rows(LAM, 2, LAM, 2, LAM))
+    tried = _count_chains(monkeypatch)
     products = _count_chain_products(monkeypatch)
-    s = joint_spectrum(validate_tuple([A]))
-    assert [(p.point, p.multiplicity) for p in s.points] == [((LAM,), 3), ((GaussianRational(2),), 2)]
-    assert len(products) == 1
+    s = joint_spectrum(validate_tuple([A, A @ A]))
+    two = GaussianRational(2)
+    assert [(p.point, p.multiplicity) for p in s.points] == [((LAM, LAM * LAM), 3), ((two, two * two), 2)]
+    assert sorted(room for _, room in tried) == [2, 3]
+    assert products == []
 
 
 def test_exact_compress_reads_the_free_rows():
@@ -272,44 +278,10 @@ def test_exact_compress_reads_the_free_rows():
     assert compress([Af, Mf], Ef, 1e-8) == [solve(Ef, Af @ Ef, 1e-8), solve(Ef, Mf @ Ef, 1e-8)]
 
 
-# -- candidate extraction -------------------------------------------------------
+# -- exact eigenvalues -----------------------------------------------------------
 
 
-def _limit(x: float, cap: int = 10**6) -> tuple:
-    f = Fraction(x).limit_denominator(cap)
-    return f.numerator, f.denominator
-
-
-@given(
-    st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(-1e-300, 1e-300),
-        st.floats(-1e9, 1e9),
-    )
-)
-@example(-1 / 3)
-@example(1e6 + 0.3)
-@example(-2.5e12)
-@example(5e-324)  # subnormal
-@example(-2.2250738585072014e-308 / 3)
-@example(1 / 3 + 1e-7)
-def test_snap_rational_is_limit_denominator(x):
-    assert spectrum_module.SNAP_DENOMINATOR == 10**6
-    assert _snap_rational(x) == _limit(x)
-
-
-@pytest.mark.parametrize(
-    "cap, x",
-    [(1, 0.5), (1, -2.5), (4, 0.125), (4, -3 - 7 / 8), (2**20, 2.0**-21), (2**20, 5 + 2.0**-21), (2**20, -7 - 2.0**-21)],
-)
-def test_snap_rational_breaks_ties_as_limit_denominator(monkeypatch, cap, x):
-    # x lies exactly between its best lower and upper approximations, which
-    # for a float needs a power-of-two cap; 10**6 admits no such float
-    monkeypatch.setattr(spectrum_module, "SNAP_DENOMINATOR", cap)
-    assert _snap_rational(x) == _limit(x, cap)
-
-
-def test_candidates_come_simplest_first_and_build_no_fraction(monkeypatch):
+def test_gaussian_eigenvalues_build_no_fraction(monkeypatch):
     half, i, minus_two_fifths = GaussianRational("1/2"), GaussianRational(0, 1), GaussianRational("-2/5")
     A = _conjugated(_diag_rows(half, 3, i, -1, minus_two_fifths, 3))
     built = []
@@ -322,9 +294,102 @@ def test_candidates_come_simplest_first_and_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
     assert Fraction(1, 2) and built, "the counter must see Fraction constructions"
     built.clear()
-    cands = _exact_eig_candidates(A)
+    eigs = gaussian_eigenvalues(A)
     assert built == []
-    assert cands == [GaussianRational(-1), i, GaussianRational(3), half, minus_two_fifths]
+    assert dict(eigs) == {half: 1, GaussianRational(3): 2, i: 1, GaussianRational(-1): 1, minus_two_fifths: 1}
+    assert len(eigs) == 5
+
+
+def _blocks(*blocks):
+    """Block-diagonal rows of Jordan blocks, given as (eigenvalue, size)."""
+    d = sum(k for _, k in blocks)
+    rows, at = [[0] * d for _ in range(d)], 0
+    for lam, k in blocks:
+        for i in range(at, at + k):
+            rows[i][i] = lam
+            if i + 1 < at + k:
+                rows[i][i + 1] = 1
+        at += k
+    return rows
+
+
+_C = GaussianRational("2/3", "-1/5")
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        ((LAM, 2), (LAM, 1), (MU, 3)),
+        ((_C, 1), (_C.conjugate(), 1), (_C, 2)),
+        ((GaussianRational(0, 1), 3), (GaussianRational(0, -1), 3)),
+        ((_C, 4), (GaussianRational(-7, 3), 1), (_C * _C, 1)),
+        ((GaussianRational("1/7"), 1), (GaussianRational("1/6"), 2)),
+        # float roots of z^3 - (3 10^8 + 4) z^2 + ... are off by more than
+        # 1/2; those of the same polynomial about its mean are exact
+        ((10**8, 1), (10**8 + 1, 1), (10**8 + 3, 2)),
+        # the roots near -10^8 round first; the two left, about their own mean
+        ((10**8, 1), (10**8 + 1, 1), (-(10**8), 1), (2 - 10**8, 1)),
+    ],
+    ids=["repeated", "conjugate-pair", "plus-minus-i", "complex-jordan", "close", "far-cluster", "two-far-clusters"],
+)
+def test_gaussian_eigenvalues_count_algebraic_multiplicities(blocks):
+    A = _conjugated(_blocks(*blocks), seed=5)
+    want = {}
+    for lam, k in blocks:
+        lam = as_scalar(lam, EXACT)
+        want[lam] = want.get(lam, 0) + k
+    eigs = gaussian_eigenvalues(A)
+    assert dict(eigs) == want and len(eigs) == len(want)
+    s = joint_spectrum(validate_tuple([A]))
+    assert {p.point[0]: p.multiplicity for p in s.points} == want
+
+
+def test_gaussian_eigenvalues_leave_out_irrational_ones():
+    # z^3 - 2z^2 - 2z + 4 = (z - 2)(z^2 - 2): only 2 is Gaussian rational
+    A = _conjugated([[0, 1, 0], [0, 0, 1], [-4, 2, 2]])
+    assert gaussian_eigenvalues(A) == [(GaussianRational(2), 1)]
+    with pytest.raises(DeflationFailure, match="cover 1 of 3"):
+        joint_spectrum(validate_tuple([A]))
+
+
+def test_gaussian_eigenvalues_need_a_square_matrix():
+    with pytest.raises(ShapeError):
+        gaussian_eigenvalues(Mat.zeros(2, 3))
+
+
+_GR = st.builds(
+    lambda a, b, d: GaussianRational.from_ints(a, b, d),
+    st.integers(-9, 9),
+    st.integers(-9, 9),
+    st.integers(1, 6),
+)
+
+
+@given(st.integers(0, 5).flatmap(lambda d: st.lists(st.lists(_GR, min_size=d, max_size=d), min_size=d, max_size=d)))
+@example([])
+@example([[GaussianRational(0, 1)]])
+def test_charpoly_matches_cofactor_expansion(rows):
+    # det(zI - LA) = L^d det(z/L I - A): its z^(d-k) coefficient is L^k c_k
+    A = Mat.from_rows(rows) if rows else Mat.zeros(0, 0)
+    L = lcm(*(v.d for row in rows for v in row))
+    p = linalg_module._charpoly(linalg_module._gauss_int_rows(A, L))
+    want = [(re * L**k, im * L**k) for k, (re, im) in enumerate(oracle_charpoly(A))]
+    assert p == want
+
+
+def test_deflation_tol_is_read_in_float_mode_only(monkeypatch):
+    A = _conjugated(_jordan_plus(4, 2, LAM))
+    exact = [validate_tuple([A, A @ A]), validate_tuple([_conjugated(_diag_rows(LAM, 2, LAM, MU))])]
+    before = [joint_spectrum(T) for T in exact]
+    Tf = validate_tuple([Mat.from_numpy(np.diag([1.0, 1.0 + 1e-9, 2.0]).astype(complex))])
+    float_before = joint_spectrum(Tf)
+    monkeypatch.setattr(spectrum_module, "DEFLATION_TOL", float("nan"))
+    assert [joint_spectrum(T) for T in exact] == before
+    try:
+        float_after = joint_spectrum(Tf)
+    except DeflationFailure:
+        float_after = None
+    assert float_after != float_before
 
 
 # -- polynomial calculus -----------------------------------------------------
@@ -347,6 +412,33 @@ def test_apply_identity_map_returns_same_matrices():
     T = validate_tuple([diag(1, 2), diag(3, 4)])
     out = apply_poly_map(PolyMap.identity(2), T)
     assert out.matrices == T.matrices
+
+
+def _count_commutators(monkeypatch):
+    calls = []
+    real = koszul_module.commutator
+
+    def counted(A, B):
+        calls.append(A.mode)
+        return real(A, B)
+
+    monkeypatch.setattr(koszul_module, "commutator", counted)
+    return calls
+
+
+def test_an_exact_mapped_tuple_is_not_checked_again(monkeypatch):
+    # polynomials in one exact commuting tuple commute exactly; float ones
+    # are still checked, one commutator per pair
+    terms = [[((1, 0), 1), ((0, 1), 1)], [((1, 1), 1)], [((2, 0), 1)]]
+    T = validate_tuple([diag(1, 2, 3), diag(3, 4, 5)])
+    Tf = validate_tuple([Mat.from_numpy(M.to_numpy()) for M in T.matrices])
+    calls = _count_commutators(monkeypatch)
+    exact = apply_poly_map(PolyMap.from_components([p1(t, 2) for t in terms]), T)
+    assert calls == []
+    assert exact.matrices == (diag(4, 6, 8), diag(3, 8, 15), diag(1, 4, 9))
+    floats = PolyMap.from_components([Polynomial.from_terms(2, t, FLOAT) for t in terms])
+    assert apply_poly_map(floats, Tf).matrices[1].to_numpy() == pytest.approx(np.diag([3, 8, 15]))
+    assert calls == ["float"] * 3
 
 
 def test_apply_power_map_kills_nilpotent():
