@@ -2,12 +2,14 @@
 
 Commands: cohomology, spectrum, les, index, tower, obstruct, growth,
 demo.  Input files use the JSON formats from jsonio; reports go to
-stdout or --out, as JSON (default) or CSV.  Exit codes: 0 success,
-2 validation errors (non-commuting input, shape/format problems, flags
-the command does not read), 3 stabilization failures (windows too
-small, symbol too close to singular, deflation failures),
-4 violated mathematical preconditions (operator not Fredholm, wrong
-index sign, zero index, non-invertible pair).
+stdout or --out, as JSON (default) or CSV.  Exit codes, from the
+table _EXIT_CODES: 0 success, 3 stabilization failures (windows too
+small, symbol too close to singular, deflation failures, invariance
+violations), 4 violated mathematical preconditions (operator not
+Fredholm, wrong index sign, zero index, non-invertible pair), and 2
+every other error: validation errors (non-commuting input, shape,
+format, mode or degree problems) and, from argparse, flags the command
+does not read.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ from importlib import resources
 from . import jsonio
 from .errors import (
     DeflationFailure,
-    DegreeError,
     FormatError,
     InvarianceViolation,
     KoszulKitError,
-    ModeMismatch,
-    NonCommuting,
     NotStabilized,
     PreconditionError,
-    ShapeError,
 )
 from .ell2 import fredholm_index_banded
 from .koszul import augment_les, cohomology, validate_tuple
@@ -42,8 +40,12 @@ EXIT_VALIDATION = 2
 EXIT_NOT_STABILIZED = 3
 EXIT_PRECONDITION = 4
 
-_VALIDATION = (NonCommuting, ShapeError, ModeMismatch, FormatError, DegreeError)
-_STABILITY = (NotStabilized, DeflationFailure, InvarianceViolation)
+#: (error classes, exit code), the first row that matches wins
+_EXIT_CODES = (
+    ((NotStabilized, DeflationFailure, InvarianceViolation), EXIT_NOT_STABILIZED),
+    (PreconditionError, EXIT_PRECONDITION),
+    (KoszulKitError, EXIT_VALIDATION),
+)
 
 
 def _load_json(path: str):
@@ -80,10 +82,6 @@ def _parse_tol_rank(text: str) -> float:
     return tol
 
 
-def _complex_pair(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 # -- command implementations ----------------------------------------------
 
 
@@ -97,15 +95,8 @@ def _tol_rank(args: argparse.Namespace, mode: str):
 def _cmd_cohomology(args: argparse.Namespace) -> dict:
     T = jsonio.tuple_from_json(_load_json(args.input))
     rep = cohomology(T, _tol_rank(args, T.mode))
-    return {
-        "command": "cohomology",
-        "dims": list(rep.dims),
-        "index": rep.index,
-        "invertible": rep.invertible,
-        # every finite-dimensional tuple is Fredholm; the schema keeps the key
-        "fredholm": True,
-        "mode": T.mode,
-    }
+    # every finite-dimensional tuple is Fredholm; the schema keeps the key
+    return {"command": "cohomology", "fredholm": True, "mode": T.mode} | vars(rep)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> dict:
@@ -118,13 +109,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> dict:
         "command": "spectrum",
         "mode": T.mode,
         "dimension": sigma.dimension,
-        "points": [
-            {
-                "point": [_complex_pair(z) for z in p.as_complex()],
-                "multiplicity": p.multiplicity,
-            }
-            for p in sigma.points
-        ],
+        "points": [{"point": p.as_complex(), "multiplicity": p.multiplicity} for p in sigma.points],
     }
 
 
@@ -134,16 +119,7 @@ def _cmd_les(args: argparse.Namespace) -> dict:
         raise FormatError("les needs at least two matrices (last one augments)")
     tol_rank = _tol_rank(args, mats[0].mode)
     rep = augment_les(validate_tuple(mats[:-1]), mats[-1], tol_rank)
-    return {
-        "command": "les",
-        "dims_direct": list(rep.dims_direct),
-        "dims_sequence": list(rep.dims_sequence),
-        "agree": rep.agree,
-        "index": rep.index,
-        "base_dims": list(rep.base_dims),
-        "iso_by_degree": list(rep.iso_by_degree),
-        "all_iso": rep.all_iso,
-    }
+    return {"command": "les"} | {k: v for k, v in vars(rep).items() if k != "induced_ranks"}
 
 
 def _cmd_index(args: argparse.Namespace) -> dict:
@@ -169,12 +145,20 @@ def _cmd_tower(args: argparse.Namespace) -> dict:
         "kernel_dims": list(tw.kernel_dims),
         "n0": tw.n0,
         "index": tw.index.index,
-        "levels": [
-            {"n": lv.n, "dim": lv.dim}
-            | ({"A": jsonio.mat_from_numpy_json(lv.a_block)} if lv.a_block is not None else {})
-            for lv in tw.levels
-        ],
+        "levels": _level_rows(tw),
     }
+
+
+def _level_rows(tw, blocks=None) -> list:
+    """One report row per tower level: n, dim, its A block when it has one,
+    and its X block in a certificate's ``blocks``."""
+    as_json = jsonio.mat_from_numpy_json
+    return [
+        {"n": lv.n, "dim": lv.dim}
+        | ({"A": as_json(lv.a_block)} if lv.a_block is not None else {})
+        | ({"X": as_json(blocks.level(lv.n).x_block)} if blocks is not None else {})
+        for lv in tw.levels
+    ]
 
 
 def _obstruct_case(tw, K) -> dict:
@@ -185,15 +169,7 @@ def _obstruct_case(tw, K) -> dict:
         "r": cert.r,
         "norms": [cert.norms[n] for n in range(1, cert.levels_checked + 1)],
         "verdict": cert.verdict,
-        "levels": [
-            {
-                "n": lv.n,
-                "dim": lv.dim,
-                "X": jsonio.mat_from_numpy_json(cert.blocks.level(lv.n).x_block),
-            }
-            | ({"A": jsonio.mat_from_numpy_json(lv.a_block)} if lv.a_block is not None else {})
-            for lv in tw.levels
-        ],
+        "levels": _level_rows(tw, cert.blocks),
     }
 
 
@@ -204,20 +180,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> dict:
 
 
 def _growth_rows(table) -> dict:
-    return {
-        "rank_bound": table.rank_bound,
-        "base_index": table.base_index,
-        "rows": [
-            {
-                "m": r.m,
-                "dim_ker": r.dim_ker,
-                "dim_coker": r.dim_coker,
-                "index": r.index,
-                "exceeds": r.exceeds,
-            }
-            for r in table.rows
-        ],
-    }
+    return vars(table) | {"rows": [vars(r) for r in table.rows]}
 
 
 def _cmd_growth(args: argparse.Namespace) -> dict:
@@ -309,18 +272,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.run(args)
-    except _VALIDATION as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _STABILITY as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_NOT_STABILIZED
-    except PreconditionError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except KoszulKitError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
     data = jsonio.emit_report(report, args.format, args.out)
     if args.out is None:
         sys.stdout.write(data.decode("utf-8"))

@@ -1,12 +1,13 @@
 """File formats: matrices, tuples, operators, demo scenarios, maps, reports.
 
 Matrix literals are ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``
-row-major, where re/im are strings like "3/4" in exact mode and plain
-numbers in float mode.  Tuple files carry their mode; operator files are
-always exact.  Reports are emitted with sorted keys and floats rounded
-to 12 significant digits, and those below REPORT_FLOAT_FLOOR in size
-written as 0.0, so identical inputs give byte-identical files whatever
-LAPACK path produced their rounding noise.
+with integers r, c >= 0 and r*c entries row-major, where re/im are
+strings like "3/4" in exact mode and plain numbers in float mode.  Tuple
+files carry their mode; operator files are always exact.  Reports are
+emitted with sorted keys and floats rounded to 12 significant digits,
+and those below REPORT_FLOAT_FLOOR in size written as 0.0, so identical
+inputs give byte-identical files whatever LAPACK path produced their
+rounding noise.
 """
 
 from __future__ import annotations
@@ -81,11 +82,13 @@ def scalar_to_json(value):
 
 def mat_from_json(obj, mode: str = EXACT) -> Mat:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        shape = obj["rows"], obj["cols"]
+        rows, cols = map(int, shape)
         entries = _expect(obj["entries"], list, "matrix entries")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("matrix literal needs rows, cols, entries") from exc
+    if (rows, cols) != shape or min(rows, cols) < 0 or bool in map(type, shape):
+        raise FormatError(f"matrix literal shape {shape[0]!r}x{shape[1]!r} is not two integers >= 0")
     if len(entries) != rows * cols:
         raise FormatError(
             f"matrix literal has {len(entries)} entries for {rows}x{cols}"
@@ -303,7 +306,7 @@ def _csv_cell(v) -> str:
 def report_to_csv_bytes(report: dict) -> bytes:
     """CSV rendering: tables keep their column contract, everything else
     flattens to key,value rows with sorted keys."""
-    if report.get("command") == "growth" or "rows" in report:
+    if "rows" in report:
         lines = ["m,dim_ker,dim_coker,index,exceeds"]
         for row in report["rows"]:
             lines.append(

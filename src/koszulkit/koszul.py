@@ -195,19 +195,11 @@ def koszul_complex(T: CommutingTuple) -> KoszulComplex:
     return KoszulComplex(T, tuple(koszul_differential(T, p) for p in range(T.n)))
 
 
-def _boundary_maps(T: CommutingTuple):
-    """D^p for p in -1..n with the zero conventions at both ends, from
-    one build of the complex."""
-    diffs = koszul_complex(T).differentials
-
-    def D(p: int) -> Mat:
-        if p < 0:
-            return Mat.zeros(T.d * comb(T.n, 0), 0, T.mode)
-        if p >= T.n:
-            return Mat.zeros(0, T.d * comb(T.n, T.n), T.mode)
-        return diffs[p]
-
-    return D
+def _boundary_maps(T: CommutingTuple) -> tuple:
+    """(D^-1, D^0, ..., D^(n-1), D^n) from one build of the complex, with
+    the zero maps D^-1: 0 -> X and D^n: X (x) L^n -> 0 at its two ends;
+    D^p is entry p + 1."""
+    return (Mat.zeros(T.d, 0, T.mode), *koszul_complex(T).differentials, Mat.zeros(0, T.d, T.mode))
 
 
 def _at_zero(T: CommutingTuple, n: int):
@@ -239,8 +231,7 @@ def cohomology(T: CommutingTuple, tol_rank: float | None = None) -> CohomologyRe
 def _cohomology(T: CommutingTuple, D, tol_rank) -> CohomologyReport:
     dims = []
     prev_rank = 0
-    for p in range(T.n + 1):
-        Dp = D(p)
+    for Dp in D[1:]:
         rp = rank(Dp, tol_rank)
         dims.append(Dp.cols - rp - prev_rank)
         prev_rank = rp
@@ -273,8 +264,8 @@ def induced_map(S: Mat, T: CommutingTuple, p: int, tol_rank: float | None = None
 def _induced_map(S: Mat, T: CommutingTuple, D, p: int, tol_rank) -> Mat:
     # one left-to-right column choice on [D^(p-1) | ker D^p]: pivots before
     # the split span the image, pivots after it represent H^p
-    prev = D(p - 1)
-    both = mat_hstack([prev, kernel_basis(D(p), tol_rank)])
+    prev = D[p]
+    both = mat_hstack([prev, kernel_basis(D[p + 1], tol_rank)])
     chosen = independent_columns(both, tol_rank)
     nim = sum(1 for j in chosen if j < prev.cols)
     h = len(chosen) - nim

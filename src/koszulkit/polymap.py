@@ -25,16 +25,7 @@ def _norm_terms(nvars, terms, mode):
             acc[expo] = acc[expo] + c
         else:
             acc[expo] = c
-    out = tuple(
-        (e, c) for e, c in sorted(acc.items()) if not _is_zero_scalar(c)
-    )
-    return out
-
-
-def _is_zero_scalar(c) -> bool:
-    if isinstance(c, complex):
-        return c == 0
-    return c.is_zero()
+    return tuple((e, c) for e, c in sorted(acc.items()) if c)
 
 
 @dataclass(frozen=True)
@@ -200,8 +191,6 @@ class PolyMap:
 
         for _ in range(samples):
             pt = tuple(coord() for _ in range(self.nvars))
-            if all(_is_zero_scalar(v) for v in pt):
-                continue
-            if all(_is_zero_scalar(v) for v in self.eval_point(pt)):
+            if any(pt) and not any(self.eval_point(pt)):
                 return pt
         return None

@@ -72,13 +72,6 @@ def _float_eig_clusters(A: Mat, tol: float):
     return reps
 
 
-def _generalized_eigenspace(A: Mat, lam, tol=None, room=None) -> Mat:
-    """Basis of ker B^d, B = A - lam I and d = dim A, given ``room``
-    (default d), a bound on dim ker B^d; in exact mode the same matrix as
-    ``kernel_basis(mat_power(B, d))``."""
-    return kernel_chain(A.minus_scalar(lam), A.rows if room is None else room, tol)
-
-
 def _joint_points(mats, dim: int, mode: str):
     if not mats:
         return [((), dim)]
@@ -101,7 +94,7 @@ def _joint_points(mats, dim: int, mode: str):
             # is needed only to compress the rest, and is I when room = dim
             e, comp = room, rest
         else:
-            E = _generalized_eigenspace(A, lam, tol, room)
+            E = kernel_chain(A.minus_scalar(lam), room, tol)
             e = E.cols
             if e == 0:
                 continue

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koszulkit.cli as cli
+from koszulkit import errors
 from koszulkit.cli import main
 from koszulkit.jsonio import (
     REPORT_FLOAT_FLOOR,
@@ -734,8 +737,16 @@ def _with_first_matrix(**fields):
     return obj
 
 
+#: a literal whose shape, -1 x -1, has as many entries (1) as it declares
+_NEGATIVE_SHAPE = {"rows": -1, "cols": -1, "entries": [["1", "0"]]}
 _BAD_TUPLES = {
     "rows-not-int": _with_first_matrix(rows="x"),
+    "shape-negative": {"mode": "exact", "matrices": [_NEGATIVE_SHAPE]},
+    "shape-negative-float": {"mode": "float", "matrices": [_NEGATIVE_SHAPE | {"entries": [[1.0, 0.0]]}]},
+    "shape-fractional": {"mode": "exact", "matrices": [_NEGATIVE_SHAPE | {"rows": 1.5, "cols": 1.9}]},
+    "shape-quoted": {"mode": "exact", "matrices": [_NEGATIVE_SHAPE | {"rows": "1", "cols": "1"}]},
+    # True == 1, so the shape check compares types too
+    "shape-bool": {"mode": "exact", "matrices": [_NEGATIVE_SHAPE | {"rows": True, "cols": True}]},
     "entries-not-list": _with_first_matrix(entries=5),
     "tuple-top-level-list": [TUPLE_N0],
 }
@@ -744,6 +755,7 @@ _BAD_OPERATORS = {
     "diagonals-not-list": {"diagonals": 5},
     "prefix-not-list": {"diagonals": [{"offset": 1, "prefix": 5, "period": [["1", "0"]]}]},
     "bandwidth-not-int": ASH | {"bandwidth": "x"},
+    "patch-shape-negative": ASH | {"patch": _NEGATIVE_SHAPE},
 }
 _BAD_MAPS = {
     "map-polynomial-not-list": [5],
@@ -1000,3 +1012,75 @@ def test_characteristic_coefficients_beyond_the_float_range_exit_3(tmp_path, cap
     code, err = _spectrum_of(tmp_path, capsys, A)
     assert code == 3
     assert "error[DeflationFailure]" in err and "cover 0 of 2" in err
+
+
+FLOAT_N0 = TUPLE_N0 | {
+    "mode": "float",
+    "matrices": [m | {"entries": [[float(re), float(im)] for re, im in m["entries"]]} for m in TUPLE_N0["matrices"]],
+}
+
+#: the input of each pinned report below
+_PINNED_INPUTS = {
+    "exact": lambda: TUPLE_N0,
+    "float": lambda: FLOAT_N0,
+    "ash": lambda: ASH,
+    "complex": SPECTRUM_CORPUS["complex"],
+    "triangular": lambda: TRIANGULAR,
+}
+
+#: sha256 of the stdout of ``command --input <input> --format <format>``,
+#: for the reports the cli builds from result objects; a change that alters
+#: one of these reports updates its digest here and says why
+REPORT_DIGESTS = {
+    ("cohomology", "exact", "json"): "b1789a88ea6bab21408a524edfc56934cdb0d5f5a567ae36e1355e34c0fa6c1c",
+    ("cohomology", "exact", "csv"): "39ac162bf5e1ecc47e8074cf37e3c29eba04a338b194a281ef28ba86563998a2",
+    ("cohomology", "float", "json"): "d0e7a3f247c80bacb7c4c556dc96307f4cd8d890fd79f0526e647f141ce428d9",
+    ("cohomology", "float", "csv"): "e5411fd422f963f180f20155b5ed1b39026462995bf3c76953a3d2483d9b9d3d",
+    ("les", "exact", "json"): "1163b99fe0dd5cab2ff927ae0a213f46e618b552be73b49583b0709d35709210",
+    ("les", "exact", "csv"): "436407ad39b72e234ac64939987a0127bc9447bc27465f488cec8378e433af81",
+    ("les", "float", "json"): "1163b99fe0dd5cab2ff927ae0a213f46e618b552be73b49583b0709d35709210",
+    ("les", "float", "csv"): "436407ad39b72e234ac64939987a0127bc9447bc27465f488cec8378e433af81",
+    ("growth --powers 1:4 --rank-bound 2", "ash", "json"): "209f3d6968d40e8a1582d5a8ea9c41956c7044ea5c18f4e2c2e72fb95706b428",
+    ("growth --powers 1:4 --rank-bound 2", "ash", "csv"): "bc3eec05165071af73a35f34c9fa0f25d6bed6d153c26713cd8df4f94879e203",
+    ("spectrum", "complex", "csv"): "4c2818efbbb790c6ba4afba00360f8e3f44c10d98f7e3ee2f05bf49f3c06d46d",
+    ("spectrum", "triangular", "csv"): "46347a1c27a65c0d2fd6d4d3a9ba7620c6d4be7f375a0b3c9c8320659bdb52a2",
+}
+
+
+@pytest.mark.parametrize(
+    "command, inp, fmt", REPORT_DIGESTS, ids=[f"{c.split()[0]}-{i}-{f}" for c, i, f in REPORT_DIGESTS]
+)
+def test_report_stdout_is_pinned(tmp_path, capsys, command, inp, fmt):
+    path = write(tmp_path, "in.json", _PINNED_INPUTS[inp]())
+    assert main([*command.split(), "--input", path, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[command, inp, fmt]
+
+
+#: the exit code of each error class: 2 validation, 3 stability, 4 preconditions
+EXIT_CODE_OF = {
+    "KoszulKitError": 2,
+    "ModeMismatch": 2,
+    "ShapeError": 2,
+    "NonCommuting": 2,
+    "DegreeError": 2,
+    "FormatError": 2,
+    "DeflationFailure": 3,
+    "NotStabilized": 3,
+    "InvarianceViolation": 3,
+    "PreconditionError": 4,
+    "IndexSignError": 4,
+    "IndexZeroError": 4,
+}
+ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, errors.KoszulKitError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_an_error_raised_by_a_command_exits_with_its_code(tmp_path, capsys, monkeypatch, error):
+    def raising(op):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "fredholm_index_banded", raising)
+    assert main(["index", "--input", write(tmp_path, "a.json", ASH)]) == EXIT_CODE_OF[error.__name__]
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error[{error.__name__}]: raised on purpose\n"
