@@ -32,7 +32,6 @@ from .linalg import (
 from .koszul import (
     CohomologyReport,
     CommutingTuple,
-    FormBasis,
     KoszulComplex,
     augment_les,
     cohomology,

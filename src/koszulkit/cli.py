@@ -164,10 +164,10 @@ def _level_rows(tw, blocks=None) -> list:
 def _obstruct_case(tw, K) -> dict:
     cert = obstruction_certificate(tw, K)
     return {
-        "dims": list(cert.layer_dims),
-        "n0": cert.n0,
+        "dims": list(tw.layer_dims()),
+        "n0": tw.n0,
         "r": cert.r,
-        "norms": [cert.norms[n] for n in range(1, cert.levels_checked + 1)],
+        "norms": list(cert.norms.values()),
         "verdict": cert.verdict,
         "levels": _level_rows(tw, cert.blocks),
     }
@@ -207,10 +207,10 @@ def _cmd_demo(args: argparse.Namespace) -> dict:
         "description": scenario.get("description", ""),
     }
     if scenario["demo"] == "growth":
-        powers = scenario.get("powers", tuple(range(1, 11)))
-        bound = scenario.get("rank_bound", args.rank_bound)
+        powers = scenario.get("powers", _FLAGS["--powers"]["default"])
+        bound = scenario.get("rank_bound", _FLAGS["--rank-bound"]["default"])
         return head | _growth_rows(growth_table(T, powers, bound))
-    tw = kernel_tower(T, scenario.get("max_level", args.max_level))
+    tw = kernel_tower(T, scenario.get("max_level", _FLAGS["--max-level"]["default"]))
     cases = [{"name": name} | _obstruct_case(tw, K) for name, K in scenario["perturbations"]]
     return head | {"pair_note": scenario.get("pair_note", ""), "cases": cases}
 
@@ -236,7 +236,7 @@ _COMMANDS = (
     ("tower", _cmd_tower, ("--max-level",)),
     ("obstruct", _cmd_obstruct, ("--max-level",)),
     ("growth", _cmd_growth, ("--powers", "--rank-bound")),
-    ("demo", _cmd_demo, ("--max-level", "--rank-bound")),
+    ("demo", _cmd_demo, ()),
 )
 
 

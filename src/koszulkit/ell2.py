@@ -95,11 +95,8 @@ class Diagonal:
             return self.prefix[t]
         return self.period[(t - len(self.prefix)) % len(self.period)]
 
-    def is_eventually_zero(self) -> bool:
-        return all(v.is_zero() for v in self.period)
-
     def is_zero(self) -> bool:
-        return self.is_eventually_zero() and all(v.is_zero() for v in self.prefix)
+        return all(v.is_zero() for v in self.prefix + self.period)
 
 
 def _normalize_diagonal(offset, prefix, period) -> Diagonal:
@@ -178,10 +175,6 @@ class BandedOperator:
     def is_zero(self) -> bool:
         return not self.diagonals
 
-    def is_finite_rank(self) -> bool:
-        """All diagonals eventually zero: only finitely many entries."""
-        return all(d.is_eventually_zero() for d in self.diagonals)
-
     def section(self, rows: int, cols: int) -> np.ndarray:
         """Truncation to the first ``rows`` x ``cols`` coordinates, in the
         operator's own field: float64 when every stored value is real (so
@@ -240,8 +233,6 @@ class BandedOperator:
 
     def scale(self, c) -> "BandedOperator":
         s = _as_gr(c)
-        if s.is_zero():
-            return zero_op()
         diags = [
             Diagonal(d.offset, tuple(s * v for v in d.prefix), tuple(s * v for v in d.period))
             for d in self.diagonals
@@ -495,10 +486,9 @@ class KernelWalk:
         return kernels[m]
 
 
-def kernel_of_power(T: BandedOperator, m: int, ker_bound: int | None = None) -> StabilizedSubspace:
-    """Certified orthonormal basis of ker T^m from a new ``KernelWalk``,
-    with ``ker_bound`` an upper bound on dim ker T when one is known."""
-    return KernelWalk(T, ker_bound).kernel(m)
+def kernel_of_power(T: BandedOperator, m: int) -> StabilizedSubspace:
+    """Certified orthonormal basis of ker T^m from a new ``KernelWalk``."""
+    return KernelWalk(T).kernel(m)
 
 
 def _chain_kernel(

@@ -59,9 +59,12 @@ def parse_scalar(value, mode: str):
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad exact scalar {value!r}") from exc
     try:
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
+        re, im = float(re), float(im)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad float scalar {value!r}") from exc
+    if not (isfinite(re) and isfinite(im)):
+        raise FormatError(f"float scalar {value!r} is not finite")
+    return complex(re, im)
 
 
 def _ratio_str(p: int, q: int) -> str:

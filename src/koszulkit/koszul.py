@@ -61,9 +61,10 @@ class CommutingTuple:
 
     The constructor checks all of it, so every instance commutes: exact
     commutators must be zero (is_zero()); float ones may have Frobenius
-    norm up to TOL_COMM times the largest ||T_i|| (at least 1).  The
-    first ``checked`` matrices are taken to commute already, so only the
-    pairs with a later matrix are checked; ``checked`` is not stored.
+    norm up to TOL_COMM times the largest ||T_i|| (at least 1), and a NaN
+    norm (from overflowing products) fails.  The first ``checked``
+    matrices are taken to commute already, so only the pairs with a later
+    matrix are checked; ``checked`` is not stored.
     """
 
     n: int
@@ -88,22 +89,13 @@ class CommutingTuple:
         for k in range(checked, self.n):
             for i in range(k):
                 C = commutator(mats[i], mats[k])
-                if not C.is_zero() if exact else C.fro_norm() > tol:
+                if not (C.is_zero() if exact else C.fro_norm() <= tol):
                     nrm = C.fro_norm()
                     raise NonCommuting(
                         f"operators {i} and {k} do not commute (commutator norm {nrm:.3e})",
                         pair=(i, k),
                         norm=nrm,
                     )
-
-
-@dataclass(frozen=True)
-class FormBasis:
-    """Lexicographically ordered strictly increasing p-subsets of 1..n."""
-
-    n: int
-    p: int
-    members: tuple
 
 
 @dataclass(frozen=True)
@@ -142,10 +134,11 @@ class LESReport:
     all_iso: bool
 
 
-def form_basis(n: int, p: int) -> FormBasis:
+def form_basis(n: int, p: int) -> tuple:
+    """The strictly increasing p-subsets of 1..n, in lexicographic order."""
     if not 0 <= p <= n:
         raise DegreeError(f"degree {p} outside 0..{n}")
-    return FormBasis(n, p, tuple(combinations(range(1, n + 1), p)))
+    return tuple(combinations(range(1, n + 1), p))
 
 
 def validate_tuple(matrices) -> CommutingTuple:
@@ -162,32 +155,23 @@ def augment_tuple(T: CommutingTuple, S: Mat) -> CommutingTuple:
     return CommutingTuple(T.n + 1, T.d, T.matrices + (S,), T.mode, checked=T.n)
 
 
-def _wedge_insert(omega: tuple, i: int):
-    """(sign, e_i ^ omega) as a sorted tuple, or None when i already occurs."""
-    if i in omega:
-        return None
-    smaller = sum(1 for j in omega if j < i)
-    return (-1) ** smaller, tuple(sorted(omega + (i,)))
-
-
 def koszul_differential(T: CommutingTuple, p: int) -> Mat:
-    """Matrix of the degree-p differential, d*C(n,p+1) rows by d*C(n,p) cols."""
+    """Matrix of the degree-p differential, d*C(n,p+1) rows by d*C(n,p) cols.
+
+    For each i in the (p+1)-form tau, the block at (tau, tau without i) is
+    (-1)^k T_i, with k the position of i in tau, which counts the indices
+    of tau without i below i: the module docstring's sign."""
     if not 0 <= p <= T.n - 1:
         raise DegreeError(f"differential degree {p} outside 0..{T.n - 1}")
-    src = form_basis(T.n, p)
-    dst = form_basis(T.n, p + 1)
-    dst_index = {m: i for i, m in enumerate(dst.members)}
+    col = {w: c for c, w in enumerate(form_basis(T.n, p))}
     zero = Mat.zeros(T.d, T.d, T.mode)
-    grid = [[zero for _ in src.members] for _ in dst.members]
-    for c, omega in enumerate(src.members):
-        for i in range(1, T.n + 1):
-            ins = _wedge_insert(omega, i)
-            if ins is None:
-                continue
-            sign, target = ins
-            r = dst_index[target]
-            block = T.matrices[i - 1]
-            grid[r][c] = block if sign == 1 else -block
+    grid = []
+    for tau in form_basis(T.n, p + 1):
+        row = [zero] * len(col)
+        for k, i in enumerate(tau):
+            M = T.matrices[i - 1]
+            row[col[tau[:k] + tau[k + 1 :]]] = -M if k % 2 else M
+        grid.append(row)
     return mat_block(grid)
 
 

@@ -197,12 +197,10 @@ class Mat:
         ]
         return Mat(self.cols, self.rows, ent, EXACT)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
+    def is_zero(self) -> bool:
         if self.mode == EXACT:
             return all(a.is_zero() for a in self._ex)
-        if self._fl.size == 0:
-            return True
-        return float(np.abs(self._fl).max()) <= tol
+        return not self._fl.any()
 
     def fro_norm(self) -> float:
         if self.mode == FLOAT:

@@ -171,8 +171,9 @@ class PolyMap:
             [c.substitute(inner.components) for c in self.components]
         )
 
-    def nonzero_vanishing_witness(self, rng, samples: int = 1000):
-        """Sampled hunt for a nonzero point where the map vanishes.
+    def nonzero_vanishing_witness(self, rng):
+        """Sampled hunt, at 1,000 random points, for a nonzero point where
+        the map vanishes.
 
         Returns None when no witness was found (consistent with the zero
         set being contained in the origin), else a witness point.  Points
@@ -189,7 +190,7 @@ class PolyMap:
                 return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
             return complex(rng.randint(-3, 3), rng.randint(-3, 3))
 
-        for _ in range(samples):
+        for _ in range(1000):
             pt = tuple(coord() for _ in range(self.nvars))
             if any(pt) and not any(self.eval_point(pt)):
                 return pt

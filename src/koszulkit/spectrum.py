@@ -164,13 +164,12 @@ def poly_map_invertibility_check(
     T: CommutingTuple,
     f: PolyMap,
     rng: random.Random | None = None,
-    samples: int = 1000,
 ) -> bool:
     """Check that applying an origin-only-vanishing map keeps T invertible.
 
     Preconditions: T is invertible (verified via cohomology) and the zero
     set of f contains no nonzero point.  The latter is the caller's
-    claim; it is spot-checked at ``samples`` random points.  A witness
+    claim; it is spot-checked at 1,000 random points.  A witness
     that additionally lies in the joint spectrum of T refutes the
     caller's assertion in the way that matters and raises
     PreconditionError; a witness off the spectrum is harmless (the
@@ -179,9 +178,7 @@ def poly_map_invertibility_check(
     """
     if not cohomology(T).invertible:
         raise PreconditionError("tuple is not invertible")
-    witness = f.nonzero_vanishing_witness(
-        rng if rng is not None else random.Random(0), samples
-    )
+    witness = f.nonzero_vanishing_witness(rng if rng is not None else random.Random(0))
     if witness is not None and point_in_spectrum(T, witness):
         raise PreconditionError(
             f"map vanishes at the spectrum point {witness!r}; the "

@@ -18,7 +18,7 @@ per-layer norms, and the verdict.
 
 T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
 one apply gives W = op Q and B = Q* W, and every block (A_n, B_n, C_n for
-T; X_n, Y_n, Z_n for K) is a slice of B.  The layers are read off the
+T; X_n for K) is a slice of B.  The layers are read off the
 ``KernelWalk`` of T that its index certificate holds, and a growth table
 asks the walks of T and T* for its powers (``ell2._preimage_kernel``
 says which SVDs a chain step runs); here the only SVDs are a values-only
@@ -93,9 +93,6 @@ class KernelTower:
 class CommutantLevel:
     n: int
     x_block: np.ndarray  # H_n -> H_n
-    y_block: np.ndarray  # H_n -> ker T^(n-1)
-    z_block: np.ndarray  # ker T^(n-1) -> ker T^(n-1)
-    upper_right_norm: float  # compression H_n <- ker T^(n-1), must be ~0
     invariance_residual: float
     intertwine_residual: float | None  # None at n = 1
     norm: float  # ||S restricted to H_n||
@@ -104,7 +101,6 @@ class CommutantLevel:
 @dataclass(frozen=True)
 class CommutantBlocks:
     levels: tuple
-    n0: int
     charpoly_reference: np.ndarray
     charpoly_max_diff: dict
     similarity_certified: bool
@@ -117,10 +113,7 @@ class CommutantBlocks:
 class ObstructionCertificate:
     r: float
     norms: dict  # level -> ||K restricted to H_n||
-    levels_checked: int
-    n0: int
     verdict: str  # "obstructed" | "inconclusive"
-    layer_dims: tuple
     blocks: CommutantBlocks  # K in the tower bases
 
 
@@ -152,13 +145,6 @@ def _pad(B: np.ndarray, length: int) -> np.ndarray:
     out = np.zeros((length, B.shape[1]), dtype=complex)
     out[: B.shape[0], :] = B
     return out
-
-
-def _smallest_singular(A: np.ndarray) -> float:
-    if A.size == 0:
-        return 0.0
-    s = np.linalg.svd(A, compute_uv=False)
-    return float(s[-1])
 
 
 def _compress(op: BandedOperator, Q: np.ndarray):
@@ -233,7 +219,7 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
         A_n1 = levels[i + 1].a_block
         if A_n.shape[0] != A_n.shape[1] or A_n1.shape[0] != A_n1.shape[1]:
             continue
-        if _smallest_singular(A_n) > TOL_LAYER and _smallest_singular(A_n1) > TOL_LAYER:
+        if all(np.linalg.svd(A, compute_uv=False)[-1] > TOL_LAYER for A in (A_n, A_n1)):
             n0 = n
             break
     if n0 is None:
@@ -323,9 +309,6 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
             CommutantLevel(
                 n=n,
                 x_block=x,
-                y_block=B[:l, l:h],
-                z_block=B[:l, :l],
-                upper_right_norm=ur_norm,
                 invariance_residual=float(inv[n - 1]),
                 intertwine_residual=inter,
                 norm=float(norms[n - 1]),
@@ -348,7 +331,6 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     )
     return CommutantBlocks(
         levels=tuple(levels),
-        n0=n0,
         charpoly_reference=cps[0],
         charpoly_max_diff=diffs,
         similarity_certified=certified,
@@ -375,20 +357,16 @@ def obstruction_certificate(
     x0 = blocks.level(tower.n0).x_block
     r = spectral_radius(Mat.from_numpy(x0)) if x0.size else 0.0
     norms = {lv.n: lv.norm for lv in blocks.levels}
-    dims = tower.layer_dims()
     obstructed = (
         blocks.similarity_certified
         and r > TOL_RADIUS
-        and all(d >= 1 for d in dims)
+        and all(d >= 1 for d in tower.layer_dims())
         and all(norms[n] >= r - TOL_RADIUS for n in range(tower.n0, tower.depth + 1))
     )
     return ObstructionCertificate(
         r=r,
         norms=norms,
-        levels_checked=tower.depth,
-        n0=tower.n0,
         verdict="obstructed" if obstructed else "inconclusive",
-        layer_dims=dims,
         blocks=blocks,
     )
 

@@ -226,6 +226,9 @@ def test_stale_fredholm_key_is_ignored(tmp_path, flag):
         ["growth", "--input", "t.json", "--window", "64"],
         ["obstruct", "--input", "t.json", "--guard", "16"],
         ["demo", "theorem-2.1", "--window", "64"],
+        # a demo's scenario file alone sets its depth and rank bound
+        ["demo", "theorem-2.1", "--max-level", "5"],
+        ["demo", "theorem-1.1", "--rank-bound", "1"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
@@ -290,11 +293,10 @@ def test_growth_reports_validate_and_a_negative_rank_bound_is_refused(tmp_path, 
         code, data = run_cli(["growth", "--input", ash, *args], tmp_path)
         assert code == 0
         jsonschema.validate(json.loads(data), schema)
-    for argv in (["growth", "--input", ash], ["demo", "theorem-1.1"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--rank-bound", "-3"])
-        assert exc.value.code == 2
-        assert "argument --rank-bound" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--input", ash, "--rank-bound", "-3"])
+    assert exc.value.code == 2
+    assert "argument --rank-bound" in capsys.readouterr().err
     scenario = {"demo": "growth", "operator": ASH, "powers": [1, 2], "rank_bound": -3}
     assert main(["demo", "theorem-1.1", "--input", write(tmp_path, "s.json", scenario)]) == 2
     assert "error[FormatError]" in capsys.readouterr().err
@@ -749,6 +751,10 @@ _BAD_TUPLES = {
     "shape-bool": {"mode": "exact", "matrices": [_NEGATIVE_SHAPE | {"rows": True, "cols": True}]},
     "entries-not-list": _with_first_matrix(entries=5),
     "tuple-top-level-list": [TUPLE_N0],
+    # float entries must be finite: json writes nan and inf as NaN and Infinity
+    "float-nan": {"mode": "float", "matrices": [_float_diag(float("nan"), 1), _float_diag(1, 1)]},
+    "float-infinity": {"mode": "float", "matrices": [_float_diag(float("inf"), 1), _float_diag(1, 1)]},
+    "float-minus-inf-string": {"mode": "float", "matrices": [_float_diag("-inf", 1), _float_diag(1, 1)]},
 }
 _BAD_OPERATORS = {
     "operator-top-level-list": [ASH],
@@ -791,6 +797,11 @@ _MALFORMED = {
     **{f"index-{name}": ("index", obj, None) for name, obj in _BAD_OPERATORS.items()},
     **{f"spectrum-{name}": ("spectrum", TUPLE_N0, obj) for name, obj in _BAD_MAPS.items()},
     **{f"demo-{name}": ("demo theorem-2.1", obj, None) for name, obj in _BAD_SCENARIOS.items()},
+    "spectrum-map-float-nan": (
+        "spectrum",
+        {"mode": "float", "matrices": [_float_diag(1, 2)]},
+        [[{"coeff": [float("nan"), 0.0], "monomial": [1]}]],
+    ),
     "obstruct-top-level-number": ("obstruct", 5, None),
     "obstruct-top-level-string": ("obstruct", "operator perturbation", None),
     "obstruct-without-perturbation": ("obstruct", {"operator": ASH}, None),
@@ -803,6 +814,15 @@ def test_well_formed_demo_scenarios_run(tmp_path, scenario):
     code, data = run_cli(["demo", "custom", "--input", write(tmp_path, "s.json", scenario)], tmp_path)
     assert code == 0
     assert json.loads(data)["demo"] == "custom"
+
+
+def test_a_scenario_without_a_depth_or_rank_bound_takes_the_defaults(tmp_path):
+    growth = {k: v for k, v in GROWTH.items() if k != "rank_bound"}
+    code, data = run_cli(["demo", "custom", "--input", write(tmp_path, "g.json", growth)], tmp_path)
+    assert code == 0 and json.loads(data)["rank_bound"] == 4
+    obstruction = {k: v for k, v in OBSTRUCTION.items() if k != "max_level"}
+    code, data = run_cli(["demo", "custom", "--input", write(tmp_path, "o.json", obstruction)], tmp_path)
+    assert code == 0 and len(json.loads(data)["cases"][0]["dims"]) == 12
 
 
 @pytest.mark.parametrize("command, inp, pmap", _MALFORMED.values(), ids=_MALFORMED.keys())
@@ -1055,6 +1075,65 @@ def test_report_stdout_is_pinned(tmp_path, capsys, command, inp, fmt):
     assert main([*command.split(), "--input", path, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[command, inp, fmt]
+
+
+def _ash_plus(c):
+    """S* + c I as an operator file."""
+    return {"diagonals": [*ASH["diagonals"], {"offset": 0, "period": [[c, "0"]]}]}
+
+
+#: sha256 of the stdout of ``obstruct --max-level 8 --format <format>`` on
+#: T = S* with K = S* + c I, for c = 2 and c = -1/2; their layers are
+#: one-dimensional, so no SVD picks a basis rotation.  A change that alters
+#: one of these reports updates its digest here and says why
+OBSTRUCT_DIGESTS = {
+    ("2", "json"): "eb6e5ddce66aafbeb8862a3efa7b28499b971acb29ce590f484c7e5eb3a22e8d",
+    ("2", "csv"): "718fc02c4b201ee5e03dce253b5a7a65df67ab6c233370717ecbd238ff2cd617",
+    ("-1/2", "json"): "75bdf34e05ca984e9e47d32839a688e83e86bc62e36066d2935f9ffeafa05abe",
+    ("-1/2", "csv"): "29e1e301509b28be848b5bb3e6ba021e43e86089a870df45c2fdbeaaf88cd85e",
+}
+
+
+@pytest.mark.parametrize("c, fmt", OBSTRUCT_DIGESTS, ids=[f"{c}-{f}" for c, f in OBSTRUCT_DIGESTS])
+def test_obstruct_stdout_is_pinned(tmp_path, capsys, c, fmt):
+    path = write(tmp_path, "in.json", {"operator": ASH, "perturbation": _ash_plus(c)})
+    assert main(["obstruct", "--input", path, "--max-level", "8", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == OBSTRUCT_DIGESTS[c, fmt]
+
+
+#: a value other than the default of each flag in cli._COMMANDS, and the
+#: input of each command that takes one
+_FLAG_VALUES = {
+    "--tol-rank": "1e-3",
+    "--map": SUM_AND_PRODUCT,
+    "--max-level": "6",
+    "--powers": "1:3",
+    "--rank-bound": "1",
+}
+_FLAG_INPUTS = {
+    # diag(1, 1e-6) has rank 2 at the default tolerance and rank 1 at 1e-3
+    "cohomology": {"mode": "float", "matrices": [_float_diag(1, 1e-6)]},
+    "les": {"mode": "float", "matrices": [_float_diag(1, 1e-6), _float_diag(1, 1)]},
+    "spectrum": TRIANGULAR,
+    "tower": ASH,
+    "obstruct": {"operator": ASH, "perturbation": _ash_plus("2")},
+    "growth": ASH,
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, _, flags in cli._COMMANDS for f in flags])
+def test_every_flag_a_command_takes_changes_its_report(tmp_path, capsys, command, flag):
+    """A flag that a command accepts but whose value it never reads is dead."""
+    argv = [command, "--input", write(tmp_path, "in.json", _FLAG_INPUTS[command])]
+    value = _FLAG_VALUES[flag]
+    if flag == "--map":
+        value = write(tmp_path, "map.json", value)
+    outs = []
+    for extra in ([], [flag, value]):
+        assert main([*argv, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
 
 
 #: the exit code of each error class: 2 validation, 3 stability, 4 preconditions

@@ -70,7 +70,6 @@ def test_toeplitz_z_is_forward_shift(forward_shift):
 
 def test_decaying_diagonal_is_compact_candidate():
     D = make_catalog_operator("diagonal", values=[Fraction(1, k + 1) for k in range(12)])
-    assert D.is_finite_rank()
     assert D.entry(3, 3) == GaussianRational(Fraction(1, 4))
     assert D.entry(20, 20).is_zero()
     with pytest.raises(PreconditionError):
@@ -403,14 +402,14 @@ def test_a_ker_t_count_above_the_callers_bound_is_not_stabilized(backward_shift)
     # ker S* is spanned by e0, so a bound of 0 on dim ker T is wrong: the
     # count is refused, not confirmed at 2N
     with pytest.raises(NotStabilized) as exc:
-        kernel_of_power(backward_shift, 1, ker_bound=0)
+        KernelWalk(backward_shift, 0).kernel(1)
     assert str(exc.value) == (
         "section size 64 certifies 1 kernel vectors, above the bound 0 on their "
         "number: the bound, or a count it rests on, is wrong"
     )
     # a bound the count reaches accepts it; a larger one leaves it to the 2N check
-    assert kernel_of_power(backward_shift, 1, ker_bound=1).dim == 1
-    assert kernel_of_power(backward_shift, 1, ker_bound=2).dim == 1
+    assert KernelWalk(backward_shift, 1).kernel(1).dim == 1
+    assert KernelWalk(backward_shift, 2).kernel(1).dim == 1
 
 
 def test_a_count_above_the_bound_is_not_stabilized(backward_shift):

@@ -87,9 +87,9 @@ def test_float_mode_commutator_tolerance():
 
 def test_form_basis_is_lexicographic():
     fb = form_basis(4, 2)
-    assert fb.members[0] == (1, 2)
-    assert fb.members == tuple(sorted(fb.members))
-    assert len(fb.members) == comb(4, 2)
+    assert fb[0] == (1, 2)
+    assert fb == tuple(sorted(fb))
+    assert len(fb) == comb(4, 2)
 
 
 def test_differential_n1_is_the_operator():
@@ -147,17 +147,25 @@ def test_invariant_violations_raise_explicit_errors(violate, error):
 
 
 F2 = Mat.from_numpy(np.array([[0.0, 1.0], [0.0, 0.0]]))
+#: AB != BA, but AB and BA overflow, so AB - BA holds NaN
+BIG_A = Mat.from_numpy(np.array([[1e200, 1e200], [0.0, 0.0]]))
+BIG_B = Mat.from_numpy(np.array([[1e200, 0.0], [1e200, 0.0]]))
 
 
 @pytest.mark.parametrize(
     "build, error",
     [
         (lambda: CommutingTuple(2, 2, (F2, F2.adjoint()), "float"), NonCommuting),
+        pytest.param(
+            lambda: CommutingTuple(2, 2, (BIG_A, BIG_B), "float"),
+            NonCommuting,
+            marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"),
+        ),
         (lambda: CommutingTuple(3, 2, (N2,), EXACT), ShapeError),
         (lambda: CommutingTuple(1, 3, (N2,), EXACT), ShapeError),
         (lambda: CommutingTuple(1, 2, (N2,), "float"), ModeMismatch),
     ],
-    ids=["float-noncommuting", "wrong-n", "wrong-d", "wrong-mode"],
+    ids=["float-noncommuting", "float-overflowing-commutator", "wrong-n", "wrong-d", "wrong-mode"],
 )
 def test_constructor_checks_its_own_invariant(build, error):
     with pytest.raises(error):

@@ -134,11 +134,11 @@ def test_two_dimensional_layers_obstruction(backward_shift):
     # and compresses to [[2, 0], [1, 2]] blocks on the 2-dim layers
     T2 = backward_shift.power(2)
     K = identity_op().scale(2) + backward_shift
-    cert = obstruction_certificate(kernel_tower(T2, 10), K)
-    assert cert.layer_dims == (2,) * 10
+    tw = kernel_tower(T2, 10)
+    cert = obstruction_certificate(tw, K)
+    assert tw.layer_dims() == (2,) * 10
     assert cert.verdict == "obstructed"
     assert cert.r == pytest.approx(2.0, abs=1e-8)
-    tw = kernel_tower(T2, 10)
     blocks = commutant_blocks(tw, K)
     # in the layer's own orthonormal basis: X - 2I is nilpotent of norm 1,
     # which holds exactly for the unitary conjugates of [[2, 0], [1, 2]]
@@ -329,10 +329,11 @@ def test_restriction_on_random_invertible_pairs(rng):
 
 def test_obstruction_for_shifted_identity(backward_shift):
     K = identity_op().scale(2) + backward_shift
-    cert = obstruction_certificate(kernel_tower(backward_shift, 12), K)
+    tw = kernel_tower(backward_shift, 12)
+    cert = obstruction_certificate(tw, K)
     assert cert.verdict == "obstructed"
     assert cert.r == pytest.approx(2.0, abs=1e-8)
-    assert cert.n0 <= 3
+    assert tw.n0 <= 3
     for n in range(1, 13):
         assert cert.norms[n] >= 2.0 - 1e-8
 
