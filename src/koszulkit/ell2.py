@@ -374,7 +374,7 @@ class StabilizedSubspace:
 def _fix_phases(B: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest entry (the first, on a tie) is
     real positive; a zero column stays as it is."""
-    v = np.take_along_axis(B, np.argmax(np.abs(B), axis=0)[None], axis=0)[0]
+    v = B[np.abs(B).argmax(axis=0), np.arange(B.shape[1])]
     return B * np.divide(np.abs(v), v, out=np.ones_like(v), where=v != 0)
 
 
@@ -382,9 +382,10 @@ def _orthonormalize(B: np.ndarray) -> np.ndarray:
     if B.shape[1] == 0:
         return B
     q, r = np.linalg.qr(B)
-    d = np.diag(r).copy()
-    d[np.abs(d) == 0] = 1.0
-    return q * (d.conj() / np.abs(d))
+    d = r.diagonal().copy()
+    d[d == 0] = 1.0
+    q *= d.conj() / np.abs(d)
+    return q
 
 
 def _section_nullity(Tm: BandedOperator, N: int) -> int:
@@ -395,13 +396,14 @@ def _section_nullity(Tm: BandedOperator, N: int) -> int:
 
 
 def _factor_section(T: BandedOperator, N: int):
-    """(B, U_r, s_r, V) for the window-N section B = T[0:N+w, 0:N] = U S V*,
-    the rank r the number of singular values above TOL_SECTION_RANK * s[0];
-    only U's first r columns are kept."""
+    """(B, U_r, s_r, V, U_r*, V_r, V_0) for the window-N section
+    B = T[0:N+w, 0:N] = U S V*, the rank r the number of singular values
+    above TOL_SECTION_RANK * s[0]; V = [V_r | V_0] splits at column r."""
     B = T.section(N + T.bandwidth, N)
     u, s, vh = np.linalg.svd(B, full_matrices=False)
     r = int(np.sum(s > TOL_SECTION_RANK * s[0]))
-    return B, u[:, :r].copy(), s[:r], vh.conj().T
+    V = vh.conj().T
+    return B, u[:, :r].copy(), s[:r], V, u[:, :r].conj().T, V[:, :r], V[:, r:]
 
 
 def _preimage_kernel(fact, K: np.ndarray, G: int):
@@ -412,27 +414,29 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     come from a thin SVD by the rank rule relative to ||K|| = 1, run only
     when that projection's Frobenius norm, a bound on its singular values,
     exceeds TOL_SECTION_RANK: below it the rule keeps every c, as the
-    identity.  K must lie in that candidate span ns: the Frobenius norm of
-    K - ns ns* K, which bounds the sine of their largest angle, is within
-    TOL_RESIDUAL, else NotStabilized.  The SVD of ns* K splits off the
-    complement of span K, the new directions.  Of these the combinations
+    identity.  The candidate basis ns = [V_0 | V_r Q], Q the QR factor of
+    S_r^-1 U_r* K, is orthonormal to rounding however ill-conditioned S_r
+    is.  K must lie in span ns: the Frobenius norm of K - ns ns* K, which
+    bounds the sine of their largest angle, is within TOL_RESIDUAL, else
+    NotStabilized.  The SVD of ns* K splits off the complement of span K,
+    the new directions, orthonormal as ns is.  Of these the combinations
     that vanish on the guard band are kept, by an SVD of the guard rows
     run only when their Frobenius norm exceeds TOL_GUARD (else all, as
     they are).  Unless the residual (I - K K*) B x of K and of every kept
     direction is within TOL_RESIDUAL * max(1, ||B||), the step finds K
-    alone; else the new directions are cut, orthonormalized and
+    alone; else the new directions are cut to [0, N-G), which moves their
+    Gram matrix off I by at most TOL_GUARD^2 (so no second QR), and
     phase-fixed into H, so K's columns stay bitwise the first ones."""
-    B, U, s, V = fact
-    N, r, d = V.shape[0], U.shape[1], K.shape[1]
+    B, U, s, V, Uh, Vr, V0 = fact
+    N, d = V.shape[0], K.shape[1]
     Kp = np.zeros((B.shape[0], d), dtype=K.dtype)
     Kp[: K.shape[0]] = K
-    UK = U.conj().T @ Kp
+    UK = Uh @ Kp
     out = Kp - U @ UK  # the part of K outside ran B
     if np.linalg.norm(out) > TOL_SECTION_RANK:
         _, ps, pvh = np.linalg.svd(out, full_matrices=False)
         UK = UK @ pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
-    pre = V[:, :r] @ (UK / s[:, None])
-    ns = np.hstack([V[:, r:], _orthonormalize(pre)])
+    ns = np.concatenate([V0, Vr @ _orthonormalize(UK / s[:, None])], axis=1)
     cos = ns.conj().T @ Kp[:N]
     sine = np.linalg.norm(Kp[:N] - ns @ cos)
     if sine > TOL_RESIDUAL:
@@ -445,11 +449,11 @@ def _preimage_kernel(fact, K: np.ndarray, G: int):
     if np.linalg.norm(new[N - G :]) > TOL_GUARD:
         _, gs, gvh = np.linalg.svd(new[N - G :])
         new = new @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
-    X = B @ np.hstack([Kp[:N], new])
+    X = B @ np.concatenate([Kp[:N], new], axis=1)
     if np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):
         return d, Kp[: N - G]
-    H = _fix_phases(_orthonormalize(new[: N - G, :]))
-    return d + H.shape[1], np.hstack([Kp[: N - G], H])
+    H = _fix_phases(new[: N - G])
+    return d + H.shape[1], np.concatenate([Kp[: N - G], H], axis=1)
 
 
 class KernelWalk:

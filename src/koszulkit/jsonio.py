@@ -44,7 +44,8 @@ def _as_int(value, what: str) -> int:
 
 
 def parse_scalar(value, mode: str):
-    """[re, im] pair, or a bare number/string for a real value."""
+    """[re, im] pair, or a bare part for a real value: a part is a string
+    or a number in exact mode, a number in float mode, never a boolean."""
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise FormatError(f"scalar entry must be [re, im], got {value!r}")
@@ -58,9 +59,11 @@ def parse_scalar(value, mode: str):
             return GaussianRational(re, im)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad exact scalar {value!r}") from exc
+    if isinstance(re, (bool, str)) or isinstance(im, (bool, str)):
+        raise FormatError(f"bad float scalar {value!r}: its parts must be numbers")
     try:
         re, im = float(re), float(im)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise FormatError(f"bad float scalar {value!r}") from exc
     if not (isfinite(re) and isfinite(im)):
         raise FormatError(f"float scalar {value!r} is not finite")
@@ -266,13 +269,24 @@ def _report_leaf(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
+def _leaf_text(x) -> str:
+    """The JSON text of one report leaf, rounded by ``_report_leaf``."""
+    v = _report_leaf(x)
+    if isinstance(v, str):
+        return _encode_str(v)
+    if type(v) is int or isinstance(v, float) and isfinite(v):
+        return repr(v)
+    return json.dumps(v)  # bool, None, empty containers, nan and infinities
+
+
 def _json_parts(x, pad: str, out: list) -> None:
     """Append to ``out`` the text that ``json.dumps(..., sort_keys=True,
     indent=2)`` gives x with its leaves rounded, in one walk; a complex
-    number is the list [re, im]."""
+    number is the list [re, im], written in one piece."""
     if isinstance(x, complex):
-        x = (x.real, x.imag)
-    if isinstance(x, (dict, list, tuple)) and x:
+        inner = pad + "  "
+        out.append(f"[\n{inner}{_leaf_text(x.real)},\n{inner}{_leaf_text(x.imag)}\n{pad}]")
+    elif isinstance(x, (dict, list, tuple)) and x:
         keyed, inner = isinstance(x, dict), pad + "  "
         lead = ("{" if keyed else "[") + "\n" + inner
         for k in sorted(x) if keyed else range(len(x)):
@@ -282,13 +296,7 @@ def _json_parts(x, pad: str, out: list) -> None:
             lead = ",\n" + inner
         out.append("\n" + pad + ("}" if keyed else "]"))
     else:
-        v = _report_leaf(x)
-        if isinstance(v, str):
-            out.append(_encode_str(v))
-        elif type(v) is int or isinstance(v, float) and isfinite(v):
-            out.append(repr(v))
-        else:  # bool, None, empty containers, nan and infinities
-            out.append(json.dumps(v))
+        out.append(_leaf_text(x))
 
 
 def report_to_json_bytes(report: dict) -> bytes:

@@ -204,7 +204,9 @@ class Mat:
 
     def fro_norm(self) -> float:
         if self.mode == FLOAT:
-            return float(np.linalg.norm(self._fl))
+            # scaled by the largest |entry|: it overflows only where the norm does
+            m = self.max_abs()
+            return m * float(np.linalg.norm(self._fl / m)) if 0 < m < np.inf else m
         return float(np.sqrt(sum(float(a.abs2()) for a in self._ex)))
 
     def max_abs(self) -> float:

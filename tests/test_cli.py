@@ -755,6 +755,14 @@ _BAD_TUPLES = {
     "float-nan": {"mode": "float", "matrices": [_float_diag(float("nan"), 1), _float_diag(1, 1)]},
     "float-infinity": {"mode": "float", "matrices": [_float_diag(float("inf"), 1), _float_diag(1, 1)]},
     "float-minus-inf-string": {"mode": "float", "matrices": [_float_diag("-inf", 1), _float_diag(1, 1)]},
+    # float parts are plain numbers: no booleans, no numbers written as strings
+    "float-bool": {"mode": "float", "matrices": [_float_diag(True, 1), _float_diag(1, 1)]},
+    "float-number-string": {"mode": "float", "matrices": [_float_diag("1e5", 1), _float_diag(1, 1)]},
+    # AB - BA = 1e160 e0 e1*: the norm of A must not overflow into the tolerance
+    "float-huge-noncommuting": {
+        "mode": "float",
+        "matrices": [_float_diag(1e160, 0), FLOAT_N0["matrices"][0]],
+    },
 }
 _BAD_OPERATORS = {
     "operator-top-level-list": [ASH],
@@ -825,13 +833,23 @@ def test_a_scenario_without_a_depth_or_rank_bound_takes_the_defaults(tmp_path):
     assert code == 0 and len(json.loads(data)["cases"][0]["dims"]) == 12
 
 
-@pytest.mark.parametrize("command, inp, pmap", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp, pmap):
+#: the cases that parse but fail the tuple's own check, with their error
+_NOT_FORMAT_ERRORS = {
+    f"{cmd}-float-huge-noncommuting": "NonCommuting" for cmd in ("cohomology", "les", "spectrum")
+}
+
+
+@pytest.mark.parametrize(
+    "command, inp, pmap, error",
+    [(*case, _NOT_FORMAT_ERRORS.get(name, "FormatError")) for name, case in _MALFORMED.items()],
+    ids=_MALFORMED.keys(),
+)
+def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp, pmap, error):
     argv = [*command.split(), "--input", write(tmp_path, "in.json", inp)]
     if pmap is not None:
         argv += ["--map", write(tmp_path, "map.json", pmap)]
     assert main(argv) == 2
-    assert "error[FormatError]" in capsys.readouterr().err
+    assert f"error[{error}]" in capsys.readouterr().err
 
 
 # T1 upper triangular with eigenvalues 1, 2 and T2 = T1^2: joint spectrum

@@ -506,6 +506,39 @@ def test_no_step_of_the_s_star_tower_factors_a_block_below_its_tolerance(
     assert steps == [[True]] * 12
 
 
+def test_each_step_of_the_s_star_tower_from_a_nonzero_kernel_runs_one_qr(
+    monkeypatch, backward_shift
+):
+    # the candidate basis [V_0 | V_r Q] is orthonormal as built, so the new
+    # directions need no second QR; the step to ker T has no preimages
+    real_qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or real_qr(a, *args))
+    tw = kernel_tower(backward_shift, 12)
+    assert tw.kernel_dims == tuple(range(1, 13))
+    assert len(calls) == 11
+
+
+def test_layer_bases_stay_orthonormal_when_the_kept_singular_values_spread_widely():
+    # the square of the adjoint of the weighted shift with weights 1e-4,
+    # 1e-2, then 1, 8, 1, 8, ...: the section's kept singular values run
+    # from 1e-6 to 8, so S_r^-1 scales the preimages over seven decades
+    import koszulkit.ell2 as ell2
+
+    W = make_catalog_operator("weighted_shift", prefix=["1/10000", "1/100"], period=[1, 8])
+    T = W.adjoint().power(2)
+    walk = KernelWalk(T)
+    for m in range(1, 9):
+        s = ell2._factor_section(T, walk.kernel(m).window.N)[2]
+        assert s.max() / s.min() >= 1e6
+    tw = kernel_tower(T, 8)
+    assert tw.kernel_dims == tuple(range(2, 17, 2))
+    for lv in tw.levels:
+        H = lv.h_basis
+        assert np.abs(H.conj().T @ H - np.eye(H.shape[1])).max() <= 1e-13
+    nested = walk.kernel(8).basis
+    assert np.abs(nested.conj().T @ nested - np.eye(16)).max() <= 1e-13
+
+
 def test_a_kernel_outside_the_sections_range_still_takes_the_projection_svd(monkeypatch):
     # the weight 0 puts e0 in ker T but outside ran B, so every step past
     # ker T factors the projection of K off ran B; the kernels still match
