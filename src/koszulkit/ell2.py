@@ -32,6 +32,8 @@ reaches an upper bound on its dimension, which no larger window could
 exceed: dim ker T^(m-1) + dim ker T for m >= 2, and for ker T the
 caller's (Coburn's dimension, for a scalar Toeplitz T).  A count above
 the bound raises NotStabilized; any other waits for N and 2N to agree.
+At the window where a kernel reached its bound, with dim ker T raw null
+vectors, the next step preimages only that kernel's newest layer.
 From {0} singular values come first: they settle an empty kernel
 unfactored and confirm a 2N count.
 That certificate is a desk-scale stabilization check, not a proof:
@@ -362,13 +364,15 @@ class TruncationWindow:
 class StabilizedSubspace:
     """Orthonormal basis (columns) of a kernel, certified at ``window`` by
     a chain step (``_chain_kernel``): built only when the next window
-    agrees or the count reaches an upper bound on the dimension.  The
-    basis of ker T^m from a walk is nested: its first dim ker T^(m-1)
-    columns are the basis of ker T^(m-1), zero-padded to this window."""
+    agrees or the count reaches an upper bound on the dimension, which
+    ``at_bound`` records (False for a hand-built kernel).  The basis of
+    ker T^m from a walk is nested: its first dim ker T^(m-1) columns are
+    the basis of ker T^(m-1), zero-padded to this window."""
 
     basis: np.ndarray  # (support, dim)
     dim: int
     window: TruncationWindow
+    at_bound: bool = False
 
 
 def _fix_phases(B: np.ndarray) -> np.ndarray:
@@ -406,46 +410,59 @@ def _factor_section(T: BandedOperator, N: int):
     return B, u[:, :r].copy(), s[:r], V, u[:, :r].conj().T, V[:, :r], V[:, r:]
 
 
-def _preimage_kernel(fact, K: np.ndarray, G: int):
+def _preimage_kernel(fact, K: np.ndarray, G: int, layer: int = 0):
     """(dim, nested basis [K | H] on [0, N-G)) of {x : B x in span K} for
     the factored window-N section B and orthonormal K, the basis of
-    ker T^(m-1) (no columns for ker T): null(B) plus B^+ (span K cut down
-    to ran B), from U_r* K formed once.  The c with (I - U_r U_r*) K c ~ 0
-    come from a thin SVD by the rank rule relative to ||K|| = 1, run only
+    ker T^(m-1) (no columns for ker T).  The columns P whose preimages are
+    new, all of K or in a layer step its newest ``layer`` columns, are cut
+    down to ran B from U_r* P formed once: the c with (I - U_r U_r*) P c ~ 0
+    come from a thin SVD by the rank rule relative to ||P|| = 1, run only
     when that projection's Frobenius norm, a bound on its singular values,
-    exceeds TOL_SECTION_RANK: below it the rule keeps every c, as the
-    identity.  The candidate basis ns = [V_0 | V_r Q], Q the QR factor of
+    exceeds TOL_SECTION_RANK (below it the rule keeps every c).  The full
+    step adds null(B): ns = [V_0 | V_r Q], Q the QR factor of
     S_r^-1 U_r* K, is orthonormal to rounding however ill-conditioned S_r
     is.  K must lie in span ns: the Frobenius norm of K - ns ns* K, which
     bounds the sine of their largest angle, is within TOL_RESIDUAL, else
-    NotStabilized.  The SVD of ns* K splits off the complement of span K,
-    the new directions, orthonormal as ns is.  Of these the combinations
-    that vanish on the guard band are kept, by an SVD of the guard rows
-    run only when their Frobenius norm exceeds TOL_GUARD (else all, as
-    they are).  Unless the residual (I - K K*) B x of K and of every kept
-    direction is within TOL_RESIDUAL * max(1, ||B||), the step finds K
-    alone; else the new directions are cut to [0, N-G), which moves their
-    Gram matrix off I by at most TOL_GUARD^2 (so no second QR), and
-    phase-fixed into H, so K's columns stay bitwise the first ones."""
+    NotStabilized.  The SVD of ns* K splits off the new directions.  A
+    layer step is for a K that spans every preimage of its other columns'
+    span at this section (``_chain_kernel`` says when): its new directions
+    are B^+ P projected off span K twice (twice is enough) and
+    orthonormalized by one QR, with no SVD of ns* K and no sine check,
+    which the step before passed on this section.  Of the new directions
+    the combinations that vanish on the guard band are kept, by an SVD of
+    the guard rows run only when their Frobenius norm exceeds TOL_GUARD
+    (else all, as they are).  Unless the residual (I - K K*) B x of K and
+    of every kept direction is within TOL_RESIDUAL * max(1, ||B||), the
+    step finds K alone; else the new directions are cut to [0, N-G), which
+    moves their Gram matrix off I by at most TOL_GUARD^2 (so no second
+    QR), and phase-fixed into H, so K's columns stay bitwise the first
+    ones."""
     B, U, s, V, Uh, Vr, V0 = fact
     N, d = V.shape[0], K.shape[1]
     Kp = np.zeros((B.shape[0], d), dtype=K.dtype)
     Kp[: K.shape[0]] = K
-    UK = Uh @ Kp
-    out = Kp - U @ UK  # the part of K outside ran B
+    P = Kp[:, d - layer :] if layer else Kp  # the columns whose preimages are new
+    UK = Uh @ P
+    out = P - U @ UK  # the part outside ran B
     if np.linalg.norm(out) > TOL_SECTION_RANK:
         _, ps, pvh = np.linalg.svd(out, full_matrices=False)
         UK = UK @ pvh[int(np.sum(ps > TOL_SECTION_RANK)) :].conj().T
-    ns = np.concatenate([V0, Vr @ _orthonormalize(UK / s[:, None])], axis=1)
-    cos = ns.conj().T @ Kp[:N]
-    sine = np.linalg.norm(Kp[:N] - ns @ cos)
-    if sine > TOL_RESIDUAL:
-        raise NotStabilized(
-            f"T does not map ker T^(m-1) into itself at section size {N}: its basis "
-            f"lies up to sine {sine:.3e} off the preimages of its span (tolerance "
-            f"{TOL_RESIDUAL:g})"
-        )
-    new = ns @ np.linalg.svd(cos)[0][:, d:]
+    if layer:
+        new = Vr @ (UK / s[:, None])
+        for _ in range(2):
+            new = new - Kp[:N] @ (Kp[:N].conj().T @ new)
+        new = _orthonormalize(new)
+    else:
+        ns = np.concatenate([V0, Vr @ _orthonormalize(UK / s[:, None])], axis=1)
+        cos = ns.conj().T @ Kp[:N]
+        sine = np.linalg.norm(Kp[:N] - ns @ cos)
+        if sine > TOL_RESIDUAL:
+            raise NotStabilized(
+                f"T does not map ker T^(m-1) into itself at section size {N}: its basis "
+                f"lies up to sine {sine:.3e} off the preimages of its span (tolerance "
+                f"{TOL_RESIDUAL:g})"
+            )
+        new = ns @ np.linalg.svd(cos)[0][:, d:]
     if np.linalg.norm(new[N - G :]) > TOL_GUARD:
         _, gs, gvh = np.linalg.svd(new[N - G :])
         new = new @ gvh[int(np.sum(gs > TOL_GUARD)) :].conj().T
@@ -465,11 +482,12 @@ class KernelWalk:
     dim ker T, or None), and that of ker T^m for m >= 2 is
     dim ker T^(m-1) + dim ker T.  Each basis extends the one before: the
     first dim ker T^(m-1) columns of ker T^m's are ker T^(m-1)'s,
-    zero-padded, so H_m is a column slice.  Every step reads T's
-    sections through the walk's two caches, so each window is read once:
-    nullity (``_section_nullity``) and full SVD (``_factor_section``, the
-    last two held, as a power checked at 2N and accepted at N starts the
-    next at N)."""
+    zero-padded, so H_m is a column slice; a kernel accepted at its bound
+    says so (``at_bound``), so the step past it can be a layer step.  Every
+    step reads T's sections through the walk's two caches, so each window
+    is read once: nullity (``_section_nullity``) and full SVD
+    (``_factor_section``, the last two held, as a power checked at 2N and
+    accepted at N starts the next at N)."""
 
     def __init__(self, T: BandedOperator, ker_bound: int | None = None):
         self.T, self.ker_bound = T, ker_bound
@@ -509,6 +527,14 @@ def _chain_kernel(
     singular values come first: with a bound of 0 or None a raw nullity
     of 0 counts 0 unfactored, and a raw 2N nullity of d confirms d (the
     d window-N vectors, zero-padded, span the 2N null space).
+
+    At prev's own window a step is a layer step (``_preimage_kernel``)
+    when prev reached its bound there and the section has dim ker T raw
+    null vectors: every preimage count is at most dim ker T^(m-2) plus the
+    raw nullity, so prev's count at that bound shows that the step before
+    cut no direction, and prev spans every preimage of ker T^(m-2).  Only
+    its newest layer, dim ker T wide, then has new preimages.  Every other
+    step is a full step.
     """
     G, N = prev.window.G, prev.window.N
 
@@ -516,7 +542,9 @@ def _chain_kernel(
     def at(n):
         if not prev.dim and not bound and not walk.nullity(n):
             return 0, np.zeros((n - G, 0), dtype=T.section(0, 0).dtype)
-        return _preimage_kernel(walk.factor(n), prev.basis, G)
+        fact = walk.factor(n)
+        layer = walk.kernels[1].dim if prev.at_bound and n == prev.window.N else 0
+        return _preimage_kernel(fact, prev.basis, G, layer if layer == fact[6].shape[1] else 0)
 
     cap = max(MAX_SECTION, N)
     while N <= cap:
@@ -527,7 +555,7 @@ def _chain_kernel(
                 f"{bound} on their number: the bound, or a count it rests on, is wrong"
             )
         if d == bound or (not prev.dim and walk.nullity(2 * N) == d) or d == at(2 * N)[0]:
-            return StabilizedSubspace(basis=basis, dim=d, window=TruncationWindow(N, G))
+            return StabilizedSubspace(basis, d, TruncationWindow(N, G), d == bound)
         N *= 2
     raise NotStabilized(
         f"kernel dimension kept changing up to section size {cap} "

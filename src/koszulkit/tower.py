@@ -20,12 +20,13 @@ T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
 one apply gives W = op Q and B = Q* W, and every block (A_n, B_n, C_n for
 T; X_n for K) is a slice of B.  The layers are read off the
 ``KernelWalk`` of T that its index certificate holds, and a growth table
-asks the walks of T and T* for its powers (``ell2._preimage_kernel``
-says which SVDs a chain step runs); here the only SVDs are a values-only
-one per A_n tried for n0 and, per K, one batched over the layers for
-||K restricted to H_n||, the largest singular value of the H_n columns
-of W.  As R = W - Q B is orthogonal to span Q, one R gives every
-level's invariance residual (``commutant_blocks``).
+asks the walks of T and T* for its powers (``ell2._chain_kernel`` says
+when a chain step is a full or a layer step, ``ell2._preimage_kernel``
+which SVDs each runs); here the only SVDs are a values-only one per A_n
+tried for n0 and, per K, one batched over the layers for ||K restricted
+to H_n||, the largest singular value of the H_n columns of W.  As
+R = W - Q B is orthogonal to span Q, one R gives every level's
+invariance residual (``commutant_blocks``).
 
 A certificate is a witness of the obstruction mechanism for the given K;
 an "inconclusive" verdict (r ~ 0) only means this route does not apply

@@ -763,6 +763,14 @@ _BAD_TUPLES = {
         "mode": "float",
         "matrices": [_float_diag(1e160, 0), FLOAT_N0["matrices"][0]],
     },
+    # AB - BA = 1e200 e0 e1*: |1e200|^2 is past the float range, not the norm
+    "exact-huge-noncommuting": {
+        "mode": "exact",
+        "matrices": [
+            {"rows": 2, "cols": 2, "entries": [["1e200", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]},
+            TUPLE_N0["matrices"][0],
+        ],
+    },
 }
 _BAD_OPERATORS = {
     "operator-top-level-list": [ASH],
@@ -835,7 +843,9 @@ def test_a_scenario_without_a_depth_or_rank_bound_takes_the_defaults(tmp_path):
 
 #: the cases that parse but fail the tuple's own check, with their error
 _NOT_FORMAT_ERRORS = {
-    f"{cmd}-float-huge-noncommuting": "NonCommuting" for cmd in ("cohomology", "les", "spectrum")
+    f"{cmd}-{mode}-huge-noncommuting": "NonCommuting"
+    for cmd in ("cohomology", "les", "spectrum")
+    for mode in ("float", "exact")
 }
 
 

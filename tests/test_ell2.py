@@ -348,7 +348,8 @@ _BOUND_OPERATORS = {
 
 def _count_chain_windows(monkeypatch):
     """Record the window of every factorization and, per dim ker T^(m-1),
-    every window at which the chain sought ker T^m."""
+    every window at which the chain sought ker T^m, by a full or a layer
+    step."""
     import koszulkit.ell2 as ell2
 
     real_factor, real_step = ell2._factor_section, ell2._preimage_kernel
@@ -358,9 +359,9 @@ def _count_chain_windows(monkeypatch):
         factored.append(N)
         return real_factor(T, N)
 
-    def step(fact, K, G):
+    def step(fact, K, G, layer=0):
         sought.setdefault(K.shape[1], []).append(fact[3].shape[0])
-        return real_step(fact, K, G)
+        return real_step(fact, K, G, layer)
 
     monkeypatch.setattr(ell2, "_factor_section", factor)
     monkeypatch.setattr(ell2, "_preimage_kernel", step)
@@ -471,9 +472,9 @@ def test_phases_are_fixed_as_the_column_loop_fixes_them():
 
 
 def _count_step_svds(monkeypatch):
-    """Per chain step, the ``full_matrices`` flag of each np.linalg.svd call
-    that ``_preimage_kernel`` makes itself; only the SVD of the projection
-    of K off ran B asks for thin factors (False)."""
+    """Per chain step, full or layer, the ``full_matrices`` flag of each
+    np.linalg.svd call that ``_preimage_kernel`` makes itself; only the SVD
+    of the projection of K off ran B asks for thin factors (False)."""
     import koszulkit.ell2 as ell2
 
     real_svd, real_step = np.linalg.svd, ell2._preimage_kernel
@@ -484,9 +485,9 @@ def _count_step_svds(monkeypatch):
             steps[-1].append(kwargs.get("full_matrices", True))
         return real_svd(a, *args, **kwargs)
 
-    def step(fact, K, G):
+    def step(fact, K, G, layer=0):
         steps.append([])
-        return real_step(fact, K, G)
+        return real_step(fact, K, G, layer)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(ell2, "_preimage_kernel", step)
@@ -497,13 +498,14 @@ def test_no_step_of_the_s_star_tower_factors_a_block_below_its_tolerance(
     monkeypatch, backward_shift
 ):
     # ker (S*)^(m-1) = span(e0, ..., e(m-2)) lies in ran B, and every new
-    # direction e(m-1) vanishes on the guard band: each step factors only
-    # ns* K, to split off the new direction
+    # direction e(m-1) vanishes on the guard band: the step to ker T factors
+    # only ns* K, to split off the new direction, and each step past it, a
+    # layer step after a kernel at its bound, factors nothing
     steps = _count_step_svds(monkeypatch)
     tw = kernel_tower(backward_shift, 12)
     assert tw.kernel_dims == tuple(range(1, 13))
     assert len(steps) == 12
-    assert steps == [[True]] * 12
+    assert steps == [[True]] + [[]] * 11
 
 
 def test_each_step_of_the_s_star_tower_from_a_nonzero_kernel_runs_one_qr(
@@ -554,6 +556,98 @@ def test_a_kernel_outside_the_sections_range_still_takes_the_projection_svd(monk
         basis = oracle_section_kernel(T.power(m), sub.window.N, sub.window.G)
         assert basis.shape[1] == sub.dim
         assert _sin_largest_angle(basis, sub.basis) <= 1e-8
+
+
+def _record_layers(monkeypatch):
+    """The ``layer`` argument of every chain step: 0 for a full step, the
+    width of K's newest layer for a layer step."""
+    import koszulkit.ell2 as ell2
+
+    real, layers = ell2._preimage_kernel, []
+
+    def step(fact, K, G, layer=0):
+        layers.append(layer)
+        return real(fact, K, G, layer)
+
+    monkeypatch.setattr(ell2, "_preimage_kernel", step)
+    return layers
+
+
+#: the walks of these must be the same with and without layer steps
+_LAYER_OPERATORS = {**_BOUND_OPERATORS, **_NESTED_OPERATORS}
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["plain walk", "index walk"])
+@pytest.mark.parametrize("name", sorted(_LAYER_OPERATORS))
+def test_layer_steps_find_the_kernels_the_full_step_finds(monkeypatch, name, bounded):
+    # the full step is forced by a monkeypatched ``_preimage_kernel`` that
+    # drops its layer argument; the index walk carries Coburn's bound on
+    # ker T for a scalar Toeplitz T, the plain walk none
+    import koszulkit.ell2 as ell2
+
+    T = _LAYER_OPERATORS[name]()
+    walk_of = (lambda: fredholm_index_banded(T).walks[0]) if bounded else (lambda: KernelWalk(T))
+    layers = _record_layers(monkeypatch)
+    walk = walk_of()
+    layered = {m: walk.kernel(m) for m in range(1, 9)}
+    monkeypatch.undo()
+    real = ell2._preimage_kernel
+    monkeypatch.setattr(ell2, "_preimage_kernel", lambda fact, K, G, layer=0: real(fact, K, G))
+    full = walk_of()
+    for m, sub in layered.items():
+        ref = full.kernel(m)
+        assert (sub.dim, sub.window, sub.at_bound) == (ref.dim, ref.window, ref.at_bound)
+        assert _sin_largest_angle(sub.basis, ref.basis) <= 1e-12
+    # only the weighted S* with weights 0, 2, 1, ... never reaches a bound
+    assert any(layers) == (name != "weighted S*, weights 0, 2, 1, ...")
+
+
+def test_a_hand_built_kernel_at_its_bound_still_takes_the_full_step(monkeypatch, backward_shift):
+    # ker S* reaches Coburn's bound 1; handed on as a kernel built by hand,
+    # without that record, its successor takes the full step
+    from koszulkit.ell2 import StabilizedSubspace
+
+    ker = KernelWalk(backward_shift, 1).kernel(1)
+    assert ker.at_bound
+    layers = _record_layers(monkeypatch)
+    walk = KernelWalk(backward_shift, 1)
+    walk.kernels.append(StabilizedSubspace(ker.basis, ker.dim, ker.window))
+    assert walk.kernel(2).dim == 2 and walk.kernel(3).dim == 3
+    assert layers == [0, 1]
+
+
+def _with_section_entry(monkeypatch, i, j, value):
+    """Monkeypatch ``_factor_section`` so that every section B it returns
+    has ``value`` added at (i, j) while its SVD factors stay T's own: of a
+    chain step's checks only the residual test multiplies by B itself."""
+    import koszulkit.ell2 as ell2
+
+    real = ell2._factor_section
+
+    def factor(T, N):
+        B, *rest = real(T, N)
+        B = B.copy()
+        B[i, j] += value
+        return (B, *rest)
+
+    monkeypatch.setattr(ell2, "_factor_section", factor)
+
+
+@pytest.mark.parametrize("ker_bound, layer", [(None, 0), (1, 1)], ids=["full-step", "layer-step"])
+def test_a_preimage_the_section_maps_off_span_k_fails_the_residual_test(
+    monkeypatch, backward_shift, ker_bound, layer
+):
+    # a monkeypatched section of S* with B e1 = e0 + 1e-6 e5: the preimage
+    # e1 of ker T = span e0 leaves span e0 under B, so the step at N = 64
+    # finds ker T alone, and so does the full step at 128 that confirms it;
+    # with Coburn's bound 1 on ker T the step at 64 is a layer step
+    _with_section_entry(monkeypatch, 5, 1, 1e-6)
+    layers = _record_layers(monkeypatch)
+    walk = KernelWalk(backward_shift, ker_bound)
+    assert walk.kernel(1).dim == 1
+    sub = walk.kernel(2)
+    assert (sub.dim, sub.window.N, sub.at_bound) == (1, 64, False)
+    assert layers == [0, layer, 0]
 
 
 @pytest.mark.parametrize("name", sorted(_NESTED_OPERATORS))

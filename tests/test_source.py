@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import re
 import tokenize
 from pathlib import Path
@@ -132,3 +133,22 @@ def test_package_imports_no_private_name_from_another_module(path):
         and node.attr.startswith("_")
     ]
     assert found == [], f"{path.name} imports private names {found}"
+
+
+def _mutation_probe():
+    spec = importlib.util.spec_from_file_location(
+        "mutation_probe", PACKAGE.parents[1] / "scripts" / "mutation_probe.py"
+    )
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+_PROBE = _mutation_probe()
+
+
+@pytest.mark.parametrize("row", _PROBE.MUTANTS, ids=[row[0] for row in _PROBE.MUTANTS])
+def test_each_mutation_probe_row_names_one_place_in_its_file(row):
+    # a row whose text moved or was duplicated would mutate nothing, or
+    # the wrong check, and report it as a survivor or a kill
+    assert _PROBE.occurrences(row) == 1

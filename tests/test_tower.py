@@ -118,6 +118,28 @@ def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatc
     assert max(requested) == k
 
 
+def test_a_layer_larger_than_the_one_below_is_not_stabilized(backward_shift, monkeypatch):
+    # a monkeypatched walk adds e4, a vector of ker (S*)^5, to ker (S*)^4:
+    # layer 4 has dimension 2 over layer 3's 1, while T still maps
+    # ker T^3 into ker T^2 and the basis stays orthonormal, so only the
+    # layer-dimension check sees it
+    import koszulkit.ell2 as ell2
+
+    real = ell2._chain_kernel
+
+    def grown(T, prev, bound, walk):
+        sub = real(T, prev, bound, walk)
+        if sub.dim != 4:
+            return sub
+        e4 = np.zeros((sub.basis.shape[0], 1))
+        e4[4] = 1.0
+        return ell2.StabilizedSubspace(np.concatenate([sub.basis, e4], axis=1), 5, sub.window)
+
+    monkeypatch.setattr(ell2, "_chain_kernel", grown)
+    with pytest.raises(NotStabilized, match="^layer dimension increased from level 3 to 4$"):
+        kernel_tower(backward_shift, 4)
+
+
 def test_tower_with_shrinking_layers():
     # adjoint of a weighted shift with one dead weight: ker has dim 2 at
     # level 1, then the layers settle to dim 1, so the plateau detector
