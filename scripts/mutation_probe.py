@@ -98,8 +98,8 @@ MUTANTS = (
     (
         "f",
         "tower.py",
-        "        if ur_norm > TOL_INVARIANCE:",
-        "        if False:",
+        "    bad = (inv > TOL_INVARIANCE) | (corner > TOL_INVARIANCE)",
+        "    bad = inv > TOL_INVARIANCE",
         "commutant_blocks: the upper-right corner",
         "implied",
     ),
@@ -141,6 +141,14 @@ MUTANTS = (
         "    if float(np.linalg.norm(resid)) > 1e3 * t * scale:",
         "    if False:",
         "float solve: the residual check",
+        "guard",
+    ),
+    (
+        "l",
+        "tower.py",
+        "        if dim < index:",
+        "        if False:",
+        "kernel_tower: every layer dimension >= the index",
         "guard",
     ),
 )

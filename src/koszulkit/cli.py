@@ -144,7 +144,7 @@ def _cmd_tower(args: argparse.Namespace) -> dict:
         "dims": list(tw.layer_dims()),
         "kernel_dims": list(tw.kernel_dims),
         "n0": tw.n0,
-        "index": tw.index.index,
+        "index": tw.index,
         "levels": _level_rows(tw),
     }
 

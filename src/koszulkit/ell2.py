@@ -22,28 +22,30 @@ ker T starts at N = max(64, 2G), each power at the window of the power
 before, and N doubles up to max(1024, N).  Every vector must die out
 before the guard band.  ker T^m for every m >= 1 is the preimage chain
 {x : B x in ker T^(m-1)} from ker T^0 = {0}, walked by one
-``KernelWalk`` per operator that an index hands on to the towers and
-growth tables on it, so each window of B is factored at most once and no
+``KernelWalk`` per operator (an index hands its two on to the growth
+tables on it), so each window of B is factored at most once and no
 power of T is ever formed.  A step keeps the basis of ker T^(m-1) as its
 first columns and appends its new directions, orthogonal to them, so the
 basis of ker T^m is nested, [H_1 | ... | H_m], with H_n spanning
 ker T^n (-) ker T^(n-1): the layers of a kernel tower.  A step is accepted at N when its count
 reaches an upper bound on its dimension, which no larger window could
-exceed: dim ker T^(m-1) + dim ker T for m >= 2, and for ker T the
-caller's (Coburn's dimension, for a scalar Toeplitz T).  A count above
-the bound raises NotStabilized; any other waits for N and 2N to agree.
+exceed: dim ker T^(m-1) + dim ker T for m >= 2, and for ker T of a
+scalar Toeplitz T Coburn's dimension, which its winding gives.  A count
+above the bound raises NotStabilized; any other waits for N and 2N to
+agree.
 At the window where a kernel reached its bound, with dim ker T raw null
 vectors, the next step preimages only that kernel's newest layer.
-From {0} singular values come first: they settle an empty kernel
-unfactored and confirm a 2N count.
+From {0} singular values confirm a 2N count, and unless the winding
+puts a positive floor under dim ker T they come first and settle an
+empty kernel unfactored.
 That certificate is a desk-scale stabilization check, not a proof:
 operators whose kernel vectors have unbounded support (none of the
 catalog instances) can stabilize to an undercount.
 
 Fredholmness comes from the symbol of the periodic tail
-(``symbol_winding``).  Its winding bounds the kernels of a scalar
-Toeplitz T, so it shortens the check of a count that reaches the bound
-and refuses one above it; the counts give the index.
+(``symbol_winding``).  Its winding bounds dim ker T below by the index
+and, for a scalar Toeplitz T, above, which shortens the check of a count
+that reaches it and refuses one above it; the counts give ``index``.
 """
 
 from __future__ import annotations
@@ -418,11 +420,13 @@ def _preimage_kernel(fact, K: np.ndarray, G: int, layer: int = 0):
     down to ran B from U_r* P formed once: the c with (I - U_r U_r*) P c ~ 0
     come from a thin SVD by the rank rule relative to ||P|| = 1, run only
     when that projection's Frobenius norm, a bound on its singular values,
-    exceeds TOL_SECTION_RANK (below it the rule keeps every c).  The full
-    step adds null(B): ns = [V_0 | V_r Q], Q the QR factor of
-    S_r^-1 U_r* K, is orthonormal to rounding however ill-conditioned S_r
-    is.  K must lie in span ns: the Frobenius norm of K - ns ns* K, which
-    bounds the sine of their largest angle, is within TOL_RESIDUAL, else
+    exceeds TOL_SECTION_RANK (below it the rule keeps every c).  The step
+    to ker T takes null(B)'s basis V_0 as it is: with no K there is no
+    sine to check and nothing to split off.  Past it the full step adds
+    null(B): ns = [V_0 | V_r Q], Q the QR factor of S_r^-1 U_r* K, is
+    orthonormal to rounding however ill-conditioned S_r is.  K must lie
+    in span ns: the Frobenius norm of K - ns ns* K, which bounds the sine
+    of their largest angle, is within TOL_RESIDUAL, else
     NotStabilized.  The SVD of ns* K splits off the new directions.  A
     layer step is for a K that spans every preimage of its other columns'
     span at this section (``_chain_kernel`` says when): its new directions
@@ -452,6 +456,8 @@ def _preimage_kernel(fact, K: np.ndarray, G: int, layer: int = 0):
         for _ in range(2):
             new = new - Kp[:N] @ (Kp[:N].conj().T @ new)
         new = _orthonormalize(new)
+    elif not d:
+        new = V0  # the step to ker T: null(B), with nothing to split off
     else:
         ns = np.concatenate([V0, Vr @ _orthonormalize(UK / s[:, None])], axis=1)
         cos = ns.conj().T @ Kp[:N]
@@ -478,19 +484,24 @@ class KernelWalk:
     certified lazily: ``kernels`` holds the powers walked so far, and
     ``kernel(m)`` walks on to m.  ker T^m = {x : T x in ker T^(m-1)} is a
     chain step through T's own section (``_chain_kernel``), so no power
-    T^m is built.  The bound of ker T is ``ker_bound`` (an upper bound on
-    dim ker T, or None), and that of ker T^m for m >= 2 is
-    dim ker T^(m-1) + dim ker T.  Each basis extends the one before: the
-    first dim ker T^(m-1) columns of ker T^m's are ker T^(m-1)'s,
-    zero-padded, so H_m is a column slice; a kernel accepted at its bound
-    says so (``at_bound``), so the step past it can be a layer step.  Every
-    step reads T's sections through the walk's two caches, so each window
-    is read once: nullity (``_section_nullity``) and full SVD
-    (``_factor_section``, the last two held, as a power checked at 2N and
-    accepted at N starts the next at N)."""
+    T^m is built.  Given the winding ``wind`` of T's symbol, dim ker T is
+    at least ``ker_floor`` = max(-wind, 0), and exactly that for a scalar
+    Toeplitz T (Coburn's lemma), which makes it ``ker_bound``; with no
+    winding the floor is 0 and there is no bound.  The bound of ker T^m
+    for m >= 2 is dim ker T^(m-1) + dim ker T.  Each basis extends the
+    one before: the first dim ker T^(m-1) columns of ker T^m's are
+    ker T^(m-1)'s, zero-padded, so H_m is a column slice; a kernel
+    accepted at its bound says so (``at_bound``), so the step past it can
+    be a layer step.  Every step reads T's sections through the walk's
+    two caches, so each window is read once: nullity
+    (``_section_nullity``) and full SVD (``_factor_section``, the last
+    two held, as a power checked at 2N and accepted at N starts the next
+    at N)."""
 
-    def __init__(self, T: BandedOperator, ker_bound: int | None = None):
-        self.T, self.ker_bound = T, ker_bound
+    def __init__(self, T: BandedOperator, wind: int | None = None):
+        self.T, self.ker_floor = T, 0 if wind is None else max(-wind, 0)
+        toeplitz = wind is not None and T._tail_params() == (0, 1)
+        self.ker_bound = self.ker_floor if toeplitz else None
         self.factor = lru_cache(maxsize=2)(lambda n: _factor_section(T, n))
         self.nullity = cache(lambda n: _section_nullity(T, n))
         G = max(DEFAULT_G, T.bandwidth)
@@ -523,10 +534,12 @@ def _chain_kernel(
     equal to ``bound`` (an upper bound on dim ker T^m, or None) is
     accepted at N, and one above it raises NotStabilized.  Any other
     count waits for N and 2N to agree, N doubling up to
-    max(MAX_SECTION, N).  When prev is {0} the step is null(B), and its
-    singular values come first: with a bound of 0 or None a raw nullity
-    of 0 counts 0 unfactored, and a raw 2N nullity of d confirms d (the
-    d window-N vectors, zero-padded, span the 2N null space).
+    max(MAX_SECTION, N).  When prev is {0} the step is null(B), taken
+    as it is; unless the walk's ``ker_floor`` (which a bound from the
+    winding equals) is positive, its singular values come first, and a
+    raw nullity of 0 counts 0 unfactored (factored, it counts 0 too).  A
+    raw 2N nullity of d confirms d (the d window-N vectors, zero-padded,
+    span the 2N null space).
 
     At prev's own window a step is a layer step (``_preimage_kernel``)
     when prev reached its bound there and the section has dim ker T raw
@@ -537,14 +550,17 @@ def _chain_kernel(
     step is a full step.
     """
     G, N = prev.window.G, prev.window.N
+    found = {}
 
-    @cache
     def at(n):
-        if not prev.dim and not bound and not walk.nullity(n):
-            return 0, np.zeros((n - G, 0), dtype=T.section(0, 0).dtype)
-        fact = walk.factor(n)
-        layer = walk.kernels[1].dim if prev.at_bound and n == prev.window.N else 0
-        return _preimage_kernel(fact, prev.basis, G, layer if layer == fact[6].shape[1] else 0)
+        if n not in found:
+            if not prev.dim and not walk.ker_floor and not walk.nullity(n):
+                found[n] = 0, np.zeros((n - G, 0), dtype=T.section(0, 0).dtype)
+            else:
+                fact = walk.factor(n)
+                layer = walk.kernels[1].dim if prev.at_bound and n == prev.window.N else 0
+                found[n] = _preimage_kernel(fact, prev.basis, G, layer if layer == fact[6].shape[1] else 0)
+        return found[n]
 
     cap = max(MAX_SECTION, N)
     while N <= cap:
@@ -628,21 +644,17 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
 
     Fredholmness comes from the symbol (``symbol_winding``), which raises
     PreconditionError for a non-Fredholm operator; the cokernel is the
-    kernel of the adjoint.  For a scalar Toeplitz T (no prefix, period
-    1) Coburn's lemma gives dim ker T = max(-wind, 0) and
-    dim ker T* = max(wind, 0), passed as the bounds at which each kernel
-    is accepted without the 2N check.  A side above its bound raises
-    NotStabilized; one below it takes the N/2N check, and its count
-    stands even if it disagrees.  The certificate keeps the
-    ``KernelWalk`` of T and of T*, so towers and growth tables walk on to
-    higher powers without reading a window again.
+    kernel of the adjoint.  dim ker T >= max(-wind, 0) and dim ker T* >=
+    max(wind, 0), with equality for a scalar Toeplitz T (Coburn's lemma):
+    the bounds at which each kernel is accepted without the 2N check
+    (each side's ``KernelWalk`` takes its winding).  A side above its
+    bound raises NotStabilized; one below it takes the N/2N check, and its
+    count stands even if it disagrees.  The certificate keeps the
+    ``KernelWalk`` of T and of T*, so growth tables walk on to higher
+    powers without reading a window again.
     """
     wind = symbol_winding(T)
-    toeplitz = T._tail_params() == (0, 1)
-    walks = (
-        KernelWalk(T, max(-wind, 0) if toeplitz else None),
-        KernelWalk(T.adjoint(), max(wind, 0) if toeplitz else None),
-    )
+    walks = (KernelWalk(T, wind), KernelWalk(T.adjoint(), -wind))
     ker, coker = (w.kernel(1) for w in walks)
     return IndexCertificate(
         index=ker.dim - coker.dim,

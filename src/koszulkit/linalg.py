@@ -15,13 +15,13 @@ every returned basis is reproducible across runs.
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, inf, lcm, ldexp, sqrt
+from math import gcd, lcm
 from operator import add, sub
 
 import numpy as np
 
 from .errors import DeflationFailure, ModeMismatch, ShapeError
-from .scalars import EXACT, FLOAT, GR_ONE, GR_ZERO, GaussianRational, as_scalar
+from .scalars import EXACT, FLOAT, GR_ONE, GR_ZERO, GaussianRational, as_scalar, sqrt_ratio
 
 #: default relative rank tolerance for float mode
 TOL_RANK = 1e-10
@@ -207,16 +207,8 @@ class Mat:
             # scaled by the largest |entry|: it overflows only where the norm does
             m = self.max_abs()
             return m * float(np.linalg.norm(self._fl / m)) if 0 < m < np.inf else m
-        # sqrt(s) = 2^e sqrt(s / 4^e) for the exact sum s = p / q of |entry|^2,
-        # with s / 4^e in [1/2, 4): only a norm past the float range overflows
-        s = sum(a.abs2() for a in self._ex)
-        p, q = s.numerator, s.denominator
-        e = (p.bit_length() - q.bit_length()) // 2
-        r = sqrt((p << max(-2 * e, 0)) / (q << max(2 * e, 0)))
-        try:
-            return ldexp(r, e)
-        except OverflowError:
-            return inf
+        s = sum(a.abs2() for a in self._ex)  # exact: only a norm past the float range is inf
+        return sqrt_ratio(s.numerator, s.denominator)
 
     def max_abs(self) -> float:
         if self.mode == FLOAT:

@@ -18,13 +18,26 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, inf, ldexp, sqrt
 from sys import get_int_max_str_digits, hash_info
 
 from .errors import ModeMismatch
 
 EXACT = "exact"
 FLOAT = "float"
+
+
+def sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p / q) for ints p >= 0 and q > 0 as sqrt(float(p / q)) gives
+    it, but inf past the float range: it is taken as 2^e sqrt(p / (q 4^e)),
+    whose int / int (correctly rounded) lies in [1/2, 4)."""
+    e = (p.bit_length() - q.bit_length()) // 2
+    r = sqrt((p << max(-2 * e, 0)) / (q << max(2 * e, 0)))
+    try:
+        return ldexp(r, e)
+    except OverflowError:
+        return inf
+
 
 #: the strings read without ``Fraction``: an ASCII integer or "p/q"
 _RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
@@ -157,8 +170,7 @@ class GaussianRational:
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def magnitude(self) -> float:
-        # int / int rounds correctly, as float(Fraction) does
-        return sqrt((self.a * self.a + self.b * self.b) / (self.d * self.d))
+        return sqrt_ratio(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
         return not (self.a or self.b)

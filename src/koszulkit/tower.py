@@ -18,15 +18,14 @@ per-layer norms, and the verdict.
 
 T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
 one apply gives W = op Q and B = Q* W, and every block (A_n, B_n, C_n for
-T; X_n for K) is a slice of B.  The layers are read off the
-``KernelWalk`` of T that its index certificate holds, and a growth table
-asks the walks of T and T* for its powers (``ell2._chain_kernel`` says
+T; X_n for K) is a slice of B.  The layers are read off a ``KernelWalk``
+of T alone, the index being -winding; a growth table asks the walks of T
+and T* of an index certificate for its powers (``ell2._chain_kernel`` says
 when a chain step is a full or a layer step, ``ell2._preimage_kernel``
 which SVDs each runs); here the only SVDs are a values-only one per A_n
 tried for n0 and, per K, one batched over the layers for ||K restricted
-to H_n||, the largest singular value of the H_n columns of W.  As
-R = W - Q B is orthogonal to span Q, one R gives every level's
-invariance residual (``commutant_blocks``).
+to H_n||, the largest singular value of the H_n columns of W.  Every
+level of K is checked in one array pass (``commutant_blocks``).
 
 A certificate is a witness of the obstruction mechanism for the given K;
 an "inconclusive" verdict (r ~ 0) only means this route does not apply
@@ -49,7 +48,7 @@ from .errors import (
     NotStabilized,
     PreconditionError,
 )
-from .ell2 import BandedOperator, IndexCertificate, fredholm_index_banded
+from .ell2 import BandedOperator, KernelWalk, fredholm_index_banded, symbol_winding
 from .koszul import cohomology, validate_tuple
 from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
 from .scalars import EXACT, as_scalar
@@ -77,7 +76,7 @@ class KernelTower:
     levels: tuple  # TowerLevel for n = 1..depth
     kernel_dims: tuple  # dim ker T^n
     n0: int
-    index: IndexCertificate
+    index: int  # -winding of T's symbol
 
     @property
     def depth(self) -> int:
@@ -162,29 +161,31 @@ def _compress(op: BandedOperator, Q: np.ndarray):
 def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     """Layers H_n = ker T^n (-) ker T^(n-1) with compressions and n0.
 
-    T must be Fredholm (by its symbol) with strictly positive certified index
-    (pass the adjoint to flip a negative index).  The kernels of the powers
-    are walked lazily on the index's ``KernelWalk`` of T, and the walk
-    stops (NotStabilized) at the first one no larger than the one before,
-    so no higher kernel is sought; a depth below 4, which cannot show three
-    equal layers, fails before any section is computed.  Every chain step
-    appends its new directions to the basis of the kernel before it, so
-    the layers are column slices of the last kernel's basis
-    [H_1 | ... | H_D].
+    T must be Fredholm with index -wind > 0 by its symbol's winding (pass
+    the adjoint to flip a negative index), so ker T* is never walked.  The
+    kernels of the powers are walked lazily on a ``KernelWalk`` of T with
+    Coburn's bound for a scalar Toeplitz T.  As index T^m = m index T and
+    dim coker T^m never decreases, dim H_m >= index, and the walk stops
+    (NotStabilized) at the first layer below it.  A depth below 4, which
+    cannot show three equal layers, fails before any section is computed.
+    Every chain step appends its new directions to the basis of the
+    kernel before it, so the layers are column slices of the last
+    kernel's basis [H_1 | ... | H_D].
     """
     if max_depth < 4:
         raise _no_stabilization_level(max_depth)
-    idx = fredholm_index_banded(T)
-    if idx.index <= 0:
+    wind = symbol_winding(T)
+    index = -wind
+    if index <= 0:
         raise IndexSignError(
-            f"kernel tower needs index > 0, got {idx.index}; "
-            "apply it to the adjoint instead"
+            f"kernel tower needs index > 0, got {index}; apply it to the adjoint instead"
         )
-    walk = idx.walks[0]
-    for n in range(2, max_depth + 1):
-        if walk.kernel(n).dim <= walk.kernels[n - 1].dim:
+    walk = KernelWalk(T, wind)
+    for n in range(1, max_depth + 1):
+        dim = walk.kernel(n).dim - walk.kernels[n - 1].dim
+        if dim < index:
             raise NotStabilized(
-                f"layer {n} vanished although the index is positive; window too small"
+                f"layer {n} has dimension {dim}, below the index {index}; window too small"
             )
     # every chain step appends its layer: ker T^D's basis is [H_1 | ... | H_D]
     acc = walk.kernels[max_depth].basis
@@ -234,7 +235,7 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
         levels=tuple(levels),
         kernel_dims=tuple(off[1:]),
         n0=n0,
-        index=idx,
+        index=index,
     )
 
 
@@ -247,9 +248,10 @@ def _no_stabilization_level(max_depth: int) -> NotStabilized:
 
 
 def _check_operator_commutes(T: BandedOperator, S: BandedOperator):
-    C = T * S - S * T
-    if not C.is_zero():
-        bound = C.norm_bound()
+    # one encoding per operator: == is exact, and only an error needs T S - S T
+    TS, ST = T * S, S * T
+    if TS != ST:
+        bound = (TS - ST).norm_bound()
         raise NonCommuting(
             f"operators do not commute (commutator norm bound {bound:.3e})",
             norm=bound,
@@ -261,77 +263,76 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
 
     Checks that S commutes with T, that S leaves each ker T^n invariant
     (projection residual), that the compression is block lower
-    triangular, and that the intertwining identity holds at every level;
-    beyond n0 the corner blocks must share their characteristic
-    polynomial with the one at n0.  Each level also carries the norm of
-    S restricted to H_n.  The first level that fails a check raises.
+    triangular (its upper-right corner, H_n's rows of ker T^(n-1)'s
+    columns, vanishes), and measures the intertwining identity
+    X_(n-1) A_n = A_n X_n at every level; beyond n0 the corner blocks
+    must share their characteristic polynomial with the one at n0.  Each
+    level also carries the norm of S restricted to H_n.  The first level
+    that fails a check raises, its residual checked before its corner.
 
-    One pass serves every level.  ker T^n is the first hi columns, and
-    R = W - Q B is orthogonal to span Q, so the residual
+    One array pass serves every level.  ker T^n is the first hi columns,
+    and R = W - Q B is orthogonal to span Q, so the residual
     ||W[:, :hi] - Q[:, :hi] B[:hi, :hi]|| of each level has its square
     ||R[:, :hi]||^2 + ||B[hi:, :hi]||^2, read off cumulative sums.  The
-    norms come from one SVD of the layers' columns of W, each padded
-    with zero columns (which keep its largest singular value) to the
-    widest layer, and the characteristic polynomials from n0 on from
-    one eigenvalue call.
+    corners' maxima come from one masked reduction of |B|.  The layers'
+    columns of W, the X_n and the A_n are stacked, each zero-padded to
+    the widest layer (which keeps a largest singular value and the
+    products' blocks): one SVD gives the norms, one batched product the
+    intertwining residuals, and one eigenvalue call the characteristic
+    polynomials from n0 on.
     """
     _check_operator_commutes(tower.operator, S)
     Q = np.hstack([lv.h_basis for lv in tower.levels])
     W, B = _compress(S, Q)
-    off = list(accumulate(tower.layer_dims(), initial=0))
-    lo, hi, D = np.array(off[:-1]), np.array(off[1:]), len(B)
+    dims = tower.layer_dims()
+    off = list(accumulate(dims, initial=0))
+    hi, D = np.array(off[1:]), len(B)
     below = np.zeros((D + 1, D + 1))  # below[i, j] = ||B[i:, :j]||^2
     below[:D, 1:] = np.cumsum(np.cumsum(np.abs(B[::-1]) ** 2, axis=0)[::-1], axis=1)
     R = W - _pad(Q, W.shape[0]) @ B
     r2, w2 = (np.cumsum(np.sum(np.abs(M) ** 2, axis=0))[hi - 1] for M in (R, W))
     inv = np.sqrt(r2 + below[hi, hi]) / np.maximum(1.0, np.sqrt(w2))
-    cols = lo[:, None] + np.arange(max(hi - lo))
-    padded = np.where(cols < hi[:, None], W[:, np.minimum(cols, D - 1)], 0)
-    norms = np.linalg.svd(padded.transpose(1, 0, 2), compute_uv=False)[:, 0]
-    levels = []
-    for n in range(1, len(off)):
-        l, h = off[n - 1], off[n]  # H_n is columns l:h, ker T^(n-1) is :l
-        x, a = B[l:h, l:h], tower.level(n).a_block
-        ur_norm = float(np.abs(B[l:h, :l]).max(initial=0.0))
-        # invariance: S . ker T^n stays inside ker T^n
+    # row n - 1 holds H_n's columns of Q, padded by -1 to the widest layer
+    w = np.arange(max(dims))
+    slots = np.where(w < np.array(dims)[:, None], np.array(off[:-1])[:, None] + w, -1)
+    live = slots >= 0
+    layer = np.repeat(np.arange(len(dims)), dims)
+    rows = np.where(layer[:, None] > layer, np.abs(B), 0).max(axis=1, initial=0.0)
+    corner = np.where(live, rows[slots], 0).max(axis=1)
+    bad = (inv > TOL_INVARIANCE) | (corner > TOL_INVARIANCE)
+    if bad.any():
+        n = int(bad.argmax()) + 1
         if inv[n - 1] > TOL_INVARIANCE:
             raise InvarianceViolation(
-                f"ker T^{n} is not invariant under the operator "
-                f"(residual {inv[n - 1]:.3e}); window too small or "
-                "genuinely non-commuting"
+                f"ker T^{n} is not invariant under the operator (residual {inv[n - 1]:.3e}); "
+                "window too small or genuinely non-commuting"
             )
-        if ur_norm > TOL_INVARIANCE:
-            raise InvarianceViolation(
-                f"block upper-right corner at level {n} is {ur_norm:.3e}, "
-                "triangular structure violated"
-            )
-        inter = None if n == 1 else float(np.abs(levels[-1].x_block @ a - a @ x).max())
-        levels.append(
-            CommutantLevel(
-                n=n,
-                x_block=x,
-                invariance_residual=float(inv[n - 1]),
-                intertwine_residual=inter,
-                norm=float(norms[n - 1]),
-            )
+        raise InvarianceViolation(
+            f"block upper-right corner at level {n} is {corner[n - 1]:.3e}, triangular structure violated"
         )
+    padded = np.where(live, W[:, slots], 0)
+    norms = np.linalg.svd(padded.transpose(1, 0, 2), compute_uv=False)[:, 0]
+    X = np.where(live[:, :, None] & live[:, None, :], B[slots[:, :, None], slots[:, None, :]], 0)
+    A = np.zeros_like(X[1:], np.result_type(B, *(lv.a_block for lv in tower.levels[1:])))
+    for a, lv in zip(A, tower.levels[1:]):
+        a[: lv.a_block.shape[0], : lv.dim] = lv.a_block
+    inter = np.abs(X[:-1] @ A - A @ X[1:]).max(axis=(1, 2), initial=0.0)
+    rest = zip(dims, inv.tolist(), [None] + inter.tolist(), norms.tolist())
+    levels = tuple(CommutantLevel(n, X[n - 1, :d, :d], *r) for n, (d, *r) in enumerate(rest, 1))
     # np.poly's products of (z - root), one root at a time, for the corners
     # from n0 on of n0's dimension; a corner of another dimension differs
-    n0, d0 = tower.n0, tower.level(tower.n0).dim
-    same = [lv for lv in levels[n0 - 1 :] if lv.x_block.shape[0] == d0]
-    roots = np.linalg.eigvals(np.stack([lv.x_block for lv in same]))
+    n0, d0 = tower.n0, dims[tower.n0 - 1]
+    same = [n for n in range(n0, len(dims) + 1) if dims[n - 1] == d0]
+    roots = np.linalg.eigvals(X[np.array(same) - 1, :d0, :d0])
     cps = np.zeros((len(same), d0 + 1), dtype=complex)
     cps[:, 0] = 1
     for k in range(d0):
         cps[:, 1:] -= roots[:, k, None] * cps[:, :-1]
     diffs = dict.fromkeys(range(n0 + 1, tower.depth + 1), float("inf"))
-    diffs.update((lv.n, float(np.abs(cp - cps[0]).max())) for lv, cp in zip(same[1:], cps[1:]))
-    certified = all(v <= TOL_CHARPOLY for v in diffs.values()) and all(
-        lv.intertwine_residual is None or lv.intertwine_residual <= TOL_INTERTWINE
-        for lv in levels
-    )
+    diffs.update(zip(same[1:], np.abs(cps[1:] - cps[0]).max(axis=1).tolist()))
+    certified = bool((inter <= TOL_INTERTWINE).all()) and all(v <= TOL_CHARPOLY for v in diffs.values())
     return CommutantBlocks(
-        levels=tuple(levels),
+        levels=levels,
         charpoly_reference=cps[0],
         charpoly_max_diff=diffs,
         similarity_certified=certified,

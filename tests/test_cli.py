@@ -414,11 +414,11 @@ def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsy
     out = capsys.readouterr().out
     assert json.loads(out)["kernel_dims"] == list(range(2, 25, 2))
     assert hashlib.sha256(out.encode()).hexdigest() == TOWER_DIGEST
-    # ker T (bounded by 2) factored for the index, ker T* (bounded by 0)
-    # read from singular values; the chain from ker T on reuses the 64
+    # ker T (bounded by 2) factored at 64; the index comes from the winding,
+    # so no section of T* is read; the chain from ker T on reuses the 64
     # factorization and factors 128 once, none at 256
     assert [(helper, N) for helper, _, N in reads] == [
-        ("_factor_section", 64), ("_section_nullity", 64), ("_factor_section", 128)
+        ("_factor_section", 64), ("_factor_section", 128)
     ]
     # the spans behind the bytes: T maps each layer onto the one below as
     # 15/16 = 1 - |i/4|^2 times an isometry
@@ -426,6 +426,41 @@ def test_tower_takes_no_doubled_window_once_the_bound_is_reached(tmp_path, capsy
     tw = kernel_tower(operator_from_json(_shift2_plus("0", "1/4")), 12)
     for lv in tw.levels[1:]:
         assert np.allclose(np.linalg.svd(lv.a_block, compute_uv=False), 15 / 16, rtol=0, atol=1e-12)
+
+
+def _shift_cubed_minus_half():
+    """S*^3 - I/2: its symbol's three zeros have modulus 2^(-1/3), so its
+    index is 3, but the sections undercount ker T (ROADMAP defect 1)."""
+    return {
+        "diagonals": [
+            {"offset": 3, "period": [["1", "0"]]},
+            {"offset": 0, "period": [["-1/2", "0"]]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["tower", "obstruct"])
+def test_an_undercounted_tower_of_positive_index_is_not_stabilized(tmp_path, capsys, command):
+    # the index 3 comes from the winding, so the undercount is exit 3, not a
+    # false "index > 0" precondition verdict (exit 4)
+    op = _shift_cubed_minus_half()
+    obj = op if command == "tower" else {"operator": op, "perturbation": ASH}
+    inp = write(tmp_path, "t.json", obj)
+    assert main([command, "--input", inp, "--max-level", "8"]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "error[NotStabilized]: layer 1 has dimension 0, below the index 3; window too small"
+    )
+
+
+@pytest.mark.parametrize("a", ["9/10", "19/20"])
+def test_the_catalog_towers_of_s_star_minus_a_near_the_circle_are_not_stabilized(
+    tmp_path, capsys, a
+):
+    inp = write(tmp_path, "t.json", _shift_minus(a))
+    assert main(["tower", "--input", inp, "--max-level", "12"]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "error[NotStabilized]: layer 1 has dimension 0, below the index 1; window too small"
+    )
 
 
 @pytest.mark.parametrize(

@@ -400,17 +400,17 @@ def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, n
 
 
 def test_a_ker_t_count_above_the_callers_bound_is_not_stabilized(backward_shift):
-    # ker S* is spanned by e0, so a bound of 0 on dim ker T is wrong: the
-    # count is refused, not confirmed at 2N
+    # ker S* is spanned by e0, so a winding of 0, whose Coburn bound on
+    # dim ker T is 0, is wrong: the count is refused, not confirmed at 2N
     with pytest.raises(NotStabilized) as exc:
-        KernelWalk(backward_shift, 0).kernel(1)
+        KernelWalk(backward_shift, wind=0).kernel(1)
     assert str(exc.value) == (
         "section size 64 certifies 1 kernel vectors, above the bound 0 on their "
         "number: the bound, or a count it rests on, is wrong"
     )
     # a bound the count reaches accepts it; a larger one leaves it to the 2N check
-    assert KernelWalk(backward_shift, 1).kernel(1).dim == 1
-    assert KernelWalk(backward_shift, 2).kernel(1).dim == 1
+    assert KernelWalk(backward_shift, wind=-1).kernel(1).dim == 1
+    assert KernelWalk(backward_shift, wind=-2).kernel(1).dim == 1
 
 
 def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
@@ -498,14 +498,14 @@ def test_no_step_of_the_s_star_tower_factors_a_block_below_its_tolerance(
     monkeypatch, backward_shift
 ):
     # ker (S*)^(m-1) = span(e0, ..., e(m-2)) lies in ran B, and every new
-    # direction e(m-1) vanishes on the guard band: the step to ker T factors
-    # only ns* K, to split off the new direction, and each step past it, a
+    # direction e(m-1) vanishes on the guard band: the step to ker T takes
+    # null(B) as it is, with nothing to split off, and each step past it, a
     # layer step after a kernel at its bound, factors nothing
     steps = _count_step_svds(monkeypatch)
     tw = kernel_tower(backward_shift, 12)
     assert tw.kernel_dims == tuple(range(1, 13))
     assert len(steps) == 12
-    assert steps == [[True]] + [[]] * 11
+    assert steps == [[]] * 12
 
 
 def test_each_step_of_the_s_star_tower_from_a_nonzero_kernel_runs_one_qr(
@@ -607,10 +607,10 @@ def test_a_hand_built_kernel_at_its_bound_still_takes_the_full_step(monkeypatch,
     # without that record, its successor takes the full step
     from koszulkit.ell2 import StabilizedSubspace
 
-    ker = KernelWalk(backward_shift, 1).kernel(1)
+    ker = KernelWalk(backward_shift, wind=-1).kernel(1)
     assert ker.at_bound
     layers = _record_layers(monkeypatch)
-    walk = KernelWalk(backward_shift, 1)
+    walk = KernelWalk(backward_shift, wind=-1)
     walk.kernels.append(StabilizedSubspace(ker.basis, ker.dim, ker.window))
     assert walk.kernel(2).dim == 2 and walk.kernel(3).dim == 3
     assert layers == [0, 1]
@@ -633,9 +633,9 @@ def _with_section_entry(monkeypatch, i, j, value):
     monkeypatch.setattr(ell2, "_factor_section", factor)
 
 
-@pytest.mark.parametrize("ker_bound, layer", [(None, 0), (1, 1)], ids=["full-step", "layer-step"])
+@pytest.mark.parametrize("wind, layer", [(None, 0), (-1, 1)], ids=["full-step", "layer-step"])
 def test_a_preimage_the_section_maps_off_span_k_fails_the_residual_test(
-    monkeypatch, backward_shift, ker_bound, layer
+    monkeypatch, backward_shift, wind, layer
 ):
     # a monkeypatched section of S* with B e1 = e0 + 1e-6 e5: the preimage
     # e1 of ker T = span e0 leaves span e0 under B, so the step at N = 64
@@ -643,7 +643,7 @@ def test_a_preimage_the_section_maps_off_span_k_fails_the_residual_test(
     # with Coburn's bound 1 on ker T the step at 64 is a layer step
     _with_section_entry(monkeypatch, 5, 1, 1e-6)
     layers = _record_layers(monkeypatch)
-    walk = KernelWalk(backward_shift, ker_bound)
+    walk = KernelWalk(backward_shift, wind)
     assert walk.kernel(1).dim == 1
     sub = walk.kernel(2)
     assert (sub.dim, sub.window.N, sub.at_bound) == (1, 64, False)
@@ -861,14 +861,34 @@ def test_defect_1_keeps_its_doubled_window_on_the_kernel_side():
 def test_operators_off_the_toeplitz_class_get_no_bound(name):
     T = _M1_OPERATORS[name]()
     idx, reads, ker, coker = _index_and_oracles(T)
-    # no bound: each side reads its 64 section's values first and confirms
-    # its count at 128 from singular values; only ker T, not {0}, is factored
+    # no upper bound: ker T, at least the index 1, is factored at 64 with no
+    # values-first read; ker T*, at least 0, reads its 64 section's values
+    # first; each side confirms its count at 128 from singular values
     adj = T.adjoint()
     assert reads == [
-        (NULLITY, T, 64), (FACTOR, T, 64), (NULLITY, T, 128), (NULLITY, adj, 64), (NULLITY, adj, 128)
+        (FACTOR, T, 64), (NULLITY, T, 128), (NULLITY, adj, 64), (NULLITY, adj, 128)
     ]
     _assert_same_kernel(idx.ker, ker)
     _assert_same_kernel(idx.coker, coker)
+
+
+@pytest.mark.parametrize("name", ["patched S*", "weighted S*"])
+def test_a_walk_with_a_positive_floor_factors_its_first_window_at_once(monkeypatch, name):
+    # a walk told its symbol winds -1 times, so dim ker T >= 1 (and, off
+    # the Toeplitz class, no upper bound), skips the values-first read of
+    # its first window; a window with no raw null vector counts 0 factored
+    # or not, so every kernel and window stays the same
+    T = _M1_OPERATORS[name]()
+    for op in (T, T.adjoint()):
+        plain = KernelWalk(op)
+        kernels = [plain.kernel(m) for m in range(4)]
+        reads = _count_reads(monkeypatch)
+        floored = KernelWalk(op, wind=-1)
+        for m, sub in enumerate(kernels):
+            _assert_same_kernel(floored.kernel(m), sub)
+        monkeypatch.undo()
+        assert reads[0] == (FACTOR, op, 64)
+        assert (NULLITY, op, 64) not in reads
 
 
 def test_values_first_kernels_equal_the_fully_factored_ones(monkeypatch):

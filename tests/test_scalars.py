@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from koszulkit.errors import FormatError
 from koszulkit.jsonio import mat_from_json, parse_scalar, scalar_to_json
+from koszulkit.linalg import Mat
 from koszulkit.scalars import EXACT, GaussianRational, as_scalar
 
 from oracles import pair_div, pair_mul
@@ -257,3 +258,12 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
         u + 2, 2 + u, u - 2, 2 - u, u * 3, 3 * u, u / 5, u == 1
         u.to_complex(), u.magnitude(), u.is_zero(), bool(u)
     assert built == []
+
+
+def test_magnitude_divides_before_it_leaves_the_float_range():
+    # |1e200|^2 = 1e400 is past the float range; the magnitude is not
+    assert GaussianRational("1e200").magnitude() == 1e200
+    assert GaussianRational(0, "-1e-200").magnitude() == 1e-200
+    assert GaussianRational("3e200", "4e200").magnitude() == pytest.approx(5e200, rel=1e-15)
+    assert GaussianRational("1e400").magnitude() == math.inf
+    assert Mat.from_rows([[0, "-1e200"], [GaussianRational("3e100", "4e100"), 1]]).max_abs() == 1e200

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from koszulkit.ell2 import (
+    BandedOperator,
+    fredholm_index_banded,
     identity_op,
     make_catalog_operator,
+    symbol_winding,
     zero_op,
 )
 from koszulkit.errors import (
@@ -56,6 +59,38 @@ def test_tower_needs_positive_index(forward_shift):
         kernel_tower(forward_shift, 6)
     with pytest.raises(IndexSignError):
         kernel_tower(identity_op(), 6)
+
+
+#: towers with positive index: scalar Toeplitz (Coburn's bound), a
+#: weighted shift's adjoint and a patched S* (no bound)
+_INDEX_TOWERS = {
+    "S*": lambda: make_catalog_operator("adjoint_shift"),
+    "S*^2 + iI/4": lambda: make_catalog_operator(
+        "toeplitz", symbol={-2: 1, 0: GaussianRational(0, Fraction(1, 4))}
+    ),
+    "weighted S*": lambda: make_catalog_operator(
+        "weighted_shift", prefix=["1/2"], period=[2, 1]
+    ).adjoint(),
+    "patched S*": lambda: make_catalog_operator("adjoint_shift")
+    + BandedOperator.build([], patch=Mat.from_rows([[2, 1], [0, -1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_TOWERS))
+def test_the_tower_takes_its_index_from_the_winding_and_reads_no_section_of_the_adjoint(
+    monkeypatch, name
+):
+    import koszulkit.ell2 as ell2
+
+    T = _INDEX_TOWERS[name]()
+    reads = []
+    for helper in ("_factor_section", "_section_nullity"):
+        real = getattr(ell2, helper)
+        monkeypatch.setattr(ell2, helper, lambda op, N, real=real: reads.append(op) or real(op, N))
+    tw = kernel_tower(T, 8)
+    assert reads and all(op == T for op in reads)
+    assert tw.index == -symbol_winding(T) == fredholm_index_banded(T).index
+    assert all(d >= tw.index for d in tw.layer_dims())
 
 
 def test_tower_orthogonality(backward_shift):
@@ -113,7 +148,7 @@ def test_tower_walk_stops_at_the_first_vanished_layer(backward_shift, monkeypatc
         return prev if m >= k else real(T, prev, bound, factor)
 
     monkeypatch.setattr(ell2, "_chain_kernel", capped)
-    with pytest.raises(NotStabilized, match=f"layer {k} vanished"):
+    with pytest.raises(NotStabilized, match=f"^layer {k} has dimension 0, below the index 1; window too small$"):
         kernel_tower(backward_shift, 12)
     assert max(requested) == k
 
@@ -315,6 +350,128 @@ def test_the_first_level_the_operator_leaves_raises_as_its_per_level_formula_doe
     assert str(exc.value) == (
         f"ker T^3 is not invariant under the operator (residual {resid[2]:.3e}); "
         "window too small or genuinely non-commuting"
+    )
+
+
+def test_intertwining_residuals_read_the_a_blocks_of_the_levels_given(backward_shift):
+    # a tower rebuilt with A_3 + 1/2 (entrywise) in its level 3: the
+    # residual at level 3 is X_2 A_3' - A_3' X_3 of that block, not of the
+    # walked one, and the other levels keep theirs
+    tw = kernel_tower(backward_shift.power(2), 6)
+    levels = list(tw.levels)
+    levels[2] = replace(levels[2], a_block=levels[2].a_block + 0.5)
+    bent = replace(tw, levels=tuple(levels))
+    walked, blocks = commutant_blocks(tw, backward_shift), commutant_blocks(bent, backward_shift)
+    for n in range(2, bent.depth + 1):
+        a, x, prev = bent.level(n).a_block, blocks.level(n).x_block, blocks.level(n - 1).x_block
+        inter = float(np.abs(prev @ a - a @ x).max())
+        assert abs(blocks.level(n).intertwine_residual - inter) <= 1e-15 * max(1.0, inter)
+        if n != 3:
+            assert blocks.level(n).intertwine_residual == walked.level(n).intertwine_residual
+    assert blocks.level(3).intertwine_residual > 0.1 > walked.level(3).intertwine_residual
+
+
+def _bend_corner(W, B, Q, row, col, e):
+    """(W, B) with e added to B[row, col] and to W by the same amount, so
+    that R = W - Q B is unchanged: S seems to send column col of the tower
+    basis e along column row."""
+    Qp = np.vstack([Q, np.zeros((W.shape[0] - Q.shape[0], Q.shape[1]))])
+    W, B = W.astype(complex), B.astype(complex)
+    B[row, col] += e
+    W[:, col] += e * Qp[:, row]
+    return W, B
+
+
+def _commutant_by_level(tower, W, B):
+    """The per-level loop: for each level n, X_n = B[l:h, l:h] with H_n
+    the columns l:h, X_(n-1) A_n - A_n X_n, and the message of the first
+    failing check, its invariance residual (``_per_level_checks``'
+    formula) before its upper-right corner max |B[l:h, :l]|."""
+    Q = np.hstack([lv.h_basis for lv in tower.levels])
+    Qp = np.vstack([Q, np.zeros((W.shape[0] - Q.shape[0], Q.shape[1]))])
+    xs, inters, error, h = [], [], None, 0
+    for lv in tower.levels:
+        n, l, h = lv.n, h, h + lv.dim
+        img = W[:, :h]
+        resid = np.linalg.norm(img - Qp[:, :h] @ B[:h, :h]) / max(1.0, np.linalg.norm(img))
+        corner = np.abs(B[l:h, :l]).max(initial=0.0)
+        if error is None and resid > 1e-10:
+            error = (
+                f"ker T^{n} is not invariant under the operator (residual {resid:.3e}); "
+                "window too small or genuinely non-commuting"
+            )
+        elif error is None and corner > 1e-10:
+            error = f"block upper-right corner at level {n} is {corner:.3e}, triangular structure violated"
+        x = B[l:h, l:h]
+        inters.append(None if n == 1 else float(np.abs(xs[-1] @ lv.a_block - lv.a_block @ x).max()))
+        xs.append(x)
+    return xs, inters, error
+
+
+def _s_star_poly(coeffs):
+    return make_catalog_operator("adjoint_shift").poly(coeffs)
+
+
+#: towers of polynomials in S*, and operators that commute with them
+_PER_LEVEL_TOWERS = {
+    "S*^2": lambda: _s_star_poly([0, 0, 1]),
+    "S*^2 + iI/4": lambda: _s_star_poly([GaussianRational(0, Fraction(1, 4)), 0, 1]),
+    "S* - I/2": lambda: _s_star_poly([Fraction(-1, 2), 1]),
+    "S*^3": lambda: _s_star_poly([0, 0, 0, 1]),
+}
+_PER_LEVEL_OPERATORS = ([2, 1], [Fraction(1, 3), -1, 0, 2])
+
+
+@pytest.mark.parametrize("name", sorted(_PER_LEVEL_TOWERS))
+def test_the_one_pass_commutant_is_the_per_level_loop(monkeypatch, name):
+    import koszulkit.tower as tower
+
+    tw = kernel_tower(_PER_LEVEL_TOWERS[name](), 8)
+    Q = np.hstack([lv.h_basis for lv in tw.levels])
+    real, given = tower._compress, {}
+    monkeypatch.setattr(tower, "_compress", lambda op, Q: given.get("WB") or real(op, Q))
+    for coeffs in _PER_LEVEL_OPERATORS:
+        S = _s_star_poly(coeffs)
+        W, B = real(S, Q)
+        blocks = commutant_blocks(tw, S)
+        xs, inters, error = _commutant_by_level(tw, W, B)
+        assert error is None
+        resid, _ = _per_level_checks(tw, S)
+        for lv, x, inter, r in zip(blocks.levels, xs, inters, resid):
+            assert np.array_equal(lv.x_block, x)
+            assert (lv.intertwine_residual is None) == (inter is None)
+            if inter is not None:
+                assert abs(lv.intertwine_residual - inter) <= 1e-15 * max(1.0, inter)
+            assert abs(lv.invariance_residual - r) <= 1e-14
+        # a corner bent at each level: a large S sees it first in the
+        # corner, a small one in the invariance residual of a level below
+        for k in range(2, tw.depth + 1):
+            row = sum(tw.layer_dims()[: k - 1])
+            for scale, e in ((1000, 1e-9), (1, 1e-6)):
+                W, B = real(S.scale(scale), Q)
+                given["WB"] = _bend_corner(W, B, Q, row, 0, e)
+                error = _commutant_by_level(tw, *given["WB"])[2]
+                assert error is not None
+                with pytest.raises(InvarianceViolation) as exc:
+                    commutant_blocks(tw, S.scale(scale))
+                assert str(exc.value) == error
+                del given["WB"]
+
+
+def test_a_corner_below_the_invariance_tolerance_names_its_level(backward_shift, monkeypatch):
+    # S = 100 I with e0 sent 1e-9 along e2, the basis of H_3: ker T and
+    # ker T^2 stay invariant to 1e-9 / 100, within the tolerance 1e-10,
+    # but the corner of level 3 (H_3's row of the columns of ker T^2) is not
+    import koszulkit.tower as tower
+
+    tw = kernel_tower(backward_shift, 8)
+    Q = np.hstack([lv.h_basis for lv in tw.levels])
+    real = tower._compress
+    monkeypatch.setattr(tower, "_compress", lambda op, Q: _bend_corner(*real(op, Q), Q, 2, 0, 1e-9))
+    with pytest.raises(InvarianceViolation) as exc:
+        commutant_blocks(tw, identity_op().scale(100))
+    assert str(exc.value) == (
+        "block upper-right corner at level 3 is 1.000e-09, triangular structure violated"
     )
 
 
