@@ -6,15 +6,18 @@ Usage: python3 scripts/mutation_probe.py [ROW ...]
 
 Each row of MUTANTS names a file under src/koszulkit, a text that occurs
 exactly once in it, the replacement that switches the check off, and
-the kind of check: a guard, which some input should make fire, or one
-implied by another check.  For each row (all rows when none is named)
-the probe copies the repository into a temporary directory, applies the
-one replacement there and runs ``python -m pytest -x -q tests perfbench``
-in the copy, less the test of this table; the working tree is never
-edited.  A mutant is killed when
-the suite fails and survives when it passes.  The last lines are a
-table: row, outcome, the first failing test of a killed mutant, and the
-check.  A full run takes several minutes; tier-1 does not run it.
+the check.  A check that survives is either a guard no test makes fire,
+which wants a test, or one implied by other checks, which wants
+deleting with its argument.  The probe copies the repository once into a
+temporary directory, before the first run, so one run judges one tree
+even if the working tree changes meanwhile.  For each row (all rows when
+none is named) it applies the one replacement to a fresh copy of that
+snapshot and runs ``python -m pytest -x -q tests perfbench`` in it, less
+the test of this table; the working tree is never edited.  A mutant is
+killed when the suite fails and survives when it passes.  The last
+lines are a table: row, outcome, the first failing test of a killed
+mutant, and the check.  A full run takes several minutes; tier-1 does
+not run it.
 
 The suite first runs on an unmutated copy, which must pass.  Exit
 status: 0 when every mutant was run, 1 when the unmutated suite fails, 2
@@ -37,7 +40,7 @@ PACKAGE = "src/koszulkit"
 #: fails by construction; the probe deselects it
 SELF_TEST = "tests/test_source.py::test_each_mutation_probe_row_names_one_place_in_its_file"
 
-#: (row, file, original text, replacement, check, kind)
+#: (row, file, original text, replacement, check)
 MUTANTS = (
     (
         "a",
@@ -45,7 +48,6 @@ MUTANTS = (
         "    if np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):",
         "    if False:",
         "chain step: the residual (I - KK*) B x within TOL_RESIDUAL max(1, norm B)",
-        "guard",
     ),
     (
         "a-layer",
@@ -53,7 +55,6 @@ MUTANTS = (
         "    if np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):",
         "    if not layer and np.abs(X - Kp @ (Kp.conj().T @ X)).max(initial=0.0) > TOL_RESIDUAL * s.max(initial=1.0):",
         "layer step: the residual (I - KK*) B x within TOL_RESIDUAL max(1, norm B)",
-        "guard",
     ),
     (
         "guard-layer",
@@ -61,7 +62,6 @@ MUTANTS = (
         "    if np.linalg.norm(new[N - G :]) > TOL_GUARD:",
         "    if not layer and np.linalg.norm(new[N - G :]) > TOL_GUARD:",
         "layer step: new directions vanish on the guard band",
-        "guard",
     ),
     (
         "b",
@@ -69,7 +69,6 @@ MUTANTS = (
         "        if lo > 4 * np.pi * K * P / M * hi:",
         "        if True:",
         "symbol_winding: the Bernstein bound",
-        "guard",
     ),
     (
         "c",
@@ -77,15 +76,6 @@ MUTANTS = (
         "            if resid > TOL_INTERTWINE:",
         "            if False:",
         "kernel_tower: the triangular-structure residual",
-        "implied",
-    ),
-    (
-        "d",
-        "tower.py",
-        "    if gram.size and float(np.abs(gram - np.eye(gram.shape[0])).max()) > TOL_INVARIANCE:",
-        "    if False:",
-        "kernel_tower: the orthonormality of the layers",
-        "implied",
     ),
     (
         "e",
@@ -93,7 +83,6 @@ MUTANTS = (
         "        if dims[n] > dims[n - 1]:",
         "        if False:",
         "kernel_tower: a layer larger than the one before",
-        "guard",
     ),
     (
         "f",
@@ -101,7 +90,6 @@ MUTANTS = (
         "    bad = (inv > TOL_INVARIANCE) | (corner > TOL_INVARIANCE)",
         "    bad = inv > TOL_INVARIANCE",
         "commutant_blocks: the upper-right corner",
-        "implied",
     ),
     (
         "g",
@@ -109,7 +97,6 @@ MUTANTS = (
         "        similarity_certified=certified,",
         "        similarity_certified=True,",
         "commutant_blocks: similarity_certified forced true",
-        "guard",
     ),
     (
         "h",
@@ -117,15 +104,6 @@ MUTANTS = (
         "        and all(norms[n] >= r - TOL_RADIUS for n in range(tower.n0, tower.depth + 1))",
         "        and True",
         "obstruction_certificate: every layer norm >= r - TOL_RADIUS",
-        "implied",
-    ),
-    (
-        "i",
-        "tower.py",
-        "        and all(d >= 1 for d in tower.layer_dims())",
-        "        and True",
-        "obstruction_certificate: every layer dimension >= 1",
-        "implied",
     ),
     (
         "j",
@@ -133,7 +111,6 @@ MUTANTS = (
         "    if any(dim < 0 for dim in dims):",
         "    if False:",
         "float _cohomology: the negative-dimension refusal",
-        "guard",
     ),
     (
         "k",
@@ -141,7 +118,6 @@ MUTANTS = (
         "    if float(np.linalg.norm(resid)) > 1e3 * t * scale:",
         "    if False:",
         "float solve: the residual check",
-        "guard",
     ),
     (
         "l",
@@ -149,25 +125,164 @@ MUTANTS = (
         "        if dim < index:",
         "        if False:",
         "kernel_tower: every layer dimension >= the index",
+    ),
+    (
+        "n0-square",
+        "tower.py",
+        "        if A_n.shape[0] != A_n.shape[1] or A_n1.shape[0] != A_n1.shape[1]:",
+        "        if False:",
+        "kernel_tower: n0 needs square compressions A_n and A_(n+1)",
+    ),
+    (
+        "n0-invertible",
+        "tower.py",
+        "        if all(np.linalg.svd(A, compute_uv=False)[-1] > TOL_LAYER for A in (A_n, A_n1)):",
+        "        if True:",
+        "kernel_tower: n0 needs invertible compressions A_n and A_(n+1)",
+    ),
+    (
+        "growth-index",
+        "tower.py",
+        "        if k - c != m * base.index:",
+        "        if False:",
+        "growth_table: every row's index is m times the index of T",
+    ),
+    (
+        "les-agree",
+        "koszul.py",
+        "    if direct.dims != tuple(dims_seq):",
+        "    if False:",
+        "les: the direct and the long-exact-sequence dimensions agree",
+    ),
+    (
+        "report-alt",
+        "koszul.py",
+        "        if alt != self.index:",
+        "        if False:",
+        "CohomologyReport: the index is the alternating sum of the dimensions",
+    ),
+    (
+        "report-index",
+        "koszul.py",
+        "        if self.index != 0:",
+        "        if False:",
+        "CohomologyReport: a finite-dimensional index is 0",
+    ),
+    (
+        "spectrum-exact",
+        "spectrum.py",
+        "        if covered < dim:",
+        "        if False:",
+        "exact spectrum: the Gaussian-rational eigenvalues cover the dimension",
+    ),
+    (
+        "spectrum-float",
+        "spectrum.py",
+        "    if total != dim:",
+        "    if False:",
+        "spectrum: the eigenspaces of each level cover its dimension",
+    ),
+    (
+        "sine",
+        "ell2.py",
+        "        if sine > TOL_RESIDUAL:",
+        "        if False:",
+        "full chain step: ker T^(m-1) lies in the preimages of its span (the sine)",
+    ),
+    (
+        "bound",
+        "ell2.py",
+        "        if bound is not None and d > bound:",
+        "        if False:",
+        "chain step: no count above the bound on the dimension",
+    ),
+    (
         "guard",
+        "ell2.py",
+        "    if np.linalg.norm(new[N - G :]) > TOL_GUARD:",
+        "    if False:",
+        "chain step: new directions vanish on the guard band",
+    ),
+    (
+        "n-2n",
+        "ell2.py",
+        "        if d == bound or (not prev.dim and walk.nullity(2 * N) == d) or d == at(2 * N)[0]:",
+        "        if True:",
+        "chain step: a count below the bound waits for N and 2N to agree",
+    ),
+    (
+        "fredholm",
+        "ell2.py",
+        "        if lo <= TOL_CIRCLE * hi:",
+        "        if False:",
+        "symbol_winding: the not-Fredholm refusal",
+    ),
+    (
+        "depth",
+        "tower.py",
+        "    if max_depth < 4:",
+        "    if False:",
+        "kernel_tower: a depth below 4 fails before any section",
+    ),
+    (
+        "index-sign",
+        "tower.py",
+        "    if index <= 0:",
+        "    if False:",
+        "kernel_tower: the index is positive",
+    ),
+    (
+        "commute-op",
+        "tower.py",
+        "    if TS != ST:",
+        "    if False:",
+        "commutant_blocks: T and K commute",
+    ),
+    (
+        "invariance",
+        "tower.py",
+        "    bad = (inv > TOL_INVARIANCE) | (corner > TOL_INVARIANCE)",
+        "    bad = corner > TOL_INVARIANCE",
+        "commutant_blocks: the invariance residual of each ker T^n",
+    ),
+    (
+        "commute-exact",
+        "koszul.py",
+        "                if not (C.is_zero() if exact else C.fro_norm() <= tol):",
+        "                if not (True if exact else C.fro_norm() <= tol):",
+        "exact tuple: the matrices commute",
+    ),
+    (
+        "commute-float",
+        "koszul.py",
+        "                if not (C.is_zero() if exact else C.fro_norm() <= tol):",
+        "                if not (C.is_zero() if exact else True):",
+        "float tuple: the matrices commute within the tolerance",
+    ),
+    (
+        "compress-exact",
+        "linalg.py",
+        "            C = C if E @ C == ME else None",
+        "            C = C",
+        "compress: an exact E C = M E",
     ),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench_out", ".hypothesis")
 
 
-def occurrences(row) -> int:
-    """How often the row's original text occurs in its file."""
+def occurrences(row, root=ROOT) -> int:
+    """How often the row's original text occurs in its file under root."""
     _, name, original, *_ = row
-    return (ROOT / PACKAGE / name).read_text(encoding="utf-8").count(original)
+    return (root / PACKAGE / name).read_text(encoding="utf-8").count(original)
 
 
-def run_mutant(row=None) -> tuple:
+def run_mutant(snapshot, row=None) -> tuple:
     """("killed" or "survived", first failing test or "") of one row, run
-    on a copy of the repository; with no row, of the copy as it is."""
+    on a copy of the snapshot; with no row, of the copy as it is."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=_IGNORE)
+        shutil.copytree(snapshot, copy)
         if row is not None:
             _, name, original, replacement, *_ = row
             path = copy / PACKAGE / name
@@ -182,7 +297,8 @@ def run_mutant(row=None) -> tuple:
         )
     if proc.returncode == 0:
         return "survived", ""
-    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", proc.stdout, re.MULTILINE)
+    # a test id may hold " - " inside its brackets, the message follows them
+    failed = re.search(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[[^\]]*\])?)", proc.stdout, re.MULTILINE)
     return "killed", failed.group(1) if failed else f"exit {proc.returncode}"
 
 
@@ -193,23 +309,26 @@ def main(argv) -> int:
         print(f"unknown rows: {', '.join(unknown)}; known: {', '.join(rows)}", file=sys.stderr)
         return 2
     chosen = [rows[key] for key in argv] or list(MUTANTS)
-    for row in chosen:
-        if occurrences(row) != 1:
-            print(f"row {row[0]}: its text occurs {occurrences(row)} times in {row[1]}", file=sys.stderr)
-            return 2
-    outcome, test = run_mutant()
-    if outcome != "survived":
-        print(f"the unmutated suite fails ({test}): no mutant can be judged", file=sys.stderr)
-        return 1
-    results = []
-    for row in chosen:
-        outcome, test = run_mutant(row)
-        print(f"{row[0]}: {outcome} {test}".rstrip(), flush=True)
-        results.append((row, outcome, test))
-    print("| row | outcome | killed by | check | kind |")
-    print("| --- | --- | --- | --- | --- |")
-    for (key, _, _, _, check, kind), outcome, test in results:
-        print(f"| {key} | {outcome} | {f'`{test}`' if test else '-'} | {check} | {kind} |")
+    with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
+        snapshot = Path(tmp) / "repo"
+        shutil.copytree(ROOT, snapshot, ignore=_IGNORE)
+        for row in chosen:
+            if occurrences(row, snapshot) != 1:
+                print(f"row {row[0]}: its text occurs {occurrences(row, snapshot)} times in {row[1]}", file=sys.stderr)
+                return 2
+        outcome, test = run_mutant(snapshot)
+        if outcome != "survived":
+            print(f"the unmutated suite fails ({test}): no mutant can be judged", file=sys.stderr)
+            return 1
+        results = []
+        for row in chosen:
+            outcome, test = run_mutant(snapshot, row)
+            print(f"{row[0]}: {outcome} {test}".rstrip(), flush=True)
+            results.append((row, outcome, test))
+    print("| row | outcome | killed by | check |")
+    print("| --- | --- | --- | --- |")
+    for (key, _, _, _, check), outcome, test in results:
+        print(f"| {key} | {outcome} | {f'`{test}`' if test else '-'} | {check} |")
     return 0
 
 

@@ -111,16 +111,15 @@ def _joint_points(mats, dim: int, mode: str):
 
 
 def joint_spectrum(T: CommutingTuple) -> JointSpectrum:
-    """Joint eigenvalues of T with multiplicities summing to d."""
+    """Joint eigenvalues of T with multiplicities summing to d: every level
+    of the refinement covers its dimension, and merging points keeps the
+    sum."""
     pts = _joint_points(list(T.matrices), T.d, T.mode)
     merged = {}
     for point, mult in pts:
         merged[point] = merged.get(point, 0) + mult
     ordered = sorted(merged.items(), key=lambda kv: tuple(_sort_key(z) for z in kv[0]))
-    points = tuple(SpectrumPoint(p, m) for p, m in ordered)
-    if sum(p.multiplicity for p in points) != T.d:
-        raise DeflationFailure(f"joint multiplicities do not sum to the dimension {T.d}")
-    return JointSpectrum(points, T.d, T.mode)
+    return JointSpectrum(tuple(SpectrumPoint(p, m) for p, m in ordered), T.d, T.mode)
 
 
 def apply_poly_map(f: PolyMap, T: CommutingTuple) -> CommutingTuple:

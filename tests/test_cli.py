@@ -348,15 +348,34 @@ def test_growth_of_a_slowly_decaying_kernel_is_index_multiplicative(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("a", ["1/2", "3/4"])
-def test_tower_of_a_slowly_decaying_kernel_grows_by_one_per_power(tmp_path, a):
+@pytest.mark.parametrize(
+    "a, windows",
+    [
+        ("1/2", [("_factor_section", 64), ("_factor_section", 128)]),
+        # ker T's vector (3/4)^k is still 1e-6 on the 64 window's guard
+        # band, so 64 finds no kernel, 128's nullity disagrees, and ker T
+        # is accepted at 128; ker T^3 on need 256
+        (
+            "3/4",
+            [
+                ("_factor_section", 64),
+                ("_section_nullity", 128),
+                ("_factor_section", 128),
+                ("_factor_section", 256),
+            ],
+        ),
+    ],
+    ids=["1/2", "3/4"],
+)
+def test_tower_of_a_slowly_decaying_kernel_grows_by_one_per_power(tmp_path, monkeypatch, a, windows):
+    reads = _count_section_reads(monkeypatch)
     inp = write(tmp_path, "t.json", _shift_minus(a))
-    start = time.perf_counter()
     code, data = run_cli(["tower", "--input", inp, "--max-level", "12"], tmp_path)
-    assert time.perf_counter() - start < 1.0
     assert code == 0
     rep = json.loads(data)
     assert (rep["kernel_dims"], rep["dims"]) == (list(range(1, 13)), [1] * 12)
+    # the walk's section SVDs, in order, by kind and window
+    assert [(helper, N) for helper, _, N in reads] == windows
 
 
 def test_growth_refuses_rows_that_break_index_multiplicativity(tmp_path, capsys, monkeypatch):
@@ -745,6 +764,19 @@ def test_float_les_exits_3_when_its_two_computations_disagree(tmp_path, capsys):
     assert "error[NotStabilized]" in err and "[1, 2, 1]" in err and "[0, 0, 0]" in err
 
 
+def test_float_cohomology_exits_3_on_a_negative_dimension(tmp_path, capsys):
+    # (A, A^2 + eps E, A/2 + eps F), eps = 1e-12, commutes within the
+    # tolerance; at tol_rank 1e-15 the middle differential's singular
+    # values near 8e-14 of its largest count, and the outer ones' do not
+    A = np.array([[2.0, 1.0], [1.0, -1.0]])
+    E, F = np.array([[1.0, -1.0], [0.0, 1.0]]), np.diag([1.0, -1.0])
+    mats = [Mat.from_numpy(M) for M in (A, A @ A + 1e-12 * E, A / 2 + 1e-12 * F)]
+    inp = write(tmp_path, "f.json", tuple_to_json(validate_tuple(mats)))
+    assert main(["cohomology", "--input", inp, "--tol-rank", "1e-15"]) == 3
+    err = capsys.readouterr().err
+    assert "error[NotStabilized]" in err and "negative dimension in [0, -2, -2, 0]" in err
+
+
 def _with_first_entry(entry):
     obj = json.loads(json.dumps(TUPLE_N0))
     obj["matrices"][0]["entries"][0] = entry
@@ -1077,6 +1109,14 @@ def test_an_irrational_eigenvalue_exits_3(tmp_path, capsys):
     code, err = _spectrum_of(tmp_path, capsys, Mat.from_rows([[0, 1], [2, 0]]))
     assert code == 3
     assert "error[DeflationFailure]" in err and "cover 0 of 2" in err
+
+
+def test_a_float_eigenvalue_cluster_with_too_small_an_eigenspace_exits_3(tmp_path, capsys):
+    # 1 and 1 + 1e-9 form one cluster, but A - I = diag(0, 1e-9) has rank
+    # 1 relative to its own norm: the cluster's eigenspace has dimension 1
+    code, err = _spectrum_of(tmp_path, capsys, Mat.from_numpy(np.diag([1.0, 1.0 + 1e-9])))
+    assert code == 3
+    assert "error[DeflationFailure]" in err and "covered 1 of 2" in err
 
 
 def test_an_eigenvalue_needs_no_denominator_cap(tmp_path, capsys):

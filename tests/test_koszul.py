@@ -146,6 +146,12 @@ def test_invariant_violations_raise_explicit_errors(violate, error):
         violate()
 
 
+def test_a_report_whose_index_is_not_the_alternating_sum_is_refused():
+    # index 0 passes the finite-dimensional index check; dims (0, 1) sum to -1
+    with pytest.raises(NotStabilized, match="not the alternating sum"):
+        CohomologyReport(dims=(0, 1), index=0, invertible=False)
+
+
 F2 = Mat.from_numpy(np.array([[0.0, 1.0], [0.0, 0.0]]))
 #: AB != BA, but AB and BA overflow, so AB - BA holds NaN
 BIG_A = Mat.from_numpy(np.array([[1e200, 1e200], [0.0, 0.0]]))

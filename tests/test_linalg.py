@@ -169,6 +169,12 @@ def test_solve_float():
     assert np.allclose(X.to_numpy(), [[0.5], [0.25]])
 
 
+def test_an_inconsistent_float_system_has_no_solution():
+    # least squares gives x = 0, with residual 1
+    A = Mat.from_numpy(np.array([[1.0], [0.0]]))
+    assert solve(A, Mat.from_numpy(np.array([[0.0], [1.0]]))) is None
+
+
 def test_nilpotent_power_vanishes():
     N = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert mat_power(N, 3).is_zero()

@@ -186,6 +186,27 @@ def test_tower_with_shrinking_layers():
     assert tw.n0 == 3
 
 
+def test_n0_skips_a_plateau_with_a_nearly_singular_compression():
+    # the adjoint of the weighted shift with weights (1, 10^-9, 1, 1, ...):
+    # every layer has dimension 1, but A_3 = 10^-9 is below TOL_LAYER, so
+    # n0 is neither 2 (A_2, A_3) nor 3 (A_3, A_4)
+    W = make_catalog_operator("weighted_shift", prefix=[1, Fraction(1, 10**9)], period=[1])
+    tw = kernel_tower(W.adjoint(), 12)
+    assert tw.layer_dims() == (1,) * 12
+    assert abs(tw.level(3).a_block[0, 0]) == pytest.approx(1e-9, rel=1e-6)
+    assert tw.n0 == 4
+
+
+def test_a_large_multiple_of_a_tower_fails_the_absolute_triangular_residual(backward_shift):
+    # T maps H_1 = ker T to 0, so T's block on H_1 is rounding: about 2e-5
+    # for 10^12 (S* - I/2).  The chain steps accept it, their residual
+    # being relative to the section's norm; the triangular residual's
+    # TOL_INTERTWINE is absolute, so this pins today's refusal of large T
+    T = (backward_shift - identity_op().scale(Fraction(1, 2))).scale(10**12)
+    with pytest.raises(NotStabilized, match="triangular structure violated at level 2"):
+        kernel_tower(T, 12)
+
+
 def test_two_dimensional_layers_obstruction(backward_shift):
     # T = (backward shift)^2 has index 2; K = 2I + backward shift commutes
     # and compresses to [[2, 0], [1, 2]] blocks on the 2-dim layers
@@ -542,6 +563,49 @@ def test_obstruction_needs_certified_similar_corner_blocks(backward_shift, monke
     )
     assert cert.verdict == "inconclusive"
     assert cert.r == pytest.approx(2.0, abs=1e-8)  # r alone would obstruct
+
+
+def test_corner_blocks_of_two_sizes_past_n0_are_not_certified_similar():
+    # S* with a 4 x 4 nilpotent Jordan block split off (weight 0 at e_3):
+    # H_n is spanned by e_(n-1) and e_(n+3) up to n = 4, then by e_(n+3).
+    # Today's n0 rule stops at the first plateau, n0 = 2, so the 1 x 1
+    # corners from level 5 on cannot be similar to the 2 x 2 X_2: K = 2I
+    # has r = 2 but no similarity certificate
+    T = make_catalog_operator("weighted_shift", prefix=[1, 1, 1, 0], period=[1]).adjoint()
+    tw = kernel_tower(T, 12)
+    assert (tw.index, tw.n0, tw.layer_dims()) == (1, 2, (2, 2, 2, 2) + (1,) * 8)
+    cert = obstruction_certificate(tw, identity_op().scale(2))
+    diffs = cert.blocks.charpoly_max_diff
+    assert [n for n in diffs if diffs[n] == float("inf")] == list(range(5, 13))
+    assert not cert.blocks.similarity_certified
+    assert cert.r == pytest.approx(2.0, abs=1e-12)
+    assert cert.verdict == "inconclusive"
+
+
+def test_obstruction_needs_every_layer_past_n0_bounded_below_by_r(backward_shift, monkeypatch):
+    # exactly, ||K on H_n|| >= ||X_n|| >= r for X_n similar to X_n0; in
+    # floats the corners are similar only up to TOL_CHARPOLY, which can move
+    # a repeated eigenvalue by its square root, so the verdict reads the
+    # norms too.  A layer norm below r, patched in here, makes it
+    # inconclusive
+    import dataclasses
+
+    import koszulkit.tower as tower
+
+    real = tower.commutant_blocks
+
+    def weak_last_layer(tw, S):
+        blocks = real(tw, S)
+        last = dataclasses.replace(blocks.levels[-1], norm=1.0)
+        return dataclasses.replace(blocks, levels=blocks.levels[:-1] + (last,))
+
+    monkeypatch.setattr(tower, "commutant_blocks", weak_last_layer)
+    cert = obstruction_certificate(
+        kernel_tower(backward_shift, 12), identity_op().scale(2) + backward_shift
+    )
+    assert cert.blocks.similarity_certified and cert.r == pytest.approx(2.0, abs=1e-8)
+    assert cert.norms[12] == 1.0
+    assert cert.verdict == "inconclusive"
 
 
 def test_obstruction_inconclusive_for_shift_itself(backward_shift):
