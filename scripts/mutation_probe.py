@@ -155,20 +155,6 @@ MUTANTS = (
         "les: the direct and the long-exact-sequence dimensions agree",
     ),
     (
-        "report-alt",
-        "koszul.py",
-        "        if alt != self.index:",
-        "        if False:",
-        "CohomologyReport: the index is the alternating sum of the dimensions",
-    ),
-    (
-        "report-index",
-        "koszul.py",
-        "        if self.index != 0:",
-        "        if False:",
-        "CohomologyReport: a finite-dimensional index is 0",
-    ),
-    (
         "spectrum-exact",
         "spectrum.py",
         "        if covered < dim:",

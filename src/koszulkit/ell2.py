@@ -201,15 +201,11 @@ class BandedOperator:
 
     def norm_bound(self) -> float:
         """Upper bound on the operator norm (Schur row/column sum test)."""
-        if self.is_zero():
-            return 0.0
         pre, per = self._tail_params()
         w = self.bandwidth
         reach = pre + per + w + 1
         sec = np.abs(self.section(reach + w, reach + w))
-        row = float(sec.sum(axis=1).max()) if sec.size else 0.0
-        col = float(sec.sum(axis=0).max()) if sec.size else 0.0
-        return float(np.sqrt(max(row, 0.0) * max(col, 0.0))) if row and col else max(row, col)
+        return float(np.sqrt(sec.sum(axis=1).max() * sec.sum(axis=0).max()))
 
     # -- algebra --------------------------------------------------------
 
@@ -385,8 +381,6 @@ def _fix_phases(B: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(B: np.ndarray) -> np.ndarray:
-    if B.shape[1] == 0:
-        return B
     q, r = np.linalg.qr(B)
     d = r.diagonal().copy()
     d[d == 0] = 1.0

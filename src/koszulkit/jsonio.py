@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import gcd, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -70,19 +70,6 @@ def parse_scalar(value, mode: str):
     return complex(re, im)
 
 
-def _ratio_str(p: int, q: int) -> str:
-    """p/q in lowest terms as ``str(Fraction(p, q))`` writes it."""
-    g = gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
-
-
-def scalar_to_json(value):
-    if isinstance(value, GaussianRational):
-        return [_ratio_str(value.a, value.d), _ratio_str(value.b, value.d)]
-    c = complex(value)
-    return [c.real, c.imag]
-
-
 # -- matrices -----------------------------------------------------------
 
 
@@ -110,11 +97,6 @@ def mat_from_json(obj, mode: str = EXACT) -> Mat:
     return Mat(rows, cols, arr, FLOAT)
 
 
-def mat_to_json(M: Mat) -> dict:
-    entries = [scalar_to_json(M.at(i, j)) for i in range(M.rows) for j in range(M.cols)]
-    return {"rows": M.rows, "cols": M.cols, "entries": entries}
-
-
 def mat_from_numpy_json(A: np.ndarray) -> dict:
     """A float matrix as a literal; each complex entry is written [re, im]."""
     A = np.atleast_2d(np.asarray(A, complex))
@@ -138,10 +120,6 @@ def matrices_from_json(obj) -> list:
 
 def tuple_from_json(obj) -> CommutingTuple:
     return validate_tuple(matrices_from_json(obj))
-
-
-def tuple_to_json(T: CommutingTuple) -> dict:
-    return {"mode": T.mode, "matrices": [mat_to_json(M) for M in T.matrices]}
 
 
 # -- banded operators ----------------------------------------------------
@@ -173,20 +151,6 @@ def operator_from_json(obj) -> BandedOperator:
     if obj.get("patch") is not None:
         patch = mat_from_json(obj["patch"], EXACT)
     return BandedOperator.build(diags, patch=patch)
-
-
-def operator_to_json(op: BandedOperator) -> dict:
-    return {
-        "bandwidth": op.bandwidth,
-        "diagonals": [
-            {
-                "offset": d.offset,
-                "prefix": [scalar_to_json(v) for v in d.prefix],
-                "period": [scalar_to_json(v) for v in d.period],
-            }
-            for d in op.diagonals
-        ],
-    }
 
 
 def pair_from_json(obj) -> tuple:
@@ -241,16 +205,6 @@ def polymap_from_json(obj, mode: str = EXACT) -> PolyMap:
             terms = [((0,) * nvars, 0)]
         comps.append(Polynomial.from_terms(nvars, terms, mode))
     return PolyMap.from_components(comps)
-
-
-def polymap_to_json(f: PolyMap) -> list:
-    return [
-        [
-            {"coeff": scalar_to_json(c), "monomial": list(e)}
-            for e, c in comp.terms
-        ]
-        for comp in f.components
-    ]
 
 
 # -- deterministic report emission ----------------------------------------

@@ -13,8 +13,9 @@ on cohomology are all computed here.  The degreewise dimension identity
     dim H^p = (cols D^p - rank D^p) - rank D^(p-1)
 
 is taken with D^(-1) and D^n read as zero maps.  On finite-dimensional
-spaces the index is always 0 (Euler characteristic); every report checks
-this and raises NotStabilized otherwise.
+spaces the index is always 0 (Euler characteristic): the alternating sum
+of these dimensions telescopes to d * sum_p (-1)^p C(n, p) = 0 whatever
+the ranks, float ones included.
 
 Exact cohomology and augment_les run on V_0, the joint generalized
 eigenspace at 0: H^p(T; V) = H^p(T; V_0), as V = V_0 (+) V' is invariant
@@ -109,15 +110,6 @@ class CohomologyReport:
     dims: tuple
     index: int
     invertible: bool
-
-    def __post_init__(self):
-        alt = sum((-1) ** p * dim for p, dim in enumerate(self.dims))
-        if alt != self.index:
-            raise NotStabilized(f"index {self.index} is not the alternating sum of {self.dims}")
-        if self.index != 0:
-            raise NotStabilized(
-                f"index {self.index} is nonzero; finite-dimensional tuples have index 0"
-            )
 
 
 @dataclass(frozen=True)

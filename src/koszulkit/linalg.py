@@ -103,11 +103,6 @@ class Mat:
             return self._ex[i * self.cols + j]
         return complex(self._fl[i, j])
 
-    def row_lists(self):
-        """Rows as fresh mutable lists (exact mode only)."""
-        c = self.cols
-        return [list(self._ex[i * c : (i + 1) * c]) for i in range(self.rows)]
-
     def column(self, j) -> "Mat":
         if self.mode == EXACT:
             ent = [self._ex[i * self.cols + j] for i in range(self.rows)]
@@ -273,9 +268,7 @@ def mat_block(grid) -> Mat:
 
 
 def block_diag_copies(S: Mat, k: int) -> Mat:
-    """Block-diagonal matrix with k copies of S (k = 0 gives a 0x0 matrix)."""
-    if k == 0:
-        return Mat.zeros(0, 0, S.mode)
+    """Block-diagonal matrix with k >= 1 copies of S."""
     z = Mat.zeros(S.rows, S.cols, S.mode)
     grid = [[S if i == j else z for j in range(k)] for i in range(k)]
     return mat_block(grid)
@@ -559,15 +552,12 @@ def _exact_solve(A: Mat, B: Mat):
 
 def _rank_count(s, tol_rank) -> int:
     """The float rank decision: how many of the singular values s (in
-    decreasing order) exceed tol_rank times the largest; 0 if all vanish."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol_rank * s[0]))
+    decreasing order) exceed tol_rank times the largest; s[:1] makes an
+    empty s count 0."""
+    return int(np.sum(s > tol_rank * s[:1]))
 
 
 def _float_rank(arr, tol_rank) -> int:
-    if arr.size == 0:
-        return 0
     return _rank_count(np.linalg.svd(arr)[1], tol_rank)
 
 

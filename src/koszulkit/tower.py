@@ -354,7 +354,7 @@ def obstruction_certificate(
     """
     blocks = commutant_blocks(tower, K)
     x0 = blocks.level(tower.n0).x_block
-    r = spectral_radius(Mat.from_numpy(x0)) if x0.size else 0.0
+    r = spectral_radius(Mat.from_numpy(x0))
     norms = {lv.n: lv.norm for lv in blocks.levels}
     obstructed = (
         blocks.similarity_certified
@@ -433,12 +433,8 @@ def augmented_pair_cohomology(T: BandedOperator, coeffs) -> PairCohomology:
 
 
 def _float_matrix_rank(A: np.ndarray) -> int:
-    if A.size == 0:
-        return 0
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > TOL_LAYER * max(1.0, s[0])))
+    return int(np.sum(s > TOL_LAYER * s.max(initial=1.0)))
 
 
 def kernel_restriction_check(Tm: Mat, Sm: Mat, n: int) -> bool:

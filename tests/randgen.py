@@ -63,7 +63,7 @@ def random_unimodular(rng: random.Random, d: int, shears: int = 6) -> Mat:
         if c == 0:
             continue
         E = Mat.identity(d, EXACT)
-        rows = E.row_lists()
+        rows = [[E.at(r, k) for k in range(d)] for r in range(d)]
         rows[i][j] = GaussianRational(c)
         E = Mat.from_rows(rows, EXACT)
         P = P @ E

@@ -19,13 +19,14 @@ from koszulkit import errors
 from koszulkit.cli import main
 from koszulkit.jsonio import (
     REPORT_FLOAT_FLOOR,
+    emit_report,
+    mat_from_json,
     mat_from_numpy_json,
+    matrices_from_json,
     operator_from_json,
     polymap_from_json,
-    polymap_to_json,
     report_to_json_bytes,
     tuple_from_json,
-    tuple_to_json,
 )
 from koszulkit.koszul import validate_tuple
 from koszulkit.linalg import Mat, solve
@@ -33,6 +34,7 @@ from koszulkit.scalars import GaussianRational
 from koszulkit.tower import kernel_tower
 
 from randgen import get_rng, random_unimodular
+from writers import polymap_to_json, tuple_to_json
 jsonschema = pytest.importorskip("jsonschema")
 
 ASH = {
@@ -777,6 +779,23 @@ def test_float_cohomology_exits_3_on_a_negative_dimension(tmp_path, capsys):
     assert "error[NotStabilized]" in err and "negative dimension in [0, -2, -2, 0]" in err
 
 
+def test_float_les_refuses_an_operator_that_moves_the_cohomology_representatives(tmp_path, capsys):
+    # [diag(0, 1), S] has norm 5e-11, within TOL_COMM, so (diag(0, 1), S)
+    # is a tuple; S e_0 leaves ker diag(0, 1) by 5e-11, which the solve of
+    # the induced action refuses at tol_rank 1e-15 (residual bound 1e-12)
+    # and accepts at the default (1e-7)
+    S = np.array([[1.0, 0.0], [5e-11, 2.0]])
+    mats = [Mat.from_numpy(np.diag([0.0, 1.0])), Mat.from_numpy(S)]
+    inp = write(tmp_path, "f.json", tuple_to_json(validate_tuple(mats)))
+    assert main(["les", "--input", inp]) == 0
+    capsys.readouterr()
+    assert main(["les", "--input", inp, "--tol-rank", "1e-15"]) == 2
+    assert capsys.readouterr().err == (
+        "error[NonCommuting]: induced action did not preserve the cohomology "
+        "representatives; operator fails to commute within tolerance\n"
+    )
+
+
 def _with_first_entry(entry):
     obj = json.loads(json.dumps(TUPLE_N0))
     obj["matrices"][0]["entries"][0] = entry
@@ -927,6 +946,34 @@ def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp,
         argv += ["--map", write(tmp_path, "map.json", pmap)]
     assert main(argv) == 2
     assert f"error[{error}]" in capsys.readouterr().err
+
+
+def _literal(*entries):
+    return {"rows": 1, "cols": len(entries), "entries": list(entries)}
+
+
+#: (call, message) of each jsonio format check that the file tables above leave out
+_JSONIO_REFUSALS = {
+    "scalar-three-parts": (lambda: mat_from_json(_literal(["1", "0", "0"])), "scalar entry must be [re, im]"),
+    "float-part-none": (lambda: mat_from_json(_literal([None, 0.0]), "float"), "bad float scalar [None, 0.0]"),
+    "entry-count": (lambda: mat_from_json(_literal(["1", "0"]) | {"cols": 2}), "has 1 entries for 1x2"),
+    "unknown-mode": (lambda: matrices_from_json({"mode": "decimal", "matrices": []}), "unknown mode 'decimal'"),
+    "no-matrices": (lambda: matrices_from_json({"mode": "exact", "matrices": []}), "tuple file has no matrices"),
+    "map-not-list": (lambda: polymap_from_json({"coeff": ["1", "0"]}), "nonempty list of polynomials"),
+    "map-empty": (lambda: polymap_from_json([]), "nonempty list of polynomials"),
+    "report-format": (lambda: emit_report({}, "xml"), "unknown report format 'xml'"),
+}
+
+
+@pytest.mark.parametrize("call, message", _JSONIO_REFUSALS.values(), ids=_JSONIO_REFUSALS)
+def test_jsonio_refuses_malformed_objects(call, message):
+    with pytest.raises(errors.FormatError, match=re.escape(message)):
+        call()
+
+
+def test_a_polynomial_without_terms_is_zero():
+    f = polymap_from_json([[], [{"coeff": ["2", "0"], "monomial": [1]}]])
+    assert f.eval_point((GaussianRational(3),)) == (0, 6)
 
 
 # T1 upper triangular with eigenvalues 1, 2 and T2 = T1^2: joint spectrum

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.errors import DegreeError, ModeMismatch, NonCommuting, NotStabilized, ShapeError
+from koszulkit.errors import DegreeError, ModeMismatch, NonCommuting, ShapeError
 from koszulkit.koszul import (
-    CohomologyReport,
     CommutingTuple,
     augment_les,
     augment_tuple,
@@ -122,6 +121,19 @@ def test_differential_degree_out_of_range():
         koszul_differential(T, 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: form_basis(2, 3), "degree 3 outside 0..2"),
+        (lambda: induced_map(N2, validate_tuple([N2]), 2), "degree 2 outside 0..1"),
+    ],
+    ids=["form-basis", "induced-map"],
+)
+def test_degrees_outside_the_complex_are_refused(call, message):
+    with pytest.raises(DegreeError, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10**6))
 def test_chain_identity_on_random_tuples(d, n, seed):
@@ -137,19 +149,12 @@ def test_chain_identity_on_random_tuples(d, n, seed):
     [
         # a tuple built without validate_tuple: the chain identity fails
         (lambda: koszul_complex(CommutingTuple(2, 2, (N2, N2.adjoint()), EXACT)), NonCommuting),
-        (lambda: CohomologyReport(dims=(1,), index=1, invertible=False), NotStabilized),
     ],
-    ids=["chain-identity", "nonzero-index"],
+    ids=["chain-identity"],
 )
 def test_invariant_violations_raise_explicit_errors(violate, error):
     with pytest.raises(error):
         violate()
-
-
-def test_a_report_whose_index_is_not_the_alternating_sum_is_refused():
-    # index 0 passes the finite-dimensional index check; dims (0, 1) sum to -1
-    with pytest.raises(NotStabilized, match="not the alternating sum"):
-        CohomologyReport(dims=(0, 1), index=0, invertible=False)
 
 
 F2 = Mat.from_numpy(np.array([[0.0, 1.0], [0.0, 0.0]]))

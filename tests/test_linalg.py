@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koszulkit.linalg as linalg_module
-from koszulkit.errors import ShapeError
+from koszulkit.errors import ModeMismatch, ShapeError
 from koszulkit.linalg import (
     Mat,
     independent_columns,
@@ -14,11 +15,12 @@ from koszulkit.linalg import (
     kernel_chain,
     mat_hstack,
     mat_power,
+    mat_vstack,
     rank,
     solve,
     spectral_radius,
 )
-from koszulkit.scalars import EXACT, GaussianRational
+from koszulkit.scalars import EXACT, FLOAT, GR_ZERO, GaussianRational
 
 from oracles import oracle_rank
 from randgen import get_rng, random_unimodular
@@ -67,6 +69,44 @@ def test_spectral_radius_examples():
 def test_spectral_radius_shape_errors():
     with pytest.raises(ShapeError):
         spectral_radius(Mat.zeros(2, 3))
+
+
+_I2, _F2 = Mat.identity(2), Mat.identity(2, FLOAT)
+
+#: (call, error, message) of each argument check in linalg
+_LINALG_REFUSALS = {
+    "entry-count": (lambda: Mat(2, 2, [GR_ZERO] * 3, EXACT), ShapeError, "entry count 3 != 2x2"),
+    "unknown-mode": (lambda: Mat(1, 1, [0], "decimal"), ValueError, "unknown mode 'decimal'"),
+    "ragged-rows": (lambda: Mat.from_rows([[1, 2], [3]]), ShapeError, "ragged row lengths"),
+    "numpy-1d": (lambda: Mat.from_numpy(np.zeros(3)), ShapeError, "expected a 2-d array"),
+    "add-modes": (lambda: _I2 + _F2, ModeMismatch, "mixed modes exact/float"),
+    "sub-shapes": (lambda: _I2 - Mat.identity(3), ShapeError, "sub shape mismatch"),
+    "shift-non-square": (lambda: Mat.zeros(2, 3).minus_scalar(1), ShapeError, "scalar shift"),
+    "matmul-shapes": (lambda: Mat.zeros(2, 3) @ Mat.zeros(2, 3), ShapeError, "matmul shape mismatch"),
+    "hstack-nothing": (lambda: mat_hstack([]), ShapeError, "hstack of nothing"),
+    "hstack-modes": (lambda: mat_hstack([_I2, _F2]), ModeMismatch, "mixed modes in hstack"),
+    "hstack-rows": (lambda: mat_hstack([_I2, Mat.zeros(3, 1)]), ShapeError, "hstack row mismatch"),
+    "vstack-nothing": (lambda: mat_vstack([]), ShapeError, "vstack of nothing"),
+    "vstack-modes": (lambda: mat_vstack([_I2, _F2]), ModeMismatch, "mixed modes in vstack"),
+    "vstack-cols": (lambda: mat_vstack([_I2, Mat.zeros(1, 3)]), ShapeError, "vstack col mismatch"),
+    "power-non-square": (lambda: mat_power(Mat.zeros(2, 3), 2), ShapeError, "power of a non-square"),
+    "chain-non-square": (lambda: kernel_chain(Mat.zeros(2, 3), 2), ShapeError, "kernel chain of a non-square"),
+    "solve-rows": (lambda: solve(_I2, Mat.zeros(3, 1)), ShapeError, "solve: row mismatch"),
+    "radius-too-large": (lambda: spectral_radius(Mat.zeros(65, 65)), ShapeError, "limited to dimension 64"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _LINALG_REFUSALS.values(), ids=_LINALG_REFUSALS)
+def test_linalg_refuses_bad_arguments(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_float_identity_zero_test_equality_and_the_empty_spectral_radius():
+    assert _F2 == Mat.from_numpy(np.eye(2)) and not _F2.is_zero() and Mat.zeros(2, 2, FLOAT).is_zero()
+    # another mode or shape is unequal, and a non-Mat is left to Python
+    assert _F2 != _I2 and _F2 != Mat.identity(3, FLOAT) and _I2 != [[1, 0], [0, 1]]
+    assert spectral_radius(Mat.zeros(0, 0)) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from koszulkit.errors import FormatError
-from koszulkit.jsonio import mat_from_json, parse_scalar, scalar_to_json
+from koszulkit.jsonio import mat_from_json, parse_scalar
 from koszulkit.linalg import Mat
 from koszulkit.scalars import EXACT, GaussianRational, as_scalar
 
@@ -144,6 +144,11 @@ def test_from_ints_refuses_a_denominator_that_is_not_positive(d):
         GaussianRational.from_ints(1, 2, d)
 
 
+def test_an_unknown_arithmetic_mode_is_refused():
+    with pytest.raises(ValueError, match="^unknown arithmetic mode 'decimal'$"):
+        as_scalar(1, "decimal")
+
+
 def test_equality_with_values_it_cannot_coerce_is_false():
     one = GaussianRational(1)
     for other in ("abc", "", "1/0", float("nan"), float("inf"), 1j, None, object(), [1]):
@@ -228,13 +233,6 @@ def test_repeated_matrix_entries_parse_to_equal_values():
     entries = [["1/3", "-2"], ["0", "0"], ["1/3", "-2"], ["0", "0"], "1/3", ["2/6", "-2"]]
     M = mat_from_json({"rows": 2, "cols": 3, "entries": entries})
     assert [M.at(i, j) for i in range(2) for j in range(3)] == [parse_scalar(e, EXACT) for e in entries]
-
-
-@given(_pairs)
-def test_scalar_to_json_writes_fraction_strings(x):
-    z = GaussianRational(*x)
-    assert scalar_to_json(z) == [str(x[0]), str(x[1])]
-    _check(parse_scalar(scalar_to_json(z), EXACT), x)
 
 
 # -- no Fraction on the arithmetic path -------------------------------

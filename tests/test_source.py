@@ -135,16 +135,15 @@ def test_package_imports_no_private_name_from_another_module(path):
     assert found == [], f"{path.name} imports private names {found}"
 
 
-def _mutation_probe():
-    spec = importlib.util.spec_from_file_location(
-        "mutation_probe", PACKAGE.parents[1] / "scripts" / "mutation_probe.py"
-    )
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
-    return probe
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, PACKAGE.parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-_PROBE = _mutation_probe()
+_PROBE = _script("mutation_probe")
+_COVERAGE = _script("line_coverage")
 
 
 @pytest.mark.parametrize("row", _PROBE.MUTANTS, ids=[row[0] for row in _PROBE.MUTANTS])
@@ -152,3 +151,10 @@ def test_each_mutation_probe_row_names_one_place_in_its_file(row):
     # a row whose text moved or was duplicated would mutate nothing, or
     # the wrong check, and report it as a survivor or a kill
     assert _PROBE.occurrences(row) == 1
+
+
+@pytest.mark.parametrize("entry", _COVERAGE.ALLOWED, ids=[f"{name}:{text.strip()}" for name, text in _COVERAGE.ALLOWED])
+def test_each_line_coverage_allowance_names_one_line_of_its_file(entry):
+    # an allowance whose line moved or was duplicated would excuse nothing,
+    # or a line that tests should run
+    assert _COVERAGE.occurrences(entry) == 1

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -7,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import koszulkit.koszul as koszul_module
-from koszulkit.errors import DeflationFailure, PreconditionError, ShapeError
+from koszulkit.errors import DeflationFailure, FormatError, PreconditionError, ShapeError
 from koszulkit.koszul import validate_tuple
 from koszulkit.linalg import Mat, compress, gaussian_eigenvalues, kernel_basis, kernel_chain, mat_power, solve
 from koszulkit.polymap import Polynomial, PolyMap
@@ -114,6 +116,16 @@ def test_float_chain_keeps_a_small_eigenvalue_apart():
     pts = [(p.point[0].real, p.multiplicity) for p in s.points]
     assert [m for _, m in pts] == [2, 1, 1]
     assert [x for x, _ in pts] == pytest.approx([0.0, 0.005, 1.0], abs=1e-12)
+
+
+def test_a_float_cluster_without_a_kernel_is_skipped_and_the_extraction_refused():
+    # I + 1e-10 N: both eigenvalues lie within DEFLATION_TOL of each other,
+    # one cluster.  A - lambda I has singular values near 5e-10 and, from
+    # rounding the 1 + 1e-10 k entries, near 1e-16: above DEFLATION_TOL
+    # times the largest, so that cluster has no kernel and covers nothing
+    A = np.eye(2) + 1e-10 * np.array([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DeflationFailure, match="covered 0 of 2 dimensions"):
+        joint_spectrum(validate_tuple([Mat.from_numpy(A)]))
 
 
 def test_deflation_failure_on_irrational_eigenvalues():
@@ -392,6 +404,34 @@ def test_deflation_tol_is_read_in_float_mode_only(monkeypatch):
 
 
 # -- polynomial calculus -----------------------------------------------------
+
+
+_X = Polynomial.variable(0, 1)
+_XY = PolyMap.identity(2)
+
+#: (call, error, message) of each argument check in polymap
+_POLYMAP_REFUSALS = {
+    "monomial-arity": (lambda: p1([((1, 0), 1)]), FormatError, "bad monomial (1, 0) for 1 variables"),
+    "monomial-negative": (lambda: p1([((-1,), 1)]), FormatError, "bad monomial (-1,) for 1 variables"),
+    "add-modes": (lambda: _X + Polynomial.variable(0, 1, FLOAT), ShapeError, "arity/mode mismatch"),
+    "point-arity": (lambda: _X.eval_point((1, 2)), ShapeError, "point arity 2 != 1"),
+    "tuple-arity": (lambda: _X.eval_matrices([Mat.identity(1)] * 2), ShapeError, "tuple arity 2 != 1"),
+    "substitute-arity": (lambda: _X.substitute([_X, _X]), ShapeError, "substitution arity mismatch"),
+    "no-components": (lambda: PolyMap.from_components([]), FormatError, "at least one component"),
+    "component-arity": (lambda: PolyMap.from_components([_X, _XY.components[0]]), ShapeError, "disagree on variable count"),
+    "compose-arity": (lambda: _XY.compose(PolyMap.identity(3)), ShapeError, "composition arity mismatch"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _POLYMAP_REFUSALS.values(), ids=_POLYMAP_REFUSALS)
+def test_polymap_refuses_bad_arguments(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_a_float_map_vanishing_only_at_the_origin_has_no_witness():
+    # half the sampled coordinates are 0j, the others small Gaussian integers
+    assert PolyMap.identity(2, FLOAT).nonzero_vanishing_witness(random.Random(0)) is None
 
 
 def test_eval_matrices_makes_one_product_per_new_power(monkeypatch):

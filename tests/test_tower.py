@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -195,6 +196,27 @@ def test_n0_skips_a_plateau_with_a_nearly_singular_compression():
     assert tw.layer_dims() == (1,) * 12
     assert abs(tw.level(3).a_block[0, 0]) == pytest.approx(1e-9, rel=1e-6)
     assert tw.n0 == 4
+
+
+def test_a_tower_with_no_three_equal_layers_within_its_depth_exits_3(tmp_path, capsys):
+    # S* with superdiagonal weights (1, 0, 1, 1, ...): ker S* is spanned by
+    # e_0 and e_2, and the layers are (2, 2, 1, 1, 1, 1, ...).  This pins
+    # today's n0 rule, the first three equal layers from level 2 on with
+    # invertible compressions: depths 4 and 5 hold none, depth 6 finds n0 = 4
+    from koszulkit.cli import main
+    from writers import operator_to_json
+
+    T = make_catalog_operator("weighted_shift", prefix=[1, 0], period=[1]).adjoint()
+    inp = tmp_path / "op.json"
+    inp.write_text(json.dumps(operator_to_json(T)))
+    for depth in (4, 5):
+        assert main(["tower", "--input", str(inp), "--max-level", str(depth)]) == 3
+        assert capsys.readouterr().err == (
+            f"error[NotStabilized]: no stabilization level found within depth {depth} (three "
+            "equal layer dimensions with invertible compressions are required); increase the depth\n"
+        )
+    tw = kernel_tower(T, 6)
+    assert (tw.layer_dims(), tw.n0) == ((2, 2, 1, 1, 1, 1), 4)
 
 
 def test_a_large_multiple_of_a_tower_fails_the_absolute_triangular_residual(backward_shift):
@@ -515,6 +537,15 @@ def test_restriction_rejects_noninvertible_pair():
     N = Mat.from_rows([[0, 1], [0, 0]])
     with pytest.raises(PreconditionError):
         kernel_restriction_check(N, N, 1)
+
+
+def test_restriction_refuses_a_float_pair_that_moves_the_kernel():
+    # diag(0, 1e-11) and S commute up to 1e-11, within TOL_COMM, and the
+    # pair is invertible; but S e_0 = e_0 + e_1 leaves ker T = span e_0
+    T = Mat.from_numpy(np.diag([0.0, 1e-11]))
+    S = Mat.from_numpy(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(InvarianceViolation, match="^restriction did not preserve the kernel"):
+        kernel_restriction_check(T, S, 1)
 
 
 def test_restriction_on_random_invertible_pairs(rng):
