@@ -127,23 +127,30 @@ MUTANTS = (
         "kernel_tower: every layer dimension >= the index",
     ),
     (
-        "n0-square",
+        "n0-plateau",
         "tower.py",
-        "        if A_n.shape[0] != A_n.shape[1] or A_n1.shape[0] != A_n1.shape[1]:",
-        "        if False:",
-        "kernel_tower: n0 needs square compressions A_n and A_(n+1)",
+        "    for n0 in range(p + 1, max_depth - 1):",
+        "    for n0 in range(2, max_depth - 1):",
+        "kernel_tower: n0 lies past the first layer p of the last size",
     ),
     (
         "n0-invertible",
         "tower.py",
-        "        if all(np.linalg.svd(A, compute_uv=False)[-1] > TOL_LAYER for A in (A_n, A_n1)):",
+        "        if all(np.linalg.svd(lv.a_block, compute_uv=False)[-1] > TOL_LAYER for lv in levels[n0 - 1 : n0 + 1]):",
         "        if True:",
         "kernel_tower: n0 needs invertible compressions A_n and A_(n+1)",
     ),
     (
+        "growth-index-zero",
+        "tower.py",
+        "    if wind == 0:",
+        "    if False:",
+        "growth_table: the index, -wind, is nonzero",
+    ),
+    (
         "growth-index",
         "tower.py",
-        "        if k - c != m * base.index:",
+        "        if k - c != m * index:",
         "        if False:",
         "growth_table: every row's index is m times the index of T",
     ),

@@ -22,9 +22,8 @@ ker T starts at N = max(64, 2G), each power at the window of the power
 before, and N doubles up to max(1024, N).  Every vector must die out
 before the guard band.  ker T^m for every m >= 1 is the preimage chain
 {x : B x in ker T^(m-1)} from ker T^0 = {0}, walked by one
-``KernelWalk`` per operator (an index hands its two on to the growth
-tables on it), so each window of B is factored at most once and no
-power of T is ever formed.  A step keeps the basis of ker T^(m-1) as its
+``KernelWalk`` per operator, so each window of B is factored at most
+once and no power of T is ever formed.  A step keeps the basis of ker T^(m-1) as its
 first columns and appends its new directions, orthogonal to them, so the
 basis of ker T^m is nested, [H_1 | ... | H_m], with H_n spanning
 ker T^n (-) ker T^(n-1): the layers of a kernel tower.  A step is accepted at N when its count
@@ -50,7 +49,7 @@ that reaches it and refuses one above it; the counts give ``index``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import lcm
 
@@ -630,7 +629,6 @@ class IndexCertificate:
     dim_coker: int
     ker: StabilizedSubspace
     coker: StabilizedSubspace
-    walks: tuple = field(repr=False)  # the KernelWalks of T and T*
 
 
 def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
@@ -643,19 +641,15 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
     the bounds at which each kernel is accepted without the 2N check
     (each side's ``KernelWalk`` takes its winding).  A side above its
     bound raises NotStabilized; one below it takes the N/2N check, and its
-    count stands even if it disagrees.  The certificate keeps the
-    ``KernelWalk`` of T and of T*, so growth tables walk on to higher
-    powers without reading a window again.
+    count stands even if it disagrees.
     """
     wind = symbol_winding(T)
-    walks = (KernelWalk(T, wind), KernelWalk(T.adjoint(), -wind))
-    ker, coker = (w.kernel(1) for w in walks)
+    ker, coker = KernelWalk(T, wind).kernel(1), KernelWalk(T.adjoint(), -wind).kernel(1)
     return IndexCertificate(
         index=ker.dim - coker.dim,
         dim_ker=ker.dim,
         dim_coker=coker.dim,
         ker=ker,
         coker=coker,
-        walks=walks,
     )
 

@@ -188,8 +188,7 @@ def scenario_from_json(obj) -> dict:
 def polymap_from_json(obj, mode: str = EXACT) -> PolyMap:
     if not isinstance(obj, list) or not obj:
         raise FormatError("polynomial map must be a nonempty list of polynomials")
-    comps = []
-    nvars = None
+    polys = []
     for poly in obj:
         terms = []
         for term in _expect(poly, list, "polynomial"):
@@ -199,12 +198,11 @@ def polymap_from_json(obj, mode: str = EXACT) -> PolyMap:
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError("polynomial term needs coeff and monomial") from exc
             terms.append((mono, coeff))
-        if nvars is None:
-            nvars = len(terms[0][0]) if terms else 1
-        if not terms:
-            terms = [((0,) * nvars, 0)]
-        comps.append(Polynomial.from_terms(nvars, terms, mode))
-    return PolyMap.from_components(comps)
+        polys.append(terms)
+    # the variables are counted by the first polynomial with a term
+    nvars = next((len(terms[0][0]) for terms in polys if terms), 1)
+    zero = [((0,) * nvars, 0)]
+    return PolyMap.from_components([Polynomial.from_terms(nvars, terms or zero, mode) for terms in polys])
 
 
 # -- deterministic report emission ----------------------------------------

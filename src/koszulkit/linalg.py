@@ -199,9 +199,13 @@ class Mat:
 
     def fro_norm(self) -> float:
         if self.mode == FLOAT:
-            # scaled by the largest |entry|: it overflows only where the norm does
             m = self.max_abs()
-            return m * float(np.linalg.norm(self._fl / m)) if 0 < m < np.inf else m
+            if not 0 < m < np.inf:
+                return m
+            # scaled by 2^-e for the largest |entry| m = f 2^e, exactly even for a
+            # subnormal m (dividing by it can overflow): it overflows only where the norm does
+            f, e = np.frexp(m)
+            return m * float(np.linalg.norm(np.ldexp([self._fl.real, self._fl.imag], -e))) / f
         s = sum(a.abs2() for a in self._ex)  # exact: only a norm past the float range is inf
         return sqrt_ratio(s.numerator, s.denominator)
 

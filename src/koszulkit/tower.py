@@ -19,8 +19,8 @@ per-layer norms, and the verdict.
 T and each K are compressed once onto the tower basis Q = [H_1 | ... | H_D]:
 one apply gives W = op Q and B = Q* W, and every block (A_n, B_n, C_n for
 T; X_n for K) is a slice of B.  The layers are read off a ``KernelWalk``
-of T alone, the index being -winding; a growth table asks the walks of T
-and T* of an index certificate for its powers (``ell2._chain_kernel`` says
+of T alone, the index being -winding; a growth table walks T and T* on
+its own, with the index from the winding too (``ell2._chain_kernel`` says
 when a chain step is a full or a layer step, ``ell2._preimage_kernel``
 which SVDs each runs); here the only SVDs are a values-only one per A_n
 tried for n0 and, per K, one batched over the layers for ||K restricted
@@ -166,8 +166,12 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
     kernels of the powers are walked lazily on a ``KernelWalk`` of T with
     Coburn's bound for a scalar Toeplitz T.  As index T^m = m index T and
     dim coker T^m never decreases, dim H_m >= index, and the walk stops
-    (NotStabilized) at the first layer below it.  A depth below 4, which
-    cannot show three equal layers, fails before any section is computed.
+    (NotStabilized) at the first layer below it, and a layer larger than
+    the one before raises too.  n0 is the first n >= p + 1, p the first
+    level of the last layer size, with n + 2 <= depth and A_n, A_(n+1)
+    invertible; past p every layer has one size, so these are square.  A
+    depth below 4, which leaves no such n, fails before any section is
+    computed.
     Every chain step appends its new directions, orthonormal and
     orthogonal to the kernel before it, to that kernel's basis, so the
     layers are orthonormal column slices of the last kernel's basis
@@ -213,19 +217,13 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
             raise NotStabilized(
                 f"layer dimension increased from level {n} to {n + 1}"
             )
-    n0 = None
-    for n in range(2, max_depth - 1):
-        i = n - 1
-        if not (dims[i] == dims[i + 1] == dims[i + 2]):
-            continue
-        A_n = levels[i].a_block
-        A_n1 = levels[i + 1].a_block
-        if A_n.shape[0] != A_n.shape[1] or A_n1.shape[0] != A_n1.shape[1]:
-            continue
-        if all(np.linalg.svd(A, compute_uv=False)[-1] > TOL_LAYER for A in (A_n, A_n1)):
-            n0 = n
+    # no layer grows, so every layer from the first of the last size, p,
+    # has that size, and every A_n with n > p is square
+    p = dims.index(dims[-1]) + 1
+    for n0 in range(p + 1, max_depth - 1):
+        if all(np.linalg.svd(lv.a_block, compute_uv=False)[-1] > TOL_LAYER for lv in levels[n0 - 1 : n0 + 1]):
             break
-    if n0 is None:
+    else:
         raise _no_stabilization_level(max_depth)
     return KernelTower(
         operator=T,
@@ -317,16 +315,14 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     rest = zip(dims, inv.tolist(), [None] + inter.tolist(), norms.tolist())
     levels = tuple(CommutantLevel(n, X[n - 1, :d, :d], *r) for n, (d, *r) in enumerate(rest, 1))
     # np.poly's products of (z - root), one root at a time, for the corners
-    # from n0 on of n0's dimension; a corner of another dimension differs
+    # from n0 on, which all have n0's dimension
     n0, d0 = tower.n0, dims[tower.n0 - 1]
-    same = [n for n in range(n0, len(dims) + 1) if dims[n - 1] == d0]
-    roots = np.linalg.eigvals(X[np.array(same) - 1, :d0, :d0])
-    cps = np.zeros((len(same), d0 + 1), dtype=complex)
+    roots = np.linalg.eigvals(X[n0 - 1 :, :d0, :d0])
+    cps = np.zeros((len(roots), d0 + 1), dtype=complex)
     cps[:, 0] = 1
     for k in range(d0):
         cps[:, 1:] -= roots[:, k, None] * cps[:, :-1]
-    diffs = dict.fromkeys(range(n0 + 1, tower.depth + 1), float("inf"))
-    diffs.update(zip(same[1:], np.abs(cps[1:] - cps[0]).max(axis=1).tolist()))
+    diffs = dict(zip(range(n0 + 1, tower.depth + 1), np.abs(cps[1:] - cps[0]).max(axis=1).tolist()))
     certified = bool((inter <= TOL_INTERTWINE).all()) and all(v <= TOL_CHARPOLY for v in diffs.values())
     return CommutantBlocks(
         levels=levels,
@@ -375,8 +371,10 @@ def growth_table(T: BandedOperator, powers, rank_bound: int) -> GrowthTable:
     For index(T) != 0 the dimensions grow linearly (index of T^m is
     m times the index of T), so any map of rank <= rank_bound on those
     spaces stops being an isomorphism as soon as a dimension exceeds the
-    bound; the `exceeds` column marks where that happens.  A row whose
-    index dim_ker - dim_coker is not m times the index of T raises
+    bound; the `exceeds` column marks where that happens.  The index of T
+    is -wind by its symbol (as in ``kernel_tower``), and the table walks
+    T and T* on its own two ``KernelWalk``s.  A row whose index
+    dim_ker - dim_coker is not m times the index of T raises
     NotStabilized: a section undercounted one of its kernels.
     """
     powers = list(powers)
@@ -384,17 +382,19 @@ def growth_table(T: BandedOperator, powers, rank_bound: int) -> GrowthTable:
         raise FormatError(f"growth table needs powers m >= 0, got {powers}")
     if rank_bound < 0:
         raise FormatError(f"growth table needs rank_bound >= 0, got {rank_bound}")
-    base = fredholm_index_banded(T)
-    if base.index == 0:
+    wind = symbol_winding(T)
+    if wind == 0:
         raise IndexZeroError("growth table needs a nonzero index")
-    kers, cokers = ({m: w.kernel(m) for m in powers} for w in base.walks)
+    index = -wind
+    walks = (KernelWalk(T, wind), KernelWalk(T.adjoint(), -wind))
+    kers, cokers = ({m: w.kernel(m) for m in powers} for w in walks)
     rows = []
     for m in powers:
         k, c = kers[m].dim, cokers[m].dim
-        if k - c != m * base.index:
+        if k - c != m * index:
             raise NotStabilized(
                 f"growth row m = {m} certifies index {k - c}, but index "
-                f"multiplicativity gives m * index T = {m * base.index}"
+                f"multiplicativity gives m * index T = {m * index}"
             )
         rows.append(
             GrowthRow(
@@ -405,7 +405,7 @@ def growth_table(T: BandedOperator, powers, rank_bound: int) -> GrowthTable:
                 exceeds=max(k, c) > rank_bound,
             )
         )
-    return GrowthTable(rows=tuple(rows), rank_bound=rank_bound, base_index=base.index)
+    return GrowthTable(rows=tuple(rows), rank_bound=rank_bound, base_index=index)
 
 
 def augmented_pair_cohomology(T: BandedOperator, coeffs) -> PairCohomology:

@@ -473,6 +473,21 @@ def test_an_undercounted_tower_of_positive_index_is_not_stabilized(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize(
+    "op, index", [(_shift_minus("9/10"), 1), (_shift_cubed_minus_half(), 3)], ids=["S* - 9I/10", "S*^3 - I/2"]
+)
+def test_growth_of_an_undercounted_kernel_breaks_index_multiplicativity(tmp_path, capsys, op, index):
+    # the index comes from the winding, as the tower's does, so the
+    # sections' undercount of ker T is exit 3, not a false "needs a nonzero
+    # index" (exit 4) from the undercounted section index 0
+    inp = write(tmp_path, "t.json", op)
+    assert main(["growth", "--input", inp, "--powers", "1:3"]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "error[NotStabilized]: growth row m = 1 certifies index 0, but index "
+        f"multiplicativity gives m * index T = {index}"
+    )
+
+
 @pytest.mark.parametrize("a", ["9/10", "19/20"])
 def test_the_catalog_towers_of_s_star_minus_a_near_the_circle_are_not_stabilized(
     tmp_path, capsys, a
@@ -495,9 +510,9 @@ def test_the_catalog_towers_of_s_star_minus_a_near_the_circle_are_not_stabilized
     ids=["tower", "growth", "theorem-2.1", "theorem-1.1"],
 )
 def test_a_command_factors_each_section_once(tmp_path, capsys, monkeypatch, argv):
-    # the index's ker T and ker T* walks go on into the tower's and the
-    # growth table's higher powers, so no window is factored twice; growth
-    # asks its walks for a lower power after a higher one
+    # each command walks ker T (and growth ker T* too) once up to its
+    # highest power, so no window is factored twice; growth asks its walks
+    # for a lower power after a higher one
     inputs = {"tower": _shift2_plus("0", "1/4"), "growth": _shift_minus("1/2")}
     if argv[0] in inputs:
         argv = argv + ["--input", write(tmp_path, "t.json", inputs[argv[0]])]
@@ -946,6 +961,33 @@ def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp,
         argv += ["--map", write(tmp_path, "map.json", pmap)]
     assert main(argv) == 2
     assert f"error[{error}]" in capsys.readouterr().err
+
+
+def test_a_float_tuple_with_a_subnormal_largest_entry_commutes(tmp_path, capsys):
+    # AB - BA = 1e-315 e0 e1*, far below TOL_COMM: its norm is scaled by a
+    # power of two, as dividing by the subnormal 1e-315 gives NaN
+    import warnings
+
+    B = {"rows": 2, "cols": 2, "entries": [[0, 0], [1e-315, 0], [0, 0], [0, 0]]}
+    inp = write(tmp_path, "t.json", {"mode": "float", "matrices": [_float_diag(1, 0), B]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cohomology", "--input", inp]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 2, 1]
+
+
+def test_a_map_whose_first_component_is_zero_takes_its_variables_from_the_next(tmp_path, capsys):
+    # (0, z_1) is (z_1, 0) with its components swapped, so its points are
+    # the points of (z_1, 0) with their coordinates swapped
+    x = {"coeff": ["1", "0"], "monomial": [1, 0]}
+    diag = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "0"], ["0", "0"], ["2", "0"]]}
+    inp = write(tmp_path, "t.json", {"mode": "exact", "matrices": [diag, TUPLE_N0["matrices"][1]]})
+    points = []
+    for pmap in ([[], [x]], [[x], []]):
+        assert main(["spectrum", "--input", inp, "--map", write(tmp_path, "map.json", pmap)]) == 0
+        points.append([p["point"] for p in json.loads(capsys.readouterr().out)["points"]])
+    assert points[0] == [pt[::-1] for pt in points[1]]
+    assert points[1] == [[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]
 
 
 def _literal(*entries):

@@ -636,7 +636,7 @@ def test_layer_steps_find_the_kernels_the_full_step_finds(monkeypatch, name, bou
     import koszulkit.ell2 as ell2
 
     T = _LAYER_OPERATORS[name]()
-    walk_of = (lambda: fredholm_index_banded(T).walks[0]) if bounded else (lambda: KernelWalk(T))
+    walk_of = (lambda: KernelWalk(T, symbol_winding(T))) if bounded else (lambda: KernelWalk(T))
     layers = _record_layers(monkeypatch)
     walk = walk_of()
     layered = {m: walk.kernel(m) for m in range(1, 9)}

@@ -119,8 +119,8 @@ def test_shallow_tower_not_stabilized(backward_shift):
 
 
 def test_shallow_tower_fails_before_any_section(backward_shift, monkeypatch):
-    # n0 needs three equal layers after level 1, so depth 4 at least; a
-    # shallower tower fails as a deep one without n0 does, and at once
+    # n0 >= 2 needs n0 + 2 <= depth, so depth 4 at least; a shallower
+    # tower fails as a deep one without n0 does, and at once
     import koszulkit.ell2 as ell2
 
     calls = []
@@ -178,8 +178,8 @@ def test_a_layer_larger_than_the_one_below_is_not_stabilized(backward_shift, mon
 
 def test_tower_with_shrinking_layers():
     # adjoint of a weighted shift with one dead weight: ker has dim 2 at
-    # level 1, then the layers settle to dim 1, so the plateau detector
-    # must skip the non-square compression at level 2
+    # level 1, then the layers settle to dim 1 from p = 2 on, so n0 starts
+    # at p + 1 = 3, past the non-square compression at level 2
     W = make_catalog_operator("weighted_shift", prefix=[0, 2], period=[1])
     Wa = W.adjoint()
     tw = kernel_tower(Wa, 8)
@@ -200,9 +200,9 @@ def test_n0_skips_a_plateau_with_a_nearly_singular_compression():
 
 def test_a_tower_with_no_three_equal_layers_within_its_depth_exits_3(tmp_path, capsys):
     # S* with superdiagonal weights (1, 0, 1, 1, ...): ker S* is spanned by
-    # e_0 and e_2, and the layers are (2, 2, 1, 1, 1, 1, ...).  This pins
-    # today's n0 rule, the first three equal layers from level 2 on with
-    # invertible compressions: depths 4 and 5 hold none, depth 6 finds n0 = 4
+    # e_0 and e_2, and the layers are (2, 2, 1, 1, 1, 1, ...).  n0 is the
+    # first n past p = 3, the first layer of the last size, with n + 2 <= depth
+    # and A_n, A_(n+1) invertible: depths 4 and 5 hold none, depth 6 finds n0 = 4
     from koszulkit.cli import main
     from writers import operator_to_json
 
@@ -227,6 +227,19 @@ def test_a_large_multiple_of_a_tower_fails_the_absolute_triangular_residual(back
     T = (backward_shift - identity_op().scale(Fraction(1, 2))).scale(10**12)
     with pytest.raises(NotStabilized, match="triangular structure violated at level 2"):
         kernel_tower(T, 12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the n0 search compares sigma_min(A_n) with the absolute TOL_LAYER, so a small "
+    "multiple of a tower it accepts has no stabilization level",
+)
+def test_a_small_multiple_of_a_tower_has_its_stabilization_level(backward_shift):
+    # the small-scale twin of the triangular residual above: every A_n of
+    # 10^-8 (S* - I/2) has sigma_min = 7.5e-9, below TOL_LAYER = 1e-8, though
+    # 10^-7 (S* - I/2) passes.  A rule relative to ||T|| would accept it
+    tw = kernel_tower((backward_shift - identity_op().scale(Fraction(1, 2))).scale(Fraction(1, 10**8)), 12)
+    assert (tw.layer_dims(), tw.n0) == ((1,) * 12, 2)
 
 
 def test_two_dimensional_layers_obstruction(backward_shift):
@@ -596,21 +609,39 @@ def test_obstruction_needs_certified_similar_corner_blocks(backward_shift, monke
     assert cert.r == pytest.approx(2.0, abs=1e-8)  # r alone would obstruct
 
 
-def test_corner_blocks_of_two_sizes_past_n0_are_not_certified_similar():
-    # S* with a 4 x 4 nilpotent Jordan block split off (weight 0 at e_3):
-    # H_n is spanned by e_(n-1) and e_(n+3) up to n = 4, then by e_(n+3).
-    # Today's n0 rule stops at the first plateau, n0 = 2, so the 1 x 1
-    # corners from level 5 on cannot be similar to the 2 x 2 X_2: K = 2I
-    # has r = 2 but no similarity certificate
-    T = make_catalog_operator("weighted_shift", prefix=[1, 1, 1, 0], period=[1]).adjoint()
-    tw = kernel_tower(T, 12)
-    assert (tw.index, tw.n0, tw.layer_dims()) == (1, 2, (2, 2, 2, 2) + (1,) * 8)
-    cert = obstruction_certificate(tw, identity_op().scale(2))
-    diffs = cert.blocks.charpoly_max_diff
-    assert [n for n in diffs if diffs[n] == float("inf")] == list(range(5, 13))
+def test_corners_of_one_size_off_the_intertwining_identity_are_not_certified_similar(backward_shift):
+    # K = 2I + S* on the tower of S*^2: every corner is 2I plus a nonzero
+    # nilpotent, all 2 x 2 with one characteristic polynomial, and K
+    # obstructs.  A tower rebuilt with A_8 D, D = diag(1, 2), which commutes
+    # with no such corner, breaks X_7 A_8 = A_8 X_8 alone: no certificate
+    tw = kernel_tower(backward_shift.power(2), 10)
+    K = identity_op().scale(2) + backward_shift
+    assert obstruction_certificate(tw, K).verdict == "obstructed"
+    levels = list(tw.levels)
+    levels[7] = replace(levels[7], a_block=levels[7].a_block @ np.diag([1.0, 2.0]))
+    cert = obstruction_certificate(replace(tw, levels=tuple(levels)), K)
+    assert max(cert.blocks.charpoly_max_diff.values()) <= 1e-12
+    assert [n for n in range(2, 11) if cert.blocks.level(n).intertwine_residual > 1e-9] == [8]
     assert not cert.blocks.similarity_certified
     assert cert.r == pytest.approx(2.0, abs=1e-12)
     assert cert.verdict == "inconclusive"
+
+
+def test_n0_lies_on_the_last_plateau_so_a_split_off_jordan_block_still_obstructs():
+    # S* with a 4 x 4 nilpotent Jordan block split off (weight 0 at e_3):
+    # H_n is spanned by e_(n-1) and e_(n+3) up to n = 4, then by e_(n+3).
+    # The last layer size starts at p = 5, so n0 = 6, and every corner
+    # from n0 on is 1 x 1: K = 2I has r = 2 and certified similar corners
+    T = make_catalog_operator("weighted_shift", prefix=[1, 1, 1, 0], period=[1]).adjoint()
+    tw = kernel_tower(T, 12)
+    assert (tw.index, tw.n0, tw.layer_dims()) == (1, 6, (2, 2, 2, 2) + (1,) * 8)
+    cert = obstruction_certificate(tw, identity_op().scale(2))
+    diffs = cert.blocks.charpoly_max_diff
+    assert list(diffs) == list(range(7, 13))
+    assert all(np.isfinite(v) and v <= 1e-12 for v in diffs.values())
+    assert cert.blocks.similarity_certified
+    assert cert.r == pytest.approx(2.0, abs=1e-12)
+    assert cert.verdict == "obstructed"
 
 
 def test_obstruction_needs_every_layer_past_n0_bounded_below_by_r(backward_shift, monkeypatch):
