@@ -167,19 +167,16 @@ class Mat:
             raise ShapeError(f"matmul shape mismatch {self.shape} @ {other.shape}")
         if self.mode == FLOAT:
             return Mat(self.rows, other.cols, self._fl @ other._fl, FLOAT)
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._ex, other._ex
         # row i of the product is sum_t a[i, t] * (row t of b), over nonzeros
-        brows = [[(j, v) for j, v in enumerate(b[t * m : (t + 1) * m]) if v] for t in range(k)]
+        brows = _nonzero_rows(other)
         out = []
-        for i in range(n):
-            acc = [GR_ZERO] * m
-            for t, av in enumerate(a[i * k : (i + 1) * k]):
-                if av:
-                    for j, bv in brows[t]:
-                        acc[j] = acc[j] + av * bv
+        for ai in _nonzero_rows(self):
+            acc = [GR_ZERO] * other.cols
+            for t, av in ai:
+                for j, bv in brows[t]:
+                    acc[j] = acc[j] + av * bv
             out.extend(acc)
-        return Mat(n, m, out, EXACT)
+        return Mat(self.rows, other.cols, out, EXACT)
 
     def adjoint(self) -> "Mat":
         """Conjugate transpose."""
@@ -287,8 +284,30 @@ def mat_power(M: Mat, m: int) -> Mat:
     return out
 
 
+def _nonzero_rows(M: Mat):
+    """The nonzero entries of each row of exact M, as (column, value) pairs."""
+    return [[(j, v) for j, v in enumerate(M._ex[i * M.cols : (i + 1) * M.cols]) if v] for i in range(M.rows)]
+
+
 def commutator(A: Mat, B: Mat) -> Mat:
-    return A @ B - B @ A
+    """AB - BA.  For exact square A and B of one size, each row sums the
+    products a_it b_tj less b_it a_tj over the nonzeros, the products of
+    A @ B and B @ A, with no product matrix and no subtraction of matrices;
+    any other pair, float or one A @ B refuses, is taken as A @ B - B @ A."""
+    if not (A.mode == B.mode == EXACT and A.rows == A.cols == B.rows == B.cols):
+        return A @ B - B @ A
+    arows, brows = _nonzero_rows(A), _nonzero_rows(B)
+    out = []
+    for ai, bi in zip(arows, brows):
+        acc = [None] * A.rows  # None until a first term, which then costs no addition
+        for t, u in ai:
+            for j, v in brows[t]:
+                acc[j] = u * v if acc[j] is None else acc[j] + u * v
+        for t, u in bi:
+            for j, v in arows[t]:
+                acc[j] = -(u * v) if acc[j] is None else acc[j] - u * v
+        out.extend([GR_ZERO if w is None else w for w in acc])
+    return Mat(A.rows, A.rows, out, EXACT)
 
 
 # -- exact elimination (Bareiss over the Gaussian integers) ------------

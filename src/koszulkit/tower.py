@@ -237,8 +237,8 @@ def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
 def _no_stabilization_level(max_depth: int) -> NotStabilized:
     return NotStabilized(
         f"no stabilization level found within depth {max_depth} "
-        "(three equal layer dimensions with invertible compressions "
-        "are required); increase the depth"
+        "(the last layer dimension on four levels p to p + 3, with A_n and "
+        "A_(n+1) invertible for some n > p, is required); increase the depth"
     )
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import koszulkit.linalg as linalg_module
-from koszulkit.errors import ModeMismatch, ShapeError
+from koszulkit.errors import ModeMismatch, NonCommuting, ShapeError
+from koszulkit.koszul import validate_tuple
 from koszulkit.linalg import (
     Mat,
+    commutator,
     independent_columns,
     kernel_basis,
     kernel_chain,
@@ -93,6 +95,10 @@ _LINALG_REFUSALS = {
     "chain-non-square": (lambda: kernel_chain(Mat.zeros(2, 3), 2), ShapeError, "kernel chain of a non-square"),
     "solve-rows": (lambda: solve(_I2, Mat.zeros(3, 1)), ShapeError, "solve: row mismatch"),
     "radius-too-large": (lambda: spectral_radius(Mat.zeros(65, 65)), ShapeError, "limited to dimension 64"),
+    # a pair the one-pass commutator does not take is left to A @ B - B @ A
+    "commutator-shapes": (lambda: commutator(Mat.zeros(2, 3), Mat.zeros(2, 3)), ShapeError, "matmul shape mismatch"),
+    "commutator-sizes": (lambda: commutator(_I2, Mat.identity(3)), ShapeError, "matmul shape mismatch"),
+    "commutator-modes": (lambda: commutator(_I2, _F2), ModeMismatch, "mixed modes exact/float"),
 }
 
 
@@ -289,3 +295,95 @@ def test_exact_kernel_chain_multiplies_no_scalar_and_back_substitutes_once(monke
     E = kernel_chain(B, 5)
     # ker B, ker B^2, ker B^3 and ker B^4 were eliminated; only ker B^3 is built
     assert E.cols == 3 and muls == [] and kernels == [3]
+
+
+# -- commutators ----------------------------------------------------------------
+
+
+def _corpus_matrix(rng, d, density, complex_entries, denoms):
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.choice(denoms))
+
+    ent = [
+        GaussianRational(part(), part() if complex_entries else 0) if rng.random() < density else GR_ZERO
+        for _ in range(d * d)
+    ]
+    return Mat(d, d, ent, EXACT)
+
+
+def _commutator_corpus():
+    """Seeded exact pairs, 1x1 to 6x6: sparse and dense, real and complex,
+    integer and with denominators, the zero matrix, and commuting pairs
+    (B a polynomial in A) next to independent ones."""
+    rng = get_rng(36)
+    pairs = []
+    for k in range(144):
+        d = 1 + k % 6
+        density = (0.0, 0.25, 0.6, 1.0)[k // 6 % 4]
+        denoms = (1,) if k // 24 % 2 else (1, 2, 3, 7, 10**6)
+        A = _corpus_matrix(rng, d, density, k // 48 % 3 == 1, denoms)
+        if k // 48 % 3 == 2:  # a polynomial in A commutes with it
+            B = Mat.identity(d).scale(rng.randint(-3, 3)) + A.scale(rng.randint(-3, 3)) + A @ A
+        else:
+            B = _corpus_matrix(rng, d, rng.choice((0.25, 0.6, 1.0)), rng.random() < 0.5, denoms)
+        pairs.append((A, B))
+    return pairs
+
+
+def _textbook_commutator(A, B):
+    d = A.rows
+    ent = [
+        sum((A.at(i, t) * B.at(t, j) for t in range(d)), GR_ZERO)
+        - sum((B.at(i, t) * A.at(t, j) for t in range(d)), GR_ZERO)
+        for i in range(d)
+        for j in range(d)
+    ]
+    return Mat(d, d, ent, EXACT)
+
+
+def test_the_exact_commutator_is_ab_minus_ba_entry_for_entry():
+    pairs = _commutator_corpus()
+    zero, commuting = 0, 0
+    for A, B in pairs:
+        C = commutator(A, B)
+        assert C == A @ B - B @ A == _textbook_commutator(A, B)
+        zero += A.is_zero()
+        commuting += C.is_zero()
+    # the corpus holds zero matrices, commuting pairs and non-commuting ones
+    assert zero > 0 and 0 < commuting < len(pairs)
+    assert {A.rows for A, _ in pairs} == {1, 2, 3, 4, 5, 6}
+
+
+def test_a_noncommuting_exact_pair_is_refused_with_its_pair_and_norm():
+    A = Mat.from_rows([[GaussianRational(1, 2), Fraction(1, 3), 0], [0, 2, 0], [0, 0, 1]])
+    B = Mat.from_rows([[1, 0, 0], [Fraction(5, 7), 0, GaussianRational(0, 1)], [0, 0, 3]])
+    with pytest.raises(NonCommuting) as exc:
+        validate_tuple([Mat.identity(3), A, B])
+    assert exc.value.pair == (1, 2)
+    assert exc.value.norm == (A @ B - B @ A).fro_norm() > 0
+
+
+def test_a_float_commutator_is_the_difference_of_the_two_products():
+    rng = np.random.default_rng(36)
+    for d in (1, 3, 6):
+        a, b = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        C = commutator(Mat.from_numpy(a), Mat.from_numpy(b))
+        assert C.mode == FLOAT and np.array_equal(C.to_numpy(), a @ b - b @ a)
+
+
+def test_an_exact_tuple_is_checked_without_a_matrix_product(monkeypatch):
+    rng = get_rng(5)
+    A = _corpus_matrix(rng, 5, 0.6, True, (1, 3))
+    mats = [A, A @ A, A.scale(Fraction(2, 3)) + Mat.identity(5), A @ A @ A]
+    calls, real_matmul = [], Mat.__matmul__
+
+    def counted_matmul(self, other):
+        calls.append(1)
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+    _ = A @ A
+    assert calls == [1], "the counter must see matrix products"
+    calls.clear()
+    assert validate_tuple(mats).n == 4
+    assert calls == []

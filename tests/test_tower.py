@@ -129,8 +129,9 @@ def test_shallow_tower_fails_before_any_section(backward_shift, monkeypatch):
         with pytest.raises(NotStabilized) as exc:
             kernel_tower(backward_shift, depth)
         assert str(exc.value) == (
-            f"no stabilization level found within depth {depth} (three equal layer "
-            "dimensions with invertible compressions are required); increase the depth"
+            f"no stabilization level found within depth {depth} (the last layer dimension "
+            "on four levels p to p + 3, with A_n and A_(n+1) invertible for some n > p, "
+            "is required); increase the depth"
         )
     assert calls == []
 
@@ -198,7 +199,7 @@ def test_n0_skips_a_plateau_with_a_nearly_singular_compression():
     assert tw.n0 == 4
 
 
-def test_a_tower_with_no_three_equal_layers_within_its_depth_exits_3(tmp_path, capsys):
+def test_a_tower_without_four_levels_of_its_last_layer_size_exits_3(tmp_path, capsys):
     # S* with superdiagonal weights (1, 0, 1, 1, ...): ker S* is spanned by
     # e_0 and e_2, and the layers are (2, 2, 1, 1, 1, 1, ...).  n0 is the
     # first n past p = 3, the first layer of the last size, with n + 2 <= depth
@@ -212,8 +213,9 @@ def test_a_tower_with_no_three_equal_layers_within_its_depth_exits_3(tmp_path, c
     for depth in (4, 5):
         assert main(["tower", "--input", str(inp), "--max-level", str(depth)]) == 3
         assert capsys.readouterr().err == (
-            f"error[NotStabilized]: no stabilization level found within depth {depth} (three "
-            "equal layer dimensions with invertible compressions are required); increase the depth\n"
+            f"error[NotStabilized]: no stabilization level found within depth {depth} (the last "
+            "layer dimension on four levels p to p + 3, with A_n and A_(n+1) invertible for some "
+            "n > p, is required); increase the depth\n"
         )
     tw = kernel_tower(T, 6)
     assert (tw.layer_dims(), tw.n0) == ((2, 2, 1, 1, 1, 1), 4)
