@@ -380,6 +380,10 @@ def _fix_phases(B: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(B: np.ndarray) -> np.ndarray:
+    """B's Q factor with R's diagonal made real positive (e1 for a zero column).  One
+    column is divided by its unscaled norm where squaring neither under- nor overflows."""
+    if B.shape[1] == 1 and 1e-150 < (norm := np.linalg.norm(B)) < 1e150:
+        return B / norm
     q, r = np.linalg.qr(B)
     d = r.diagonal().copy()
     d[d == 0] = 1.0
@@ -424,7 +428,8 @@ def _preimage_kernel(fact, K: np.ndarray, G: int, layer: int = 0):
     layer step is for a K that spans every preimage of its other columns'
     span at this section (``_chain_kernel`` says when): its new directions
     are B^+ P projected off span K twice (twice is enough) and
-    orthonormalized by one QR, with no SVD of ns* K and no sine check,
+    orthonormalized once (``_orthonormalize``: a QR, or for one column a
+    division by its norm), with no SVD of ns* K and no sine check,
     which the step before passed on this section.  Of the new directions
     the combinations that vanish on the guard band are kept, by an SVD of
     the guard rows run only when their Frobenius norm exceeds TOL_GUARD
@@ -432,8 +437,8 @@ def _preimage_kernel(fact, K: np.ndarray, G: int, layer: int = 0):
     of every kept direction is within TOL_RESIDUAL * max(1, ||B||), the
     step finds K alone; else the new directions are cut to [0, N-G), which
     moves their Gram matrix off I by at most TOL_GUARD^2 (so no second
-    QR), and phase-fixed into H, so K's columns stay bitwise the first
-    ones."""
+    orthonormalization), and phase-fixed into H, so K's columns stay
+    bitwise the first ones."""
     B, U, s, V, Uh, Vr, V0 = fact
     N, d = V.shape[0], K.shape[1]
     Kp = np.zeros((B.shape[0], d), dtype=K.dtype)

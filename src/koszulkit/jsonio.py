@@ -4,10 +4,11 @@ Matrix literals are ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``
 with integers r, c >= 0 and r*c entries row-major, where re/im are
 strings like "3/4" in exact mode and plain numbers in float mode.  Tuple
 files carry their mode; operator files are always exact.  Reports are
-emitted with sorted keys and floats rounded to 12 significant digits,
-and those below REPORT_FLOAT_FLOOR in size written as 0.0, so identical
-inputs give byte-identical files whatever LAPACK path produced their
-rounding noise.
+the text of ``json.dumps(..., sort_keys=True, indent=2)``, written with
+each leaf, complex number and all-complex matrix literal in one piece,
+with floats rounded to 12 significant digits and those below
+REPORT_FLOAT_FLOOR in size written as 0.0, so identical inputs give
+byte-identical files whatever LAPACK path produced their rounding noise.
 """
 
 from __future__ import annotations
@@ -231,31 +232,49 @@ def _leaf_text(x) -> str:
     return json.dumps(v)  # bool, None, empty containers, nan and infinities
 
 
-def _json_parts(x, pad: str, out: list) -> None:
-    """Append to ``out`` the text that ``json.dumps(..., sort_keys=True,
-    indent=2)`` gives x with its leaves rounded, in one walk; a complex
-    number is the list [re, im], written in one piece."""
+def _float_text(x) -> str:
+    """The JSON text of a report float, rounded by ``_report_leaf``."""
+    v = _report_leaf(x)
+    return repr(v) if isfinite(v) else json.dumps(v)
+
+
+def _complex_text(z, pad: str) -> str:
+    """A complex number at indent ``pad`` as the list [re, im], in one piece."""
+    inner = pad + "  "
+    return f"[\n{inner}{_float_text(z.real)},\n{inner}{_float_text(z.imag)}\n{pad}]"
+
+
+#: the text of a leaf of the types reports mostly hold, by exact type
+_LEAF_TEXT = {int: int.__repr__, float: _float_text, str: _encode_str}
+
+
+def _json_text(x, pad: str) -> str:
+    """The text ``json.dumps(..., sort_keys=True, indent=2)`` gives x at
+    indent ``pad`` with its leaves rounded.  Leaf members, complex numbers
+    and matrix literals whose entries are all complex are written in one
+    piece; only other containers are recursed into."""
     if isinstance(x, complex):
-        inner = pad + "  "
-        out.append(f"[\n{inner}{_leaf_text(x.real)},\n{inner}{_leaf_text(x.imag)}\n{pad}]")
-    elif isinstance(x, (dict, list, tuple)) and x:
-        keyed, inner = isinstance(x, dict), pad + "  "
-        lead = ("{" if keyed else "[") + "\n" + inner
-        for k in sorted(x) if keyed else range(len(x)):
-            key = _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": " if keyed else ""
-            out.append(lead + key)
-            _json_parts(x[k], inner, out)
-            lead = ",\n" + inner
-        out.append("\n" + pad + ("}" if keyed else "]"))
-    else:
-        out.append(_leaf_text(x))
+        return _complex_text(x, pad)
+    if not (isinstance(x, (dict, list, tuple)) and x):
+        return _leaf_text(x)
+    inner, keyed = pad + "  ", isinstance(x, dict)
+    if keyed and x.keys() == {"cols", "entries", "rows"} and type(x["rows"]) is type(x["cols"]) is int:
+        entries, i4 = x["entries"], inner + "  "
+        if isinstance(entries, list) and entries and all(isinstance(e, complex) for e in entries):
+            body = f",\n{i4}".join([_complex_text(e, i4) for e in entries])
+            return (f'{{\n{inner}"cols": {x["cols"]},\n{inner}"entries": [\n{i4}{body}\n{inner}],'
+                    f'\n{inner}"rows": {x["rows"]}\n{pad}}}')
+    parts = []
+    for k in sorted(x) if keyed else range(len(x)):
+        text = _LEAF_TEXT.get(type(x[k]))
+        key = _encode_str(k if isinstance(k, str) else json.dumps(k)) + ": " if keyed else ""
+        parts.append(key + (text(x[k]) if text else _json_text(x[k], inner)))
+    close = "}" if keyed else "]"
+    return ("{" if keyed else "[") + f"\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{close}"
 
 
 def report_to_json_bytes(report: dict) -> bytes:
-    out = []
-    _json_parts(report, "", out)
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+    return (_json_text(report, "") + "\n").encode("utf-8")
 
 
 def _csv_cell(v) -> str:

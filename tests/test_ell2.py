@@ -521,6 +521,51 @@ def test_phases_are_fixed_as_the_column_loop_fixes_them():
     assert np.array_equal(ell2._fix_phases(B)[:, 2], [0, 1, -1, 0, 0, 0])
 
 
+def _qr_orthonormalized(B):
+    """The Q factor of B with R's diagonal made real positive, a zero
+    diagonal entry taken as 1: the QR reference for ``_orthonormalize``."""
+    q, r = np.linalg.qr(B)
+    d = r.diagonal().copy()
+    d[d == 0] = 1.0
+    return q * (d.conj() / np.abs(d))
+
+
+_rng_column = np.random.default_rng(5).standard_normal((2, 64))
+_single = np.zeros(64)
+_single[5] = -3.0
+
+
+@pytest.mark.parametrize(
+    "column, by_qr",
+    [
+        (_rng_column[0], False),
+        (_rng_column[0] + 1j * _rng_column[1], False),
+        (_single, False),
+        (np.zeros(64), True),
+        (1e-300 * _rng_column[0], True),
+        (1e300 * _rng_column[0], True),
+        (1e-300 * (_rng_column[0] + 1j * _rng_column[1]), True),
+    ],
+    ids=["real", "complex", "one-nonzero", "zero", "1e-300", "1e300", "complex-1e-300"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_one_column_is_orthonormalized_as_the_qr_does(monkeypatch, column, by_qr):
+    # a column divided by its unscaled norm is the QR's column to a few
+    # ulps; where that norm is 0 or squaring under- or overflows, the QR
+    # itself runs (a zero column gives e1, as the QR does)
+    import koszulkit.ell2 as ell2
+
+    B, ref, qrs = column[:, None], _qr_orthonormalized(column[:, None]), []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(a.shape) or real_qr(a, *args))
+    got = ell2._orthonormalize(B)
+    assert got.dtype == ref.dtype and len(qrs) == by_qr
+    assert abs(np.linalg.norm(got) - 1) <= 1e-15
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps
+    if by_qr:
+        assert np.array_equal(got, ref)
+
+
 def _count_step_svds(monkeypatch):
     """Per chain step, full or layer, the ``full_matrices`` flag of each
     np.linalg.svd call that ``_preimage_kernel`` makes itself; only the SVD
@@ -558,16 +603,29 @@ def test_no_step_of_the_s_star_tower_factors_a_block_below_its_tolerance(
     assert steps == [[]] * 12
 
 
-def test_each_step_of_the_s_star_tower_from_a_nonzero_kernel_runs_one_qr(
+def test_each_step_of_the_s_star_tower_from_a_nonzero_kernel_orthonormalizes_once(
     monkeypatch, backward_shift
 ):
     # the candidate basis [V_0 | V_r Q] is orthonormal as built, so the new
-    # directions need no second QR; the step to ker T has no preimages
-    real_qr, calls = np.linalg.qr, []
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or real_qr(a, *args))
+    # directions need no second orthonormalization; the step to ker T has
+    # no preimages.  Every layer is one-wide, so no step calls the QR
+    import koszulkit.ell2 as ell2
+
+    real_orth, real_step = ell2._orthonormalize, ell2._preimage_kernel
+    steps, qrs = [], []
+
+    def step(fact, K, G, layer=0):
+        steps.append([])
+        return real_step(fact, K, G, layer)
+
+    monkeypatch.setattr(ell2, "_preimage_kernel", step)
+    monkeypatch.setattr(ell2, "_orthonormalize", lambda B: steps[-1].append(B.shape) or real_orth(B))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(a.shape))
     tw = kernel_tower(backward_shift, 12)
     assert tw.kernel_dims == tuple(range(1, 13))
-    assert len(calls) == 11
+    assert [len(s) for s in steps] == [0] + [1] * 11
+    assert all(shape[1] == 1 for s in steps for shape in s)
+    assert qrs == []
 
 
 def test_layer_bases_stay_orthonormal_when_the_kept_singular_values_spread_widely():
