@@ -46,7 +46,6 @@ from .linalg import (
     kernel_basis,
     kernel_chain,
     mat_block,
-    mat_hstack,
     rank,
     solve,
 )
@@ -201,10 +200,10 @@ def cohomology(T: CommutingTuple, tol_rank: float | None = None) -> CohomologyRe
     L = _at_zero(T, T.n) if T.mode == EXACT else T
     if L is None:
         return CohomologyReport((0,) * (T.n + 1), 0, True)
-    return _cohomology(L, _boundary_maps(L), tol_rank)
+    return _cohomology(_boundary_maps(L), tol_rank)
 
 
-def _cohomology(T: CommutingTuple, D, tol_rank) -> CohomologyReport:
+def _cohomology(D, tol_rank) -> CohomologyReport:
     dims = []
     prev_rank = 0
     for Dp in D[1:]:
@@ -241,14 +240,13 @@ def _induced_map(S: Mat, T: CommutingTuple, D, p: int, tol_rank) -> Mat:
     # one left-to-right column choice on [D^(p-1) | ker D^p]: pivots before
     # the split span the image, pivots after it represent H^p
     prev = D[p]
-    both = mat_hstack([prev, kernel_basis(D[p + 1], tol_rank)])
+    both = mat_block([[prev, kernel_basis(D[p + 1], tol_rank)]])
     chosen = independent_columns(both, tol_rank)
     nim = sum(1 for j in chosen if j < prev.cols)
     h = len(chosen) - nim
     if h == 0:
         return Mat.zeros(0, 0, T.mode)
-    basis = mat_hstack([both.column(j) for j in chosen])
-    R = mat_hstack([both.column(j) for j in chosen[nim:]])
+    basis, R = both.columns(chosen), both.columns(chosen[nim:])
     Sblk = block_diag_copies(S, comb(T.n, p))
     X = solve(basis, Sblk @ R, tol_rank)
     if X is None:
@@ -278,9 +276,9 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
             zero = (0,) * (T.n + 2)
             return LESReport(zero, zero, True, 0, zero[1:], zero[1:], (True,) * (T.n + 1), True)
         T, S = CommutingTuple(T.n, Tp.d, Tp.matrices[:-1], T.mode, checked=T.n), Tp.matrices[-1]
-    direct = _cohomology(Tp, _boundary_maps(Tp), tol_rank)
+    direct = _cohomology(_boundary_maps(Tp), tol_rank)
     D = _boundary_maps(T)
-    base = _cohomology(T, D, tol_rank)
+    base = _cohomology(D, tol_rank)
     ranks = [rank(_induced_map(S, T, D, p, tol_rank), tol_rank) for p in range(T.n + 1)]
     dims_seq = []
     for p in range(T.n + 2):

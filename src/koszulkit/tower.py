@@ -139,23 +139,16 @@ class PairCohomology:
     index: int
 
 
-def _pad(B: np.ndarray, length: int) -> np.ndarray:
-    if B.shape[0] >= length:
-        return B
-    out = np.zeros((length, B.shape[1]), dtype=complex)
-    out[: B.shape[0], :] = B
-    return out
-
-
 def _compress(op: BandedOperator, Q: np.ndarray):
-    """W = op Q and B = Q* W for orthonormal columns Q, with one apply.
+    """W = op Q and B = Q* W for orthonormal columns Q, with one apply;
+    W's support extends Q's, so Q* meets only its first len(Q) rows.
 
     W holds the images in full, so ||op restricted to a span of columns||
     is the largest singular value of the matching columns of W; every
     block of op between spans of columns is a slice of B.
     """
     W = op.apply(Q)
-    return W, _pad(Q, W.shape[0]).conj().T @ W
+    return W, Q.conj().T @ W[: len(Q)]
 
 
 def kernel_tower(T: BandedOperator, max_depth: int) -> KernelTower:
@@ -284,7 +277,8 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     hi, D = np.array(off[1:]), len(B)
     below = np.zeros((D + 1, D + 1))  # below[i, j] = ||B[i:, :j]||^2
     below[:D, 1:] = np.cumsum(np.cumsum(np.abs(B[::-1]) ** 2, axis=0)[::-1], axis=1)
-    R = W - _pad(Q, W.shape[0]) @ B
+    R = W.copy()
+    R[: len(Q)] -= Q @ B
     r2, w2 = (np.cumsum(np.sum(np.abs(M) ** 2, axis=0))[hi - 1] for M in (R, W))
     inv = np.sqrt(r2 + below[hi, hi]) / np.maximum(1.0, np.sqrt(w2))
     # row n - 1 holds H_n's columns of Q, padded by -1 to the widest layer

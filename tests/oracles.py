@@ -6,8 +6,9 @@ operations only) over pairs of ``Fraction``s, not over the package's
 Gaussian rationals, the characteristic polynomial oracle expands
 det(zI - M) by cofactors over the same pairs, the winding oracle
 integrates the argument of a symbol around the unit circle by sampling,
-and the section oracle reads a banded operator entry by entry into a
-dense matrix.
+the section oracle reads a banded operator entry by entry into a
+dense matrix, and the analytic pair oracle evaluates polynomials at
+rational roots over ``Fraction``.
 """
 
 import cmath
@@ -79,6 +80,23 @@ def oracle_winding(symbol: dict, samples: int = 4096) -> int:
             total += d
         prev = ang
     return round(total / (2.0 * math.pi))
+
+
+def oracle_analytic_pair(f_roots, g):
+    """(index, r, verdict) of T = f(S*) and K = g(S*), S* the backward
+    shift, f = prod (z - lam) over the rational ``f_roots`` (repeated for
+    multiplicity) and g given by its coefficients, lowest degree first.
+
+    ker T^n is spanned by the vectors (k^j lam^k)_k over the roots lam in
+    the open unit disc, and K acts on the stabilized layer with the
+    eigenvalues g(lam).  So the index is the number of those roots with
+    multiplicity, r is the largest |g(lam)| over them, and the verdict is
+    "obstructed" exactly when one of them is not a root of g; all exact.
+    """
+    inside = [Fraction(lam) for lam in f_roots if abs(Fraction(lam)) < 1]
+    values = [abs(sum(c * lam**k for k, c in enumerate(g))) for lam in inside]
+    verdict = "obstructed" if any(values) else "inconclusive"
+    return len(inside), max(values, default=Fraction(0)), verdict
 
 
 def oracle_section_kernel(T, N: int, G: int) -> np.ndarray:

@@ -1117,6 +1117,67 @@ def test_near_circle_index_is_the_winding_oracle_or_undecided(k, variant):
     assert index == expected
 
 
+def _toeplitz(symbol):
+    return make_catalog_operator("toeplitz", symbol=symbol)
+
+
+#: name: (operator, index); each index is -winding of the symbol
+#: (Gohberg-Krein), which the adjoint test checks
+_INDEX_CORPUS = {
+    "S*-1/2": (_toeplitz({-1: 1, 0: "-1/2"}), 1),
+    "S*-3/4": (_toeplitz({-1: 1, 0: "-3/4"}), 1),
+    "S*-9/10": (_toeplitz({-1: 1, 0: "-9/10"}), 1),
+    "S*-19/20": (_toeplitz({-1: 1, 0: "-19/20"}), 1),
+    "S*^3-1/2": (_toeplitz({-3: 1, 0: "-1/2"}), 3),
+    "3/2+5/3S": (_toeplitz({0: "3/2", 1: "5/3"}), -1),
+    "weighted-adjoint": (make_catalog_operator("weighted_shift", prefix=[2], period=[1, 3]).adjoint(), 1),
+    "toeplitz-2": (_toeplitz({-2: 1, 0: "1/3"}), 2),
+    "patched-S*": (BandedOperator.build(_toeplitz({-1: 1}).diagonals, patch=Mat.from_rows([[2, 1], [0, -1]])), 1),
+}
+_LEFT_FACTORS = ("S*-9/10", "S*-1/2", "S*^3-1/2")
+_RIGHT_FACTORS = ("weighted-adjoint", "toeplitz-2", "patched-S*", "S*-3/4")
+#: the members whose certified index is wrong today (ROADMAP defect 1)
+_WRONG_ADJOINTS = {"S*-9/10", "S*-19/20", "S*^3-1/2", "3/2+5/3S"}
+_WRONG_PRODUCTS = {("S*-9/10", b) for b in _RIGHT_FACTORS} | {
+    ("S*^3-1/2", "weighted-adjoint"), ("S*^3-1/2", "patched-S*"),
+}
+
+
+def _defect_1(wrong):
+    reason = "defect 1: a slowly decaying kernel or cokernel vector is missed and the index certified"
+    return [pytest.mark.xfail(strict=True, reason=reason)] if wrong else []
+
+
+def _assert_index_or_undecided(T, expected):
+    try:
+        index = fredholm_index_banded(T).index
+    except NotStabilized:
+        return
+    assert index == expected
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(name, marks=_defect_1(name in _WRONG_ADJOINTS)) for name in _INDEX_CORPUS]
+)
+def test_the_index_of_an_adjoint_is_minus_the_index(name):
+    T, index = _INDEX_CORPUS[name]
+    assert -symbol_winding(T) == index
+    _assert_index_or_undecided(T.adjoint(), -index)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param(a, b, id=f"({a})({b})", marks=_defect_1((a, b) in _WRONG_PRODUCTS))
+        for a in _LEFT_FACTORS
+        for b in _RIGHT_FACTORS
+    ],
+)
+def test_the_index_of_a_product_is_the_sum_of_the_indices(a, b):
+    (A, index_a), (B, index_b) = _INDEX_CORPUS[a], _INDEX_CORPUS[b]
+    _assert_index_or_undecided(A * B, index_a + index_b)
+
+
 def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
     # S* - I/2: ker T^3 needs N = 128 and every later power starts there,
     # so the walk factors T's section once at 64 and once at 128

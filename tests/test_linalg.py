@@ -15,9 +15,8 @@ from koszulkit.linalg import (
     independent_columns,
     kernel_basis,
     kernel_chain,
-    mat_hstack,
+    mat_block,
     mat_power,
-    mat_vstack,
     rank,
     solve,
     spectral_radius,
@@ -85,12 +84,16 @@ _LINALG_REFUSALS = {
     "sub-shapes": (lambda: _I2 - Mat.identity(3), ShapeError, "sub shape mismatch"),
     "shift-non-square": (lambda: Mat.zeros(2, 3).minus_scalar(1), ShapeError, "scalar shift"),
     "matmul-shapes": (lambda: Mat.zeros(2, 3) @ Mat.zeros(2, 3), ShapeError, "matmul shape mismatch"),
-    "hstack-nothing": (lambda: mat_hstack([]), ShapeError, "hstack of nothing"),
-    "hstack-modes": (lambda: mat_hstack([_I2, _F2]), ModeMismatch, "mixed modes in hstack"),
-    "hstack-rows": (lambda: mat_hstack([_I2, Mat.zeros(3, 1)]), ShapeError, "hstack row mismatch"),
-    "vstack-nothing": (lambda: mat_vstack([]), ShapeError, "vstack of nothing"),
-    "vstack-modes": (lambda: mat_vstack([_I2, _F2]), ModeMismatch, "mixed modes in vstack"),
-    "vstack-cols": (lambda: mat_vstack([_I2, Mat.zeros(1, 3)]), ShapeError, "vstack col mismatch"),
+    # mat_block's refusals, on a one-row grid [A | B] ("hstack") or a
+    # one-column grid [A; B] ("vstack"): an empty grid, an empty grid row,
+    # mixed modes (within a grid row and across grid rows), unequal heights
+    # in a grid row and unequal total widths of the grid rows
+    "vstack-nothing": (lambda: mat_block([]), ShapeError, "block grid or grid row of nothing"),
+    "hstack-nothing": (lambda: mat_block([[]]), ShapeError, "block grid or grid row of nothing"),
+    "hstack-modes": (lambda: mat_block([[_I2, _F2]]), ModeMismatch, "mixed modes in block grid"),
+    "vstack-modes": (lambda: mat_block([[_I2], [_F2]]), ModeMismatch, "mixed modes in block grid"),
+    "hstack-rows": (lambda: mat_block([[_I2, Mat.zeros(3, 1)]]), ShapeError, "block grid row mismatch"),
+    "vstack-cols": (lambda: mat_block([[_I2], [Mat.zeros(1, 3)]]), ShapeError, "block grid col mismatch"),
     "power-non-square": (lambda: mat_power(Mat.zeros(2, 3), 2), ShapeError, "power of a non-square"),
     "chain-non-square": (lambda: kernel_chain(Mat.zeros(2, 3), 2), ShapeError, "kernel chain of a non-square"),
     "solve-rows": (lambda: solve(_I2, Mat.zeros(3, 1)), ShapeError, "solve: row mismatch"),
@@ -106,6 +109,42 @@ _LINALG_REFUSALS = {
 def test_linalg_refuses_bad_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@st.composite
+def block_grids(draw):
+    """Grids of exact or float blocks, zero heights and widths included:
+    each grid row has one height and splits one total width at random."""
+    mode = draw(st.sampled_from([EXACT, FLOAT]))
+    part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    width, grid = draw(st.integers(0, 4)), []
+    for h in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        cuts = sorted(draw(st.lists(st.integers(0, width), max_size=3)))
+        row = []
+        for w in (b - a for a, b in zip([0, *cuts], [*cuts, width])):
+            ent = draw(st.lists(st.builds(GaussianRational, part, part), min_size=h * w, max_size=h * w))
+            row.append(Mat(h, w, ent if mode == EXACT else [v.to_complex() for v in ent], mode))
+        grid.append(row)
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_grids())
+def test_mat_block_is_np_block(grid):
+    M = mat_block(grid)
+    want = np.block([[m.to_numpy() for m in row] for row in grid])
+    assert M.mode == grid[0][0].mode and M.shape == want.shape
+    assert np.array_equal(M.to_numpy(), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_grids(), st.data())
+def test_columns_picks_the_named_columns_in_order(grid, data):
+    M = mat_block(grid)
+    js = data.draw(st.lists(st.integers(0, M.cols - 1), max_size=4)) if M.cols else []
+    C = M.columns(js)
+    assert C.mode == M.mode and C.shape == (M.rows, len(js))
+    assert np.array_equal(C.to_numpy(), M.to_numpy()[:, js])
 
 
 def test_float_identity_zero_test_equality_and_the_empty_spectral_radius():
@@ -173,7 +212,7 @@ def test_exact_solve_matches_rank_criterion(A, data):
     else:
         B = data.draw(exact_mats(max_dim=3, rows=A.rows))
     X = solve(A, B)
-    consistent = oracle_rank(mat_hstack([A, B])) == oracle_rank(A)
+    consistent = oracle_rank(mat_block([[A, B]])) == oracle_rank(A)
     assert (X is not None) == consistent
     if X is not None:
         assert A @ X == B

@@ -33,6 +33,7 @@ from koszulkit.tower import (
     obstruction_certificate,
 )
 
+from oracles import oracle_analytic_pair
 from randgen import get_rng, random_invertible_pair
 
 
@@ -715,6 +716,61 @@ def test_obstruction_monotone_in_depth(backward_shift):
     deep = obstruction_certificate(kernel_tower(backward_shift, 12), K)
     assert shallow.verdict == "obstructed"
     assert deep.verdict == "obstructed"
+
+
+def _in_backward_shift(coeffs):
+    """sum_k c_k S*^k for coefficients lowest degree first: the Toeplitz
+    operator with symbol sum_k c_k z^(-k); the zero operator for none."""
+    sym = {-k: c for k, c in enumerate(coeffs) if c}
+    return make_catalog_operator("toeplitz", symbol=sym) if sym else zero_op()
+
+
+def _from_roots(roots):
+    """Coefficients of prod (z - lam), lowest degree first."""
+    p = [Fraction(1)]
+    for lam in roots:
+        p = [a - lam * b for a, b in zip([0, *p], [*p, 0])]
+    return p
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+#: (roots of f, coefficients of g): roots inside and outside the disc,
+#: repeated roots, g sharing some or all of them, and K = 0
+_ANALYTIC_PAIRS = [
+    ([_HALF], [0, 1]), ([_HALF], [2, 1]), ([_HALF], [-_HALF, 1]),
+    ([_HALF, -_THIRD], [-_HALF, 1]), ([_HALF, -_THIRD], [_THIRD, 1]), ([_HALF, -_THIRD], [0, 0, 1]),
+    ([_HALF, 2], [1, 1]), ([_HALF, 3], [-_HALF, 1]), ([_HALF, -_HALF], [_HALF, 1]),
+    ([0, 0], [2, 1]), ([0, 0], [0, 1]), ([_HALF, _HALF], [1, 1]),
+    ([Fraction(1, 4)], []), ([0, 0, 0], [0, 1]),
+]
+#: the float radius of the nilpotent 3 x 3 corner of S*^3 under K = S* is
+#: 4.6e-6 where it is 0 (ROADMAP defect 3, item 9)
+_DEFECT_3 = {((0, 0, 0), (0, 1))}
+
+
+@pytest.mark.parametrize(
+    "f_roots, g",
+    [
+        pytest.param(
+            f, g, id=f"f[{','.join(map(str, f))}]-g[{','.join(map(str, g))}]",
+            marks=[pytest.mark.xfail(
+                strict=True,
+                reason="defect 3 (ROADMAP item 9): a nilpotent corner's float radius clears TOL_RADIUS",
+            )] if (tuple(f), tuple(g)) in _DEFECT_3 else [],
+        )
+        for f, g in _ANALYTIC_PAIRS
+    ],
+)
+def test_a_pair_of_polynomials_in_the_backward_shift_meets_the_exact_oracle(f_roots, g):
+    index, r, verdict = oracle_analytic_pair(f_roots, g)
+    try:
+        tw = kernel_tower(_in_backward_shift(_from_roots(f_roots)), 8)
+        cert = obstruction_certificate(tw, _in_backward_shift(g))
+    except (NotStabilized, InvarianceViolation):
+        return
+    assert tw.index == index
+    assert abs(cert.r - float(r)) <= 1e-8 * (1 + float(r))
+    assert cert.verdict == verdict
 
 
 # -- growth tables ---------------------------------------------------------------
