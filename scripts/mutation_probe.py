@@ -157,7 +157,7 @@ MUTANTS = (
     (
         "les-agree",
         "koszul.py",
-        "    if direct.dims != tuple(dims_seq):",
+        "    if direct.dims != dims_seq:",
         "    if False:",
         "les: the direct and the long-exact-sequence dimensions agree",
     ),

@@ -58,7 +58,6 @@ from .ell2 import (
     TruncationWindow,
     fredholm_index_banded,
     identity_op,
-    kernel_of_power,
     make_catalog_operator,
     zero_op,
 )

@@ -517,11 +517,6 @@ class KernelWalk:
         return kernels[m]
 
 
-def kernel_of_power(T: BandedOperator, m: int) -> StabilizedSubspace:
-    """Certified orthonormal basis of ker T^m from a new ``KernelWalk``."""
-    return KernelWalk(T).kernel(m)
-
-
 def _chain_kernel(
     T: BandedOperator, prev: StabilizedSubspace, bound: int | None, walk: KernelWalk
 ) -> StabilizedSubspace:
@@ -599,12 +594,8 @@ def symbol_winding(T: BandedOperator) -> int:
     K = -(-T.bandwidth // P)
     ks = np.arange(-K, K + 1)
     s0 = pre + K * P  # block row s0 + k*P stays past every prefix for k >= -K
-    blocks = np.array(
-        [
-            [[T.entry(s0 + k * P + a, s0 + b).to_complex() for b in range(P)] for a in range(P)]
-            for k in ks
-        ]
-    )
+    # A_k is the P rows from s0 + k*P of the P columns from s0; A_-K's start at pre
+    blocks = T.section(s0 + (K + 1) * P, s0 + P)[pre:, s0:].reshape(2 * K + 1, P, P)
     M = SYMBOL_SAMPLES
     while M <= MAX_SYMBOL_SAMPLES:
         coeffs = np.zeros((M, P, P), dtype=complex)

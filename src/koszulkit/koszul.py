@@ -258,16 +258,23 @@ def _induced_map(S: Mat, T: CommutingTuple, D, p: int, tol_rank) -> Mat:
     return Mat.from_rows(rows, T.mode)
 
 
+def splice_dims(base, ranks) -> tuple:
+    """dim H^p(T, S) for p = 0..n+1 by the long exact sequence: (b_(p-1) - r_(p-1))
+    + (b_p - r_p), b_p = dim H^p(T), r_p = rank of S on it, 0 outside 0..n."""
+    ker = [b - r for b, r in zip(base, ranks)]
+    return tuple(a + b for a, b in zip([0, *ker], [*ker, 0]))
+
+
 def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LESReport:
     """Dimensions of the augmented tuple (T, S), two independent ways.
 
-    (a) direct cohomology of the (n+1)-tuple; (b) splicing the long exact
-    sequence: dim H^p(T,S) = dim coker(S on H^(p-1)) + dim ker(S on H^p).
-    Both must agree, else NotStabilized (float rank decisions can split
-    them); the report also says in which degrees the induced action is an
-    isomorphism.  An exact (T, S) is first compressed onto V_0(T), which S
-    preserves since it commutes with T, and both ways run there; a float
-    one is not localised.
+    (a) direct cohomology of the (n+1)-tuple; (b) ``splice_dims`` on the
+    long exact sequence, with dim H^p(T) the size of S's induced map on
+    H^p(T).  Both must agree, else NotStabilized (float rank decisions can
+    split them); the report also says in which degrees the induced action
+    is an isomorphism.  An exact (T, S) is first compressed onto V_0(T),
+    which S preserves since it commutes with T, and both ways run there; a
+    float one is not localised.
     """
     Tp = augment_tuple(T, S)
     if T.mode == EXACT:
@@ -278,26 +285,23 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
         T, S = CommutingTuple(T.n, Tp.d, Tp.matrices[:-1], T.mode, checked=T.n), Tp.matrices[-1]
     direct = _cohomology(_boundary_maps(Tp), tol_rank)
     D = _boundary_maps(T)
-    base = _cohomology(D, tol_rank)
-    ranks = [rank(_induced_map(S, T, D, p, tol_rank), tol_rank) for p in range(T.n + 1)]
-    dims_seq = []
-    for p in range(T.n + 2):
-        coker_prev = (base.dims[p - 1] - ranks[p - 1]) if 1 <= p <= T.n + 1 else 0
-        ker_here = (base.dims[p] - ranks[p]) if p <= T.n else 0
-        dims_seq.append(coker_prev + ker_here)
-    if direct.dims != tuple(dims_seq):
+    maps = [_induced_map(S, T, D, p, tol_rank) for p in range(T.n + 1)]
+    base = tuple(M.rows for M in maps)
+    ranks = tuple(rank(M, tol_rank) for M in maps)
+    dims_seq = splice_dims(base, ranks)
+    if direct.dims != dims_seq:
         raise NotStabilized(
             f"direct cohomology dims {list(direct.dims)} and long exact sequence "
-            f"dims {dims_seq} disagree"
+            f"dims {list(dims_seq)} disagree"
         )
-    iso = tuple(ranks[p] == base.dims[p] for p in range(T.n + 1))
+    iso = tuple(r == b for r, b in zip(ranks, base))
     return LESReport(
         dims_direct=direct.dims,
-        dims_sequence=tuple(dims_seq),
+        dims_sequence=dims_seq,
         agree=True,
         index=direct.index,
-        base_dims=base.dims,
-        induced_ranks=tuple(ranks),
+        base_dims=base,
+        induced_ranks=ranks,
         iso_by_degree=iso,
         all_iso=all(iso),
     )

@@ -35,7 +35,6 @@ to that K, never that a perturbation exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .errors import (
     PreconditionError,
 )
 from .ell2 import BandedOperator, KernelWalk, fredholm_index_banded, symbol_winding
-from .koszul import cohomology, validate_tuple
+from .koszul import cohomology, splice_dims, validate_tuple
 from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
 from .scalars import EXACT, as_scalar
 
@@ -273,7 +272,7 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     Q = np.hstack([lv.h_basis for lv in tower.levels])
     W, B = _compress(S, Q)
     dims = tower.layer_dims()
-    off = list(accumulate(dims, initial=0))
+    off = [0, *tower.kernel_dims]
     hi, D = np.array(off[1:]), len(B)
     below = np.zeros((D + 1, D + 1))  # below[i, j] = ||B[i:, :j]||^2
     below[:D, 1:] = np.cumsum(np.cumsum(np.abs(B[::-1]) ** 2, axis=0)[::-1], axis=1)
@@ -419,10 +418,7 @@ def augmented_pair_cohomology(T: BandedOperator, coeffs) -> PairCohomology:
     pT = T.poly(coeffs)
     r0 = _float_matrix_rank(_compress(pT, idx.ker.basis)[1])
     r1 = _float_matrix_rank(_compress(pT, idx.coker.basis)[1])
-    k, c = idx.dim_ker, idx.dim_coker
-    h0 = k - r0
-    h1 = (k - r0) + (c - r1)
-    h2 = c - r1
+    h0, h1, h2 = splice_dims((idx.dim_ker, idx.dim_coker), (r0, r1))
     return PairCohomology(dims=(h0, h1, h2), index=h0 - h1 + h2)
 
 

@@ -7,8 +7,10 @@ Gaussian rationals, the characteristic polynomial oracle expands
 det(zI - M) by cofactors over the same pairs, the winding oracle
 integrates the argument of a symbol around the unit circle by sampling,
 the section oracle reads a banded operator entry by entry into a
-dense matrix, and the analytic pair oracle evaluates polynomials at
-rational roots over ``Fraction``.
+dense matrix, the analytic pair oracle evaluates polynomials at
+rational roots over ``Fraction``, and the recurrence oracle counts
+kernels from a banded operator's recurrence past its prefixes, with no
+section at all.
 """
 
 import cmath
@@ -119,6 +121,74 @@ def oracle_section_kernel(T, N: int, G: int) -> np.ndarray:
     _, gs, gvh = np.linalg.svd(null[N - G :, :])
     vecs = null @ gvh[int(np.sum(gs > 1e-12)) :].conj().T
     return np.linalg.qr(vecs[: N - G, :])[0]
+
+
+def oracle_kernel_dims(T) -> tuple:
+    """(dim ker T, dim ker T*) of a banded, eventually periodic T on l2(N)
+    from the recurrence T x = 0, with no truncation; numpy only.
+
+    Row i of T x = 0 is sum_o c_o(i) x_(i+o) = 0, c_o(i) = T[i, i + o].
+    From row i0 = pre + 2w on (pre the longest prefix, w the bandwidth)
+    only the diagonals with a nonzero tail, offsets l..h, meet a row, and
+    c_o(i) has the period P of the tails.  When the outermost tail
+    coefficient c_h(i) never vanishes, each such row gives x_(i+h) from the
+    state (x_(i+l), ..., x_(i+h-1)), and one period of these companion
+    steps is the monodromy M.  x is square summable iff its state at i0
+    lies in M's stable subspace, whose projector is (I - sign C) / 2 for
+    C = (M - I)^(-1) (M + I), by the Newton iteration C <- (C + C^(-1)) / 2.
+    The unknowns x_0 .. x_(i0+h-1) meet the head rows 0 .. i0 - 1 and
+    (I - Pi_s) state = 0, so dim ker T = (i0 + h) - their rank.  ker T* is
+    the same count for c_o(i) = conj T[i + o, i].  ValueError when no
+    diagonal has a nonzero tail or an outermost tail coefficient vanishes
+    somewhere in its period.
+    """
+    diags = T.diagonals
+    w = max((abs(d.offset) for d in diags), default=0)
+    i0 = max((len(d.prefix) for d in diags), default=0) + 2 * w
+    period = math.lcm(*(len(d.period) for d in diags))
+    offsets = [d.offset for d in diags]
+    tail = [d.offset for d in diags if any(v.to_complex() for v in d.period)]
+    ker = _recurrence_kernel_dim(lambda i, j: T.entry(i, j).to_complex(), offsets, tail, i0, period)
+    adj = _recurrence_kernel_dim(
+        lambda i, j: T.entry(j, i).to_complex().conjugate(),
+        [-o for o in offsets], [-o for o in tail], i0, period,
+    )
+    return ker, adj
+
+
+def _recurrence_kernel_dim(entry, offsets, tail, i0, period) -> int:
+    if not tail:
+        raise ValueError("no diagonal has a nonzero tail: the operator is not Fredholm")
+    lo, hi = min(tail), max(tail)
+    L = hi - lo
+    M = np.eye(L, dtype=complex)
+    for i in range(i0, i0 + period):
+        top = entry(i, i + hi)
+        if top == 0:
+            raise ValueError(f"the outermost tail coefficient vanishes at row {i}")
+        step = np.eye(L, k=1, dtype=complex)
+        step[L - 1 :] = [-entry(i, i + o) / top for o in range(lo, hi)]
+        M = step @ M
+    unstable = np.zeros((L, L))
+    if L:
+        I = np.eye(L)
+        C = np.linalg.solve(M - I, M + I)
+        for _ in range(100):
+            C, prev = (C + np.linalg.inv(C)) / 2, C
+            if np.abs(C - prev).max() <= 1e-13 * np.abs(C).max():
+                break
+        else:
+            raise ValueError("the sign iteration did not converge")
+        unstable = (I + C) / 2
+    n = i0 + hi
+    rows = np.zeros((i0 + L, n), dtype=complex)
+    for i in range(i0):
+        for o in offsets:
+            if i + o >= 0 and (v := entry(i, i + o)):
+                rows[i, i + o] = v
+    rows[i0:, n - L :] = unstable
+    s = np.linalg.svd(rows, compute_uv=False)
+    return n - int(np.sum(s > 1e-9 * s.max(initial=1.0)))
 
 
 def oracle_charpoly(M: Mat) -> list:

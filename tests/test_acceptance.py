@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from koszulkit.cli import main
-from koszulkit.ell2 import make_catalog_operator, identity_op, kernel_of_power, fredholm_index_banded
+from koszulkit.ell2 import KernelWalk, make_catalog_operator, identity_op, fredholm_index_banded
 from koszulkit.koszul import augment_les, cohomology, koszul_complex, validate_tuple
 from koszulkit.linalg import Mat
 from koszulkit.polymap import Polynomial, PolyMap
@@ -168,7 +168,7 @@ def test_c05_spectral_mapping():
 def test_c06_shift_kernel_law(backward_shift):
     with criterion(6, "dim ker (backward shift)^m = m for m <= 20"):
         for m in range(1, 21):
-            sub = kernel_of_power(backward_shift, m)
+            sub = KernelWalk(backward_shift).kernel(m)
             assert sub.dim == m
 
 

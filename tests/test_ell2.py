@@ -15,7 +15,6 @@ from koszulkit.ell2 import (
     KernelWalk,
     fredholm_index_banded,
     identity_op,
-    kernel_of_power,
     make_catalog_operator,
     symbol_winding,
     zero_op,
@@ -26,7 +25,7 @@ from koszulkit.linalg import Mat
 from koszulkit.scalars import GR_ONE, GR_ZERO, GaussianRational
 from koszulkit.tower import kernel_tower
 
-from oracles import oracle_section_kernel, oracle_winding
+from oracles import oracle_kernel_dims, oracle_section_kernel, oracle_winding
 
 
 @st.composite
@@ -309,7 +308,7 @@ def test_real_sections_certify_as_complex_ones(monkeypatch, tmp_path, T):
 
 
 def test_backward_shift_kernel_power(backward_shift):
-    sub = kernel_of_power(backward_shift, 5)
+    sub = KernelWalk(backward_shift).kernel(5)
     assert sub.dim == 5
     P = sub.basis @ sub.basis.conj().T
     assert np.allclose(P[:5, :5], np.eye(5), atol=1e-9)
@@ -318,18 +317,18 @@ def test_backward_shift_kernel_power(backward_shift):
 
 def test_forward_shift_is_injective(forward_shift):
     for m in (1, 3, 5):
-        assert kernel_of_power(forward_shift, m).dim == 0
+        assert KernelWalk(forward_shift).kernel(m).dim == 0
 
 
 def test_toeplitz_square_adjoint_kernel():
     T = make_catalog_operator("toeplitz", symbol={2: 1})
-    assert kernel_of_power(T.adjoint(), 1).dim == 2
+    assert KernelWalk(T.adjoint()).kernel(1).dim == 2
 
 
 def test_kernel_dims_nondecreasing_with_stable_growth(backward_shift):
     T2 = make_catalog_operator("toeplitz", symbol={2: 1}).adjoint()
     for T, step in ((backward_shift, 1), (T2, 2)):
-        dims = [kernel_of_power(T, m).dim for m in range(1, 9)]
+        dims = [KernelWalk(T).kernel(m).dim for m in range(1, 9)]
         assert all(b >= a for a, b in zip(dims, dims[1:]))
         diffs = [b - a for a, b in zip(dims, dims[1:])]
         assert all(d == step for d in diffs[2:])
@@ -338,7 +337,7 @@ def test_kernel_dims_nondecreasing_with_stable_growth(backward_shift):
 def test_certified_subspace_reverifies_at_double_window(backward_shift):
     from koszulkit.ell2 import StabilizedSubspace, TruncationWindow, _chain_kernel
 
-    sub = kernel_of_power(backward_shift, 4)
+    sub = KernelWalk(backward_shift).kernel(4)
     T4, N, G = backward_shift.power(4), 2 * sub.window.N, sub.window.G
     # the chain step from {0} at the doubled window, with no bound
     zero = StabilizedSubspace(np.zeros((N - G, 0)), 0, TruncationWindow(N, G))
@@ -346,10 +345,10 @@ def test_certified_subspace_reverifies_at_double_window(backward_shift):
     assert again.dim == sub.dim
 
 
-def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift):
+def test_one_walk_in_caller_order_matches_a_new_walk_per_power(backward_shift):
     walk = KernelWalk(backward_shift)
     for m in [3, 1, 3, 2]:
-        sub, one = walk.kernel(m), kernel_of_power(backward_shift, m)
+        sub, one = walk.kernel(m), KernelWalk(backward_shift).kernel(m)
         assert sub.dim == one.dim == m
         assert np.array_equal(sub.basis, one.basis)
 
@@ -357,12 +356,12 @@ def test_kernels_of_powers_match_kernel_of_power_in_caller_order(backward_shift)
 def test_power_zero_has_the_zero_kernel_and_a_negative_power_is_refused(backward_shift):
     from koszulkit.ell2 import TruncationWindow
 
-    sub = kernel_of_power(backward_shift, 0)
+    sub = KernelWalk(backward_shift).kernel(0)
     assert (sub.dim, sub.basis.shape, sub.window) == (0, (48, 0), TruncationWindow(64, 16))
     walk = KernelWalk(backward_shift)
     assert [(m, walk.kernel(m).dim) for m in [2, 0, 2]] == [(2, 2), (0, 0), (2, 2)]
     with pytest.raises(FormatError, match="m >= 0"):
-        kernel_of_power(backward_shift, -1)
+        KernelWalk(backward_shift).kernel(-1)
 
 
 #: operators of positive index with coker 0, so dim ker T^m = m * dim ker T
@@ -425,7 +424,7 @@ def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, n
         basis = oracle_section_kernel(T.power(m), 2 * sub.window.N, G)
         assert basis.shape[1] == sub.dim
         assert _sin_largest_angle(basis, sub.basis) <= 1e-8
-        alone = kernel_of_power(T, m)
+        alone = KernelWalk(T).kernel(m)
         assert (alone.dim, alone.window) == (sub.dim, sub.window)
         assert np.array_equal(alone.basis, sub.basis)
 
@@ -448,7 +447,7 @@ def test_a_count_above_the_bound_is_not_stabilized(backward_shift):
     # given ker S* as ker T of T = (S*)^2, the chain finds e0, e1 and the
     # preimage e2 of e0: one more than the bound 1 + 1 claims
     walk = KernelWalk(backward_shift.power(2))
-    walk.kernels.append(kernel_of_power(backward_shift, 1))
+    walk.kernels.append(KernelWalk(backward_shift).kernel(1))
     with pytest.raises(NotStabilized, match="above the bound 2 "):
         walk.kernel(2)
 
@@ -761,7 +760,7 @@ def test_a_preimage_the_section_maps_off_span_k_fails_the_residual_test(
 @pytest.mark.parametrize("name", sorted(_NESTED_OPERATORS))
 def test_each_power_keeps_the_basis_of_the_one_before_as_its_first_columns(name):
     T = _NESTED_OPERATORS[name]()
-    kernels = {m: kernel_of_power(T, m) for m in range(1, 9)}
+    kernels = {m: KernelWalk(T).kernel(m) for m in range(1, 9)}
     for m in range(2, 9):
         prev, head = kernels[m - 1], kernels[m].basis[:, : kernels[m - 1].dim]
         rows = prev.basis.shape[0]
@@ -831,12 +830,12 @@ def test_singular_values_confirm_the_doubled_window_as_its_section_does(monkeypa
     T = _M1_OPERATORS[name]()
     for op in (T, T.adjoint()):
         reads = _count_reads(monkeypatch)
-        fast = kernel_of_power(op, 1)
+        fast = KernelWalk(op).kernel(1)
         assert 2 * fast.window.N not in _factored(reads)  # confirmed by singular values
         # a values-only count that never agrees forces the full 2N section
         monkeypatch.setattr(ell2, "_section_nullity", lambda Tm, N: -1)
         reads.clear()
-        full = kernel_of_power(op, 1)
+        full = KernelWalk(op).kernel(1)
         assert 2 * full.window.N in _factored(reads)
         assert (fast.dim, fast.window) == (full.dim, full.window)
         assert np.array_equal(fast.basis, full.basis)
@@ -847,7 +846,7 @@ def test_singular_values_confirm_the_doubled_window_as_its_section_does(monkeypa
 def test_kernels_match_the_entrywise_section_oracle_at_their_window(name):
     T = _M1_OPERATORS[name]()
     for op in (T, T.adjoint()):
-        sub = kernel_of_power(op, 1)
+        sub = KernelWalk(op).kernel(1)
         basis = oracle_section_kernel(op, sub.window.N, sub.window.G)
         assert basis.shape[1] == sub.dim
         if sub.dim:
@@ -880,11 +879,11 @@ def _root_symbol(c, p, roots):
 
 def _index_and_oracles(T):
     """``fredholm_index_banded(T)``, its section reads (``_count_reads``),
-    and ``kernel_of_power`` of T and T* alone."""
+    and the kernels of T and T* from a new ``KernelWalk`` each."""
     with pytest.MonkeyPatch.context() as mp:
         reads = _count_reads(mp)
         idx = fredholm_index_banded(T)
-    return idx, reads, kernel_of_power(T, 1), kernel_of_power(T.adjoint(), 1)
+    return idx, reads, KernelWalk(T).kernel(1), KernelWalk(T.adjoint()).kernel(1)
 
 
 def _assert_one_read_per_side(idx, reads):
@@ -951,8 +950,8 @@ def test_a_toeplitz_count_below_coburns_dimension_takes_the_doubled_window(monke
     ]
     assert (idx.ker.window.N, idx.dim_ker) == (128, 1)
     monkeypatch.undo()
-    _assert_same_kernel(idx.ker, kernel_of_power(T, 1))
-    _assert_same_kernel(idx.coker, kernel_of_power(T.adjoint(), 1))
+    _assert_same_kernel(idx.ker, KernelWalk(T).kernel(1))
+    _assert_same_kernel(idx.coker, KernelWalk(T.adjoint()).kernel(1))
 
 
 def test_defect_1_keeps_its_doubled_window_on_the_kernel_side():
@@ -1005,11 +1004,11 @@ def test_values_first_kernels_equal_the_fully_factored_ones(monkeypatch):
     for name, make in sorted({**_M1_OPERATORS, **_TOEPLITZ_OPERATORS}.items()):
         T = make()
         for op in (T, T.adjoint()):
-            fast = kernel_of_power(op, 1)
+            fast = KernelWalk(op).kernel(1)
             # a values-only count that is never 0 and never agrees factors
             # every window the step reads
             monkeypatch.setattr(ell2, "_section_nullity", lambda Tm, N: -1)
-            full = kernel_of_power(op, 1)
+            full = KernelWalk(op).kernel(1)
             monkeypatch.undo()
             assert (fast.dim, fast.window) == (full.dim, full.window), name
             assert (fast.basis.shape, fast.basis.dtype) == (full.basis.shape, full.basis.dtype)
@@ -1178,6 +1177,77 @@ def test_the_index_of_a_product_is_the_sum_of_the_indices(a, b):
     _assert_index_or_undecided(A * B, index_a + index_b)
 
 
+def test_symbol_winding_reads_no_entry(monkeypatch):
+    # the 2K + 1 blocks of the symbol are slices of one section
+    calls = []
+    real = BandedOperator.entry
+    monkeypatch.setattr(BandedOperator, "entry", lambda T, i, j: calls.append((i, j)) or real(T, i, j))
+    W = make_catalog_operator("weighted_shift", prefix=["1/2"], period=[2, 1, 3])
+    cases = [(T, -index) for T, index in _INDEX_CORPUS.values()]
+    cases += [(W, 1), (W.adjoint(), -1), (_toeplitz({1: 1, 0: _G(0, "1/2")}), 1)]
+    assert [symbol_winding(T) for T, _ in cases] == [wind for _, wind in cases]
+    assert calls == []
+
+
+# -- the recurrence oracle ---------------------------------------------------
+
+#: name: (operator, (dim ker, dim coker)) in closed form
+_KERNEL_DIMS = {
+    **{f"S*-{a}": (_toeplitz({-1: 1, 0: f"-{a}"}), (1, 0)) for a in ("1/2", "3/4", "9/10", "19/20", "99/100")},
+    "S*^3-1/2": (_INDEX_CORPUS["S*^3-1/2"][0], (3, 0)),
+    # one root of the monodromy on each side of the circle
+    "(S*-9/10)(S*-2)": (_toeplitz({-1: 1, 0: "-9/10"}) * _toeplitz({-1: 1, 0: -2}), (1, 0)),
+    "3/2+5/3S": (_INDEX_CORPUS["3/2+5/3S"][0], (0, 1)),
+    "toeplitz-2": (_INDEX_CORPUS["toeplitz-2"][0], (2, 0)),
+    # e_k -> w_k e_(k+1) kills e_k for each zero weight w_k, and its
+    # adjoint kills e_0 and e_(k+1) for each zero w_k
+    "weighted-2": (make_catalog_operator("weighted_shift", prefix=["2/3"], period=["1/2", 3]), (0, 1)),
+    "weighted-3": (make_catalog_operator("weighted_shift", period=[2, "3/2", 1]), (0, 1)),
+    "weighted-adjoint": (_INDEX_CORPUS["weighted-adjoint"][0], (1, 0)),
+    "weighted-zero": (make_catalog_operator("weighted_shift", prefix=[0, 2], period=[1]), (1, 2)),
+    "weighted-zero-adjoint": (make_catalog_operator("weighted_shift", prefix=[0, 2], period=[1]).adjoint(), (2, 1)),
+    # S* + F and S* (I + N), N strictly upper triangular: onto, kernel 1
+    "patched-S*": (_INDEX_CORPUS["patched-S*"][0], (1, 0)),
+    "S*(I+N)": (
+        _toeplitz({-1: 1})
+        * (identity_op() + BandedOperator.build([], patch=Mat.from_rows([[0, 1, -2], [0, 0, 3], [0, 0, 0]]))),
+        (1, 0),
+    ),
+}
+#: the members whose certified dims are wrong today (ROADMAP defect 1)
+_WRONG_KERNEL_DIMS = {"S*-9/10", "S*-19/20", "S*-99/100", "S*^3-1/2", "(S*-9/10)(S*-2)", "3/2+5/3S"}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_DIMS))
+def test_the_recurrence_oracle_matches_the_closed_forms(name):
+    T, dims = _KERNEL_DIMS[name]
+    assert oracle_kernel_dims(T) == dims
+
+
+@pytest.mark.parametrize("k", range(len(_NEAR_CIRCLE)))
+def test_the_recurrence_oracle_gives_coburns_dims_on_scalar_toeplitz_operators(k):
+    c, p, r, far = _NEAR_CIRCLE[k]
+    sym = _root_symbol(c, p, [r] + far)
+    wind = oracle_winding(sym)
+    assert oracle_kernel_dims(_toeplitz(sym)) == (max(-wind, 0), max(wind, 0))
+
+
+def test_the_recurrence_oracle_refuses_a_vanishing_outermost_tail_coefficient():
+    W = make_catalog_operator("weighted_shift", period=[1, 0])
+    for T in (W, W.adjoint(), BandedOperator.build([], patch=Mat.from_rows([[1]]))):
+        with pytest.raises(ValueError):
+            oracle_kernel_dims(T)
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(name, marks=_defect_1(name in _WRONG_KERNEL_DIMS)) for name in _KERNEL_DIMS]
+)
+def test_the_certified_kernel_and_cokernel_match_the_recurrence_oracle(name):
+    T, _ = _KERNEL_DIMS[name]
+    idx = fredholm_index_banded(T)
+    assert (idx.dim_ker, idx.dim_coker) == oracle_kernel_dims(T)
+
+
 def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
     # S* - I/2: ker T^3 needs N = 128 and every later power starts there,
     # so the walk factors T's section once at 64 and once at 128
@@ -1190,7 +1260,7 @@ def test_each_power_starts_at_the_window_of_the_last(monkeypatch):
     assert [sought[m - 1] for m in range(4, 11)] == [[128]] * 7
     monkeypatch.undo()
     for m, sub in kernels.items():
-        alone = kernel_of_power(T, m)
+        alone = KernelWalk(T).kernel(m)
         assert alone.dim == sub.dim == m and alone.window == sub.window
         assert np.array_equal(alone.basis, sub.basis)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.errors import DegreeError, ModeMismatch, NonCommuting, ShapeError
+from koszulkit.errors import DegreeError, ModeMismatch, NonCommuting, NotStabilized, ShapeError
 from koszulkit.koszul import (
     CommutingTuple,
     augment_les,
@@ -15,6 +15,7 @@ from koszulkit.koszul import (
     induced_map,
     koszul_complex,
     koszul_differential,
+    splice_dims,
     validate_tuple,
 )
 from koszulkit.linalg import Mat, solve
@@ -313,6 +314,50 @@ def test_les_zero_tuple():
     Z = Mat.zeros(d, d)
     rep = augment_les(validate_tuple([Z]), Z)
     assert rep.dims_direct == (d, 2 * d, d)
+
+
+@pytest.mark.parametrize(
+    "base, ranks, dims",
+    [
+        # Theorem 1.1's pair (S*, S*), test_pair_cohomology_linear's answer:
+        # ker S* = 1, coker S* = 0, and S* is 0 on both
+        ((1, 0), (0, 0), (1, 1, 0)),
+        ((2, 3), (2, 3), (0, 0, 0)),
+        ((1, 2, 1), (1, 2, 1), (0, 0, 0, 0)),
+        # (J, J^2) with S = J, J the 3 x 3 nilpotent Jordan block
+        ((1, 2, 1), (0, 0, 0), (1, 3, 3, 1)),
+        ((1, 2, 1), (1, 1, 0), (0, 1, 2, 1)),
+        ((4,), (1,), (3, 3)),
+    ],
+)
+def test_splice_dims_adds_the_cokernel_before_to_the_kernel_here(base, ranks, dims):
+    assert splice_dims(base, ranks) == dims
+    assert len(dims) == len(base) + 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_les_eliminates_only_the_augmented_complex(monkeypatch, mode):
+    # dim H^p(T) is the size of S's induced map on it, so the one complex
+    # whose cohomology is taken from ranks is that of (T, S): D^-1 .. D^3
+    import koszulkit.koszul as kz
+
+    calls = []
+    real = kz._cohomology
+    monkeypatch.setattr(kz, "_cohomology", lambda D, tol: calls.append(len(D)) or real(D, tol))
+    J = Mat.from_rows(_jordan(0, 3))
+    mats = [J, J @ J, J]
+    if mode == "float":
+        mats = [Mat.from_numpy(M.to_numpy()) for M in mats]
+    try:
+        rep = augment_les(validate_tuple(mats[:2]), mats[2])
+    except NotStabilized:
+        # the float rank cut, relative to the largest singular value, gives
+        # S's 2e-16 induced map on H^1 rank 1, so the two ways disagree
+        assert mode == "float"
+    else:
+        assert rep.dims_direct == rep.dims_sequence == (1, 3, 3, 1)
+        assert (rep.base_dims, rep.induced_ranks) == ((1, 2, 1), (0, 0, 0))
+    assert calls == [5]
 
 
 def test_les_consistency_on_random_corpus():
