@@ -169,6 +169,13 @@ MUTANTS = (
         "exact spectrum: the Gaussian-rational eigenvalues cover the dimension",
     ),
     (
+        "eig-blocks",
+        "linalg.py",
+        "reach[i] >> j & reach[j] >> i & 1",
+        "reach[i] >> j & 1",
+        "exact eigenvalues: a block is the indices that reach i and that i reaches",
+    ),
+    (
         "spectrum-float",
         "spectrum.py",
         "    if total != dim:",

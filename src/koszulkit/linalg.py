@@ -513,6 +513,35 @@ def gaussian_eigenvalues(A: Mat) -> list:
     """Pairs (lam, m): each eigenvalue lam of exact square A that lies in
     Q(i), once, with its algebraic multiplicity m.
 
+    The strongly connected components of A's nonzero pattern (i -> j for
+    A[i, j] != 0), in a topological order, make A block upper triangular
+    up to a permutation, so its eigenvalues are its diagonal blocks'
+    together: a 1 x 1 block's entry, or ``_block_eigenvalues`` of a larger one.
+    """
+    if A.rows != A.cols:
+        raise ShapeError("eigenvalues of a non-square matrix")
+    n = A.rows
+    reach = [1 << i | sum(1 << j for j, _ in row) for i, row in enumerate(_nonzero_rows(A))]
+    for k in range(n):  # Warshall: reach[i] ends as the indices i reaches
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    if n > 1 and all(r == (1 << n) - 1 for r in reach):
+        return _block_eigenvalues(A)
+    out = {}
+    for i in range(n):
+        block = [j for j in range(n) if reach[i] >> j & reach[j] >> i & 1]
+        if block[0] == i:  # each block once, at its first index
+            k, sub = len(block), [A._ex[r * n + c] for r in block for c in block]
+            for lam, m in [(sub[0], 1)] if k == 1 else _block_eigenvalues(Mat(k, k, sub, EXACT)):
+                out[lam] = out.get(lam, 0) + m
+    return list(out.items())
+
+
+def _block_eigenvalues(A: Mat) -> list:
+    """``gaussian_eigenvalues`` of one block A, from its characteristic
+    polynomial.
+
     p(z) = det(zI - LA), L the lcm of A's denominators, is monic in Z[i][z],
     so its roots in Q(i) are Gaussian integers mu = L lam: rounded float
     roots of its square-free part s (again for those left, while that finds
@@ -520,8 +549,6 @@ def gaussian_eigenvalues(A: Mat) -> list:
     The m never overcount; they fall short of dim A exactly when some
     eigenvalue is not in Q(i) or its float root did not round to it.
     """
-    if A.rows != A.cols:
-        raise ShapeError("eigenvalues of a non-square matrix")
     L = lcm(*(v.d for v in A._ex))
     p = _charpoly(_gauss_int_rows(A, L))
     s, out = _squarefree(p), []

@@ -7,9 +7,10 @@ operators onto each invariant subspace, and recurse.  Points are ordered
 by (real part, imaginary part), and their multiplicities always sum to
 the space dimension.
 
-Exact eigenvalues are the Gaussian-integer roots of det(zI - LA), L the
-lcm of A's denominators, divided by L and verified exactly with their
-multiplicities (``linalg.gaussian_eigenvalues``): no denominator cap, no
+Exact eigenvalues come per strongly connected block of A's nonzero pattern
+(``linalg.gaussian_eigenvalues``): a 1 x 1 block's entry, or the Gaussian-integer
+roots of det(zI - LA), L the lcm of a larger block A's denominators, divided
+by L and verified exactly with their multiplicities: no denominator cap, no
 tolerance.  If the multiplicities fall short of the dimension, some
 eigenvalue is not Gaussian rational or its float root did not round to
 it, and DeflationFailure is raised.  Float mode tries every eigenvalue

@@ -1283,13 +1283,26 @@ def test_an_eigenvalue_needs_no_denominator_cap(tmp_path, capsys):
     assert points == [(pytest.approx(1 / (10**6 + 3), rel=1e-11), 1), (2.0, 1)]
 
 
+_TINY = (GaussianRational.from_ints(1, 0, 10**200 + 7), GaussianRational.from_ints(1, 0, 10**199 + 3))
+
+
 def test_characteristic_coefficients_beyond_the_float_range_exit_3(tmp_path, capsys):
     # L = (10^200 + 7)(10^199 + 3) makes the coefficients of det(zI - LA)
-    # about 10^400, too large for a float: exit 3, not an OverflowError
-    A = _diag(GaussianRational.from_ints(1, 0, 10**200 + 7), GaussianRational.from_ints(1, 0, 10**199 + 3))
-    code, err = _spectrum_of(tmp_path, capsys, A)
+    # about 10^400, too large for a float: exit 3, not an OverflowError.
+    # P diag P^-1 has no zero entry, so it is one block, whose
+    # characteristic polynomial carries those coefficients
+    P = Mat.from_rows([[1, 1], [1, 2]])
+    code, err = _spectrum_of(tmp_path, capsys, P @ _diag(*_TINY) @ solve(P, Mat.identity(2)))
     assert code == 3
     assert "error[DeflationFailure]" in err and "cover 0 of 2" in err
+
+
+def test_a_diagonal_beyond_the_float_range_of_its_whole_characteristic_polynomial(tmp_path, capsys):
+    # each 1 x 1 block of the diagonal is its own eigenvalue: no polynomial
+    code, rep = _spectrum_of(tmp_path, capsys, _diag(*_TINY))
+    assert code == 0
+    points = [(p["point"][0][0], p["multiplicity"]) for p in rep["points"]]
+    assert points == [(pytest.approx(1 / (10**200 + 7), rel=1e-11), 1), (pytest.approx(1 / (10**199 + 3), rel=1e-11), 1)]
 
 
 FLOAT_N0 = TUPLE_N0 | {
