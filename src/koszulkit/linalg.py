@@ -526,8 +526,6 @@ def gaussian_eigenvalues(A: Mat) -> list:
         for i in range(n):
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
-    if n > 1 and all(r == (1 << n) - 1 for r in reach):
-        return _block_eigenvalues(A)
     out = {}
     for i in range(n):
         block = [j for j in range(n) if reach[i] >> j & reach[j] >> i & 1]

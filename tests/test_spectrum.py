@@ -294,9 +294,17 @@ def test_exact_compress_reads_the_free_rows():
 
 def test_gaussian_eigenvalues_build_no_fraction(monkeypatch):
     half, i, minus_two_fifths = GaussianRational("1/2"), GaussianRational(0, 1), GaussianRational("-2/5")
-    A = _conjugated(_diag_rows(half, 3, i, -1, minus_two_fifths, 3))
-    built = []
+    # conjugated by a unimodular matrix with no zero entry: one 6 x 6 block,
+    # so the characteristic-polynomial routine runs on the whole matrix
+    A = _conjugated(_diag_rows(half, 3, i, -1, minus_two_fifths, 3), shears=30)
+    built, sizes, charpoly = [], [], linalg_module._charpoly
     new = Fraction.__new__
+
+    def counting_charpoly(rows):
+        sizes.append(len(rows))
+        return charpoly(rows)
+
+    monkeypatch.setattr(linalg_module, "_charpoly", counting_charpoly)
 
     def counting_new(cls, *args, **kwargs):
         built.append(args)
@@ -306,7 +314,7 @@ def test_gaussian_eigenvalues_build_no_fraction(monkeypatch):
     assert Fraction(1, 2) and built, "the counter must see Fraction constructions"
     built.clear()
     eigs = gaussian_eigenvalues(A)
-    assert built == []
+    assert built == [] and sizes == [6]
     assert dict(eigs) == {half: 1, GaussianRational(3): 2, i: 1, GaussianRational(-1): 1, minus_two_fifths: 1}
     assert len(eigs) == 5
 
