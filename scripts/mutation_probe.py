@@ -197,6 +197,13 @@ MUTANTS = (
         "chain step: no count above the bound on the dimension",
     ),
     (
+        "bound-zero",
+        "ell2.py",
+        "    if bound == 0:",
+        "    if not bound:",
+        "chain step: only a bound of 0, not a missing one, settles a kernel unread",
+    ),
+    (
         "guard",
         "ell2.py",
         "    if np.linalg.norm(new[N - G :]) > TOL_GUARD:",

@@ -46,8 +46,6 @@ from .spectrum import (
     JointSpectrum,
     apply_poly_map,
     joint_spectrum,
-    point_in_spectrum,
-    poly_map_invertibility_check,
     spectral_mapping_check,
 )
 from .ell2 import (

@@ -31,12 +31,13 @@ reaches an upper bound on its dimension, which no larger window could
 exceed: dim ker T^(m-1) + dim ker T for m >= 2, and for ker T of a
 scalar Toeplitz T Coburn's dimension, which its winding gives.  A count
 above the bound raises NotStabilized; any other waits for N and 2N to
-agree.
+agree.  A bound of 0 (Coburn's zero side, or a power past an empty
+ker T) gives the empty kernel at once, with no section read.
 At the window where a kernel reached its bound, with dim ker T raw null
 vectors, the next step preimages only that kernel's newest layer.
-From {0} singular values confirm a 2N count, and unless the winding
-puts a positive floor under dim ker T they come first and settle an
-empty kernel unfactored.
+From {0} singular values confirm a 2N count, and on a side with no
+bound and no positive floor from the winding they come first and
+settle an empty kernel unfactored.
 That certificate is a desk-scale stabilization check, not a proof:
 operators whose kernel vectors have unbounded support (none of the
 catalog instances) can stabilize to an undercount.
@@ -178,11 +179,16 @@ class BandedOperator:
     def is_zero(self) -> bool:
         return not self.diagonals
 
+    @property
+    def dtype(self) -> type:
+        """The operator's field: float when every stored value is real (so
+        numpy takes the real SVD and QR on its sections), complex otherwise."""
+        return float if all(not v.b for d in self.diagonals for v in d.prefix + d.period) else complex
+
     def section(self, rows: int, cols: int) -> np.ndarray:
         """Truncation to the first ``rows`` x ``cols`` coordinates, in the
-        operator's own field: float64 when every stored value is real (so
-        numpy takes the real SVD and QR), complex128 otherwise."""
-        real = all(not v.b for d in self.diagonals for v in d.prefix + d.period)
+        operator's own field (``dtype``)."""
+        real = self.dtype is float
         A = np.zeros((rows, cols), dtype=float if real else complex)
         for d in self.diagonals:
             o, pre = d.offset, len(d.prefix)
@@ -485,7 +491,9 @@ class KernelWalk:
     T^m is built.  Given the winding ``wind`` of T's symbol, dim ker T is
     at least ``ker_floor`` = max(-wind, 0), and exactly that for a scalar
     Toeplitz T (Coburn's lemma), which makes it ``ker_bound``; with no
-    winding the floor is 0 and there is no bound.  The bound of ker T^m
+    winding the floor is 0 and there is no bound.  A bound is trusted: a
+    bound of 0 settles ker T empty with no section read, so ``wind`` must
+    be the winding that ``symbol_winding`` certifies.  The bound of ker T^m
     for m >= 2 is dim ker T^(m-1) + dim ker T.  Each basis extends the
     one before: the first dim ker T^(m-1) columns of ker T^m's are
     ker T^(m-1)'s, zero-padded, so H_m is a column slice; a kernel
@@ -525,14 +533,16 @@ def _chain_kernel(
 
     Every vector found has T^m x = 0 within the residual, so a count
     equal to ``bound`` (an upper bound on dim ker T^m, or None) is
-    accepted at N, and one above it raises NotStabilized.  Any other
-    count waits for N and 2N to agree, N doubling up to
-    max(MAX_SECTION, N).  When prev is {0} the step is null(B), taken
-    as it is; unless the walk's ``ker_floor`` (which a bound from the
-    winding equals) is positive, its singular values come first, and a
-    raw nullity of 0 counts 0 unfactored (factored, it counts 0 too).  A
-    raw 2N nullity of d confirms d (the d window-N vectors, zero-padded,
-    span the 2N null space).
+    accepted at N, and one above it raises NotStabilized.  A bound of 0
+    (Coburn's zero side of a scalar Toeplitz T, or any step past an empty
+    ker T) returns the empty kernel at prev's window, at its bound, with
+    no section read.  Any other count waits for N and 2N to agree, N
+    doubling up to max(MAX_SECTION, N).  When prev is {0} the step is
+    null(B), taken as it is; on a side with no bound whose ``ker_floor``
+    is 0, its singular values come first, and a raw nullity of 0 counts
+    0 unfactored (factored, it counts 0 too).  A raw 2N nullity of d
+    confirms d (the d window-N vectors, zero-padded, span the 2N null
+    space).
 
     At prev's own window a step is a layer step (``_preimage_kernel``)
     when prev reached its bound there and the section has dim ker T raw
@@ -543,12 +553,14 @@ def _chain_kernel(
     step is a full step.
     """
     G, N = prev.window.G, prev.window.N
+    if bound == 0:
+        return StabilizedSubspace(np.zeros((N - G, 0), dtype=T.dtype), 0, prev.window, True)
     found = {}
 
     def at(n):
         if n not in found:
             if not prev.dim and not walk.ker_floor and not walk.nullity(n):
-                found[n] = 0, np.zeros((n - G, 0), dtype=T.section(0, 0).dtype)
+                found[n] = 0, np.zeros((n - G, 0), dtype=T.dtype)
             else:
                 fact = walk.factor(n)
                 layer = walk.kernels[1].dim if prev.at_bound and n == prev.window.N else 0
@@ -589,6 +601,17 @@ def symbol_winding(T: BandedOperator) -> int:
     are exactly 2 pi * winding.  PreconditionError when
     min|det| <= TOL_CIRCLE * max|det| (not Fredholm); NotStabilized when
     MAX_SYMBOL_SAMPLES samples decide neither.
+
+    For P = 1 a returned winding is exact, rounding included, which
+    ``KernelWalk`` relies on when it trusts Coburn's bound.  det Phi is
+    then the symbol f itself, and its samples are off by at most about
+    eps log2(M) sqrt(M) ||c||_2 <= 2e-13 * max|f| (the FFT's rounding, eps
+    the unit roundoff; f's coefficients c have ||c||_2 <= max|f| by
+    Parseval).  The test leaves a slack of at least (4 pi K / 3M) * hi >=
+    2.5e-4 * hi (M <= MAX_SYMBOL_SAMPLES) over what Bernstein's bound
+    needs (hi the largest sample, max|f| < 4/3 hi once the test can pass),
+    far above that error.  For P > 1 each sampled determinant adds rounding
+    that no such bound controls.
     """
     pre, P = T._tail_params()
     K = -(-T.bandwidth // P)
@@ -635,9 +658,10 @@ def fredholm_index_banded(T: BandedOperator) -> IndexCertificate:
     kernel of the adjoint.  dim ker T >= max(-wind, 0) and dim ker T* >=
     max(wind, 0), with equality for a scalar Toeplitz T (Coburn's lemma):
     the bounds at which each kernel is accepted without the 2N check
-    (each side's ``KernelWalk`` takes its winding).  A side above its
-    bound raises NotStabilized; one below it takes the N/2N check, and its
-    count stands even if it disagrees.
+    (each side's ``KernelWalk`` takes its winding).  A side bounded by 0
+    is certified empty at its first window with no section read.  A side
+    above its bound raises NotStabilized; one below it takes the N/2N
+    check, and its count stands even if it disagrees.
     """
     wind = symbol_winding(T)
     ker, coker = KernelWalk(T, wind).kernel(1), KernelWalk(T.adjoint(), -wind).kernel(1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError, ShapeError
 from .linalg import Mat
-from .scalars import EXACT, GaussianRational, as_scalar
+from .scalars import EXACT, as_scalar
 
 
 def _norm_terms(nvars, terms, mode):
@@ -170,28 +170,3 @@ class PolyMap:
         return PolyMap.from_components(
             [c.substitute(inner.components) for c in self.components]
         )
-
-    def nonzero_vanishing_witness(self, rng):
-        """Sampled hunt, at 1,000 random points, for a nonzero point where
-        the map vanishes.
-
-        Returns None when no witness was found (consistent with the zero
-        set being contained in the origin), else a witness point.  Points
-        are small and frequently have zero coordinates, so maps that
-        vanish on coordinate subspaces or at small lattice points are
-        caught; a thin zero set elsewhere can still be missed -- this is
-        a consistency check, not a proof.
-        """
-
-        def coord():
-            if rng.random() < 0.5:
-                return GaussianRational(0) if self.mode == EXACT else 0j
-            if self.mode == EXACT:
-                return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-            return complex(rng.randint(-3, 3), rng.randint(-3, 3))
-
-        for _ in range(1000):
-            pt = tuple(coord() for _ in range(self.nvars))
-            if any(pt) and not any(self.eval_point(pt)):
-                return pt
-        return None

@@ -25,13 +25,12 @@ reading rows: not for the last operator, nor for a lone eigenvalue.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeflationFailure, PreconditionError
-from .koszul import CommutingTuple, cohomology, validate_tuple
+from .errors import DeflationFailure
+from .koszul import CommutingTuple
 from .linalg import Mat, compress, gaussian_eigenvalues, kernel_chain
 from .polymap import PolyMap
 from .scalars import EXACT, FLOAT, as_scalar
@@ -152,36 +151,3 @@ def spectral_mapping_check(f: PolyMap, T: CommutingTuple, tol: float) -> bool:
     }
     sigma_f = joint_spectrum(apply_poly_map(f, T))
     return _match_sets(list(mapped), list(sigma_f.distinct()), tol)
-
-
-def point_in_spectrum(T: CommutingTuple, z) -> bool:
-    """Whether z lies in the joint spectrum, decided via cohomology of z - T."""
-    shifted = [-M.minus_scalar(zi) for zi, M in zip(z, T.matrices)]
-    return not cohomology(validate_tuple(shifted)).invertible
-
-
-def poly_map_invertibility_check(
-    T: CommutingTuple,
-    f: PolyMap,
-    rng: random.Random | None = None,
-) -> bool:
-    """Check that applying an origin-only-vanishing map keeps T invertible.
-
-    Preconditions: T is invertible (verified via cohomology) and the zero
-    set of f contains no nonzero point.  The latter is the caller's
-    claim; it is spot-checked at 1,000 random points.  A witness
-    that additionally lies in the joint spectrum of T refutes the
-    caller's assertion in the way that matters and raises
-    PreconditionError; a witness off the spectrum is harmless (the
-    spectral-mapping argument only sees the zero set on the spectrum).
-    With the preconditions in force, a False return value is a bug.
-    """
-    if not cohomology(T).invertible:
-        raise PreconditionError("tuple is not invertible")
-    witness = f.nonzero_vanishing_witness(rng if rng is not None else random.Random(0))
-    if witness is not None and point_in_spectrum(T, witness):
-        raise PreconditionError(
-            f"map vanishes at the spectrum point {witness!r}; the "
-            "origin-only-vanishing assertion fails where it matters"
-        )
-    return cohomology(apply_poly_map(f, T)).invertible

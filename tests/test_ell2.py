@@ -430,12 +430,13 @@ def test_kernels_accepted_by_the_bound_hold_at_the_doubled_window(monkeypatch, n
 
 
 def test_a_ker_t_count_above_the_callers_bound_is_not_stabilized(backward_shift):
-    # ker S* is spanned by e0, so a winding of 0, whose Coburn bound on
-    # dim ker T is 0, is wrong: the count is refused, not confirmed at 2N
+    # ker S*^2 is spanned by e0 and e1, so a winding of -1, whose Coburn
+    # bound on dim ker T is 1, is wrong: the count is refused, not
+    # confirmed at 2N
     with pytest.raises(NotStabilized) as exc:
-        KernelWalk(backward_shift, wind=0).kernel(1)
+        KernelWalk(backward_shift.power(2), wind=-1).kernel(1)
     assert str(exc.value) == (
-        "section size 64 certifies 1 kernel vectors, above the bound 0 on their "
+        "section size 64 certifies 2 kernel vectors, above the bound 1 on their "
         "number: the bound, or a count it rests on, is wrong"
     )
     # a bound the count reaches accepts it; a larger one leaves it to the 2N check
@@ -864,9 +865,9 @@ def test_index_of_a_toeplitz_operator_takes_no_doubled_section(monkeypatch, tmp_
     ]}))
     assert main(["index", "--input", str(inp), "--out", str(tmp_path / "o.json")]) == 0
     assert json.loads((tmp_path / "o.json").read_text())["index"] == 1
-    # ker T, bounded by 1, is factored; ker T*, bounded by 0, is settled by
-    # its singular values; none at N = 128, as both counts equal Coburn's
-    assert [(helper, N) for helper, _, N in reads] == [(FACTOR, 64), (NULLITY, 64)]
+    # ker T, bounded by 1, is factored; ker T*, bounded by 0, reads no
+    # section; none at N = 128, as both counts equal Coburn's
+    assert [(helper, N) for helper, _, N in reads] == [(FACTOR, 64)]
 
 
 def _root_symbol(c, p, roots):
@@ -886,14 +887,13 @@ def _index_and_oracles(T):
     return idx, reads, KernelWalk(T).kernel(1), KernelWalk(T.adjoint()).kernel(1)
 
 
-def _assert_one_read_per_side(idx, reads):
-    """Each side of a Toeplitz index at Coburn's dimension reads one
-    section, at its accepted window: only its singular values when the
-    bound is 0, else its full factorization."""
+def _assert_only_the_nonzero_sides_read(idx, reads):
+    """Each side of a Toeplitz index at Coburn's dimension is accepted at
+    the first window: a side bounded by 0 reads no section, any other
+    factors that window alone."""
     sides = (idx.ker, idx.coker)
-    assert [(helper, N) for helper, _, N in reads] == [
-        (NULLITY if sub.dim == 0 else FACTOR, sub.window.N) for sub in sides
-    ]
+    assert [sub.window.N for sub in sides] == [64, 64]
+    assert [(helper, N) for helper, _, N in reads] == [(FACTOR, 64) for sub in sides if sub.dim]
 
 
 def _assert_same_kernel(sub, alone):
@@ -931,7 +931,7 @@ def test_toeplitz_kernels_at_coburns_dimension_take_no_doubled_window(name):
     T = _TOEPLITZ_OPERATORS[name]()
     assert T._tail_params() == (0, 1)
     idx, reads, ker, coker = _index_and_oracles(T)
-    _assert_one_read_per_side(idx, reads)
+    _assert_only_the_nonzero_sides_read(idx, reads)
     assert idx.index == -symbol_winding(T)
     _assert_same_kernel(idx.ker, ker)
     _assert_same_kernel(idx.coker, coker)
@@ -944,10 +944,8 @@ def test_a_toeplitz_count_below_coburns_dimension_takes_the_doubled_window(monke
     reads = _count_reads(monkeypatch)
     idx = fredholm_index_banded(T)
     # the 128 section is read twice, values first (left for the recurrence);
-    # ker T*, bounded by 0, takes its singular values alone
-    assert reads == [
-        (FACTOR, T, 64), (NULLITY, T, 128), (FACTOR, T, 128), (NULLITY, T.adjoint(), 64)
-    ]
+    # ker T*, bounded by 0, reads no section
+    assert reads == [(FACTOR, T, 64), (NULLITY, T, 128), (FACTOR, T, 128)]
     assert (idx.ker.window.N, idx.dim_ker) == (128, 1)
     monkeypatch.undo()
     _assert_same_kernel(idx.ker, KernelWalk(T).kernel(1))
@@ -956,12 +954,45 @@ def test_a_toeplitz_count_below_coburns_dimension_takes_the_doubled_window(monke
 
 def test_defect_1_keeps_its_doubled_window_on_the_kernel_side():
     # S* - 9I/10 certifies 0 against Coburn's 1: the miss takes the old
-    # N/2N check, whose count (the known undercount) stands
+    # N/2N check, whose count (the known undercount) stands; ker T*,
+    # bounded by 0, reads no section
     T = _M1_OPERATORS["S* - 9I/10"]()
     idx, reads, ker, coker = _index_and_oracles(T)
-    assert reads == [(FACTOR, T, 64), (NULLITY, T, 128), (NULLITY, T.adjoint(), 64)]
+    assert reads == [(FACTOR, T, 64), (NULLITY, T, 128)]
     _assert_same_kernel(idx.ker, ker)
     _assert_same_kernel(idx.coker, coker)
+
+
+def test_a_kernel_the_winding_does_not_predict_still_reads_its_sections():
+    # S with a zero first weight winds once, so dim ker T >= 0, but it
+    # kills e0: the floor of 0 is no bound, and the side is read and counted
+    T = make_catalog_operator("weighted_shift", prefix=[0], period=[1])
+    idx, reads, ker, coker = _index_and_oracles(T)
+    assert (idx.index, idx.dim_ker, idx.dim_coker) == (-symbol_winding(T), 1, 2)
+    adj = T.adjoint()
+    assert reads == [
+        (NULLITY, T, 64), (FACTOR, T, 64), (NULLITY, T, 128), (FACTOR, adj, 64), (NULLITY, adj, 128)
+    ]
+    _assert_same_kernel(idx.ker, ker)
+    _assert_same_kernel(idx.coker, coker)
+
+
+def test_the_index_of_a_square_near_the_circle_is_right_or_undecided(tmp_path):
+    # (S* - 19I/20)^2 has index 2, but its kernel vectors decay like
+    # (19/20)^n and the sections undercount them (defect 1).  Today the
+    # symbol's sample cap refuses it; a winding that settled it would let
+    # that undercount through as index 0, as Coburn's zero side, ker T*,
+    # is 0 whether read or not
+    from koszulkit.cli import main
+
+    inp, out = tmp_path / "t.json", tmp_path / "o.json"
+    inp.write_text(json.dumps({"diagonals": [
+        {"offset": 2, "period": [["1", "0"]]},
+        {"offset": 1, "period": [["-19/10", "0"]]},
+        {"offset": 0, "period": [["361/400", "0"]]},
+    ]}))
+    code = main(["index", "--input", str(inp), "--out", str(out)])
+    assert code == 3 or (code, json.loads(out.read_text())["index"]) == (0, 2)
 
 
 @pytest.mark.parametrize("name", ["patched S*", "weighted S*"])
@@ -1013,13 +1044,12 @@ def test_values_first_kernels_equal_the_fully_factored_ones(monkeypatch):
             assert (fast.dim, fast.window) == (full.dim, full.window), name
             assert (fast.basis.shape, fast.basis.dtype) == (full.basis.shape, full.basis.dtype)
             assert np.array_equal(fast.basis, full.basis), name
-    # S*: ker T*, bounded by 0, is settled by its section's singular values
-    # and factored nowhere; ker T, bounded by 1, is factored at 64 with no
-    # values-only read there
+    # S*: ker T*, bounded by 0, reads no section; ker T, bounded by 1, is
+    # factored at 64 with no values-only read there
     T = _TOEPLITZ_OPERATORS["S*"]()
     reads = _count_reads(monkeypatch)
     idx = fredholm_index_banded(T)
-    assert reads == [(FACTOR, T, 64), (NULLITY, T.adjoint(), 64)]
+    assert reads == [(FACTOR, T, 64)]
     assert (idx.dim_ker, idx.dim_coker, idx.coker.basis.shape) == (1, 0, (48, 0))
 
 
@@ -1043,9 +1073,11 @@ def test_toeplitz_index_from_coburns_shortcut_matches_the_winding_oracle(c, p, r
     sym = _root_symbol(c, p, roots)
     T = make_catalog_operator("toeplitz", symbol=sym)
     idx, reads, ker, coker = _index_and_oracles(T)
-    _assert_one_read_per_side(idx, reads)
+    _assert_only_the_nonzero_sides_read(idx, reads)
     assert idx.index == -oracle_winding(sym)
-    assert (idx.dim_ker, idx.dim_coker) == (ker.dim, coker.dim)
+    # the side Coburn's lemma sets to {0}, certified from the winding alone,
+    # and the other side agree with the recurrence, which reads no winding
+    assert (idx.dim_ker, idx.dim_coker) == (ker.dim, coker.dim) == oracle_kernel_dims(T)
 
 
 #: near-circle symbols c z^(-p) (z - r) prod_s (z - s): one zero r of modulus

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import koszulkit.koszul as koszul_module
 from koszulkit.errors import DeflationFailure, FormatError, PreconditionError, ShapeError
-from koszulkit.koszul import validate_tuple
+from koszulkit.koszul import CommutingTuple, cohomology, validate_tuple
 from koszulkit.linalg import Mat, compress, gaussian_eigenvalues, kernel_basis, kernel_chain, mat_power, solve
 from koszulkit.polymap import Polynomial, PolyMap
 from koszulkit.scalars import EXACT, FLOAT, GaussianRational, as_scalar
@@ -19,8 +19,6 @@ import koszulkit.spectrum as spectrum_module
 from koszulkit.spectrum import (
     apply_poly_map,
     joint_spectrum,
-    point_in_spectrum,
-    poly_map_invertibility_check,
     spectral_mapping_check,
 )
 
@@ -572,7 +570,7 @@ def test_polymap_refuses_bad_arguments(call, error, message):
 
 def test_a_float_map_vanishing_only_at_the_origin_has_no_witness():
     # half the sampled coordinates are 0j, the others small Gaussian integers
-    assert PolyMap.identity(2, FLOAT).nonzero_vanishing_witness(random.Random(0)) is None
+    assert nonzero_vanishing_witness(PolyMap.identity(2, FLOAT), random.Random(0)) is None
 
 
 def test_eval_matrices_makes_one_product_per_new_power(monkeypatch):
@@ -675,6 +673,51 @@ def test_spectral_mapping_nilpotent_shear():
 
 
 # -- invertibility under origin-only-vanishing maps ---------------------------
+
+
+def nonzero_vanishing_witness(f: PolyMap, rng: random.Random):
+    """Sampled hunt, at 1,000 random points, for a nonzero point where f
+    vanishes: the point, or None when none was found.  Points are small
+    and often have zero coordinates, so maps that vanish on coordinate
+    subspaces or at small lattice points are caught; a thin zero set
+    elsewhere can still be missed."""
+
+    def coord():
+        if rng.random() < 0.5:
+            return GaussianRational(0) if f.mode == EXACT else 0j
+        if f.mode == EXACT:
+            return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        return complex(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    for _ in range(1000):
+        pt = tuple(coord() for _ in range(f.nvars))
+        if any(pt) and not any(f.eval_point(pt)):
+            return pt
+    return None
+
+
+def point_in_spectrum(T: CommutingTuple, z) -> bool:
+    """Whether z lies in the joint spectrum, decided via cohomology of z - T."""
+    shifted = [-M.minus_scalar(zi) for zi, M in zip(z, T.matrices)]
+    return not cohomology(validate_tuple(shifted)).invertible
+
+
+def poly_map_invertibility_check(T: CommutingTuple, f: PolyMap, rng: random.Random | None = None) -> bool:
+    """Whether f(T) stays invertible for an invertible T and an f whose
+    zero set is the origin.  T's invertibility is checked (else
+    PreconditionError); f's zero set is spot-checked, and a witness in
+    the joint spectrum of T raises PreconditionError, while one off it is
+    harmless (the spectral-mapping argument only sees the zero set on the
+    spectrum).  With the preconditions in force, False is a bug."""
+    if not cohomology(T).invertible:
+        raise PreconditionError("tuple is not invertible")
+    witness = nonzero_vanishing_witness(f, rng if rng is not None else random.Random(0))
+    if witness is not None and point_in_spectrum(T, witness):
+        raise PreconditionError(
+            f"map vanishes at the spectrum point {witness!r}; the "
+            "origin-only-vanishing assertion fails where it matters"
+        )
+    return cohomology(apply_poly_map(f, T)).invertible
 
 
 def test_invertibility_check_trivial():
