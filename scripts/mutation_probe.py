@@ -99,6 +99,13 @@ MUTANTS = (
         "commutant_blocks: similarity_certified forced true",
     ),
     (
+        "radius",
+        "tower.py",
+        "        radius=float(np.abs(roots[0]).max()),",
+        "        radius=float(np.abs(roots[-1]).max()),",
+        "commutant_blocks: r is the spectral radius of X_n0, not of a later corner",
+    ),
+    (
         "h",
         "tower.py",
         "        and all(norms[n] >= r - TOL_RADIUS for n in range(tower.n0, tower.depth + 1))",

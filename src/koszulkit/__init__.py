@@ -27,7 +27,6 @@ from .linalg import (
     kernel_basis,
     rank,
     solve,
-    spectral_radius,
 )
 from .koszul import (
     CohomologyReport,
@@ -37,6 +36,7 @@ from .koszul import (
     cohomology,
     form_basis,
     induced_map,
+    kernel_restriction_check,
     koszul_complex,
     koszul_differential,
     validate_tuple,
@@ -67,7 +67,6 @@ from .tower import (
     augmented_pair_cohomology,
     commutant_blocks,
     growth_table,
-    kernel_restriction_check,
     kernel_tower,
     obstruction_certificate,
 )

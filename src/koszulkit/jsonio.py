@@ -35,10 +35,11 @@ def _expect(value, kind: type, what: str):
 
 
 def _as_int(value, what: str) -> int:
-    try:
+    """``value`` when it is an integral number and not a bool (2.0 passes
+    as 2; 1.7, true and "1" do not), else FormatError."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what} must be an integer, got {value!r}") from exc
+    raise FormatError(f"{what} must be an integer, got {value!r}")
 
 
 # -- scalars ------------------------------------------------------------
@@ -76,13 +77,13 @@ def parse_scalar(value, mode: str):
 
 def mat_from_json(obj, mode: str = EXACT) -> Mat:
     try:
-        shape = obj["rows"], obj["cols"]
-        rows, cols = map(int, shape)
-        entries = _expect(obj["entries"], list, "matrix entries")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except (KeyError, TypeError) as exc:
         raise FormatError("matrix literal needs rows, cols, entries") from exc
-    if (rows, cols) != shape or min(rows, cols) < 0 or bool in map(type, shape):
-        raise FormatError(f"matrix literal shape {shape[0]!r}x{shape[1]!r} is not two integers >= 0")
+    rows, cols = _as_int(rows, "matrix rows"), _as_int(cols, "matrix cols")
+    entries = _expect(entries, list, "matrix entries")
+    if min(rows, cols) < 0:
+        raise FormatError(f"matrix literal shape {rows}x{cols} is not two integers >= 0")
     if len(entries) != rows * cols:
         raise FormatError(
             f"matrix literal has {len(entries)} entries for {rows}x{cols}"
@@ -167,19 +168,21 @@ def pair_from_json(obj) -> tuple:
 
 def scenario_from_json(obj) -> dict:
     """A demo scenario with its kind checked, its operators parsed, its
-    optional integer fields (absent ones stay absent) checked, and
-    ``perturbations`` as a list of (name, operator) pairs."""
+    optional integer and string fields (absent ones stay absent) checked,
+    and ``perturbations`` as a list of (name, operator) pairs."""
     obj = _expect(obj, dict, "scenario file")
     if obj.get("demo") not in ("growth", "obstruction"):
         raise FormatError(f"scenario file has unknown demo kind {obj.get('demo')!r}")
     out = dict(obj, operator=operator_from_json(obj.get("operator")))
     out.update({k: _as_int(obj[k], k) for k in ("rank_bound", "max_level") if k in obj})
     if "powers" in obj:
-        out["powers"] = tuple(_as_int(m, "power") for m in _expect(obj["powers"], list, "powers"))
-    out["perturbations"] = [
-        (_expect(c, dict, "perturbation").get("name", "?"), operator_from_json(c.get("operator")))
-        for c in _expect(obj.get("perturbations", []), list, "perturbations")
-    ]
+        out["powers"] = tuple(_as_int(m, "powers entry") for m in _expect(obj["powers"], list, "powers"))
+    cases = [_expect(c, dict, "perturbation") for c in _expect(obj.get("perturbations", []), list, "perturbations")]
+    texts = [(k, obj[k]) for k in ("description", "pair_note") if k in obj]
+    for what, text in texts + [("perturbation name", c.get("name", "?")) for c in cases]:
+        if not isinstance(text, str):
+            raise FormatError(f"{what} must be a string, got {text!r}")
+    out["perturbations"] = [(c.get("name", "?"), operator_from_json(c.get("operator"))) for c in cases]
     return out
 
 
@@ -194,11 +197,11 @@ def polymap_from_json(obj, mode: str = EXACT) -> PolyMap:
         terms = []
         for term in _expect(poly, list, "polynomial"):
             try:
-                coeff = parse_scalar(term["coeff"], mode)
-                mono = tuple(int(k) for k in term["monomial"])
-            except (KeyError, TypeError, ValueError) as exc:
+                coeff, mono = term["coeff"], term["monomial"]
+            except (KeyError, TypeError) as exc:
                 raise FormatError("polynomial term needs coeff and monomial") from exc
-            terms.append((mono, coeff))
+            mono = tuple(_as_int(k, "monomial exponent") for k in _expect(mono, list, "monomial"))
+            terms.append((mono, parse_scalar(coeff, mode)))
         polys.append(terms)
     # the variables are counted by the first polynomial with a term
     nvars = next((len(terms[0][0]) for terms in polys if terms), 1)

@@ -36,7 +36,15 @@ from dataclasses import InitVar, dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import DegreeError, ModeMismatch, NonCommuting, NotStabilized, ShapeError
+from .errors import (
+    DegreeError,
+    InvarianceViolation,
+    ModeMismatch,
+    NonCommuting,
+    NotStabilized,
+    PreconditionError,
+    ShapeError,
+)
 from .linalg import (
     Mat,
     block_diag_copies,
@@ -46,6 +54,7 @@ from .linalg import (
     kernel_basis,
     kernel_chain,
     mat_block,
+    mat_power,
     rank,
     solve,
 )
@@ -305,3 +314,25 @@ def augment_les(T: CommutingTuple, S: Mat, tol_rank: float | None = None) -> LES
         iso_by_degree=iso,
         all_iso=all(iso),
     )
+
+
+def kernel_restriction_check(Tm: Mat, Sm: Mat, n: int) -> bool:
+    """For an invertible commuting matrix pair, S restricted to ker T^n
+    must be an isomorphism of ker T^n; returns that verdict.
+
+    Raises NonCommuting if the pair does not commute and
+    PreconditionError when the pair is not invertible (checked through
+    its cohomology).  With the preconditions in force, False is a bug.
+    """
+    pair = validate_tuple([Tm, Sm])
+    if not cohomology(pair).invertible:
+        raise PreconditionError("matrix pair is not invertible")
+    K = kernel_basis(mat_power(Tm, n))
+    if K.cols == 0:
+        return True
+    M = solve(K, Sm @ K)
+    if M is None:
+        raise InvarianceViolation(
+            "restriction did not preserve the kernel; pair fails to commute"
+        )
+    return rank(M) == K.cols

@@ -26,9 +26,6 @@ from .scalars import EXACT, FLOAT, GR_ONE, GR_ZERO, GaussianRational, as_scalar,
 #: default relative rank tolerance for float mode
 TOL_RANK = 1e-10
 
-#: spectral_radius refuses matrices larger than this
-MAX_EIG_DIM = 64
-
 
 class Mat:
     """Dense rows x cols matrix; entries exact Gaussian rationals or an
@@ -710,18 +707,3 @@ def independent_columns(M: Mat, tol_rank: float | None = None) -> list[int]:
             chosen.append(j)
             cur = cand
     return chosen
-
-
-def spectral_radius(M: Mat) -> float:
-    """Largest eigenvalue modulus of a square matrix (dimension <= 64).
-
-    Exact inputs are converted to floats for this operation only.
-    """
-    if M.rows != M.cols:
-        raise ShapeError("spectral_radius needs a square matrix")
-    if M.rows > MAX_EIG_DIM:
-        raise ShapeError(f"spectral_radius limited to dimension {MAX_EIG_DIM}")
-    if M.rows == 0:
-        return 0.0
-    ev = np.linalg.eigvals(M.to_numpy())
-    return float(np.abs(ev).max())

@@ -1,8 +1,9 @@
 """Polynomials in several variables and polynomial maps C^n -> C^m.
 
-Coefficients live in the ambient arithmetic mode (exact Gaussian
-rationals or complex floats); evaluation at scalar points and at
-commuting matrix tuples is exact in exact mode.
+Maps are parsed from their files (``jsonio.polymap_from_json``) and
+evaluated, nothing more: at scalar points and at commuting matrix
+tuples.  Coefficients live in the ambient arithmetic mode (exact
+Gaussian rationals or complex floats); evaluation is exact in exact mode.
 """
 
 from __future__ import annotations
@@ -41,41 +42,9 @@ class Polynomial:
         return cls(nvars, _norm_terms(nvars, terms, mode), mode)
 
     @classmethod
-    def zero(cls, nvars, mode=EXACT) -> "Polynomial":
-        return cls(nvars, (), mode)
-
-    @classmethod
-    def constant(cls, nvars, c, mode=EXACT) -> "Polynomial":
-        return cls.from_terms(nvars, [((0,) * nvars, c)], mode)
-
-    @classmethod
     def variable(cls, i, nvars, mode=EXACT) -> "Polynomial":
         expo = tuple(1 if j == i else 0 for j in range(nvars))
         return cls.from_terms(nvars, [(expo, 1)], mode)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._compat(other)
-        return Polynomial.from_terms(
-            self.nvars, list(self.terms) + list(other.terms), self.mode
-        )
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._compat(other)
-        terms = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                terms.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return Polynomial.from_terms(self.nvars, terms, self.mode)
-
-    def power(self, k: int) -> "Polynomial":
-        out = Polynomial.constant(self.nvars, 1, self.mode)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def _compat(self, other):
-        if self.nvars != other.nvars or self.mode != other.mode:
-            raise ShapeError("polynomial arity/mode mismatch")
 
     def eval_point(self, point):
         """Evaluate at a scalar point (sequence of nvars scalars)."""
@@ -114,20 +83,6 @@ class Polynomial:
             out = out + (Mat.identity(d, mode) if term is None else term).scale(coeff)
         return out
 
-    def substitute(self, args) -> "Polynomial":
-        """Plug polynomials into the variables (polynomial composition)."""
-        if len(args) != self.nvars:
-            raise ShapeError("substitution arity mismatch")
-        nv = args[0].nvars
-        out = Polynomial.zero(nv, self.mode)
-        for expo, coeff in self.terms:
-            term = Polynomial.constant(nv, coeff, self.mode)
-            for g, k in zip(args, expo):
-                if k:
-                    term = term * g.power(k)
-            out = out + term
-        return out
-
 
 @dataclass(frozen=True)
 class PolyMap:
@@ -153,20 +108,8 @@ class PolyMap:
         )
 
     @property
-    def arity(self) -> int:
-        return len(self.components)
-
-    @property
     def mode(self) -> str:
         return self.components[0].mode
 
     def eval_point(self, point) -> tuple:
         return tuple(c.eval_point(point) for c in self.components)
-
-    def compose(self, inner: "PolyMap") -> "PolyMap":
-        """self after inner: (self o inner)(z) = self(inner(z))."""
-        if self.nvars != inner.arity:
-            raise ShapeError("composition arity mismatch")
-        return PolyMap.from_components(
-            [c.substitute(inner.components) for c in self.components]
-        )

@@ -25,7 +25,8 @@ when a chain step is a full or a layer step, ``ell2._preimage_kernel``
 which SVDs each runs); here the only SVDs are a values-only one per A_n
 tried for n0 and, per K, one batched over the layers for ||K restricted
 to H_n||, the largest singular value of the H_n columns of W.  Every
-level of K is checked in one array pass (``commutant_blocks``).
+level of K is checked in one array pass (``commutant_blocks``), whose one
+eigenvalue call, on the corners from n0 on, also gives r.
 
 A certificate is a witness of the obstruction mechanism for the given K;
 an "inconclusive" verdict (r ~ 0) only means this route does not apply
@@ -45,11 +46,9 @@ from .errors import (
     InvarianceViolation,
     NonCommuting,
     NotStabilized,
-    PreconditionError,
 )
 from .ell2 import BandedOperator, KernelWalk, fredholm_index_banded, symbol_winding
-from .koszul import cohomology, splice_dims, validate_tuple
-from .linalg import Mat, kernel_basis, mat_power, rank, solve, spectral_radius
+from .koszul import splice_dims
 from .scalars import EXACT, as_scalar
 
 TOL_LAYER = 1e-8
@@ -103,6 +102,7 @@ class CommutantBlocks:
     charpoly_reference: np.ndarray
     charpoly_max_diff: dict
     similarity_certified: bool
+    radius: float  # spectral radius of the corner X_n0
 
     def level(self, n: int) -> CommutantLevel:
         return self.levels[n - 1]
@@ -266,7 +266,7 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     the widest layer (which keeps a largest singular value and the
     products' blocks): one SVD gives the norms, one batched product the
     intertwining residuals, and one eigenvalue call the characteristic
-    polynomials from n0 on.
+    polynomials from n0 on and the spectral radius of X_n0.
     """
     _check_operator_commutes(tower.operator, S)
     Q = np.hstack([lv.h_basis for lv in tower.levels])
@@ -308,9 +308,10 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
     rest = zip(dims, inv.tolist(), [None] + inter.tolist(), norms.tolist())
     levels = tuple(CommutantLevel(n, X[n - 1, :d, :d], *r) for n, (d, *r) in enumerate(rest, 1))
     # np.poly's products of (z - root), one root at a time, for the corners
-    # from n0 on, which all have n0's dimension
+    # from n0 on, which all have n0's dimension; cast to complex, so that
+    # r takes one LAPACK path whether T and K are real or not
     n0, d0 = tower.n0, dims[tower.n0 - 1]
-    roots = np.linalg.eigvals(X[n0 - 1 :, :d0, :d0])
+    roots = np.linalg.eigvals(X[n0 - 1 :, :d0, :d0].astype(complex))
     cps = np.zeros((len(roots), d0 + 1), dtype=complex)
     cps[:, 0] = 1
     for k in range(d0):
@@ -322,6 +323,7 @@ def commutant_blocks(tower: KernelTower, S: BandedOperator) -> CommutantBlocks:
         charpoly_reference=cps[0],
         charpoly_max_diff=diffs,
         similarity_certified=certified,
+        radius=float(np.abs(roots[0]).max()),
     )
 
 
@@ -342,8 +344,7 @@ def obstruction_certificate(
     nothing about the given K.
     """
     blocks = commutant_blocks(tower, K)
-    x0 = blocks.level(tower.n0).x_block
-    r = spectral_radius(Mat.from_numpy(x0))
+    r = blocks.radius
     norms = {lv.n: lv.norm for lv in blocks.levels}
     obstructed = (
         blocks.similarity_certified
@@ -425,25 +426,3 @@ def augmented_pair_cohomology(T: BandedOperator, coeffs) -> PairCohomology:
 def _float_matrix_rank(A: np.ndarray) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > TOL_LAYER * s.max(initial=1.0)))
-
-
-def kernel_restriction_check(Tm: Mat, Sm: Mat, n: int) -> bool:
-    """For an invertible commuting matrix pair, S restricted to ker T^n
-    must be an isomorphism of ker T^n; returns that verdict.
-
-    Raises NonCommuting if the pair does not commute and
-    PreconditionError when the pair is not invertible (checked through
-    its cohomology).  With the preconditions in force, False is a bug.
-    """
-    pair = validate_tuple([Tm, Sm])
-    if not cohomology(pair).invertible:
-        raise PreconditionError("matrix pair is not invertible")
-    K = kernel_basis(mat_power(Tm, n))
-    if K.cols == 0:
-        return True
-    M = solve(K, Sm @ K)
-    if M is None:
-        raise InvarianceViolation(
-            "restriction did not preserve the kernel; pair fails to commute"
-        )
-    return rank(M) == K.cols

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from koszulkit.koszul import CommutingTuple, validate_tuple
 from koszulkit.linalg import Mat, mat_power, solve
-from koszulkit.polymap import Polynomial, PolyMap
+from koszulkit.polymap import Polynomial
 from koszulkit.scalars import EXACT, GaussianRational
 
 DEFAULT_SEED = 20260810
@@ -117,12 +117,6 @@ def random_polynomial(rng: random.Random, nvars: int, max_degree: int = 3) -> Po
     if not terms:
         terms = [((0,) * nvars, 1)]
     return Polynomial.from_terms(nvars, terms, EXACT)
-
-
-def random_poly_map(rng: random.Random, nvars: int, arity: int, max_degree: int = 3) -> PolyMap:
-    return PolyMap.from_components(
-        [random_polynomial(rng, nvars, max_degree) for _ in range(arity)]
-    )
 
 
 def random_invertible_pair(rng: random.Random, d: int):

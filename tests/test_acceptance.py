@@ -15,7 +15,7 @@ import pytest
 
 from koszulkit.cli import main
 from koszulkit.ell2 import KernelWalk, make_catalog_operator, identity_op, fredholm_index_banded
-from koszulkit.koszul import augment_les, cohomology, koszul_complex, validate_tuple
+from koszulkit.koszul import augment_les, cohomology, kernel_restriction_check, koszul_complex, validate_tuple
 from koszulkit.linalg import Mat
 from koszulkit.polymap import Polynomial, PolyMap
 from koszulkit.scalars import EXACT, GaussianRational
@@ -23,7 +23,6 @@ from koszulkit.spectrum import spectral_mapping_check
 from koszulkit.tower import (
     commutant_blocks,
     growth_table,
-    kernel_restriction_check,
     kernel_tower,
     obstruction_certificate,
 )

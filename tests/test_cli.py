@@ -917,6 +917,7 @@ _BAD_TUPLES = {
     # True == 1, so the shape check compares types too
     "shape-bool": {"mode": "exact", "matrices": [_NEGATIVE_SHAPE | {"rows": True, "cols": True}]},
     "entries-not-list": _with_first_matrix(entries=5),
+    "entries-missing": {"mode": "exact", "matrices": [{"rows": 1, "cols": 1}]},
     "tuple-top-level-list": [TUPLE_N0],
     # float entries must be finite: json writes nan and inf as NaN and Infinity
     "float-nan": {"mode": "float", "matrices": [_float_diag(float("nan"), 1), _float_diag(1, 1)]},
@@ -949,6 +950,7 @@ _BAD_OPERATORS = {
 _BAD_MAPS = {
     "map-polynomial-not-list": [5],
     "map-monomial-not-int": [[{"coeff": ["1", "0"], "monomial": ["x"]}]],
+    "map-term-without-coeff": [[{"monomial": [1, 0]}]],
 }
 GROWTH = {"demo": "growth", "operator": ASH, "powers": [1, 2, 3], "rank_bound": 4}
 OBSTRUCTION = {
@@ -1027,6 +1029,49 @@ def test_malformed_input_files_are_format_errors(tmp_path, capsys, command, inp,
         argv += ["--map", write(tmp_path, "map.json", pmap)]
     assert main(argv) == 2
     assert f"error[{error}]" in capsys.readouterr().err
+
+
+#: field -> (command, input file, map file) with the field set to v
+_TYPED_FIELDS = {
+    "rows": lambda v: ("cohomology", _with_first_matrix(rows=v), None),
+    "cols": lambda v: ("cohomology", _with_first_matrix(cols=v), None),
+    "offset": lambda v: ("index", {"diagonals": [{"offset": v, "period": [["1", "0"]]}]}, None),
+    "bandwidth": lambda v: ("index", ASH | {"bandwidth": v}, None),
+    "powers": lambda v: ("demo theorem-1.1", GROWTH | {"powers": [1, v]}, None),
+    "rank_bound": lambda v: ("demo theorem-1.1", GROWTH | {"rank_bound": v}, None),
+    "max_level": lambda v: ("demo theorem-2.1", OBSTRUCTION | {"max_level": v}, None),
+    "monomial": lambda v: ("spectrum", TUPLE_N0, [[{"coeff": ["1", "0"], "monomial": [v, 0]}]]),
+    "description": lambda v: ("demo theorem-2.1", OBSTRUCTION | {"description": v}, None),
+    "pair_note": lambda v: ("demo theorem-2.1", OBSTRUCTION | {"pair_note": v}, None),
+    "name": lambda v: ("demo theorem-2.1", OBSTRUCTION | {"perturbations": [{"name": v, "operator": ASH}]}, None),
+}
+_STRING_FIELDS = {"description", "pair_note", "name"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in _TYPED_FIELDS for v in ([5, True, None] if f in _STRING_FIELDS else [1.7, True, "1"])],
+)
+def test_a_field_of_the_wrong_type_exits_2_naming_the_field(tmp_path, capsys, field, value):
+    # an integer field takes an integral number that is no bool (2.0, not
+    # 1.7, true or "1"); a name or note takes a string
+    command, inp, pmap = _TYPED_FIELDS[field](value)
+    argv = [*command.split(), "--input", write(tmp_path, "in.json", inp)]
+    if pmap is not None:
+        argv += ["--map", write(tmp_path, "map.json", pmap)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[FormatError]" in err and field in err
+
+
+def test_a_whole_float_is_an_integer(tmp_path):
+    for command, whole in [
+        ("cohomology", _with_first_matrix(rows=2.0, cols=2.0)),
+        ("index", ASH | {"bandwidth": 1.0, "diagonals": [{"offset": 1.0, "period": [["1", "0"]]}]}),
+    ]:
+        plain = TUPLE_N0 if command == "cohomology" else ASH
+        reports = [run_cli([command, "--input", write(tmp_path, "in.json", inp)], tmp_path) for inp in (whole, plain)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 def test_a_float_tuple_with_a_subnormal_largest_entry_commutes(tmp_path, capsys):

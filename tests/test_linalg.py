@@ -19,7 +19,6 @@ from koszulkit.linalg import (
     mat_power,
     rank,
     solve,
-    spectral_radius,
 )
 from koszulkit.scalars import EXACT, FLOAT, GR_ZERO, GaussianRational
 
@@ -61,17 +60,6 @@ def test_rank_examples():
     assert rank(Mat.from_rows([[1, 2], [2, 4], [3, 6]])) == 1
 
 
-def test_spectral_radius_examples():
-    assert spectral_radius(Mat.from_rows([[2]])) == pytest.approx(2.0)
-    assert spectral_radius(Mat.from_rows([[0, 1], [0, 0]])) <= 1e-8
-    assert spectral_radius(Mat.from_rows([[0, 1], [1, 0]])) == pytest.approx(1.0)
-
-
-def test_spectral_radius_shape_errors():
-    with pytest.raises(ShapeError):
-        spectral_radius(Mat.zeros(2, 3))
-
-
 _I2, _F2 = Mat.identity(2), Mat.identity(2, FLOAT)
 
 #: (call, error, message) of each argument check in linalg
@@ -97,7 +85,6 @@ _LINALG_REFUSALS = {
     "power-non-square": (lambda: mat_power(Mat.zeros(2, 3), 2), ShapeError, "power of a non-square"),
     "chain-non-square": (lambda: kernel_chain(Mat.zeros(2, 3), 2), ShapeError, "kernel chain of a non-square"),
     "solve-rows": (lambda: solve(_I2, Mat.zeros(3, 1)), ShapeError, "solve: row mismatch"),
-    "radius-too-large": (lambda: spectral_radius(Mat.zeros(65, 65)), ShapeError, "limited to dimension 64"),
     # a pair the one-pass commutator does not take is left to A @ B - B @ A
     "commutator-shapes": (lambda: commutator(Mat.zeros(2, 3), Mat.zeros(2, 3)), ShapeError, "matmul shape mismatch"),
     "commutator-sizes": (lambda: commutator(_I2, Mat.identity(3)), ShapeError, "matmul shape mismatch"),
@@ -147,11 +134,10 @@ def test_columns_picks_the_named_columns_in_order(grid, data):
     assert np.array_equal(C.to_numpy(), M.to_numpy()[:, js])
 
 
-def test_float_identity_zero_test_equality_and_the_empty_spectral_radius():
+def test_float_identity_zero_test_and_equality():
     assert _F2 == Mat.from_numpy(np.eye(2)) and not _F2.is_zero() and Mat.zeros(2, 2, FLOAT).is_zero()
     # another mode or shape is unequal, and a non-Mat is left to Python
     assert _F2 != _I2 and _F2 != Mat.identity(3, FLOAT) and _I2 != [[1, 0], [0, 1]]
-    assert spectral_radius(Mat.zeros(0, 0)) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

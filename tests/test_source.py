@@ -135,6 +135,29 @@ def test_package_imports_no_private_name_from_another_module(path):
     assert found == [], f"{path.name} imports private names {found}"
 
 
+#: modules on matrices and modules on banded l2(N) operators; scalars and
+#: errors serve both
+_MATRIX_HALF = {"linalg", "koszul", "polymap", "spectrum"}
+_OPERATOR_HALF = {"ell2", "tower"}
+
+
+def _sibling_imports(stem):
+    """(module, name) of each name a package module imports from another;
+    ``from . import jsonio`` gives ("jsonio", None)."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {(node.module, a.name) if node.module else (a.name, None) for a in node.names}
+    return found
+
+
+def test_the_operator_half_takes_only_splice_dims_from_the_matrix_half():
+    matrix = set().union(*map(_sibling_imports, _MATRIX_HALF))
+    operator = set().union(*map(_sibling_imports, _OPERATOR_HALF))
+    assert {m for m, _ in matrix} & _OPERATOR_HALF == set()
+    assert {(m, n) for m, n in operator if m in _MATRIX_HALF} == {("koszul", "splice_dims")}
+
+
 def _script(name):
     spec = importlib.util.spec_from_file_location(name, PACKAGE.parents[1] / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

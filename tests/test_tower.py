@@ -22,13 +22,13 @@ from koszulkit.errors import (
     NotStabilized,
     PreconditionError,
 )
+from koszulkit.koszul import kernel_restriction_check
 from koszulkit.linalg import Mat
 from koszulkit.scalars import GaussianRational
 from koszulkit.tower import (
     augmented_pair_cohomology,
     commutant_blocks,
     growth_table,
-    kernel_restriction_check,
     kernel_tower,
     obstruction_certificate,
 )
@@ -771,6 +771,21 @@ def test_a_pair_of_polynomials_in_the_backward_shift_meets_the_exact_oracle(f_ro
     assert tw.index == index
     assert abs(cert.r - float(r)) <= 1e-8 * (1 + float(r))
     assert cert.verdict == verdict
+
+
+@pytest.mark.parametrize("h", range(1, 6))
+def test_a_certificate_reads_r_off_its_one_eigenvalue_call(monkeypatch, h):
+    # the eigenvalues commutant_blocks takes for the characteristic
+    # polynomials give r too: max |eig| of X_n0 cast to complex, bit for bit
+    tw = kernel_tower(_in_backward_shift([0] * h + [1]), 8)
+    real, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
+    for g in ([0, 1], [2, 1], [0, 0, 1], [1, 3], [1], []):
+        calls.clear()
+        cert = obstruction_certificate(tw, _in_backward_shift(g))
+        assert len(calls) == 1
+        x0 = cert.blocks.level(tw.n0).x_block.astype(complex)
+        assert cert.r == cert.blocks.radius == float(np.abs(real(x0)).max())
 
 
 # -- growth tables ---------------------------------------------------------------
